@@ -30,6 +30,13 @@ End-to-end metrics, reported by every workload:
   ``rps``, ``p50_ms``, ``p99_ms``, ``suite_s``, ``replay_s``,
   ``error_rate``) are printed above the JSON line.
 
+The command supervises: the workload runs in a child process that leads
+a process group of its own, and when the child has exited every process
+left in that group (and any orphan re-parented to the supervisor) is
+killed and reaped before the command exits.  The workload itself stops
+``multiprocessing``'s resource tracker, which the grid's shared-memory
+segments start and which would otherwise outlive it.
+
 ``--trace 0`` prints the ``end_to_end`` metrics of ``BENCHMARK.json``;
 ``--trace 1`` measures the workload untraced, then again with every
 layer's public functions wrapped, and prints the ``per_layer`` metrics,
@@ -46,14 +53,103 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 import uuid
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("sparse_broadcast", "traffic_csma", "service_sinr", "quick_suite")
+#: Set in the environment of the supervised workload process.
+WORKER_ENV = "PERFBENCH_WORKER"
+#: ``prctl`` option making orphaned descendants re-parent to the caller.
+PR_SET_CHILD_SUBREAPER = 36
+#: Seconds the supervisor waits for leftover processes to be reaped.
+REAP_TIMEOUT_S = 30.0
+
+
+def _become_subreaper() -> None:
+    """Have orphaned descendants re-parented here, so they can be reaped."""
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _reap_group(pgid: int) -> int:
+    """Kill process group ``pgid`` and reap every child of this process.
+
+    :returns: the number of processes reaped.
+    """
+    deadline = time.monotonic() + REAP_TIMEOUT_S
+    reaped = 0
+    while True:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return reaped
+        if pid:
+            reaped += 1
+        elif time.monotonic() > deadline:
+            raise RuntimeError("a process outside the workload's process "
+                               "group is still running")
+        else:
+            time.sleep(0.01)
+
+
+def supervise(argv: list[str]) -> int:
+    """Run the workload in a child process and reap all it leaves behind.
+
+    The child leads a new process group.  It is waited for without being
+    reaped, so the group id stays reserved until the whole group has
+    been killed; then every process re-parented here is reaped too.
+    """
+    _become_subreaper()
+    signal.signal(signal.SIGTERM, _exit_on_signal)
+    child = subprocess.Popen(
+        [sys.executable, __file__] + argv,
+        env=dict(os.environ, **{WORKER_ENV: "1"}), start_new_session=True,
+    )
+    code = 1
+    try:
+        info = os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        code = (info.si_status if info.si_code == os.CLD_EXITED
+                else 128 + info.si_status)
+    finally:
+        leftovers = _reap_group(child.pid) - 1
+        child.returncode = code
+    if leftovers > 0:
+        print(f"stopped {leftovers} processes the workload left running",
+              file=sys.stderr)
+    return code
+
+
+def _stop_resource_tracker() -> None:
+    """Stop ``multiprocessing``'s resource tracker and wait for it.
+
+    The grid's shared-memory segments start it, and CPython lets it
+    outlive the process that started it.
+    """
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    if tracker is not None:
+        tracker._resource_tracker._stop()
 
 
 def _declared() -> dict:
@@ -136,6 +232,15 @@ def run_all(args) -> int:
 
 
 def main(argv=None) -> int:
+    if WORKER_ENV not in os.environ:
+        return supervise(sys.argv[1:] if argv is None else list(argv))
+    try:
+        return run_workload(argv)
+    finally:
+        _stop_resource_tracker()
+
+
+def run_workload(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="perfbench/run.py")
     parser.add_argument("--workload", choices=WORKLOADS + ("all",),
                         required=True)
