@@ -14,13 +14,15 @@ is played under :class:`repro.mac.SlottedAloha` and
   ALOHA would have suffered.
 
 The timed region is one full CSMA run; slot throughput and both MACs'
-delivery/collision numbers land in ``extra_info``.  CI uploads the
-pytest-benchmark JSON as ``BENCH_traffic.json`` alongside the other
-``BENCH_*.json`` artifacts, merged into ``benchmarks/TRAJECTORY.json``
-by ``tools/bench_report.py``.
+delivery/collision numbers land in ``extra_info``, with the core count
+and kernel that ``tools/bench_report.py`` lifts into the snapshot's
+``machine`` block.  CI uploads the pytest-benchmark JSON as
+``BENCH_traffic.json`` alongside the other ``BENCH_*.json`` artifacts,
+merged into ``benchmarks/TRAJECTORY.json`` by ``tools/bench_report.py``.
 """
 
 import math
+import os
 import time
 
 import networkx as nx
@@ -116,6 +118,8 @@ def test_traffic_throughput_at_scale(benchmark, capsys):
             )
     benchmark.extra_info.update(
         {
+            "nproc": os.cpu_count(),
+            "kernel_kind": net.kernel_kind,
             "n": N,
             "flows": N_FLOWS,
             "rounds": ROUNDS,

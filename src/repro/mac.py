@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.network.network import Network
+from repro.sinr.sparse import csr_row_positions, csr_upper_pairs
 
 #: Signature of the per-slot transmit-decision callback consumed by the
 #: fastsim kernels: ``hook(round_no, tx_mask, network) -> tx_mask``
@@ -107,6 +108,32 @@ def pairs_within(network: Network, radius: float) -> tuple[np.ndarray, np.ndarra
         )
     ii, jj = np.nonzero(np.triu(network.distances <= radius, k=1))
     return ii, jj
+
+
+def adjacency_within(
+    network: Network, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR ``(indptr, indices)`` of :func:`pairs_within`.
+
+    Row ``v`` lists every station within ``radius`` of ``v`` in
+    ascending order, so a query touches only the rows it asks about.
+    Sparse deployments with ``radius`` inside the cutoff return the
+    backend's memoized adjacency
+    (:meth:`~repro.sinr.sparse.SparseGainBackend.adjacency_within`);
+    otherwise the pairs are folded into a fresh CSR.
+    """
+    if (
+        network.backend_kind == "sparse"
+        and 0 <= radius <= network.cutoff
+    ):
+        return network.sparse_backend.adjacency_within(radius)
+    ii, jj = pairs_within(network, radius)
+    rows = np.concatenate([ii, jj])
+    cols = np.concatenate([jj, ii])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(network.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=network.size), out=indptr[1:])
+    return indptr, cols[order]
 
 
 def derive_sense_range(
@@ -296,7 +323,19 @@ class _CsmaSession(MacSession):
             if model.sense_range is not None
             else derive_sense_range(network, model.sense_threshold)
         )
-        self.sense_i, self.sense_j = pairs_within(network, self.sense_range)
+        self.sense_indptr, self.sense_indices = adjacency_within(
+            network, self.sense_range
+        )
+
+    @property
+    def sense_i(self) -> np.ndarray:
+        """First stations of the sensing pairs ``i < j`` (sorted)."""
+        return csr_upper_pairs(self.sense_indptr, self.sense_indices)[0]
+
+    @property
+    def sense_j(self) -> np.ndarray:
+        """Second stations of the sensing pairs, aligned with :attr:`sense_i`."""
+        return csr_upper_pairs(self.sense_indptr, self.sense_indices)[1]
 
     def round_backoff(self, round_no: int) -> np.ndarray:
         """The slot's shared ``(n,)`` integer backoff draw in ``[0, cw)``.
@@ -322,29 +361,24 @@ class _CsmaSession(MacSession):
         backoff = self.round_backoff(round_no)
         if self._gate is not None:
             intents = intents & self._gate[None, :]
-        B = intents.shape[0]
         out = np.zeros_like(intents)
-        model: CSMA = self.model  # type: ignore[assignment]
-        for b in range(B):
+        for b in range(intents.shape[0]):
             act = intents[b]
-            if not act.any():
+            contenders = np.flatnonzero(act)
+            if contenders.size == 0:
                 continue
-            # Minimum backoff among *intending* sense-neighbours; cw
-            # (above every draw) where a station has none.
-            floor = np.full(self.n, model.cw, dtype=np.int64)
-            mask = act[self.sense_j]
-            np.minimum.at(
-                floor, self.sense_i[mask], backoff[self.sense_j[mask]]
-            )
-            mask = act[self.sense_i]
-            np.minimum.at(
-                floor, self.sense_j[mask], backoff[self.sense_i[mask]]
-            )
-            # A station transmits unless a sensed contender grabbed a
-            # strictly earlier sub-slot.  Equal draws start
-            # simultaneously — neither sensed the other — which is the
-            # textbook residual collision of CSMA.
-            out[b] = act & (backoff <= floor)
+            # Only the contenders' sense rows matter: a contender defers
+            # iff an intending sense-neighbour grabbed a strictly
+            # earlier sub-slot.  Equal draws start simultaneously —
+            # neither sensed the other — which is the textbook residual
+            # collision of CSMA.
+            pos, lengths = csr_row_positions(self.sense_indptr, contenders)
+            owner = np.repeat(np.arange(contenders.size), lengths)
+            nbrs = self.sense_indices[pos]
+            earlier = act[nbrs] & (backoff[nbrs] < backoff[contenders][owner])
+            deferred = np.zeros(contenders.size, dtype=bool)
+            deferred[owner[earlier]] = True
+            out[b, contenders[~deferred]] = True
         return out
 
 

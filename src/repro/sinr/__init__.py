@@ -29,6 +29,7 @@ from repro.sinr.channel import (
 )
 from repro.sinr.reception import (
     NO_SENDER,
+    resolve_at,
     resolve_reception,
     resolve_reception_many,
     sinr_values,
@@ -57,6 +58,7 @@ __all__ = [
     "ObstacleMask",
     "default_channel",
     "rectangle",
+    "resolve_at",
     "resolve_reception",
     "resolve_reception_many",
     "sinr_values",

@@ -452,9 +452,51 @@ def resolve_reception(
     sparse = getattr(gain, "resolve_reception", None)
     if sparse is not None:
         return sparse(transmitters, noise, beta, kernel=kernel)
+    return _dense_heard_and_sinr(gain, transmitters, noise, beta, kernel)[0]
+
+
+def _dense_heard_and_sinr(
+    gain: np.ndarray,
+    transmitters: np.ndarray,
+    noise: float,
+    beta: float,
+    kernel: Optional[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense :func:`resolve_reception` plus the :func:`sinr_values` SINR."""
     best_sender, sinr = sinr_values(gain, transmitters, noise, kernel=kernel)
     heard = np.where(sinr >= beta, best_sender, NO_SENDER)
     transmitters = np.asarray(transmitters, dtype=np.intp)
     if transmitters.size:
         heard[transmitters] = NO_SENDER
-    return heard
+    return heard, sinr
+
+
+def resolve_at(
+    gain,
+    transmitters: np.ndarray,
+    listeners: np.ndarray,
+    noise: float,
+    beta: float,
+    kernel: Optional[str] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heard sender and SINR of one round, at ``listeners`` only.
+
+    Returns ``(resolve_reception(...)[listeners],
+    sinr_values(...)[1][listeners])`` bit for bit, from one resolver
+    pass; ``listeners`` may be unsorted, repeat stations or name
+    transmitters.  The traffic engine asks only about its packets' next
+    hops, so on a :class:`~repro.sinr.sparse.SparseGainBackend` the cost
+    follows those stations' neighbourhoods plus one far-field transform
+    instead of ``n`` (:meth:`~repro.sinr.sparse.SparseGainBackend.resolve_at`).
+    A dense matrix resolves the whole round and gathers.
+
+    :returns: ``(heard, sinr)``, both aligned with ``listeners``.
+    """
+    sparse = getattr(gain, "resolve_at", None)
+    if sparse is not None:
+        return sparse(transmitters, listeners, noise, beta)
+    heard, sinr = _dense_heard_and_sinr(
+        gain, transmitters, noise, beta, kernel
+    )
+    listeners = np.asarray(listeners, dtype=np.intp)
+    return heard[listeners], sinr[listeners]

@@ -91,9 +91,78 @@ MIN_CELL_BUDGET = 65536
 FFT_SLACK_REL = 1e-9
 
 
+def _with_band(
+    est: np.ndarray, err: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(estimate, band)``: the certified error plus the rounding slack."""
+    return est, err + FFT_SLACK_REL * (est + err)
+
+
 def default_cutoff(params: SINRParameters) -> float:
     """The deterministic default cutoff: ``2 r`` (fingerprint-stable)."""
     return DEFAULT_CUTOFF_SCALE * params.broadcast_range
+
+
+# ----------------------------------------------------------------------
+# CSR helpers
+# ----------------------------------------------------------------------
+def csr_row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Storage positions of ``rows``' entries in a CSR structure.
+
+    :returns: ``(positions, per-row lengths)`` — the positions of each
+        row's entries, concatenated in the given row order (rows may be
+        unsorted or repeated).
+    """
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), lengths
+    offs = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offs[1:])
+    pos = np.repeat(starts - offs, lengths) + np.arange(
+        total, dtype=np.int64
+    )
+    return pos, lengths
+
+
+def csr_upper_pairs(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``i < j`` of a symmetric CSR adjacency, in storage order.
+
+    Rows ascend and columns ascend within a row, so the pairs come out
+    sorted by ``(i, j)``.
+    """
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    cols = indices.astype(np.int64, copy=False)
+    keep = rows < cols
+    return rows[keep], cols[keep]
+
+
+def _strongest(
+    slot: np.ndarray,
+    values: np.ndarray,
+    senders: np.ndarray,
+    size: int,
+    none: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slot ``(total, best_gain, best_sender)`` of gathered gains.
+
+    ``bincount`` adds each slot's values sequentially in input order —
+    the only order-sensitive result; the maximum and the lowest-index
+    sender attaining it are exact.  Slots without a value read
+    ``(0, 0, none)``.
+    """
+    total = np.bincount(slot, weights=values, minlength=size)
+    best_gain = np.zeros(size)
+    np.maximum.at(best_gain, slot, values)
+    best_sender = np.full(size, none, dtype=np.int64)
+    winners = values == best_gain[slot]
+    np.minimum.at(best_sender, slot[winners], senders[winners])
+    return total, best_gain, best_sender
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +512,10 @@ class SparseGainBackend:
         self._kernels: Optional[tuple] = None
         self._far_spatial: Optional[tuple] = None
         self._entry_keys_cache: Optional[np.ndarray] = None
+        #: radius -> symmetric CSR ``(indptr, indices)`` of the pairs
+        #: within it (:meth:`adjacency_within`); position-dependent, so
+        #: :meth:`advanced` never carries it over.
+        self._adjacency: dict[float, tuple] = {}
 
     # -- construction --------------------------------------------------
     def _radial(self, dist: np.ndarray) -> np.ndarray:
@@ -526,14 +599,26 @@ class SparseGainBackend:
         return self._dists
 
     def nbytes(self) -> int:
-        """Resident bytes of the backend's persistent arrays."""
-        total = self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
-        total += self.cells.cell_of.nbytes + self.cells.order.nbytes
-        if self._dists is not None:
-            total += self._dists.nbytes
+        """Resident bytes of the backend's persistent arrays.
+
+        Counts the lazily built structures too once they exist: the
+        aligned distances, the far-field transforms and the spatial
+        tables the serving path gathers from, the merge keys
+        :meth:`advanced` caches, and every memoized adjacency.
+        """
+        arrays = [
+            self.data, self.indices, self.indptr,
+            self.cells.cell_of, self.cells.order,
+            self._dists, self._entry_keys_cache,
+        ]
         if self._kernels is not None:
-            total += sum(k.nbytes for k in self._kernels[0:2])
-        return total
+            arrays += self._kernels[0:2]
+        if self._far_spatial is not None:
+            K, E, tables = self._far_spatial
+            arrays += [K, E, *tables]
+        for adjacency in self._adjacency.values():
+            arrays += adjacency
+        return sum(a.nbytes for a in arrays if a is not None)
 
     # -- incremental updates (mobility, DESIGN.md §7) -------------------
     def advanced(
@@ -571,7 +656,8 @@ class SparseGainBackend:
         Gains and distances are evaluated only on the delta — O(moved
         fraction) of the build cost; ``benchmarks/bench_mobility.py``
         gates the resulting speedup.  Far-field kernels depend only on
-        the grid shape and are carried over.
+        the grid shape and are carried over; memoized adjacencies
+        (:meth:`adjacency_within`) depend on positions and are not.
         """
         new_coords = np.asarray(new_coords, dtype=float)
         if new_coords.ndim == 1:
@@ -613,7 +699,7 @@ class SparseGainBackend:
         # Dropped old entries: the moved listeners' whole rows, plus any
         # entry whose sender moved.
         drop = np.zeros(self.indices.size, dtype=bool)
-        moved_pos, _ = self._row_positions(moved)
+        moved_pos, _ = csr_row_positions(self.indptr, moved)
         drop[moved_pos] = True
         drop |= is_moved[self.indices]
         keep = ~drop
@@ -869,16 +955,29 @@ class SparseGainBackend:
         if self.far_empty:
             zeros = np.zeros((B, n))
             return zeros, zeros.copy()
+        est_cells, err_cells = self._far_cells(tx_mask)
+        cell_of = self.cells.cell_of
+        return _with_band(est_cells[:, cell_of], err_cells[:, cell_of])
+
+    def _far_cells(
+        self, tx_mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell far-field estimate and error, ``(B, n_cells)`` each.
+
+        The far field is constant within a cell, so every listener's
+        value is a gather from these arrays (:meth:`far_band` gathers
+        all stations, :meth:`resolve_at` only the ones it asks about).
+        """
+        B = tx_mask.shape[0]
         K_hat, E_hat, padded = self._far_kernels()
         # One batched transform over the trailing cell axes instead of
         # per-row FFT dispatch: this runs every round of every sweep.
         axes = tuple(range(1, len(padded) + 1))
         shape = self.cells.shape
         region = (slice(None),) + tuple(slice(0, s) for s in shape)
-        cell_of = self.cells.cell_of
         counts = np.zeros((B, self.cells.n_cells))
         rows, stations = np.nonzero(tx_mask)
-        np.add.at(counts, (rows, cell_of[stations]), 1.0)
+        np.add.at(counts, (rows, self.cells.cell_of[stations]), 1.0)
         counts = counts.reshape((B,) + shape)
         C_hat = np.fft.rfftn(counts, s=padded, axes=axes)
         est_cells = np.fft.irfftn(
@@ -887,9 +986,10 @@ class SparseGainBackend:
         err_cells = np.fft.irfftn(
             C_hat * E_hat[None], s=padded, axes=axes
         )[region]
-        est = np.maximum(est_cells.reshape(B, -1), 0.0)[:, cell_of]
-        err = np.maximum(err_cells.reshape(B, -1), 0.0)[:, cell_of]
-        return est, err + FFT_SLACK_REL * (est + err)
+        return (
+            np.maximum(est_cells.reshape(B, -1), 0.0),
+            np.maximum(err_cells.reshape(B, -1), 0.0),
+        )
 
     def certified_tail_bound(
         self,
@@ -921,23 +1021,6 @@ class SparseGainBackend:
         return _ball_occupancy_bound(self.coords, self.cutoff / 2.0)
 
     # -- near-field scan ------------------------------------------------
-    def _row_positions(
-        self, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR storage positions of ``rows``' entries, concatenated in
-        given row order: ``(positions, per-row lengths)``."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), lengths
-        offs = np.zeros(lengths.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offs[1:])
-        pos = np.repeat(starts - offs, lengths) + np.arange(
-            total, dtype=np.int64
-        )
-        return pos, lengths
-
     def _gather_rows(
         self, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -949,7 +1032,7 @@ class SparseGainBackend:
             transmitter's contribution at every near listener, rows in
             ascending ``t`` (the fold order of the exact contract).
         """
-        pos, lengths = self._row_positions(rows)
+        pos, lengths = csr_row_positions(self.indptr, rows)
         if pos.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0), empty
@@ -977,15 +1060,7 @@ class SparseGainBackend:
                 np.asarray(transmitters, dtype=np.int64), self.n,
             )
         listeners, values, senders = self._gather_rows(transmitters)
-        total = np.bincount(listeners, weights=values, minlength=self.n)
-        best_gain = np.zeros(self.n)
-        np.maximum.at(best_gain, listeners, values)
-        best_sender = np.full(self.n, self.n, dtype=np.int64)
-        winners = values == best_gain[listeners]
-        np.minimum.at(
-            best_sender, listeners[winners], senders[winners]
-        )
-        return total, best_gain, best_sender
+        return _strongest(listeners, values, senders, self.n, self.n)
 
     # -- resolvers -------------------------------------------------------
     def resolve_reception_batch(
@@ -1154,8 +1229,9 @@ class SparseGainBackend:
             gain_c = best_gain[cand]
             denom = noise + total[cand] - gain_c
             if not self.far_empty:
-                est, err = self._far_direct(transmitters, cand)
-                band = err + FFT_SLACK_REL * (est + err)
+                est, band = _with_band(
+                    *self._far_direct(transmitters, cand)
+                )
                 denom = denom + est + band
             sinr = np.divide(gain_c, denom)
             is_tx[transmitters] = True
@@ -1205,6 +1281,56 @@ class SparseGainBackend:
         best_sender[found] = best[found]
         return best_sender, sinr
 
+    def resolve_at(
+        self,
+        transmitters: np.ndarray,
+        listeners: np.ndarray,
+        noise: float,
+        beta: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Heard sender and SINR of one round, at ``listeners`` only.
+
+        Bitwise ``resolve_reception(...)[listeners]`` and
+        ``sinr_values(...)[1][listeners]``, for any listener array
+        (unsorted, repeated, transmitters included), at a cost set by
+        the listeners' CSR rows plus one far-field transform rather
+        than by ``n``:
+
+        * the near fold reads each *listener's* row instead of each
+          transmitter's.  Gains are bitwise symmetric and rows list
+          senders in ascending order, so ``bincount`` adds the same
+          values in the same order as :meth:`_near_scan`; max and min
+          are exact, so the strongest sender matches too (either
+          kernel — they are bitwise equal, DESIGN.md §2.3);
+        * the far term is :meth:`far_band`'s transform, gathered at the
+          listeners' cells only.
+        """
+        transmitters = np.unique(np.asarray(transmitters, dtype=np.int64))
+        listeners = np.asarray(listeners, dtype=np.int64)
+        m = listeners.size
+        heard = np.full(m, NO_SENDER, dtype=np.intp)
+        if transmitters.size == 0:
+            return heard, np.zeros(m)
+        is_tx = np.zeros((1, self.n), dtype=bool)
+        is_tx[0, transmitters] = True
+        pos, lengths = csr_row_positions(self.indptr, listeners)
+        senders = self.indices[pos].astype(np.int64, copy=False)
+        live = is_tx[0, senders]
+        total, best_gain, best_sender = _strongest(
+            np.repeat(np.arange(m), lengths)[live], self.data[pos[live]],
+            senders[live], m, self.n,
+        )
+        denom = noise + total - best_gain
+        if not self.far_empty:
+            est_cells, err_cells = self._far_cells(is_tx)
+            cells = self.cells.cell_of[listeners]
+            est, band = _with_band(est_cells[0, cells], err_cells[0, cells])
+            denom = denom + est + band
+        sinr = np.divide(best_gain, denom)
+        ok = (best_sender < self.n) & (sinr >= beta) & ~is_tx[0, listeners]
+        heard[ok] = best_sender[ok]
+        return heard, sinr
+
     def resolve_reception(
         self,
         transmitters: np.ndarray,
@@ -1225,18 +1351,36 @@ class SparseGainBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """All pairs ``i < j`` at distance ``<= radius <= cutoff``.
 
-        Backed by the CSR near field, which is complete for any radius
-        up to the cell size (= cutoff).
+        Read off :meth:`adjacency_within`, sorted by ``(i, j)``.
+        """
+        return csr_upper_pairs(*self.adjacency_within(radius))
+
+    def adjacency_within(
+        self, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric CSR ``(indptr, indices)`` of the pairs within ``radius``.
+
+        The near-field CSR restricted to distances ``<= radius``: it is
+        complete for any radius up to the cutoff, and its rows keep
+        their ascending sender order.  Built once per radius and
+        memoized on this backend, so every MAC session and graph query
+        over one deployment shares it; a backend at new positions
+        (:meth:`advanced`) starts with an empty memo.
         """
         if radius > self.cutoff:
             raise GeometryError(
                 f"pair query radius {radius} exceeds the cutoff "
                 f"{self.cutoff}; the near field is incomplete beyond it"
             )
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        cols = self.indices.astype(np.int64, copy=False)
-        keep = (self.dists <= radius) & (rows < cols)
-        return rows[keep], cols[keep]
+        key = float(radius)
+        adjacency = self._adjacency.get(key)
+        if adjacency is None:
+            kept = np.flatnonzero(self.dists <= radius)
+            # Entries kept before each row start = the new row starts.
+            indptr = np.searchsorted(kept, self.indptr)
+            adjacency = (indptr, self.indices[kept])
+            self._adjacency[key] = adjacency
+        return adjacency
 
     def neighbors_within(self, station: int, radius: float) -> np.ndarray:
         """Sorted station indices within ``radius`` of ``station``."""
@@ -1262,7 +1406,7 @@ class SparseGainBackend:
         frontier = np.asarray([0], dtype=np.int64)
         reached = 1
         while frontier.size:
-            pos, _ = self._row_positions(frontier)
+            pos, _ = csr_row_positions(self.indptr, frontier)
             if pos.size == 0:
                 break
             nbrs = self.indices[pos][mask[pos]]

@@ -16,7 +16,7 @@ arbitration is round-keyed — so a workload replays bit-for-bit across
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.mac import MacModel, RateTable, SlottedAloha
 from repro.network.network import Network
-from repro.sinr.reception import NO_SENDER, resolve_reception, sinr_values
+from repro.sinr.reception import resolve_at
 from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.metrics import jain_index
 
@@ -198,7 +198,7 @@ def run_traffic(
         for path in paths
     ]
     arrival_counts = [
-        flow.arrivals.draw(rng, rounds) for flow in flows
+        flow.arrivals.draw(rng, rounds).tolist() for flow in flows
     ]
     stats = [
         FlowStats(flow=flow, path=paths[k])
@@ -211,42 +211,49 @@ def run_traffic(
     beta = network.params.beta
     kern = network.kernel_kind
 
-    queues = [deque() for _ in range(n)]  # entries: (flow_id, inject_round)
+    # Queues exist only for stations a packet has reached; ``backlog``
+    # holds those with a packet waiting, so a slot's bookkeeping scales
+    # with the backlog instead of with n (DESIGN.md §11.6).
+    queues: dict = defaultdict(deque)  # entries: (flow_id, inject_round)
+    backlog: set = set()
+
+    def enqueue(station: int, k: int, t0: int) -> None:
+        queue = queues[station]
+        if len(queue) >= queue_cap:
+            stats[k].dropped += 1
+        else:
+            queue.append((k, t0))
+            backlog.add(station)
+
     transmissions = 0
     collisions = 0
     for t in range(rounds):
         for k in range(len(flows)):
-            count = int(arrival_counts[k][t])
-            src = flows[k].src
-            for _ in range(count):
+            for _ in range(arrival_counts[k][t]):
                 stats[k].injected += 1
-                if len(queues[src]) >= queue_cap:
-                    stats[k].dropped += 1
-                else:
-                    queues[src].append((k, t))
-        intents = np.array(
-            [bool(queues[v]) for v in range(n)], dtype=bool
-        )[None, :]
-        if not intents.any():
+                enqueue(flows[k].src, k, t)
+        if not backlog:
             continue
+        intents = np.zeros((1, n), dtype=bool)
+        intents[0, list(backlog)] = True
         tx_mask = (
             np.asarray(session.transmit_mask(t, intents, network), dtype=bool)
             & intents
         )[0]
-        transmitters = np.flatnonzero(tx_mask)
-        if transmitters.size == 0:
+        transmitters = np.flatnonzero(tx_mask).tolist()
+        if not transmitters:
             continue
-        heard_from = resolve_reception(
-            gain, transmitters, noise, beta, kernel=kern
+        heads = [queues[v][0][0] for v in transmitters]
+        hops = [next_hop[k][v] for k, v in zip(heads, transmitters)]
+        heard_from, sinr = resolve_at(
+            gain, transmitters, hops, noise, beta, kernel=kern
         )
-        if rate_table is not None:
-            _best, sinr = sinr_values(gain, transmitters, noise, kernel=kern)
         forwards = []  # (dest_station, flow_id, inject_round)
-        for v in transmitters.tolist():
+        for v, k, hop, sender, link_sinr in zip(
+            transmitters, heads, hops, heard_from.tolist(), sinr.tolist()
+        ):
             transmissions += 1
-            k, _t0 = queues[v][0]
-            hop = next_hop[k][v]
-            if heard_from[hop] != v:
+            if sender != v:
                 # The next hop heard someone else or nothing: the slot
                 # is wasted for this packet (hidden-node collisions and
                 # lost arbitration ties both land here).
@@ -254,28 +261,28 @@ def run_traffic(
                 stats[k].collisions += 1
                 continue
             budget = (
-                rate_table.rate_for(float(sinr[hop]))
+                rate_table.rate_for(link_sinr)
                 if rate_table is not None
                 else 1
             )
-            while budget > 0 and queues[v]:
-                k, t0 = queues[v][0]
+            queue = queues[v]
+            while budget > 0 and queue:
+                k, t0 = queue[0]
                 if next_hop[k][v] != hop:
                     break  # only packets riding the same link this slot
-                queues[v].popleft()
+                queue.popleft()
                 budget -= 1
                 if hop == flows[k].dst:
                     stats[k].delivered += 1
                     stats[k].latencies.append(t - t0 + 1)
                 else:
                     forwards.append((hop, k, t0))
+            if not queue:
+                backlog.discard(v)
         for hop, k, t0 in forwards:
-            if len(queues[hop]) >= queue_cap:
-                stats[k].dropped += 1
-            else:
-                queues[hop].append((k, t0))
+            enqueue(hop, k, t0)
 
-    for queue in queues:
+    for queue in queues.values():
         for k, _t0 in queue:
             stats[k].queued += 1
     return TrafficResult(

@@ -1,0 +1,231 @@
+"""Bitwise properties of the backlog-driven traffic slot paths.
+
+A traffic slot touches only its contenders and their packets' next
+hops.  Each shortcut is pinned against the whole-network computation
+it replaces, bit for bit:
+
+* :func:`~repro.sinr.reception.resolve_at` at any listener array
+  (unsorted, repeated, transmitters included) equals
+  ``resolve_reception(...)[L]`` and ``sinr_values(...)[1][L]`` on
+  sparse far-active, sparse far-empty and dense networks;
+* CSMA arbitration over the CSR sense adjacency equals the pair rule
+  "defer iff an intending station within sense range drew a strictly
+  smaller backoff", evaluated by brute force over every pair, for
+  several intent rows at once, on dense networks and on sparse ones
+  with the sense range inside and beyond the cutoff;
+* the session's sensing pairs are exactly :func:`repro.mac.pairs_within`;
+* :meth:`~repro.sinr.sparse.SparseGainBackend.nbytes` counts the lazily
+  built structures: merge keys, far-field tables, memoized adjacencies.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mac import CSMA, adjacency_within, pairs_within
+from repro.network.network import Network
+from repro.sinr.reception import (
+    NO_SENDER,
+    resolve_at,
+    resolve_reception,
+    resolve_reception_many,
+    sinr_values,
+)
+
+#: name -> (n, side, seed, Network kwargs)
+DEPLOYMENTS = {
+    "sparse-far": (160, 5.0, 1, {"backend": "sparse", "cutoff": 1.0}),
+    "sparse-far-wide": (200, 6.0, 4, {"backend": "sparse", "cutoff": 2.0}),
+    "sparse-near": (40, 1.5, 2, {"backend": "sparse", "cutoff": 2.0}),
+    "dense": (40, 2.5, 3, {}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _network(name: str) -> Network:
+    n, side, seed, kwargs = DEPLOYMENTS[name]
+    coords = np.random.default_rng(seed).uniform(0, side, size=(n, 2))
+    return Network(coords, **kwargs)
+
+
+def test_deployments_cover_each_regime():
+    assert not _network("sparse-far").sparse_backend.far_empty
+    assert not _network("sparse-far-wide").sparse_backend.far_empty
+    assert _network("sparse-near").sparse_backend.far_empty
+    assert _network("dense").backend_kind == "dense"
+
+
+# ----------------------------------------------------------------------
+# resolution at a listener subset
+# ----------------------------------------------------------------------
+def _check_resolve_at(net, transmitters, listeners):
+    gain, p = net.gain_operator, net.params
+    transmitters = np.asarray(transmitters, dtype=np.int64)
+    listeners = np.asarray(listeners, dtype=np.int64)
+    heard, sinr = resolve_at(gain, transmitters, listeners, p.noise, p.beta)
+    full = resolve_reception(gain, transmitters, p.noise, p.beta)
+    _, full_sinr = sinr_values(gain, transmitters, p.noise)
+    assert heard.dtype == full.dtype
+    assert np.array_equal(heard, full[listeners])
+    assert sinr.tobytes() == full_sinr[listeners].tobytes()
+    return heard
+
+
+@given(
+    name=st.sampled_from(["sparse-far", "sparse-near", "dense"]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_resolve_at_equals_full_resolution(name, data):
+    net = _network(name)
+    station = st.integers(0, net.size - 1)
+    transmitters = data.draw(
+        st.lists(station, max_size=12, unique=True), label="transmitters"
+    )
+    listeners = data.draw(st.lists(station, max_size=24), label="listeners")
+    if transmitters:
+        listeners += data.draw(
+            st.lists(st.sampled_from(transmitters), max_size=3),
+            label="transmitting listeners",
+        )
+    listeners = data.draw(st.permutations(listeners), label="order")
+    _check_resolve_at(net, sorted(transmitters), listeners)
+
+
+def test_resolve_at_every_station_with_receptions():
+    for name in ("sparse-far", "sparse-near", "dense"):
+        net = _network(name)
+        transmitters = np.arange(0, net.size, 9)
+        heard = _check_resolve_at(
+            net, transmitters, np.arange(net.size)[::-1]
+        )
+        assert np.any(heard != NO_SENDER), name
+
+
+# ----------------------------------------------------------------------
+# CSMA arbitration over the CSR sense adjacency
+# ----------------------------------------------------------------------
+#: name -> (deployment, CSMA sense_range): dense; sparse with the range
+#: inside the cutoff (memoized adjacency); sparse beyond the cutoff
+#: (brute-force pairs folded into a CSR).
+CSMA_CASES = {
+    "dense": ("dense", None),
+    "sparse-within-cutoff": ("sparse-far-wide", 1.2),
+    "sparse-beyond-cutoff": ("sparse-far", 1.4),
+}
+
+
+def _pair_rule(net, sense_range, backoff, intents):
+    """The CSMA decision by brute force over every station pair."""
+    coords = net.coords
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    sensed = dist <= sense_range
+    np.fill_diagonal(sensed, False)
+    out = np.zeros_like(intents)
+    for b, act in enumerate(intents):
+        earlier = sensed & act[None, :] & (backoff[None, :] < backoff[:, None])
+        out[b] = act & ~earlier.any(axis=1)
+    return out
+
+
+@given(
+    case=st.sampled_from(sorted(CSMA_CASES)),
+    cw=st.integers(2, 12),
+    mac_seed=st.integers(0, 20),
+    round_no=st.integers(0, 500),
+    rows=st.integers(2, 4),
+    density=st.floats(0.05, 1.0),
+    intent_seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_csma_csr_arbitration_equals_pair_rule(
+    case, cw, mac_seed, round_no, rows, density, intent_seed
+):
+    name, sense_range = CSMA_CASES[case]
+    net = _network(name)
+    session = CSMA(sense_range=sense_range, cw=cw, seed=mac_seed).session(net)
+    if sense_range is not None:
+        assert (sense_range > net.cutoff) == (case == "sparse-beyond-cutoff")
+    intents = (
+        np.random.default_rng(intent_seed).random((rows, net.size)) < density
+    )
+    tx = session.transmit_mask(round_no, intents, net)
+    backoff = session.round_backoff(round_no)
+    expected = _pair_rule(net, session.sense_range, backoff, intents)
+    assert np.array_equal(tx, expected)
+
+
+def test_sense_pairs_are_pairs_within():
+    for name, sense_range in CSMA_CASES.values():
+        net = _network(name)
+        session = CSMA(sense_range=sense_range).session(net)
+        ii, jj = pairs_within(net, session.sense_range)
+        assert ii.size > 0
+        assert np.array_equal(session.sense_i, ii)
+        assert np.array_equal(session.sense_j, jj)
+
+
+def test_adjacency_is_symmetric_with_sorted_rows():
+    for name, sense_range in CSMA_CASES.values():
+        net = _network(name)
+        radius = sense_range or 1.0
+        indptr, indices = adjacency_within(net, radius)
+        rows = np.repeat(np.arange(net.size), np.diff(indptr))
+        pairs = set(zip(rows.tolist(), indices.tolist()))
+        assert pairs == {(j, i) for i, j in pairs}
+        for v in range(net.size):
+            row = indices[indptr[v]:indptr[v + 1]]
+            assert np.all(np.diff(row) > 0)
+
+
+def test_sparse_adjacency_is_memoized_per_backend():
+    net = _network("sparse-far-wide")
+    first = adjacency_within(net, 1.2)
+    again = adjacency_within(net, 1.2)
+    assert first[0] is again[0] and first[1] is again[1]
+
+
+# ----------------------------------------------------------------------
+# resident-byte accounting
+# ----------------------------------------------------------------------
+def _fresh_far_network(seed=5) -> Network:
+    coords = np.random.default_rng(seed).uniform(0, 6.0, size=(300, 2))
+    return Network(coords, backend="sparse", cutoff=1.5)
+
+
+def test_nbytes_grows_after_advanced():
+    net = _fresh_far_network()
+    backend = net.sparse_backend
+    before = backend.nbytes()
+    coords = np.array(net.coords)
+    moved = np.flatnonzero(
+        np.all((coords > 2.0) & (coords < 4.0), axis=1)
+    )[:5]
+    coords[moved] += 0.1
+    assert backend.advanced(coords, moved) is not None
+    # The merge keys (one int64 per CSR entry) now live on the backend.
+    assert backend.nbytes() >= before + 8 * backend.indices.size
+
+
+def test_nbytes_grows_after_serving_query():
+    net = _fresh_far_network()
+    backend = net.sparse_backend
+    before, resident = backend.nbytes(), net.resident_bytes()
+    p = net.params
+    resolve_reception_many(backend, [np.array([3, 70, 150])], p.noise, p.beta)
+    K_hat, E_hat, _ = backend._kernels
+    K, E, tables = backend._far_spatial
+    built = sum(a.nbytes for a in (K_hat, E_hat, K, E, *tables))
+    assert backend.nbytes() - before == built
+    assert net.resident_bytes() - resident == built
+
+
+def test_nbytes_counts_memoized_adjacency():
+    net = _fresh_far_network()
+    backend = net.sparse_backend
+    before = backend.nbytes()
+    indptr, indices = backend.adjacency_within(1.0)
+    assert backend.nbytes() == before + indptr.nbytes + indices.nbytes

@@ -45,6 +45,24 @@ class TestMerge:
         assert snap["sources"] == ["BENCH_distrib.json", "BENCH_grid.json"]
         assert snap["machine"]["node"] == "ci"
 
+    def test_machine_facts_lifted_from_extra_info(self, tmp_path):
+        a = _artifact(tmp_path, "BENCH_sweep.json", [("bench_a", 1.0, {})])
+        b = _artifact(tmp_path, "BENCH_traffic.json", [
+            ("bench_b", 0.3, {"nproc": 8, "kernel_kind": "numpy"}),
+        ])
+        snap = bench_report.merge_snapshot([a, b], "x")
+        assert snap["machine"]["nproc"] == 8
+        assert snap["machine"]["kernel_kind"] == "numpy"
+        assert snap["machine"]["cpu"] == {"count": 2}
+        # The facts stay with the benchmark that measured them too.
+        assert snap["benchmarks"]["bench_b"]["extra_info"]["nproc"] == 8
+
+    def test_machine_facts_default_without_extra_info(self, tmp_path):
+        a = _artifact(tmp_path, "BENCH_grid.json", [("bench_a", 1.0, {})])
+        snap = bench_report.merge_snapshot([a], "x")
+        assert snap["machine"]["nproc"] == 2  # the cpuinfo core count
+        assert snap["machine"]["kernel_kind"] is None
+
     def test_non_benchmark_json_rejected(self, tmp_path):
         bogus = tmp_path / "BENCH_bogus.json"
         bogus.write_text(json.dumps({"not": "a benchmark"}))

@@ -56,8 +56,20 @@ def load_entries(path: "pathlib.Path") -> dict:
     return entries
 
 
+#: Run facts a benchmark records in ``extra_info`` that describe the
+#: machine rather than the benchmark; lifted into the snapshot's
+#: ``machine`` block so every timing states its core count and kernel.
+MACHINE_FACTS = ("nproc", "kernel_kind")
+
+
 def merge_snapshot(paths: "list[pathlib.Path]", label: str) -> dict:
-    """One trajectory snapshot from every input artifact."""
+    """One trajectory snapshot from every input artifact.
+
+    The ``machine`` block holds pytest-benchmark's ``node``,
+    ``python_version`` and raw ``cpu`` info plus :data:`MACHINE_FACTS`,
+    taken from the first benchmark whose ``extra_info`` records them
+    (``nproc`` falls back to the cpuinfo core count).
+    """
     entries: dict = {}
     machine = None
     for path in paths:
@@ -65,12 +77,23 @@ def merge_snapshot(paths: "list[pathlib.Path]", label: str) -> dict:
             machine = machine or json.load(handle).get("machine_info")
         for name, entry in load_entries(path).items():
             entries[name] = entry
+    machine = machine or {}
+    recorded = [entries[name]["extra_info"] for name in sorted(entries)]
+    defaults = {"nproc": (machine.get("cpu") or {}).get("count")}
+    facts = {
+        key: next(
+            (info[key] for info in recorded if info.get(key) is not None),
+            defaults.get(key),
+        )
+        for key in MACHINE_FACTS
+    }
     return {
         "label": label,
         "sources": sorted(p.name for p in paths),
         "machine": {
-            key: (machine or {}).get(key)
-            for key in ("node", "python_version", "cpu")
+            **{key: machine.get(key)
+               for key in ("node", "python_version", "cpu")},
+            **facts,
         },
         "benchmarks": dict(sorted(entries.items())),
     }
