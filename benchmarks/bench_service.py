@@ -2,12 +2,16 @@
 
 Two acceptance criteria of the service layer, asserted directly:
 
-* **Coalescing throughput** — serving concurrent SINR queries against a
+* **Serving throughput** — serving concurrent SINR queries against a
   resident n = 20,000 sparse deployment through the batch coalescer is
-  at least **5x** the throughput of the uncoalesced baseline (one
-  ``B = 1`` masked batched-resolver call per request — the legacy
-  pre-coalescer serving model), with identical responses.  Coalesced
-  serving is additionally asserted bitwise identical to *sequential*
+  at least **5x** the throughput of the pre-coalescer serving model
+  (one ``B = 1`` masked batched-resolver call per request, kept here as
+  a bench-local server), with identical responses.  Most of that gain
+  comes from the serving resolver (candidate listeners, direct far-field
+  gather), not from batching: the batching-only ratio — the same server
+  at ``max_batch=1, window=0``, one query per serving-resolver call — is
+  recorded and printed but not gated.  Coalesced serving is
+  additionally asserted bitwise identical to *sequential*
   single-request serving through the same server — the coalescing
   contract itself.
 * **Concurrency soak** — 1,000 simultaneous client connections each
@@ -24,6 +28,7 @@ land in ``extra_info`` so the artifact is self-describing.
 """
 
 import asyncio
+import functools
 import math
 import time
 
@@ -31,18 +36,22 @@ import numpy as np
 import pytest
 
 from repro.network.network import Network
-from repro.service import NetworkPool, ServiceServer, connect
-from repro.sinr.reception import NO_SENDER, resolve_reception_many
+from repro.service import BatchCoalescer, NetworkPool, ServiceServer, connect
+from repro.sinr.reception import (
+    NO_SENDER,
+    resolve_reception_batch,
+    resolve_reception_many,
+)
 from repro.sysmem import available_memory_bytes
 
 SEED = 2014
 N = 20_000
-DENSITY = 6.0   # sparse regime: legacy per-request far-field setup dominates
+DENSITY = 6.0   # sparse regime: masked per-request far-field setup dominates
 CUTOFF = 1.0
 
 REQUESTS = 256          # concurrent queries in the throughput shootout
 TX_PER_REQUEST = 8
-THROUGHPUT_FLOOR = 5.0  # coalesced rps >= 5x uncoalesced rps
+THROUGHPUT_FLOOR = 5.0  # coalesced rps >= 5x pre-coalescer rps
 SOAK_CLIENTS = 1000     # simultaneous connections in the soak
 SOAK_CONNECT_WAVE = 100  # connections established per setup wave
 
@@ -82,7 +91,46 @@ def _expected_receptions(net, sets):
     return out
 
 
-def _serve_load(net, sets, *, coalesce, sequential=False, window=0.002):
+def _fold_masked(gain_operator, noise, beta, sets):
+    """One ``(1, n)`` masked batched-resolver call per query.
+
+    What serving looked like before the coalescer and the serving
+    resolver existed: each query builds its own transmitter mask and
+    pays one full batched-resolver call, per-request cell and far-field
+    setup included.  Replies use the serving fold's ``(receivers,
+    senders)`` shape.
+    """
+    n = gain_operator.n
+    out = []
+    for transmitters in sets:
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, np.asarray(transmitters, dtype=np.intp)] = True
+        row = resolve_reception_batch(gain_operator, mask, noise, beta)[0]
+        receivers = np.flatnonzero(row != NO_SENDER)
+        out.append((receivers, row[receivers]))
+    return out
+
+
+class _PreCoalescerServer(ServiceServer):
+    """The stock daemon serving every query through :func:`_fold_masked`,
+    one query per kernel call in arrival order."""
+
+    def _coalescer_for(self, fingerprint, net, noise, beta):
+        key = (fingerprint, float(noise), float(beta))
+        if key not in self._coalescers:
+            self._coalescers[key] = BatchCoalescer(
+                functools.partial(
+                    _fold_masked, net.gain_operator, float(noise), float(beta)
+                ),
+                window=0,
+                max_batch=1,
+                executor=self._kernel_executor,
+            )
+        return self._coalescers[key]
+
+
+def _serve_load(net, sets, *, server_cls=ServiceServer, sequential=False,
+                window=0.002, max_batch=128):
     """Serve ``sets`` through one server; return (elapsed, lat, heard).
 
     ``sequential=True`` awaits each request before issuing the next —
@@ -92,9 +140,8 @@ def _serve_load(net, sets, *, coalesce, sequential=False, window=0.002):
     """
 
     async def go():
-        server = ServiceServer(
-            pool=NetworkPool(), window=window, max_batch=128,
-            coalesce=coalesce,
+        server = server_cls(
+            pool=NetworkPool(), window=window, max_batch=max_batch,
         )
         fingerprint, _ = server.pool.add(net)
         await server.start_tcp("127.0.0.1", 0)
@@ -133,53 +180,65 @@ def _percentile(latencies, q):
 
 @needs_memory
 def test_coalesced_throughput_floor(resident_network, benchmark, capsys):
-    """Acceptance: coalesced serving >= 5x uncoalesced, same answers."""
+    """Acceptance: coalesced serving >= 5x pre-coalescer, same answers."""
     net = resident_network
     sets = _transmitter_sets(REQUESTS)
 
-    co_elapsed, co_lat, co_heard = _serve_load(net, sets, coalesce=True)
-    un_elapsed, un_lat, un_heard = _serve_load(net, sets, coalesce=False)
-    _, _, seq_heard = _serve_load(
-        net, sets, coalesce=True, sequential=True
+    co_elapsed, co_lat, co_heard = _serve_load(net, sets)
+    pre_elapsed, pre_lat, pre_heard = _serve_load(
+        net, sets, server_cls=_PreCoalescerServer
     )
+    one_elapsed, one_lat, one_heard = _serve_load(
+        net, sets, window=0, max_batch=1
+    )
+    _, _, seq_heard = _serve_load(net, sets, sequential=True)
 
     # The coalescing contract: a coalesced batch is bitwise identical
     # to the same queries served one at a time through the same server.
-    assert co_heard == seq_heard
+    assert co_heard == seq_heard == one_heard
     # The serving resolver is the reference arithmetic.
     assert co_heard == _expected_receptions(net, sets)
-    # The legacy baseline agrees decision-for-decision here (its far
+    # The pre-coalescer fold agrees decision-for-decision here (its far
     # term is a different rounding of the same certified sum).
-    assert co_heard == un_heard
+    assert co_heard == pre_heard
 
     rps_coalesced = REQUESTS / co_elapsed
-    rps_uncoalesced = REQUESTS / un_elapsed
-    speedup = rps_coalesced / rps_uncoalesced
+    rps_pre_coalescer = REQUESTS / pre_elapsed
+    rps_one_per_call = REQUESTS / one_elapsed
+    speedup = rps_coalesced / rps_pre_coalescer
+    batching_only = rps_coalesced / rps_one_per_call
     with capsys.disabled():
         print(
             f"\nservice n={N} sparse, {REQUESTS} concurrent queries: "
             f"coalesced {rps_coalesced:.0f} req/s "
             f"(p99 {_percentile(co_lat, 99) * 1e3:.0f} ms) vs "
-            f"uncoalesced {rps_uncoalesced:.0f} req/s "
-            f"(p99 {_percentile(un_lat, 99) * 1e3:.0f} ms) "
-            f"-> {speedup:.1f}x (floor {THROUGHPUT_FLOOR}x)"
+            f"pre-coalescer {rps_pre_coalescer:.0f} req/s "
+            f"(p99 {_percentile(pre_lat, 99) * 1e3:.0f} ms) "
+            f"-> {speedup:.1f}x (floor {THROUGHPUT_FLOOR}x); "
+            f"batching only: one query per call "
+            f"{rps_one_per_call:.0f} req/s "
+            f"(p99 {_percentile(one_lat, 99) * 1e3:.0f} ms) "
+            f"-> {batching_only:.2f}x (not gated)"
         )
     benchmark.extra_info.update(
         n=N,
         requests=REQUESTS,
         tx_per_request=TX_PER_REQUEST,
         rps_coalesced=rps_coalesced,
-        rps_uncoalesced=rps_uncoalesced,
+        rps_pre_coalescer=rps_pre_coalescer,
+        rps_one_per_call=rps_one_per_call,
         speedup=speedup,
+        batching_only_ratio=batching_only,
         p99_coalesced_s=_percentile(co_lat, 99),
-        p99_uncoalesced_s=_percentile(un_lat, 99),
+        p99_pre_coalescer_s=_percentile(pre_lat, 99),
+        p99_one_per_call_s=_percentile(one_lat, 99),
     )
     assert speedup >= THROUGHPUT_FLOOR, (
-        f"coalesced serving only {speedup:.1f}x the uncoalesced "
+        f"coalesced serving only {speedup:.1f}x the pre-coalescer "
         f"throughput (floor {THROUGHPUT_FLOOR}x)"
     )
     benchmark.pedantic(
-        lambda: _serve_load(net, sets[:64], coalesce=True),
+        lambda: _serve_load(net, sets[:64]),
         rounds=1, iterations=1,
     )
 

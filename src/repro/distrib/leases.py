@@ -70,26 +70,20 @@ class LeaseState:
 class LeaseBoard:
     """Claim / refresh / release / steal leases in one directory.
 
-    One board per worker process; its identity is stable for the
-    board's lifetime, so a claim can be confirmed by read-back.
+    One board per worker process; its identity (``host:pid:nonce``) is
+    stable for the board's lifetime, so a claim can be confirmed by
+    read-back.
 
     :param root: the shared directory (normally the result-cache root;
         created on first claim).
     :param ttl: seconds a claim stays valid without a refresh.
-    :param owner: identity override (defaults to ``host:pid:nonce``).
     """
 
-    def __init__(
-        self,
-        root: "str | os.PathLike",
-        ttl: float = DEFAULT_TTL_S,
-        owner: Optional[str] = None,
-    ):
+    def __init__(self, root: "str | os.PathLike", ttl: float = DEFAULT_TTL_S):
         self.root = Path(root)
         self.ttl = float(ttl)
-        self.owner = owner or (
-            f"{socket.gethostname()}:{os.getpid()}:"
-            f"{os.urandom(4).hex()}"
+        self.owner = (
+            f"{socket.gethostname()}:{os.getpid()}:{os.urandom(4).hex()}"
         )
         self.claimed = 0
         self.stolen = 0

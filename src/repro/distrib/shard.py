@@ -45,6 +45,15 @@ from typing import Callable, Optional, Sequence
 #: times before it is handed back as a leftover.
 REQUEUE_FACTOR = 2
 
+#: Extra attempts for a point whose execution *failed* on a worker
+#: (server-side error) before it becomes a leftover.
+RETRIES = 1
+
+#: Connection attempts before a worker is declared dead, with
+#: exponential backoff starting at :data:`BACKOFF_S` seconds.
+CONNECT_ATTEMPTS = 3
+BACKOFF_S = 0.25
+
 
 @dataclass(frozen=True)
 class PointRequest:
@@ -52,7 +61,8 @@ class PointRequest:
 
     A verbatim projection of the grid layer's prepared point
     (:class:`repro.fastsim.grid._Prepared`): the ``run_sweep``
-    arguments, the deployment's fingerprint + rebuild descriptor, and
+    arguments, the deployment's fingerprint and
+    :meth:`~repro.network.network.Network.descriptor`, and
     the point's cache key (``None`` for points whose client-side hook
     forbids server-side caching — see ``_run_service`` in
     :mod:`repro.fastsim.grid`).
@@ -83,7 +93,7 @@ class ShardStats:
     :param retried: request attempts beyond each point's first.
     :param corrupt_replies: replies whose pickle payload failed its
         checksum (:class:`~repro.service.protocol.ServiceCorruptPayload`)
-        — never consumed; the point was re-dispatched.
+        — never consumed; handled like a dropped connection.
     :param dead: addresses declared dead (unreachable after backoff).
     :param leftover: indices the caller must execute locally.
     :param errors: per-index failure messages (worker-side execution
@@ -101,27 +111,23 @@ class ShardStats:
     errors: dict = field(default_factory=dict)
 
 
-async def _connect_backoff(
-    address: str,
-    timeout: Optional[float],
-    attempts: int,
-    backoff: float,
-):
+async def _connect_backoff(address: str, timeout: Optional[float]):
     """Connect to ``address``, retrying with exponential backoff.
 
-    Returns a connected client or ``None`` after ``attempts`` failures
-    — the caller declares the worker dead.  Uses the service client's
-    per-request ``timeout`` as the default for every request on the
-    connection.
+    Returns a connected client or ``None`` after
+    :data:`CONNECT_ATTEMPTS` failures — the caller declares the worker
+    dead.  ``timeout`` becomes the default of every request on the
+    connection (``None`` keeps the client default,
+    :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
     """
     from repro.service.client import connect
 
-    delay = backoff
-    for attempt in range(attempts):
+    delay = BACKOFF_S
+    for attempt in range(CONNECT_ATTEMPTS):
         try:
             return await connect(address, timeout=timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError):
-            if attempt + 1 == attempts:
+            if attempt + 1 == CONNECT_ATTEMPTS:
                 return None
             await asyncio.sleep(delay)
             delay *= 2
@@ -135,10 +141,6 @@ def run_sharded(
     on_sweep: Callable[[int, object], None],
     store=None,
     request_timeout: Optional[float] = None,
-    retries: int = 1,
-    connect_attempts: int = 3,
-    backoff: float = 0.25,
-    journal=None,
 ) -> ShardStats:
     """Execute ``requests`` across the daemons at ``addresses``.
 
@@ -163,24 +165,11 @@ def run_sharded(
     :param request_timeout: per-request timeout in seconds (``None``
         uses the client default,
         :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
-    :param retries: extra attempts for a point whose execution *failed*
-        on a worker (server-side error) before it becomes a leftover.
-    :param connect_attempts: connection attempts (with exponential
-        ``backoff``) before a worker is declared dead.
-    :param journal: optional
-        :class:`~repro.fastsim.journal.SweepJournal`: each keyed
-        point's completion is durably appended *after* ``on_sweep``
-        returns (so the caller's ``store.put`` has landed first).
-        ``run_grid`` does **not** pass this — it journals in its own
-        ``finish`` path, which covers local fallback points too; the
-        parameter is for standalone ``run_sharded`` callers.
     """
     return asyncio.run(
         _run_sharded_async(
             list(requests), list(addresses), on_sweep=on_sweep,
             store=store, request_timeout=request_timeout,
-            retries=retries, connect_attempts=connect_attempts,
-            backoff=backoff, journal=journal,
         )
     )
 
@@ -192,10 +181,6 @@ async def _run_sharded_async(
     on_sweep,
     store,
     request_timeout,
-    retries,
-    connect_attempts,
-    backoff,
-    journal=None,
 ) -> ShardStats:
     """The coordinator event loop (see :func:`run_sharded`)."""
     from repro.service.protocol import (
@@ -218,10 +203,6 @@ async def _run_sharded_async(
         delivered.add(req.index)
         stats.delivered += 1
         on_sweep(req.index, sweep)
-        if journal is not None and req.key is not None:
-            # After on_sweep: the caller's store.put has landed, so
-            # the journaled ⊆ cached invariant holds.
-            journal.append(req.key, {"index": req.index})
 
     async def bus_hit(req: PointRequest):
         """The bus-recovery probe: another worker may have published."""
@@ -257,14 +238,11 @@ async def _run_sharded_async(
             kwargs=req.kwargs,
             use_batch=req.use_batch,
             key=req.key,
-            timeout=request_timeout,
         )
         deliver(req, reply["sweep"])
 
     async def worker_loop(address: str) -> None:
-        client = await _connect_backoff(
-            address, request_timeout, connect_attempts, backoff
-        )
+        client = await _connect_backoff(address, request_timeout)
         if client is None:
             stats.dead.append(address)
             return
@@ -283,35 +261,21 @@ async def _run_sharded_async(
                     # authoritative and the re-dispatch cheap.
                     stats.retried += 1
                     requeue(req)
-                except ServiceCorruptPayload as exc:
-                    # The worker answered but the payload bytes are
-                    # damaged (bit-rot, mangled stream, injected
-                    # corruption).  Consuming them is the one
-                    # forbidden outcome; treat it like a transport
-                    # failure — count it, drop the connection (its
-                    # stream state is suspect), re-dispatch the point.
-                    del exc
-                    stats.corrupt_replies += 1
-                    stats.retried += 1
-                    requeue(req)
-                    await client.aclose()
-                    client = await _connect_backoff(
-                        address, request_timeout,
-                        connect_attempts, backoff,
-                    )
-                    if client is None:
-                        stats.dead.append(f"{address} (corrupt replies)")
-                        return
                 except (
-                    ServiceConnectionError, ConnectionError, OSError
+                    ServiceCorruptPayload, ServiceConnectionError,
+                    ConnectionError, OSError,
                 ) as exc:
+                    # The connection dropped, or the worker answered
+                    # with damaged payload bytes (bit-rot, a mangled
+                    # stream, injected corruption) that must never be
+                    # consumed.  Either way the stream state is
+                    # suspect: drop it, reconnect, re-dispatch the point.
+                    if isinstance(exc, ServiceCorruptPayload):
+                        stats.corrupt_replies += 1
                     stats.retried += 1
                     requeue(req)
                     await client.aclose()
-                    client = await _connect_backoff(
-                        address, request_timeout,
-                        connect_attempts, backoff,
-                    )
+                    client = await _connect_backoff(address, request_timeout)
                     if client is None:
                         stats.dead.append(f"{address} ({exc})")
                         return
@@ -320,7 +284,7 @@ async def _run_sharded_async(
                     # point: an execution error, not a transport one.
                     failures[req.index] += 1
                     stats.errors.setdefault(req.index, []).append(str(exc))
-                    if failures[req.index] <= retries:
+                    if failures[req.index] <= RETRIES:
                         stats.retried += 1
                         queue.append(req)
                     # else: leftover — the local fallback's problem.

@@ -84,8 +84,8 @@ TMP_GRACE_S = 3600.0
 
 #: Leading bytes of a checksummed cache entry: the magic, one space,
 #: 64 hex chars of SHA-256 over the payload, one newline, then the
-#: pickled payload.  Files without the magic are legacy (pre-checksum)
-#: entries and load unverified.
+#: pickled payload.  A file without the magic has nothing to verify
+#: against and reads as corrupt.
 ENTRY_MAGIC = b"repro-cache-v2"
 
 #: Clock-skew tolerance for mtime-based decisions in
@@ -263,32 +263,31 @@ class ResultCache:
     def _decode(data: bytes):
         """Verify and unpickle one entry's raw bytes.
 
-        :raises ValueError: on a checksum mismatch (torn / truncated /
-            bit-flipped entry) or a malformed header.
-        :raises pickle.UnpicklingError: (and friends) when the payload
-            does not unpickle — legacy entries have no checksum to
-            catch corruption first.
+        :raises ValueError: on a missing or malformed header, or a
+            checksum mismatch (torn / truncated / bit-flipped entry).
+        :raises pickle.UnpicklingError: (and friends) when a verified
+            payload still does not unpickle.
         """
-        if data.startswith(ENTRY_MAGIC):
-            header_end = data.index(b"\n", 0, len(ENTRY_MAGIC) + 80)
-            stored = data[len(ENTRY_MAGIC) + 1:header_end]
-            body = memoryview(data)[header_end + 1:]
-            actual = hashlib.sha256(body).hexdigest().encode("ascii")
-            if actual != stored:
-                raise ValueError(
-                    f"checksum mismatch: header {stored!r:.74}, "
-                    f"payload {actual!r}"
-                )
-            return pickle.loads(body)
-        # Legacy (pre-checksum) entry: plain pickle, loaded unverified.
-        return pickle.loads(data)
+        if not data.startswith(ENTRY_MAGIC):
+            raise ValueError(f"no {ENTRY_MAGIC.decode()} checksum header")
+        header_end = data.index(b"\n", 0, len(ENTRY_MAGIC) + 80)
+        stored = data[len(ENTRY_MAGIC) + 1:header_end]
+        body = memoryview(data)[header_end + 1:]
+        actual = hashlib.sha256(body).hexdigest().encode("ascii")
+        if actual != stored:
+            raise ValueError(
+                f"checksum mismatch: header {stored!r:.74}, "
+                f"payload {actual!r}"
+            )
+        return pickle.loads(body)
 
     def get(self, key: str) -> Optional[tuple]:
         """Stored ``(sweep, extras)`` payload, or ``None`` on a miss.
 
         Integrity is verified end-to-end: the payload's SHA-256 must
         match the entry's header.  A torn, truncated or bit-flipped
-        entry — or one whose pickle does not load — is **quarantined**
+        entry — or one without a header, or whose pickle does not
+        load — is **quarantined**
         (renamed ``<key>.quarantine``, counted in :attr:`quarantined`)
         and served as a miss, so the caller recomputes; corruption can
         never crash a sweep or replay as a wrong result.  This is also
@@ -385,45 +384,37 @@ class ResultCache:
     def verify(self) -> dict:
         """Integrity scan of every stored entry, without side effects.
 
-        Reads each ``*.pkl`` and checks its checksum header (legacy
-        pre-checksum entries are counted separately — they carry no
-        checksum to verify), and counts quarantined files already on
+        Reads each ``*.pkl`` and checks its checksum header (an entry
+        without one is corrupt), and counts quarantined files already on
         disk.  Nothing is renamed, deleted or recomputed: this is the
         read-only audit behind ``tools/cache_gc.py --verify``, safe to
         run against a cache a fleet is actively using.
 
         :returns: report dict with ``entries``, ``verified``,
-            ``legacy`` (unverifiable pre-checksum entries), ``corrupt``
-            (checksum or unpickle failures, with the offending keys in
-            ``corrupt_keys``) and ``quarantined`` (files a previous
-            reader already pulled from the namespace).
+            ``corrupt`` (missing headers, checksum or unpickle failures,
+            with the offending keys in ``corrupt_keys``) and
+            ``quarantined`` (files a previous reader already pulled from
+            the namespace).
         """
-        entries = verified = legacy = 0
+        entries = 0
         corrupt_keys = []
         quarantined = 0
         if self.root.is_dir():
             for path in sorted(self.root.glob("*.pkl")):
                 entries += 1
                 try:
-                    data = path.read_bytes()
-                    self._decode(data)
+                    self._decode(path.read_bytes())
                 except (OSError, ValueError, pickle.UnpicklingError,
                         EOFError, AttributeError, ImportError,
                         IndexError, KeyError, MemoryError):
                     corrupt_keys.append(path.stem)
-                    continue
-                if data.startswith(ENTRY_MAGIC):
-                    verified += 1
-                else:
-                    legacy += 1
             quarantined = sum(
                 1 for _ in self.root.glob(f"*{QUARANTINE_SUFFIX}")
             )
         return {
             "root": str(self.root),
             "entries": entries,
-            "verified": verified,
-            "legacy": legacy,
+            "verified": entries - len(corrupt_keys),
             "corrupt": len(corrupt_keys),
             "corrupt_keys": corrupt_keys,
             "quarantined": quarantined,

@@ -22,10 +22,11 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
   ``multiprocessing.shared_memory`` segment created by the parent: the
   dense ``(n, n)`` matrix in dense mode, the sparse backend's CSR
   triple (data/indices/indptr, DESIGN.md §2.2) in sparse mode; workers
-  attach by name and install read-only views on their reconstructed
-  :class:`~repro.network.network.Network`.  Heavy arrays are never
-  pickled.  The parent owns segment lifetime: created before dispatch,
-  unlinked in a ``finally`` once every point has reported.
+  attach by name and install read-only views on a
+  :class:`~repro.network.network.Network` rebuilt from the parent's
+  ``Network.descriptor()``.  Heavy arrays are never pickled.  The
+  parent owns segment lifetime: created before dispatch, unlinked in a
+  ``finally`` once every point has reported.
 * **result cache** — with a cache directory configured, each point's
   result is stored content-addressed under
   :func:`repro.fastsim.cache.point_key`; re-runs (and ``--scale full``
@@ -40,27 +41,24 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
   ``identity()`` participates in the cache key — so ``jobs=N`` stays
   bitwise equal to ``jobs=1`` for dynamic sweeps and dynamic results
   never collide with static ones.
-* **service execution** — ``run_grid(service="unix:/path.sock")``
-  dispatches pending points as ``sweep`` requests to a resident-network
-  query service (:mod:`repro.service`, DESIGN.md §8) instead of forking
-  a pool: deployments stay hot in the daemon's pool across grid runs
+* **remote execution** — ``run_grid(workers=[addr, ...])`` dispatches
+  pending points as ``sweep`` requests to one or more resident-network
+  query daemons (:mod:`repro.service`, DESIGN.md §8) instead of forking
+  a pool: deployments stay hot in each daemon's pool across grid runs
   (and across interactive queries), rather than being rebuilt per fork.
-  The server rebuilds each network from the same descriptor a fork
-  worker would, and ``run_sweep`` arguments travel verbatim, so service
-  results are bitwise identical to ``jobs=N`` runs; ``post`` hooks run
-  client-side on the parent's network instance.  Cache keys are the
-  ordinary :func:`~repro.fastsim.cache.point_key` on both sides, so a
-  service run and a CLI run replay each other's entries.
-* **multi-host sharding** — ``run_grid(workers=[addr, addr, ...])``
-  generalizes service execution to N daemons on N hosts
-  (:mod:`repro.distrib`, DESIGN.md §9): points are pulled from a shared
-  queue by per-worker dispatch tasks, coordinated through the on-disk
+  A daemon rebuilds each network from the same ``Network.descriptor()``
+  a fork worker does, and ``run_sweep`` arguments travel verbatim;
+  ``post`` hooks run client-side on the parent's network instance.
+  Points are pulled from a shared queue by per-worker dispatch tasks
+  (:mod:`repro.distrib`, DESIGN.md §9), coordinated through the on-disk
   cache as the result bus, with per-request timeouts, straggler
   re-dispatch guarded by worker-side lease files, reconnect with
   backoff, and transparent fallback of orphaned points to the local
-  pool.  ``service=addr`` is exactly ``workers=[addr]``.  Seeds are
-  fixed at preparation time, so placement cannot change results:
-  ``workers=N`` output is bitwise identical to ``jobs=1``.
+  pool.  Cache keys are the ordinary
+  :func:`~repro.fastsim.cache.point_key` on both sides, so a remote run
+  and a CLI run replay each other's entries, and seeds are fixed at
+  preparation time, so placement cannot change results: ``workers=N``
+  output is bitwise identical to ``jobs=1``.
 
 DESIGN.md §6.3 records the contracts; ``benchmarks/bench_grid.py`` tracks
 the speedup and asserts parallel/serial result identity.
@@ -179,17 +177,13 @@ class GridOptions:
 
     :param jobs: worker processes (``<= 1`` = run in-process).
     :param cache_dir: result-cache directory (``None`` = caching off).
-    :param service: resident-network service address
-        (``"unix:<path>"`` / ``"tcp:<host>:<port>"``); when set,
-        pending points are dispatched to the daemon's resident pool
-        instead of a fork pool and ``jobs`` is ignored (shorthand for
-        a single-entry ``workers`` list).
-    :param workers: addresses of several :mod:`repro.service` daemons
-        (one per host); pending points are sharded across them through
-        the cache result bus (DESIGN.md §9).  Takes precedence over
-        ``service``.
-    :param request_timeout: per-request timeout in seconds for
-        service/worker dispatch (``None`` = the client default,
+    :param workers: addresses of :mod:`repro.service` daemons
+        (``"unix:<path>"`` / ``"tcp:<host>:<port>"``, typically one per
+        host); pending points are sharded across them through the cache
+        result bus (DESIGN.md §9), and whatever they cannot complete
+        runs locally.
+    :param request_timeout: per-request timeout in seconds for worker
+        dispatch (``None`` = the client default,
         :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
     :param resume: pick up an interrupted sweep from its journal
         (``<sweep_key>.journal`` in the cache dir, DESIGN.md §10.1)
@@ -198,7 +192,6 @@ class GridOptions:
 
     jobs: int = 1
     cache_dir: Optional[str] = None
-    service: Optional[str] = None
     workers: Optional[list] = None
     request_timeout: Optional[float] = None
     resume: bool = False
@@ -324,8 +317,8 @@ def _execute(prep: _Prepared, network: Network) -> tuple[SweepResult, dict]:
 # ----------------------------------------------------------------------
 #: Set by the parent immediately before pool creation; workers inherit it
 #: through ``fork`` (nothing here is ever pickled).  Layout:
-#: ``(prepared, [(shm_name, shape, dtype_str, coords, params, metric,
-#: channel, name), ...])``.
+#: ``(prepared, [(shm_name, layout, descriptor), ...])`` — see
+#: :func:`_create_segment`.
 _FORK_PAYLOAD: Optional[tuple] = None
 
 #: Worker-local registry of attached segments: dep_index -> (shm, Network).
@@ -335,11 +328,12 @@ _WORKER_NETS: dict[int, tuple] = {}
 def _attach_network(dep_index: int) -> Network:
     """Worker-side Network with its gain arrays mapped from shared memory.
 
-    The Network is rebuilt from the (small) coordinates and parameters;
-    the heavy arrays are read-only zero-copy views into the parent's
-    segment — the dense ``(n, n)`` gain matrix in dense mode, the CSR
-    triple (data/indices/indptr) in sparse mode, where the cheap parts
-    (cell index, far-field kernels) are derived from the coordinates
+    The Network is rebuilt from the parent's
+    :meth:`~repro.network.network.Network.descriptor`; the heavy arrays
+    are read-only zero-copy views into the parent's segment — the dense
+    ``(n, n)`` gain matrix in dense mode, the CSR triple
+    (data/indptr/indices) in sparse mode, where the cheap parts (cell
+    index, far-field kernels) are derived from the coordinates
     deterministically.  Attachments are kept for the worker's lifetime
     (a worker typically runs several points of the same deployment) and
     released by process exit; the parent is the sole owner of segment
@@ -349,42 +343,29 @@ def _attach_network(dep_index: int) -> Network:
     if cached is not None:
         return cached[1]
     _, segments = _FORK_PAYLOAD
-    (shm_name, payload, coords, params, metric, channel,
-     name, kernel) = segments[dep_index]
+    shm_name, layout, descriptor = segments[dep_index]
     # NOTE on the resource tracker: fork workers share the parent's
     # tracker process, and its registry is a set — the attach here
     # re-registers the same name the parent registered at creation, so
     # exactly one unregister happens when the parent unlinks.  No
     # worker-side bookkeeping is needed (or correct).
     shm = shared_memory.SharedMemory(name=shm_name)
-    if payload[0] == "sparse":
-        _, cutoff, parts = payload
-        views = []
-        for shape, dtype_str, offset in parts:
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype_str), buffer=shm.buf,
-                offset=offset,
-            )
-            view.setflags(write=False)
-            views.append(view)
-        net = Network(
-            coords, params=params, metric=metric, name=name,
-            channel=channel, backend="sparse", cutoff=cutoff,
-            kernel=kernel,
+    views = []
+    for shape, dtype_str, offset in layout:
+        view = np.ndarray(
+            shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=offset,
         )
+        view.setflags(write=False)
+        views.append(view)
+    net = Network(**descriptor)
+    if net.backend_kind == "sparse":
+        data, indptr, indices = views
         net._backend_obj = SparseGainBackend.from_arrays(
-            coords, params, net.channel, cutoff, *views,
-            kernel=net.kernel_kind,
+            net.coords, net.params, net.channel, net.cutoff,
+            data, indices, indptr, kernel=net.kernel_kind,
         )
     else:
-        _, shape, dtype_str = payload
-        gains = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        gains.setflags(write=False)
-        net = Network(
-            coords, params=params, metric=metric, name=name,
-            channel=channel, backend="dense", kernel=kernel,
-        )
-        net._gain = gains
+        (net._gain,) = views
     _WORKER_NETS[dep_index] = (shm, net)
     return net
 
@@ -399,60 +380,37 @@ def _worker_run(index: int) -> tuple[int, SweepResult, dict]:
 def _create_segment(net: Network) -> tuple[shared_memory.SharedMemory, tuple]:
     """Materialize ``net``'s gain arrays into a fresh shm segment.
 
-    Dense mode ships the ``(n, n)`` gain matrix exactly as before
-    (descriptor layout ``("dense", shape, dtype)``); sparse mode packs
-    the backend's CSR triple — data, then indptr, then indices, in that
-    order so every section stays 8-byte aligned — into one segment and
-    records per-array offsets (``("sparse", cutoff, parts)``).  The
-    parent's Network keeps its lazy caches untouched, and no view into
-    the segment is left dangling on the parent side (the fill views die
-    inside this function), so unlinking after the run can never
-    invalidate a returned result.
+    Returns the segment and what a worker needs to attach to it:
+    ``(shm_name, layout, net.descriptor())``, where ``layout`` lists
+    ``(shape, dtype_str, offset)`` per packed array — the ``(n, n)``
+    gain matrix in dense mode; the backend's CSR triple in sparse mode,
+    packed data, then indptr, then indices so every section stays
+    8-byte aligned.  The parent's Network keeps its lazy caches
+    untouched, and no view into the segment is left dangling on the
+    parent side (the fill views die inside this function), so unlinking
+    after the run can never invalidate a returned result.
     """
     if net.backend_kind == "sparse":
         backend = net.sparse_backend
         arrays = (backend.data, backend.indptr, backend.indices)
-        offsets = []
-        total = 0
-        for arr in arrays:
-            offsets.append(total)
-            total += arr.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        parts = []
-        for arr, offset in zip(arrays, offsets):
-            view = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-            )
-            view[:] = arr
-            parts.append((arr.shape, arr.dtype.str, offset))
-            del view
-        # from_arrays takes (data, indices, indptr): reorder the parts.
-        payload = ("sparse", net.cutoff, [parts[0], parts[2], parts[1]])
+    elif net._gain is not None:
+        arrays = (net._gain,)
     else:
-        if net._gain is not None:
-            source = net._gain
-        else:
-            source = net.channel.gain(net.distances, net.coords, net.params)
-        shm = shared_memory.SharedMemory(create=True, size=source.nbytes)
-        view = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
-        view[:] = source
-        payload = ("dense", source.shape, source.dtype.str)
-        del view
-    descriptor = (
-        shm.name,
-        payload,
-        np.asarray(net.coords),
-        net.params,
-        net.metric,
-        net.channel,
-        net.name,
-        # The kernel *request* (not the resolved kind): workers resolve
-        # it against their own environment, and since the kernels are
-        # bitwise identical the choice never affects results or cache
-        # keys (DESIGN.md §2.3).
-        net._kernel_request,
+        arrays = (net.channel.gain(net.distances, net.coords, net.params),)
+    shm = shared_memory.SharedMemory(
+        create=True, size=max(1, sum(arr.nbytes for arr in arrays))
     )
-    return shm, descriptor
+    layout = []
+    offset = 0
+    for arr in arrays:
+        view = np.ndarray(
+            arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
+        )
+        view[:] = arr
+        del view
+        layout.append((arr.shape, arr.dtype.str, offset))
+        offset += arr.nbytes
+    return shm, (shm.name, layout, net.descriptor())
 
 
 def _fork_available() -> bool:
@@ -473,7 +431,6 @@ def run_grid(
     jobs: Optional[int] = None,
     cache_dir: "Optional[str | os.PathLike]" = None,
     cache: Optional[bool] = None,
-    service: Optional[str] = None,
     workers: Optional[Sequence[str]] = None,
     request_timeout: Optional[float] = None,
     resume: Optional[bool] = None,
@@ -483,20 +440,19 @@ def run_grid(
     Parameters default to the process-wide :class:`GridOptions` (see
     :func:`set_default_grid_options`); pass ``cache=False`` to bypass a
     configured cache for one call.  Execution is result-identical across
-    ``jobs`` values, cache states and execution backends (fork pool,
-    ``service=``, ``workers=``): seeds are fixed at preparation time and
+    ``jobs`` values, cache states and execution backends (in-process,
+    fork pool, ``workers=``): seeds are fixed at preparation time and
     cached payloads are the pickled originals.
 
-    ``service`` names a running :mod:`repro.service` daemon
-    (``"unix:<path>"`` / ``"tcp:<host>:<port>"``): pending points are
-    sent as concurrent ``sweep`` requests against its resident-network
-    pool — bitwise identical to fork execution, with deployments kept
-    hot across runs (DESIGN.md §8).  ``workers`` generalizes this to a
-    list of daemons on several hosts, sharded through the cache result
-    bus with fault-tolerant dispatch (DESIGN.md §9); points that
-    outlive every worker fall back to the local pool transparently.
-    Both paths drive their own asyncio event loop, so they must not be
-    called from inside one.
+    ``workers`` names running :mod:`repro.service` daemons
+    (``"unix:<path>"`` / ``"tcp:<host>:<port>"``; one address or
+    several hosts): pending points are sent as ``sweep`` requests
+    against their resident-network pools, sharded through the cache
+    result bus with fault-tolerant dispatch (DESIGN.md §8, §9) —
+    bitwise identical to fork execution, with deployments kept hot
+    across runs.  Points that outlive every worker fall back to the
+    local pool transparently.  Remote dispatch drives its own asyncio
+    event loop, so it must not be called from inside one.
 
     **Crash safety** (DESIGN.md §10.1): with a cache configured, every
     completed point is durably appended to a per-sweep journal
@@ -515,7 +471,6 @@ def run_grid(
     options = get_default_grid_options()
     jobs = options.jobs if jobs is None else jobs
     cache_dir = options.cache_dir if cache_dir is None else cache_dir
-    service = options.service if service is None else service
     workers = options.workers if workers is None else workers
     request_timeout = (
         options.request_timeout
@@ -602,16 +557,13 @@ def run_grid(
                 journal_appends += 1
 
     n_uncached = len(pending)
-    addresses = list(workers) if workers else (
-        [service] if service is not None else []
-    )
     with _interruptible_sigterm():
-        if pending and addresses:
+        if pending and workers:
             # Remote dispatch never raises on point failures: whatever
             # could not be completed remotely comes back and runs
             # locally.
             pending = _run_service(
-                prepared, pending, addresses, on_result=finish,
+                prepared, pending, list(workers), on_result=finish,
                 store=store, request_timeout=request_timeout,
                 grid_name=spec.name,
             )
@@ -765,25 +717,6 @@ def _run_parallel(
                 shm.unlink()
 
 
-def _service_descriptor(net: Network) -> dict:
-    """The pickled-network shape a daemon rebuilds a deployment from.
-
-    Mirrors the fork descriptor's content (coords, params, metric,
-    channel, backend/cutoff/kernel *requests*): the server-side rebuild
-    is bitwise identical to the fork worker's (DESIGN.md §8).
-    """
-    return {
-        "coords": np.asarray(net.coords),
-        "params": net.params,
-        "metric": net.metric,
-        "channel": net.channel,
-        "name": net.name,
-        "backend": net._backend_request,
-        "cutoff": net._cutoff,
-        "kernel": net._kernel_request,
-    }
-
-
 def _run_service(
     prepared: Sequence[_Prepared],
     pending: Sequence[int],
@@ -796,12 +729,12 @@ def _run_service(
     """Shard pending points across :mod:`repro.service` daemons.
 
     One dispatch task per address pulls points from a shared queue
-    (:func:`repro.distrib.shard.run_sharded`): a single address is the
-    classic ``service=`` path, several are a multi-host sweep.  Each
-    request carries both the deployment's fingerprint (a pool hit skips
-    the rebuild entirely — the cross-run win) and its full descriptor
-    (so an evicted or never-seen deployment is rebuilt server-side,
-    bitwise-identically to the fork worker's reconstruction).
+    (:func:`repro.distrib.shard.run_sharded`).  Each request carries
+    both the deployment's fingerprint (a pool hit skips the rebuild
+    entirely — the cross-run win) and its
+    :meth:`~repro.network.network.Network.descriptor` (so an evicted or
+    never-seen deployment is rebuilt server-side, bitwise-identically to
+    the fork worker's reconstruction).
 
     Failure handling is per point, never per run: a failed or timed-out
     point is retried (on another worker where one exists) and, if it
@@ -833,7 +766,7 @@ def _run_service(
             kwargs=prep.kwargs,
             use_batch=prep.point.use_batch,
             fingerprint=prep.network.fingerprint(),
-            descriptor=_service_descriptor(prep.network),
+            descriptor=prep.network.descriptor(),
             key=(prep.key or None) if prep.point.post is None else None,
             label=prep.point.label,
         )

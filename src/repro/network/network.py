@@ -362,6 +362,30 @@ class Network:
                 total += projected
         return total
 
+    def descriptor(self) -> dict:
+        """The constructor kwargs that rebuild this network: ``Network(**d)``.
+
+        Carries the backend, cutoff and kernel *requests*, not their
+        resolved values: a rebuild resolves them exactly as this network
+        did (same coordinates, parameters, metric and channel), and a
+        kernel request resolves against the rebuilding process's own
+        environment, which never changes results (DESIGN.md §2.3).  Fork
+        workers, service daemons and the copy methods all rebuild from
+        this dict, so the rebuilt fingerprint and gain structure match
+        bit for bit.  The coordinate array is shared, not copied — it is
+        read-only.
+        """
+        return {
+            "coords": self._coords,
+            "params": self.params,
+            "metric": self.metric,
+            "name": self.name,
+            "channel": self.channel,
+            "backend": self._backend_request,
+            "cutoff": self._cutoff,
+            "kernel": self._kernel_request,
+        }
+
     def fingerprint(self) -> str:
         """Content hash of everything that determines simulation results.
 
@@ -501,12 +525,7 @@ class Network:
         if moved.size == 0:
             return self
         new_coords = self._coords + disp
-        successor = Network(
-            new_coords, params=self.params, metric=self.metric,
-            name=self.name, channel=self.channel,
-            backend=self._backend_request, cutoff=self._cutoff,
-            kernel=self._kernel_request,
-        )
+        successor = Network(**{**self.descriptor(), "coords": new_coords})
         successor.advance_mode = "rebuild"
         if moved.size <= rebuild_fraction * self.size:
             if self.backend_kind == "sparse" and self._backend_obj is not None:
@@ -567,14 +586,10 @@ class Network:
         """A copy of this network under different SINR parameters.
 
         Reuses nothing mutable; distance matrix is recomputed lazily (the
-        metric is shared, which is safe because metrics are stateless).
+        read-only coordinates and the metric are shared, which is safe
+        because metrics are stateless).
         """
-        return Network(
-            np.array(self._coords), params=params, metric=self.metric,
-            name=self.name, channel=self.channel,
-            backend=self._backend_request, cutoff=self._cutoff,
-            kernel=self._kernel_request,
-        )
+        return Network(**{**self.descriptor(), "params": params})
 
     def with_channel(self, channel: ChannelModel) -> "Network":
         """A copy of this network under a different channel model.
@@ -583,12 +598,7 @@ class Network:
         unchanged; gains (and the fingerprint) are not.  This is how E13
         sweeps one deployment across channels.
         """
-        return Network(
-            np.array(self._coords), params=self.params, metric=self.metric,
-            name=self.name, channel=channel,
-            backend=self._backend_request, cutoff=self._cutoff,
-            kernel=self._kernel_request,
-        )
+        return Network(**{**self.descriptor(), "channel": channel})
 
     def describe(self) -> dict:
         """Summary dict used by experiment reports."""

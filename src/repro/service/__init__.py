@@ -9,21 +9,26 @@ compiled kernels, lazy caches all warm — and serves SINR / connectivity
 / ball / mobility-advance queries over newline-delimited JSON on a unix
 or TCP socket.
 
-The performance core is the **batch coalescer**
-(:class:`~repro.service.coalescer.BatchCoalescer`): SINR queries
-arriving within a short window — or while a kernel call is already in
-flight — against the same network are folded into a single invocation
-of the batched resolver
-(:func:`repro.sinr.reception.resolve_reception_many`), whose
-exact-zero-neutral fold contract makes every answer bitwise identical
-to a dedicated single-query call.  Throughput therefore scales with the
-kernel's batch efficiency instead of per-request Python overhead
-(``benchmarks/bench_service.py`` gates the floor).
+SINR queries are served by the set resolver
+(:func:`repro.sinr.reception.resolve_reception_many`), whose cost is
+proportional to the query rather than the deployment, through the
+**batch coalescer** (:class:`~repro.service.coalescer.BatchCoalescer`):
+queries arriving within a short window — or while a kernel call is
+already in flight — against the same network share one resolver call,
+and the resolver's fold contract makes every answer bitwise identical
+to a dedicated single-query call.  ``benchmarks/bench_service.py``
+gates this serving path at >= 5x the pre-coalescer model (one masked
+``B = 1`` batched-resolver call per query) and records how much of
+that gain is batching alone.
 
 Grid sweeps become clients of the same pool through
-``run_grid(service=...)`` (:mod:`repro.fastsim.grid`), and sweep
-results flow through the ordinary content-addressed result cache, whose
-keys are shared with CLI runs by construction.
+``run_grid(workers=[address, ...])`` (:mod:`repro.fastsim.grid`): the
+daemon rebuilds each deployment from its
+:meth:`~repro.network.network.Network.descriptor`, and sweep results
+flow through the ordinary content-addressed result cache, whose keys
+are shared with CLI runs by construction.  Every pickle payload on the
+wire carries a SHA-256 checksum; one without it is rejected
+(:class:`~repro.service.protocol.ServiceCorruptPayload`).
 """
 
 from repro.service.client import ServiceClient, connect

@@ -8,9 +8,6 @@ Examples::
     # Loopback TCP on a fixed port
     python -m repro.service --tcp 127.0.0.1:7040
 
-    # Uncoalesced baseline for benchmarking
-    python -m repro.service --unix /tmp/repro.sock --no-coalesce
-
 The daemon prints one ``serving on <address>`` line per listener (the
 exact string :func:`repro.service.client.connect` accepts) and runs
 until SIGINT/SIGTERM or a client ``shutdown`` op.
@@ -63,11 +60,6 @@ def _parse_args(argv=None) -> argparse.Namespace:
         help="largest coalesced batch per kernel call (default %(default)s)",
     )
     parser.add_argument(
-        "--no-coalesce", action="store_true",
-        help="serve every query as its own B=1 kernel call "
-        "(benchmark baseline; results are bitwise identical)",
-    )
-    parser.add_argument(
         "--memory-budget", type=float, default=None, metavar="GB",
         help="resident-pool budget in GB (default: a quarter of "
         "available memory)",
@@ -105,7 +97,6 @@ async def _serve(args: argparse.Namespace) -> None:
         cache_dir=args.cache_dir,
         window=args.window,
         max_batch=args.max_batch,
-        coalesce=not args.no_coalesce,
         lease_ttl=args.lease_ttl,
     )
     if args.unix:

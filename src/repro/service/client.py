@@ -38,7 +38,8 @@ async def connect(
     """Open a client for ``unix:<path>`` or ``tcp:<host>:<port>``.
 
     ``timeout`` overrides the client's default per-request timeout
-    (:data:`DEFAULT_REQUEST_TIMEOUT`); ``None`` keeps the default.
+    (:data:`DEFAULT_REQUEST_TIMEOUT`, read at connect time); ``None``
+    keeps the default.
     """
     if address.startswith("unix:"):
         reader, writer = await asyncio.open_unix_connection(
@@ -54,9 +55,10 @@ async def connect(
             f"unrecognized service address {address!r}; expected "
             "'unix:<path>' or 'tcp:<host>:<port>'"
         )
-    if timeout is None:
-        return ServiceClient(reader, writer)
-    return ServiceClient(reader, writer, timeout=timeout)
+    return ServiceClient(
+        reader, writer,
+        timeout=DEFAULT_REQUEST_TIMEOUT if timeout is None else timeout,
+    )
 
 
 #: Mirror of the server's stream limit (big displacement/graph frames).
@@ -258,16 +260,15 @@ class ServiceClient:
         kwargs: Optional[dict] = None,
         use_batch: bool = True,
         key: Optional[str] = None,
-        timeout: object = _USE_DEFAULT,
     ) -> dict:
         """Run a protocol sweep server-side on a resident network.
 
-        Either ``net`` (a resident fingerprint) or ``descriptor`` (the
-        pickled-network shape :meth:`repro.service.server.ServiceServer._descriptor_network`
-        rebuilds from) must be given; ``key`` enables server-side result
-        caching under the ordinary grid ``point_key``; ``timeout``
-        overrides the client's per-request timeout for this (typically
-        long-running) request.  Returns ``{"sweep": SweepResult, "net":
+        Either ``net`` (a resident fingerprint) or ``descriptor`` (a
+        :meth:`~repro.network.network.Network.descriptor` the server
+        rebuilds the network from) must be given; ``key`` enables
+        server-side result caching under the ordinary grid
+        ``point_key``.  The wait is bounded by the client's
+        :attr:`timeout`.  Returns ``{"sweep": SweepResult, "net":
         fingerprint, "cached": bool}``.
         """
         payload = {
@@ -281,9 +282,7 @@ class ServiceClient:
             "use_batch": use_batch,
             "key": key,
         }
-        reply = await self.request(
-            "sweep", timeout=timeout, payload=pack_pickle(payload)
-        )
+        reply = await self.request("sweep", payload=pack_pickle(payload))
         return {
             "sweep": unpack_pickle(reply["payload"]),
             "net": reply["net"],

@@ -1,13 +1,13 @@
-"""The batch coalescer — the service's headline optimisation.
+"""The batch coalescer: concurrent queries share one kernel call.
 
-Serving one SINR query costs one batched-resolver call at ``B = 1``:
-per-call Python dispatch, cell/far-field setup and kernel launch
-dominate the arithmetic.  Under concurrent load those fixed costs are
-shared: queries arriving within a short window — or, the common case
-under load, *while a previous kernel call is still in flight* — are
-folded into a single ``(B, n)`` invocation of the batched resolver, so
-throughput scales with the kernel's batch efficiency instead of
-per-request overhead.
+Queries arriving within a short window — or, the common case under
+load, *while a previous kernel call is still in flight* — are folded
+into a single invocation of the serving resolver, so per-call Python
+dispatch is paid once per batch instead of once per request.  With
+the serving resolver's query-proportional cost that sharing is a small
+gain (``benchmarks/bench_service.py`` records the batching-only ratio,
+about 1x at n = 20k sparse on 2 cores); ``max_batch=1, window=0``
+serves one query per call.
 
 Coalescing is **semantically invisible** by construction: the fold runs
 through :func:`repro.sinr.reception.resolve_reception_many`, whose
@@ -84,10 +84,8 @@ class BatchCoalescer:
         first call immediately.
     :param max_batch: largest batch per call — bounds the ``(B, n)``
         mask a burst can materialize.  Excess items wait for the next
-        call, in arrival order.
-    :param enabled: ``False`` serves every item as its own ``B = 1``
-        fold call (the uncoalesced baseline the load benchmark compares
-        against).  Results are bitwise identical either way.
+        call, in arrival order; ``max_batch=1, window=0`` serves one
+        item per fold call, first in first out.
     :param executor: optional ``concurrent.futures`` executor the fold
         runs on.  The server passes a single worker so kernel calls are
         serialized — throughput then measures batch efficiency, not how
@@ -101,7 +99,6 @@ class BatchCoalescer:
         *,
         window: float = 0.002,
         max_batch: int = 128,
-        enabled: bool = True,
         executor=None,
     ):
         if max_batch < 1:
@@ -109,7 +106,6 @@ class BatchCoalescer:
         self._fold = fold
         self.window = window
         self.max_batch = max_batch
-        self.enabled = enabled
         self.executor = executor
         self.stats = CoalescerStats()
         self._pending: list[tuple[object, asyncio.Future]] = []
@@ -133,10 +129,6 @@ class BatchCoalescer:
         delivered normally.
         """
         self.stats.requests += 1
-        if not self.enabled:
-            results = await self._run_fold([item])
-            self.stats.record(1)
-            return results[0]
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((item, future))

@@ -113,12 +113,10 @@ def pack_pickle(obj) -> str:
     """Checksummed, base64-encoded pickle of ``obj`` for embedding in a
     JSON frame.
 
-    Wire form is ``"<sha256 hex>:<base64>"`` — ``:`` is not in the
-    base64 alphabet, so legacy checksum-less payloads (bare base64,
-    pre-PR 9 peers) remain distinguishable and are accepted unverified
-    by :func:`unpack_pickle`.  The digest covers the raw pickle bytes,
-    end to end: whatever mangles the payload between the two calls —
-    kernel, proxy, cosmic ray, chaos plan — is caught at the consumer.
+    Wire form is ``"<sha256 hex>:<base64>"`` (``:`` is not in the
+    base64 alphabet).  The digest covers the raw pickle bytes, end to
+    end: whatever mangles the payload between the two calls — kernel,
+    proxy, cosmic ray, chaos plan — is caught at the consumer.
     """
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return (
@@ -132,23 +130,22 @@ def unpack_pickle(payload: str):
     """Inverse of :func:`pack_pickle`.  Trusted input only — see the
     module docstring's threat model.
 
-    :raises ServiceCorruptPayload: when the checksum header disagrees
-        with the payload bytes, or the payload does not decode /
-        unpickle — the bytes are damaged and must not be consumed.
+    :raises ServiceCorruptPayload: when the checksum header is missing
+        or disagrees with the payload bytes, or the payload does not
+        decode / unpickle — the bytes are unverified or damaged and
+        must not be consumed.
     """
     digest, sep, body = payload.partition(":")
+    if not sep:
+        raise ServiceCorruptPayload("payload carries no checksum header")
     try:
-        if sep:
-            blob = base64.b64decode(body.encode("ascii"))
-            actual = hashlib.sha256(blob).hexdigest()
-            if actual != digest:
-                raise ServiceCorruptPayload(
-                    f"payload checksum mismatch: header {digest:.16}…, "
-                    f"payload {actual:.16}…"
-                )
-        else:
-            # Legacy peer: bare base64, nothing to verify against.
-            blob = base64.b64decode(payload.encode("ascii"))
+        blob = base64.b64decode(body.encode("ascii"))
+        actual = hashlib.sha256(blob).hexdigest()
+        if actual != digest:
+            raise ServiceCorruptPayload(
+                f"payload checksum mismatch: header {digest:.16}…, "
+                f"payload {actual:.16}…"
+            )
         return pickle.loads(blob)
     except ServiceCorruptPayload:
         raise

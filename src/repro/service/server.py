@@ -26,7 +26,7 @@ Supported ops — see :meth:`ServiceServer.handlers`:
     patching where applicable), successor admitted to the pool.
 ``sweep``
     Run a full protocol sweep on a resident network (pickle payload;
-    the ``run_grid(service=...)`` execution path, DESIGN.md §8).
+    the ``run_grid(workers=[...])`` execution path, DESIGN.md §8).
 ``stats`` / ``ping`` / ``shutdown``
     Introspection and lifecycle.
 """
@@ -60,11 +60,7 @@ from repro.service.protocol import (
     unpack_pickle,
 )
 from repro.sinr.params import SINRParameters
-from repro.sinr.reception import (
-    NO_SENDER,
-    resolve_reception_batch,
-    resolve_reception_many,
-)
+from repro.sinr.reception import NO_SENDER, resolve_reception_many
 from repro.sysmem import peak_rss_bytes
 
 #: Deployment families the ``build`` op accepts, resolved lazily so the
@@ -111,7 +107,11 @@ def build_network(spec: dict) -> Network:
     params = None
     if spec.get("params"):
         params = SINRParameters.default(**spec["params"])
-    channel = None
+    shared = {
+        key: spec[key]
+        for key in ("backend", "cutoff", "kernel")
+        if key in spec and spec[key] is not None
+    }
     channel_spec = spec.get("channel")
     if channel_spec:
         kind = channel_spec.get("kind", "uniform")
@@ -126,18 +126,12 @@ def build_network(spec: dict) -> Network:
                 f"unknown channel kind {kind!r}; expected one of "
                 f"{sorted(makers)}"
             )
-        channel = makers[kind](**kwargs)
+        shared["channel"] = makers[kind](**kwargs)
 
-    shared = {
-        key: spec[key]
-        for key in ("backend", "cutoff", "kernel")
-        if key in spec and spec[key] is not None
-    }
     if "coords" in spec:
         return Network(
             np.asarray(spec["coords"], dtype=float),
             params=params,
-            channel=channel,
             name=spec.get("name", "service-coords"),
             **shared,
         )
@@ -156,13 +150,8 @@ def build_network(spec: dict) -> Network:
     if "name" in spec and "name" in factory_params:
         args.setdefault("name", spec["name"])
     net = factory(params=params, **args)
-    if channel is not None:
-        net = net.with_channel(channel)
     if shared:
-        net = Network(
-            np.array(net.coords), params=net.params, metric=net.metric,
-            name=net.name, channel=net.channel, **shared,
-        )
+        net = Network(**{**net.descriptor(), **shared})
     return net
 
 
@@ -176,13 +165,9 @@ class ServiceServer:
         still cache on their side — same keys either way).
     :param window: coalescing window in seconds (see
         :class:`BatchCoalescer`).
-    :param max_batch: largest coalesced batch per kernel call.
-    :param coalesce: ``False`` serves every query as its own ``B = 1``
-        masked call of the classic batched resolver — the legacy
-        pre-coalescer serving model the load benchmark measures
-        against.  Decisions agree with coalesced serving whenever the
-        SINR margin exceeds far-field rounding (sub-band, tested), and
-        bit for bit whenever the far set is empty.
+    :param max_batch: largest coalesced batch per kernel call
+        (``max_batch=1, window=0`` serves one query per kernel call,
+        in arrival order — same replies, bit for bit).
     :param lease_ttl: time-to-live of the per-point lease files this
         daemon takes on keyed ``sweep`` requests (DESIGN.md §9.2; only
         meaningful with ``cache_dir``).  A lease is refreshed at a
@@ -197,7 +182,6 @@ class ServiceServer:
         cache_dir: Optional[str] = None,
         window: float = 0.002,
         max_batch: int = 128,
-        coalesce: bool = True,
         lease_ttl: float = DEFAULT_TTL_S,
     ):
         self.pool = pool if pool is not None else NetworkPool()
@@ -209,7 +193,6 @@ class ServiceServer:
         )
         self.window = window
         self.max_batch = max_batch
-        self.coalesce = coalesce
         # One worker: kernel calls are serialized, so measured
         # throughput reflects batch efficiency rather than core-count
         # contention, and resident-memory pressure stays single-fold.
@@ -459,15 +442,12 @@ class ServiceServer:
         key = (fingerprint, float(noise), float(beta))
         coalescer = self._coalescers.get(key)
         if coalescer is None:
-            fold = functools.partial(
-                _fold_sinr if self.coalesce else _fold_sinr_legacy,
-                net.gain_operator, float(noise), float(beta),
-            )
             coalescer = BatchCoalescer(
-                fold,
+                functools.partial(
+                    _fold_sinr, net.gain_operator, float(noise), float(beta)
+                ),
                 window=self.window,
                 max_batch=self.max_batch,
-                enabled=self.coalesce,
                 executor=self._kernel_executor,
             )
             self._coalescers[key] = coalescer
@@ -687,24 +667,16 @@ class ServiceServer:
             await asyncio.to_thread(self.leases.refresh, key)
 
     def _descriptor_network(self, descriptor: dict) -> Network:
-        """Rebuild a network from a grid client's pickled descriptor.
+        """Rebuild a network from a grid client's pickled
+        :meth:`~repro.network.network.Network.descriptor`.
 
-        Mirrors the fork worker's reconstruction
-        (:func:`repro.fastsim.grid._attach_network`): same coordinates,
-        params, metric and channel produce a bitwise-identical gain
-        structure, which is what makes ``run_grid(service=...)`` results
-        bitwise equal to fork-pool runs.
+        The fork worker's reconstruction
+        (:func:`repro.fastsim.grid._attach_network`) starts from the
+        same dict, so the gain structure is bitwise identical, which is
+        what makes ``run_grid(workers=[...])`` results bitwise equal to
+        fork-pool runs.
         """
-        net = Network(
-            descriptor["coords"],
-            params=descriptor["params"],
-            metric=descriptor["metric"],
-            name=descriptor.get("name", "service-sweep"),
-            channel=descriptor["channel"],
-            backend=descriptor.get("backend", "auto"),
-            cutoff=descriptor.get("cutoff"),
-            kernel=descriptor.get("kernel", "auto"),
-        )
+        net = Network(**descriptor)
         net.gain_operator
         return net
 
@@ -720,7 +692,6 @@ class ServiceServer:
             "peak_rss_bytes": peak_rss_bytes(),
             "pool": self.pool.stats(),
             "coalescers": coalescers,
-            "coalescing": self.coalesce,
             "window_s": self.window,
             "max_batch": self.max_batch,
         }
@@ -776,28 +747,3 @@ def _fold_sinr(gain_operator, noise: float, beta: float, sets) -> list:
     return resolve_reception_many(
         gain_operator, sets, noise, beta, compact=True
     )
-
-
-def _fold_sinr_legacy(
-    gain_operator, noise: float, beta: float, sets
-) -> list:
-    """Per-request ``B = 1`` masked resolves — the uncoalesced baseline.
-
-    What serving looked like before the coalescer existed: each query
-    builds its own ``(1, n)`` transmitter mask and pays one full
-    batched-resolver call — per-request cell/far-field setup included.
-    ``benchmarks/bench_service.py`` runs a ``coalesce=False`` server on
-    this fold to measure the coalescing speedup floor against it.
-    Results use the same ``(receivers, senders)`` reply shape as
-    :func:`_fold_sinr` so reply building is mode-independent.
-    """
-    shape = getattr(gain_operator, "shape", None)
-    n = shape[0] if shape is not None else gain_operator.n
-    out = []
-    for transmitters in sets:
-        mask = np.zeros((1, n), dtype=bool)
-        mask[0, np.asarray(transmitters, dtype=np.intp)] = True
-        row = resolve_reception_batch(gain_operator, mask, noise, beta)[0]
-        receivers = np.flatnonzero(row != NO_SENDER)
-        out.append((receivers, row[receivers]))
-    return out

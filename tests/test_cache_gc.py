@@ -1,6 +1,7 @@
 """Tests for result-cache LRU pruning and the cache_gc tool."""
 
 import os
+import pickle
 import sys
 import time
 
@@ -237,15 +238,24 @@ class TestVerifyCli:
         ) == 1
         assert "1 quarantined" in capsys.readouterr().out
 
-    def test_legacy_entries_are_not_corruption(self, tmp_path, capsys):
-        import pickle
-
-        cache = ResultCache(tmp_path)
+    def test_headerless_entry_is_corruption(self, tmp_path, capsys):
+        # An entry without the checksum header has nothing to verify
+        # against: the audit counts it corrupt and alerts.
         (tmp_path / "old.pkl").write_bytes(pickle.dumps(("v", {})))
         assert cache_gc.main(
             ["--cache-dir", str(tmp_path), "--verify"]
-        ) == 0
-        assert "1 legacy" in capsys.readouterr().out
+        ) == 1
+        out = capsys.readouterr().out
+        assert "0 verified" in out and "1 corrupt" in out
+
+
+def test_headerless_entry_is_quarantined_on_read(tmp_path):
+    cache = ResultCache(tmp_path)
+    (tmp_path / "old.pkl").write_bytes(pickle.dumps(("v", {})))
+    assert cache.get("old") is None
+    assert (tmp_path / "old.quarantine").exists()
+    assert not (tmp_path / "old.pkl").exists()
+    assert cache.quarantined == 1 and cache.misses == 1
 
 
 class TestCacheGcCli:

@@ -385,14 +385,6 @@ class TestShardedGrid:
         assert all(r.cached for r in replay)
         _assert_same_results(serial, replay)
 
-    def test_single_service_address_still_works(self):
-        # `service=addr` is now sugar for `workers=[addr]`; the classic
-        # path must keep its exact semantics.
-        serial = run_grid(_spec(), jobs=1)
-        with _server_thread() as address:
-            served = run_grid(_spec(), service=address)
-        _assert_same_results(serial, served)
-
     def test_dead_address_among_workers_is_survived(self):
         serial = run_grid(_spec(), jobs=1)
         with _server_thread() as alive:
@@ -480,6 +472,35 @@ class TestRunSharded:
             )
         assert got == {0: "payload"}
         assert stats.recovered == 1 and stats.leftover == []
+
+    def test_request_timeout_none_keeps_client_default(self, monkeypatch):
+        # ``request_timeout=None`` means "the client default", never
+        # "wait forever": a worker that accepts a sweep and then stalls
+        # must hand the point back as a leftover.
+        from repro.service import client as client_module
+
+        monkeypatch.setattr(client_module, "DEFAULT_REQUEST_TIMEOUT", 0.2)
+        req = PointRequest(
+            index=0, kind="spont_broadcast", n_replications=1, seed=1,
+            constants=None, kwargs={}, use_batch=True,
+            fingerprint="fp", descriptor={},
+        )
+        outcome: dict = {}
+        with _server_thread(factory=_StalledServer) as address:
+            runner = threading.Thread(
+                target=lambda: outcome.update(stats=run_sharded(
+                    [req], [address], on_sweep=lambda i, s: None,
+                    request_timeout=None,
+                )),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(20)
+            stalled = runner.is_alive()
+        runner.join(20)
+        assert not stalled, "run_sharded waited forever on a stalled worker"
+        assert outcome["stats"].leftover == [0]
+        assert outcome["stats"].delivered == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the Network aggregate and communication-graph utilities."""
 
+import functools
+import pickle
+
 import numpy as np
 import pytest
 
@@ -268,3 +271,80 @@ class TestNetworkCachesAndFingerprint:
             key({"source": 0, "flows": [Flow(0, 1, Poisson(1.0))]}),
         }
         assert len(keys) == 5
+
+
+@functools.lru_cache(maxsize=None)
+def _descriptor_cases() -> dict:
+    """label -> network, covering every rebuild the seam performs."""
+    from repro.sinr.channel import DualSlope, LogNormalShadowing, UniformPower
+
+    rng = np.random.default_rng(11)
+    dense_coords = rng.uniform(0, 2.5, size=(40, 2))
+    far_coords = rng.uniform(0, 5.0, size=(160, 2))
+    channels = {
+        "uniform": UniformPower(),
+        "log-normal": LogNormalShadowing(sigma_db=4.0, seed=3),
+        "dual-slope": DualSlope(breakpoint=0.5),
+    }
+    cases = {}
+    for label, channel in channels.items():
+        cases[f"dense-{label}"] = Network(
+            dense_coords, channel=channel, name=f"dense-{label}",
+        )
+        if channel.radial_gain(np.asarray([1.0]), SINRParameters.default()):
+            cases[f"sparse-far-{label}"] = Network(
+                far_coords, channel=channel, backend="sparse", cutoff=1.0,
+            )
+    for label, base in list(cases.items()):
+        base.gain_operator  # built, so advance patches incrementally
+        moved = np.zeros_like(base.coords)
+        moved[:3] = 0.01
+        cases[f"{label}-advanced"] = base.advance(moved)
+    return cases
+
+
+class TestDescriptor:
+    """``Network(**net.descriptor())`` is ``net``, bit for bit — the
+    contract fork workers, service daemons and the copy methods share."""
+
+    @staticmethod
+    def _assert_same_network(a, b):
+        assert a.fingerprint() == b.fingerprint()
+        assert a.backend_kind == b.backend_kind
+        if a.backend_kind == "sparse":
+            for name in ("data", "indices", "indptr"):
+                x = getattr(a.sparse_backend, name)
+                y = getattr(b.sparse_backend, name)
+                assert x.dtype == y.dtype
+                assert x.tobytes() == y.tobytes()
+        else:
+            assert a.gains.dtype == b.gains.dtype
+            assert a.gains.tobytes() == b.gains.tobytes()
+
+    @pytest.mark.parametrize("label", list(_descriptor_cases()))
+    def test_rebuild_is_bitwise(self, label):
+        net = _descriptor_cases()[label]
+        self._assert_same_network(net, Network(**net.descriptor()))
+        # The descriptor travels pickled in a service `sweep` payload.
+        shipped = pickle.loads(pickle.dumps(net.descriptor()))
+        self._assert_same_network(net, Network(**shipped))
+
+    def test_cases_cover_far_field_and_patched_successors(self):
+        cases = _descriptor_cases()
+        assert not cases["sparse-far-uniform"].sparse_backend.far_empty
+        assert not cases["sparse-far-dual-slope"].sparse_backend.far_empty
+        assert "sparse-far-log-normal" not in cases  # non-radial: dense
+        assert cases["sparse-far-uniform-advanced"].advance_mode == (
+            "patched-sparse"
+        )
+        assert cases["dense-log-normal-advanced"].advance_mode == (
+            "patched-dense"
+        )
+
+    def test_descriptor_carries_requests_not_resolutions(self):
+        net = Network(np.random.default_rng(2).random((12, 2)))
+        d = net.descriptor()
+        assert (d["backend"], d["cutoff"], d["kernel"]) == (
+            "auto", None, "auto"
+        )
+        assert d["coords"] is net.coords

@@ -3,8 +3,8 @@
 The load-bearing claims, each pinned here:
 
 * **Coalescing is invisible** — responses to concurrently issued SINR
-  queries (folded into shared kernel calls) are bitwise identical to an
-  uncoalesced server's and to direct in-process resolution.
+  queries (folded into shared kernel calls) are bitwise identical to a
+  one-query-per-call server's and to direct in-process resolution.
 * **The pool is a budgeted LRU** — admission past the byte budget evicts
   least-recently-used networks, never the one just admitted, and ``get``
   refreshes recency.
@@ -13,8 +13,8 @@ The load-bearing claims, each pinned here:
 * **The result cache is shared** — a sweep computed through the service
   replays in a plain CLI ``run_grid`` (and vice versa) because both
   address the same :func:`repro.fastsim.cache.point_key`.
-* **``run_grid(service=...)`` is an execution backend** — results are
-  bitwise equal to the fork pool's.
+* **``run_grid(workers=[address])`` is an execution backend** — results
+  are bitwise equal to the fork pool's.
 
 Async tests drive an in-process server over loopback TCP inside
 ``asyncio.run``; the grid tests run the daemon on a background thread
@@ -23,7 +23,9 @@ caller's loop.
 """
 
 import asyncio
+import base64
 import contextlib
+import pickle
 import threading
 
 import numpy as np
@@ -37,6 +39,7 @@ from repro.service import (
     BatchCoalescer,
     NetworkPool,
     ServiceClient,
+    ServiceCorruptPayload,
     ServiceError,
     ServiceServer,
     ServiceTimeout,
@@ -167,6 +170,13 @@ class TestProtocol:
         assert np.array_equal(out["a"], payload["a"])
         assert out["s"].entropy == 5
 
+    def test_payload_without_checksum_is_rejected(self):
+        # A bare-base64 pickle (no "<sha256>:" header) has nothing to
+        # verify against; it is never unpickled.
+        bare = base64.b64encode(pickle.dumps({"a": 1})).decode("ascii")
+        with pytest.raises(ServiceCorruptPayload, match="no checksum"):
+            unpack_pickle(bare)
+
 
 # ----------------------------------------------------------------------
 # the pool
@@ -271,7 +281,7 @@ class TestBatchCoalescer:
             return list(items)
 
         async def go():
-            co = BatchCoalescer(fold, window=0.01, enabled=False)
+            co = BatchCoalescer(fold, window=0, max_batch=1)
             await asyncio.gather(*(co.submit(i) for i in range(4)))
             return co
 
@@ -323,11 +333,9 @@ class TestBatchCoalescer:
 # serve == direct call, coalesced or not
 # ----------------------------------------------------------------------
 class TestCoalescedEquivalence:
-    def _serve_all(self, coalesce):
+    def _serve_all(self, **server_kwargs):
         async def go():
-            async with _serve(
-                window=0.01, max_batch=16, coalesce=coalesce
-            ) as (server, client):
+            async with _serve(**server_kwargs) as (server, client):
                 built = await client.build(SPEC)
                 sets = _transmitter_sets(built["n"], 12)
                 replies = await asyncio.gather(*(
@@ -338,8 +346,10 @@ class TestCoalescedEquivalence:
         return asyncio.run(go())
 
     def test_coalesced_matches_uncoalesced_and_direct(self):
-        built, sets, coalesced, server = self._serve_all(coalesce=True)
-        _, _, singles, _ = self._serve_all(coalesce=False)
+        built, sets, coalesced, server = self._serve_all(
+            window=0.01, max_batch=16
+        )
+        _, _, singles, _ = self._serve_all(window=0, max_batch=1)
 
         # The coalesced run actually batched (else this test is vacuous).
         stats = [
@@ -625,7 +635,7 @@ class TestSweepAndGrid:
     def test_grid_service_matches_fork_pool(self):
         forked = run_grid(_spec(), jobs=2)
         with _server_thread() as address:
-            served = run_grid(_spec(), service=address)
+            served = run_grid(_spec(), workers=[address])
         _assert_same_results(forked, served)
         assert not any(r.cached for r in served)
 
@@ -634,7 +644,7 @@ class TestSweepAndGrid:
         # store a plain CLI run replays from.
         with _server_thread() as address:
             served = run_grid(
-                _spec(), service=address, cache_dir=str(tmp_path)
+                _spec(), workers=[address], cache_dir=str(tmp_path)
             )
         replay = run_grid(_spec(), jobs=1, cache_dir=str(tmp_path))
         assert all(r.cached for r in replay)
@@ -645,7 +655,7 @@ class TestSweepAndGrid:
         # the ordinary point_key, so a CLI run against the same directory
         # replays them without recomputing.
         with _server_thread(cache_dir=str(tmp_path)) as address:
-            served = run_grid(_spec(), service=address, cache=False)
+            served = run_grid(_spec(), workers=[address], cache=False)
         hookless = [
             r for r in run_grid(_spec(), jobs=1, cache_dir=str(tmp_path))
             if r.point.post is None
@@ -662,8 +672,8 @@ class TestSweepAndGrid:
         # The cross-run win: a second service-backed run of the same spec
         # finds every deployment already resident.
         with _server_thread() as address:
-            run_grid(_spec(), service=address)
-            run_grid(_spec(), service=address)
+            run_grid(_spec(), workers=[address])
+            run_grid(_spec(), workers=[address])
 
             async def poolstats():
                 client = await connect(address)

@@ -441,6 +441,6 @@ class TestGridAndService:
     def test_service_path_matches_local(self):
         local = run_grid(_traffic_spec(), jobs=1)
         with _server_thread() as address:
-            served = run_grid(_traffic_spec(), service=address)
+            served = run_grid(_traffic_spec(), workers=[address])
         _assert_same_results(local, served)
         assert not any(r.cached for r in served)

@@ -16,11 +16,11 @@ With no budget it only reports.  The experiments CLI exposes the same
 eviction as ``python -m repro.experiments ... --cache-prune MB``.
 
 ``--verify`` runs the read-only integrity audit instead: every entry's
-checksum header is validated (``ResultCache.verify``), corrupt entries
-and on-disk quarantines are reported, and the exit status is nonzero
-when corruption is found — so a fleet cron job
-(``cache_gc.py --verify || alert``) catches bit-rot before a sweep
-trips over it.
+checksum header is validated (``ResultCache.verify``; an entry without
+one is corrupt), corrupt entries and on-disk quarantines are reported,
+and the exit status is nonzero when corruption is found — so a fleet
+cron job (``cache_gc.py --verify || alert``) catches bit-rot before a
+sweep trips over it.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ def format_verify_report(report: dict) -> str:
     """Human-readable line for a ``--verify`` audit report."""
     line = (
         f"cache {report['root']}: {report['entries']} entries — "
-        f"{report['verified']} verified, {report['legacy']} legacy "
-        f"(no checksum), {report['corrupt']} corrupt, "
+        f"{report['verified']} verified, {report['corrupt']} corrupt, "
         f"{report['quarantined']} quarantined"
     )
     if report["corrupt_keys"]:
