@@ -179,11 +179,9 @@ def jitter_within_slack(
         length = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / dim)
         moved = coords + direction / norms * length[:, None]
 
-    jittered = Network(
-        moved, params=net.params, metric=net.metric,
-        name=f"{net.name}-jittered", channel=net.channel,
-        backend=net._backend_request, cutoff=net._cutoff,
-    )
+    jittered = Network(**{
+        **net.descriptor(), "coords": moved, "name": f"{net.name}-jittered",
+    })
     if n > 1 and scale > 0:
         check = (
             jittered.sparse_backend
