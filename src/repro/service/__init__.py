@@ -16,10 +16,16 @@ proportional to the query rather than the deployment, through the
 queries arriving within a short window — or while a kernel call is
 already in flight — against the same network share one resolver call,
 and the resolver's fold contract makes every answer bitwise identical
-to a dedicated single-query call.  ``benchmarks/bench_service.py``
-gates this serving path at >= 5x the pre-coalescer model (one masked
-``B = 1`` batched-resolver call per query) and records how much of
-that gain is batching alone.
+to a dedicated single-query call.  The resolver handles every set of
+a call in one vectorized pass, so a coalesced batch pays roughly one
+query's numpy dispatch rather than one per query.  A ``sinr`` request
+whose transmitters are not a flat list of integer indices, or whose
+``noise``/``beta`` break :class:`~repro.sinr.params.SINRParameters`'
+rules, is refused with a :class:`~repro.service.protocol.ServiceError`.
+``benchmarks/bench_service.py`` gates this serving path at >= 5x the
+pre-coalescer model (one masked ``B = 1`` batched-resolver call per
+query) and records the solo server's throughput (``max_batch=1,
+window=0``) beside the coalesced one.
 
 Grid sweeps become clients of the same pool through
 ``run_grid(workers=[address, ...])`` (:mod:`repro.fastsim.grid`): the

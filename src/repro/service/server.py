@@ -454,19 +454,33 @@ class ServiceServer:
         return coalescer
 
     async def _op_sinr(self, request: dict) -> dict:
-        """Resolve receptions for one transmitter set (coalesced)."""
+        """Resolve receptions for one transmitter set (coalesced).
+
+        ``transmitters`` must be a flat list of integer station indices
+        in ``[0, n)``; ``noise`` and ``beta`` must be finite numbers
+        within :class:`~repro.sinr.params.SINRParameters`' rules
+        (``noise > 0``, ``beta >= 1`` — the resolver tests only the
+        strongest sender, which is exact only for ``beta >= 1``).
+        """
         net = self._network(request)
-        transmitters = np.asarray(
-            request.get("transmitters", []), dtype=np.intp
-        )
-        if transmitters.size and (
-            transmitters.min() < 0 or transmitters.max() >= net.size
+        listed = request.get("transmitters", [])
+        if not isinstance(listed, list) or not all(
+            type(t) is int for t in listed
         ):
+            raise ServiceError(
+                "'transmitters' must be a list of integer station indices"
+            )
+        if listed and not 0 <= min(listed) <= max(listed) < net.size:
             raise ServiceError(
                 f"transmitter indices must be in [0, {net.size})"
             )
-        noise = request.get("noise", net.params.noise)
-        beta = request.get("beta", net.params.beta)
+        transmitters = np.asarray(listed, dtype=np.intp)
+        noise = _real(request, "noise", net.params.noise)
+        beta = _real(request, "beta", net.params.beta)
+        if not 0 < noise < np.inf:
+            raise ServiceError(f"'noise' must be finite and > 0, got {noise}")
+        if not 1 <= beta < np.inf:
+            raise ServiceError(f"'beta' must be finite and >= 1, got {beta}")
         coalescer = self._coalescer_for(
             request["net"], net, noise, beta
         )
@@ -730,6 +744,14 @@ def _mangle_payload(payload: str) -> str:
         return "A"
     tail = "B" if payload[-1] == "A" else "A"
     return payload[:-1] + tail
+
+
+def _real(request: dict, key: str, default: float) -> float:
+    """``request[key]`` as a float; a :class:`ServiceError` unless a number."""
+    value = request.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ServiceError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _fold_sinr(gain_operator, noise: float, beta: float, sets) -> list:

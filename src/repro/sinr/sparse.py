@@ -90,6 +90,13 @@ MIN_CELL_BUDGET = 65536
 #: (the bracket kernels are exact per pair; the convolution is not).
 FFT_SLACK_REL = 1e-9
 
+#: Element budget of one chunk of sets in
+#: :meth:`SparseGainBackend.resolve_reception_sets`: a chunk gathers at
+#: most about this many CSR entries and far-table terms (a set larger
+#: than the budget forms a chunk alone), so its temporaries stay at a
+#: few MB however many sets a call carries.
+SERVING_CHUNK_ELEMENTS = 1 << 17
+
 
 def _with_band(
     est: np.ndarray, err: np.ndarray
@@ -117,15 +124,14 @@ def csr_row_positions(
     """
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lengths
-    offs = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offs[1:])
-    pos = np.repeat(starts - offs, lengths) + np.arange(
-        total, dtype=np.int64
-    )
-    return pos, lengths
+    return _row_positions(starts, lengths), lengths
+
+
+def _row_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated."""
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(pos.size)
+    return pos
 
 
 def csr_upper_pairs(
@@ -163,6 +169,14 @@ def _strongest(
     winners = values == best_gain[slot]
     np.minimum.at(best_sender, slot[winners], senders[winners])
     return total, best_gain, best_sender
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``keys`` unequal to their predecessor."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
 
 
 # ----------------------------------------------------------------------
@@ -921,21 +935,24 @@ class SparseGainBackend:
         K_hat = np.fft.rfftn(K, s=padded, axes=axes)
         E_hat = np.fft.rfftn(E, s=padded, axes=axes)
         # The spatial tables double as the serving path's gather source
-        # (:meth:`_far_direct`): ``K[(x - c) mod padded]`` *is* the
-        # exact circular-convolution term the transforms compute.  The
-        # per-axis tables map a (listener cell, transmitter cell)
-        # coordinate pair straight to its stride-weighted flat offset,
-        # so the per-query work is pure gathers.
-        offset_tables = []
-        stride = 1
-        for s, p in zip(shape[::-1], padded[::-1]):
-            idx = np.arange(s, dtype=np.int64)
-            offset_tables.append(
-                ((idx[:, None] - idx[None, :]) % p) * stride
+        # (:meth:`_far_pairs`): ``K[(x - c) mod padded]`` *is* the exact
+        # circular-convolution term the transforms compute.  Re-laid out
+        # centred — offset ``delta`` at ``delta + s - 1`` per axis — the
+        # flat index of ``x - c`` is ``key[x] - key[c] + centre`` for a
+        # per-cell key with the centred strides, so the per-query work
+        # is one subtraction and one gather per (listener, transmitter).
+        centred = np.ix_(*(
+            np.arange(1 - s, s) % p for s, p in zip(shape, padded)
+        ))
+        strides = np.cumprod([1] + [2 * s - 1 for s in shape[:0:-1]])
+        cell_key = sum(
+            axis * stride for axis, stride in zip(
+                np.unravel_index(np.arange(self.cells.n_cells), shape),
+                strides[::-1],
             )
-            stride *= p
+        )
         self._far_spatial = (
-            K.reshape(-1), E.reshape(-1), offset_tables[::-1]
+            K[centred].reshape(-1), E[centred].reshape(-1), (cell_key,)
         )
         self._kernels = (K_hat, E_hat, padded)
         return self._kernels
@@ -1107,53 +1124,111 @@ class SparseGainBackend:
             heard[b, ok] = best_sender[ok]
         return heard
 
-    def _far_direct(
-        self, transmitters: np.ndarray, cand: np.ndarray
+    def _far_pairs(
+        self,
+        owner: np.ndarray,
+        listeners: np.ndarray,
+        tx: np.ndarray,
+        first: np.ndarray,
+        size: np.ndarray,
+        widths: list,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Far estimate/error at ``cand`` by direct kernel gather.
+        """Far estimate and error at ``(set, listener)`` pairs by gather.
 
         Evaluates the **same certified sums** as :meth:`far_band` —
-        ``est[x] = sum_c K[(x - c) mod padded]`` over the transmitters'
-        cells — but by gathering the spatial kernel tables at the
-        distinct occupied (candidate cell, transmitter cell) offset
-        pairs instead of transforming the whole cell grid.  For
-        serving-sized queries (tens of transmitters, hundreds of
-        occupied cells) that is two orders of magnitude cheaper than
-        the batched FFT, and the cost scales with the *query*, not
-        with the deployment.
+        ``est[x] = sum_c K[(x - c) mod padded]`` over a set's
+        transmitter cells ``c`` — by gathering the spatial kernel table
+        instead of transforming the whole cell grid, so the cost scales
+        with the queries, not with the deployment.  Set ``s`` owns the
+        ascending transmitters ``tx[first[s]:first[s] + size[s]]``;
+        ``widths`` lists the distinct non-zero set sizes.
 
         The two evaluations are different floating-point roundings of
         one exact quantity; both are covered by the certified band
         (:data:`FFT_SLACK_REL` was sized for the transforms' error,
-        which dominates the short direct sum's).  The direct sum is
-        deterministic per (set, candidate) pair — independent of
-        batching, which is what the serving path's coalescing
-        invariance rests on.
+        which dominates the short direct sum's).  Rows are summed in
+        groups of one set size ``t`` as C-contiguous ``(rows, t)``
+        arrays, and numpy sums such a row from its own values alone
+        (sequentially below 8 entries, with 8 partial sums above), so
+        each pair's bits do not depend on what else shares the call.
         """
         self._far_kernels()
-        K_flat, E_flat, offset_tables = self._far_spatial
-        cells = self.cells
-        cell_of = cells.cell_of
-        # Candidates cluster heavily: evaluate per *distinct occupied
-        # cell* (the far field is constant within a cell by definition)
-        # and scatter-gather back, avoiding any sort.
-        seen = np.zeros(cells.n_cells, dtype=bool)
-        cand_cells = cell_of[cand]
-        seen[cand_cells] = True
-        ucells = np.flatnonzero(seen)
-        slot = np.empty(cells.n_cells, dtype=np.int64)
-        slot[ucells] = np.arange(ucells.size)
-        uvec = np.unravel_index(ucells, cells.shape)
-        tvec = cells.cell_vec[transmitters]
-        flat = offset_tables[0][uvec[0][:, None], tvec[None, :, 0]]
-        for d in range(1, len(offset_tables)):
-            flat = flat + offset_tables[d][
-                uvec[d][:, None], tvec[None, :, d]
+        K, E, (cell_key,) = self._far_spatial
+        cell_of = self.cells.cell_of
+        lkey = cell_key[cell_of[listeners]] + K.size // 2
+        tkey = cell_key[cell_of[tx]]
+        est = np.empty(owner.size)
+        err = np.empty(owner.size)
+        for t in widths:
+            rows = (
+                slice(None) if len(widths) == 1
+                else np.flatnonzero(size[owner] == t)
+            )
+            flat = lkey[rows][:, None] - tkey[
+                first[owner[rows]][:, None] + np.arange(t)
             ]
-        est_u = np.maximum(K_flat[flat].sum(axis=1), 0.0)
-        err_u = np.maximum(E_flat[flat].sum(axis=1), 0.0)
-        take = slot[cand_cells]
-        return est_u[take], err_u[take]
+            est[rows] = K.take(flat).sum(axis=1)
+            err[rows] = E.take(flat).sum(axis=1)
+        return np.maximum(est, 0.0), np.maximum(err, 0.0)
+
+    def _resolve_chunk(
+        self,
+        keys: np.ndarray,
+        tx: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        first: np.ndarray,
+        size: np.ndarray,
+        widths: list,
+        noise: float,
+        beta: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Receptions of a chunk of sets in one pass.
+
+        ``keys`` are the sorted ``set * n + transmitter`` keys of the
+        run, ``tx`` their transmitters and ``starts``/``lengths`` the
+        transmitters' CSR rows.  A row lists its transmitter's near
+        listeners, so one gather keyed by ``(set, listener)``
+        enumerates every candidate listener of every set.  A stable
+        sort groups the keys without reordering a pair's entries, so
+        ``bincount`` still folds each pair's gains in ascending sender
+        order — the order of :meth:`_near_scan` — and max/min are exact.
+
+        :returns: ``(set, receiver, sender)`` per accepted reception,
+            sorted by set, then receiver.
+        """
+        pos = _row_positions(starts, lengths)
+        pair = np.repeat(keys - tx, lengths) + self.indices[pos]
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        new = _run_starts(pair)
+        pairs = pair[new]
+        total, best_gain, best_sender = _strongest(
+            np.cumsum(new) - 1, self.data[pos[order]],
+            np.repeat(tx, lengths)[order], pairs.size, self.n,
+        )
+        denom = noise + total - best_gain
+        at = np.minimum(np.searchsorted(keys, pairs), keys.size - 1)
+        # The far terms only add to the denominator, so a pair the near
+        # field alone rejects stays rejected (rounding is monotone and
+        # ``denom >= 0`` for ``noise >= 0``): the far gather needs to
+        # cover only the pairs that pass here.
+        ok = np.flatnonzero(
+            (np.divide(best_gain, denom) >= beta) & (keys[at] != pairs)
+        )
+        owner, listeners = np.divmod(pairs[ok], self.n)
+        best_sender = best_sender[ok]
+        if not self.far_empty and ok.size:
+            est, band = _with_band(
+                *self._far_pairs(owner, listeners, tx, first, size, widths)
+            )
+            ok = np.flatnonzero(
+                np.divide(best_gain[ok], denom[ok] + est + band) >= beta
+            )
+            owner, listeners, best_sender = (
+                owner[ok], listeners[ok], best_sender[ok]
+            )
+        return owner, listeners, best_sender
 
     def resolve_reception_sets(
         self,
@@ -1166,18 +1241,19 @@ class SparseGainBackend:
         """Heterogeneous-set resolution restricted to reachable listeners.
 
         The serving path of
-        :func:`repro.sinr.reception.resolve_reception_many`: the near
-        fold is the ordinary :meth:`_near_scan` (bitwise the batch
-        resolver's arithmetic, compiled kernel included), after which
-        the per-set work — far field, SINR, decisions — runs only at
-        the **candidate listeners**: stations with at least one
-        transmitter inside the cutoff.  Every other station provably
-        hears nothing (its best near sender does not exist, and the
-        ``best_sender < n`` guard rejects it regardless of ``beta``),
-        so skipping it cannot change a bit.  The far term comes from
-        :meth:`_far_direct`, whose cost scales with the query instead
-        of the cell grid — which is what makes coalesced query serving
-        overhead-bound instead of kernel-bound (DESIGN.md §8).
+        :func:`repro.sinr.reception.resolve_reception_many`, one
+        vectorized pass over every set of the call (DESIGN.md §8.2):
+        one sort dedupes all sets, one gather of the transmitters' CSR
+        rows keyed by ``(set, listener)`` reaches the **candidate
+        listeners** — stations with at least one transmitter inside
+        the cutoff — one :func:`_strongest` fold decides them against
+        the near field, and the far term is one gather over the
+        candidates that pass (:meth:`_far_pairs`).  Every other station
+        provably hears nothing (it has no near sender at all), so
+        skipping it cannot change a bit.  Sets are processed in chunks
+        whose gathered elements stay within
+        :data:`SERVING_CHUNK_ELEMENTS`, so a long call's temporaries
+        stay at a few MB.  ``noise`` must be ``>= 0``.
 
         **Serving contract.** Each returned row depends only on its own
         (set, noise, beta) — never on what else shares the call — so a
@@ -1188,9 +1264,9 @@ class SparseGainBackend:
         denominator terms are a different (tighter) rounding of the
         same certified sum, so decisions agree whenever the SINR margin
         exceeds ulp-scale rounding — and exactly, bit for bit, whenever
-        the far set is empty.  ``kernel`` overrides the backend's
-        construction-time kernel for this call (kernels are bitwise
-        identical per DESIGN.md §2.3).
+        the far set is empty.  ``kernel`` is validated only: the fold
+        is numpy's for either request, whose bytes the compiled near
+        scan matches (DESIGN.md §2.3).
 
         ``compact=True`` returns each row as a ``(receivers, senders)``
         index-array pair instead of materializing the length-``n`` row —
@@ -1201,48 +1277,62 @@ class SparseGainBackend:
         :returns: one length-``n`` heard-sender array per input set, or
             one ``(receivers, senders)`` pair per set if ``compact``.
         """
-        kern = (
-            self.kernel if kernel is None
-            else _kernels.resolve_kernel(kernel)
-        )
-        sets = [
-            np.unique(np.asarray(t, dtype=np.int64))
-            for t in transmitter_sets
+        if kernel is not None:
+            _kernels.resolve_kernel(kernel)
+        n = self.n
+        arrays = [
+            np.asarray(t, dtype=np.int64).ravel() for t in transmitter_sets
         ]
+        B = len(arrays)
         empty = np.empty(0, dtype=np.intp)
         if compact:
-            block = None
-            out = [(empty, empty)] * len(sets)
+            out = [(empty, empty)] * B
         else:
-            block = np.full((len(sets), self.n), NO_SENDER, dtype=np.intp)
+            block = np.full((B, n), NO_SENDER, dtype=np.intp)
             out = list(block)
-        is_tx = np.zeros(self.n, dtype=bool)
-        for b, transmitters in enumerate(sets):
-            if transmitters.size == 0:
-                continue
-            total, best_gain, best_sender = self._near_scan(
-                transmitters, kern
+        if B == 0:
+            return out
+        if not noise >= 0:
+            raise ValueError(f"noise must be >= 0, got {noise}")
+        stations = np.concatenate(arrays)
+        if stations.size and not 0 <= stations.min() <= stations.max() < n:
+            raise ValueError(f"transmitter indices must be in [0, {n})")
+        keys = np.repeat(
+            np.arange(0, B * n, n, dtype=np.int64), [a.size for a in arrays]
+        ) + stations
+        keys.sort()
+        keys = keys[_run_starts(keys)]
+        owner, tx = np.divmod(keys, n)
+        size = np.bincount(owner, minlength=B)
+        first = np.zeros(B + 1, dtype=np.int64)
+        np.cumsum(size, out=first[1:])
+        starts = self.indptr[tx]
+        lengths = self.indptr[tx + 1] - starts
+        # Elements a set gathers: its near entries, then at most as many
+        # far rows of its width.  ``spent[s]``: the sets before ``s``.
+        spent = np.zeros(keys.size + 1, dtype=np.int64)
+        np.cumsum(lengths * size[owner], out=spent[1:])
+        spent = spent[first]
+        lo = 0
+        while lo < B:
+            hi = max(lo + 1, int(np.searchsorted(
+                spent, spent[lo] + SERVING_CHUNK_ELEMENTS, side="right"
+            )) - 1)
+            a, b = first[lo], first[hi]
+            owner_ok, receivers, senders = self._resolve_chunk(
+                keys[a:b], tx[a:b], starts[a:b], lengths[a:b], first - a,
+                size, sorted(set(size[lo:hi].tolist()) - {0}), noise, beta,
             )
-            cand = np.flatnonzero(best_sender < self.n)
-            if cand.size == 0:
-                continue
-            gain_c = best_gain[cand]
-            denom = noise + total[cand] - gain_c
-            if not self.far_empty:
-                est, band = _with_band(
-                    *self._far_direct(transmitters, cand)
-                )
-                denom = denom + est + band
-            sinr = np.divide(gain_c, denom)
-            is_tx[transmitters] = True
-            ok = (sinr >= beta) & ~is_tx[cand]
-            is_tx[transmitters] = False
-            receivers = cand[ok]
-            senders = best_sender[receivers]
             if compact:
-                out[b] = (receivers, senders)
+                cut = np.searchsorted(
+                    owner_ok, np.arange(lo, hi + 1)
+                ).tolist()
+                for row, i, j in zip(range(lo, hi), cut, cut[1:]):
+                    if j > i:
+                        out[row] = (receivers[i:j], senders[i:j])
             else:
-                block[b, receivers] = senders
+                block[owner_ok, receivers] = senders
+            lo = hi
         return out
 
     def sinr_values(

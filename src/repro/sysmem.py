@@ -33,10 +33,20 @@ def available_memory_bytes() -> int:
 def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes.
 
-    ``getrusage`` reports kilobytes on Linux and bytes on macOS; both
-    are normalized to bytes.  Returns 0 where the ``resource`` module
-    is unavailable (non-POSIX platforms).
+    Reads ``VmHWM`` from ``/proc/self/status`` where it exists: Linux
+    carries ``getrusage``'s ``ru_maxrss`` across ``execve``, so a
+    daemon spawned by a large process would otherwise report its
+    launcher's peak.  Elsewhere falls back to ``ru_maxrss`` (kilobytes
+    on Linux, bytes on macOS; both normalized to bytes), and returns 0
+    where the ``resource`` module is unavailable (non-POSIX platforms).
     """
+    try:
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - POSIX-only environments

@@ -376,6 +376,60 @@ class TestCoalescedEquivalence:
         asyncio.run(go())
 
 
+def _sinr_reply(transmitters, **kwargs):
+    """Reply (or the ServiceError) of one ``sinr`` request on SPEC."""
+    async def go():
+        async with _serve() as (_, client):
+            built = await client.build(SPEC)
+            try:
+                return await client.sinr(built["net"], transmitters, **kwargs)
+            except ServiceError as exc:
+                return exc
+
+    return asyncio.run(go())
+
+
+class TestSinrRejectsMalformedQueries:
+    """Each malformed query is refused, not coerced into another one."""
+
+    def test_well_formed_query_is_answered(self):
+        reply = _sinr_reply([3, 1], noise=1, beta=1.5)
+        assert isinstance(reply, dict) and "receptions" in reply
+
+    def test_fractional_transmitters(self):
+        assert isinstance(_sinr_reply([3.7, 1.2]), ServiceError)
+
+    def test_string_transmitters(self):
+        assert isinstance(_sinr_reply(["3", "1"]), ServiceError)
+
+    def test_nested_transmitters(self):
+        assert isinstance(_sinr_reply([[3], [1]]), ServiceError)
+
+    def test_boolean_transmitters(self):
+        assert isinstance(_sinr_reply([True, False]), ServiceError)
+
+    def test_beta_below_one(self):
+        assert isinstance(_sinr_reply([3, 1], beta=0.5), ServiceError)
+
+    def test_zero_noise(self):
+        assert isinstance(_sinr_reply([3, 1], noise=0), ServiceError)
+
+    def test_negative_noise(self):
+        assert isinstance(_sinr_reply([3, 1], noise=-1), ServiceError)
+
+    def test_non_finite_noise(self):
+        for noise in (float("nan"), float("inf")):
+            assert isinstance(_sinr_reply([3, 1], noise=noise), ServiceError)
+
+    def test_non_finite_beta(self):
+        for beta in (float("nan"), float("inf")):
+            assert isinstance(_sinr_reply([3, 1], beta=beta), ServiceError)
+
+    def test_non_numeric_noise_and_beta(self):
+        assert isinstance(_sinr_reply([3, 1], noise="1"), ServiceError)
+        assert isinstance(_sinr_reply([3, 1], beta=True), ServiceError)
+
+
 # ----------------------------------------------------------------------
 # per-request timeouts (the unbounded-await bug)
 # ----------------------------------------------------------------------
