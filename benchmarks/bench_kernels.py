@@ -1,15 +1,17 @@
-"""Compiled vs numpy kernel backend: round throughput at n=100k and 1M.
+"""Compiled vs numpy kernels: round throughput at n=100k and 1M.
 
-The compiled backend's acceptance criteria (DESIGN.md §2.3) are asserted
+The compiled kernels' acceptance criteria (DESIGN.md §2.3) are asserted
 directly:
 
 * at n = 100,000 the compiled CSR near-field scan sustains at least
   **10x** the sparse numpy resolver's round throughput — asserted only
-  where numba is importable (without it, ``"compiled"`` means the
+  where numba is importable (without it, the compiled leg means the
   un-jitted pure-python loops, so the benchmark instead verifies one
-  round of bitwise equivalence and records the environment);
-* an **n = 1,000,000 wake-up round** completes through the sparse
-  compiled path (``kernel="auto"``) within the scale-smoke budget.
+  round of bitwise equivalence and records the environment).  Each leg
+  patches :data:`repro.kernels.COMPILED`, the platform's choice;
+* an **n = 1,000,000 wake-up round** completes through the sparse path
+  the platform picks (compiled where numba is installed) within the
+  scale-smoke budget.
 
 Peak RSS rides along in ``extra_info`` for every figure.  CI uploads
 the pytest-benchmark JSON as ``BENCH_kernels.json`` alongside
@@ -52,10 +54,17 @@ def _tx_batch(n: int, seed: int = SEED) -> np.ndarray:
     return np.random.default_rng(seed).random((BATCH, n)) < TX_PROB
 
 
-def _rounds_per_sec(backend, tx, noise, beta, kernel, rounds=ROUNDS):
+def _resolve(backend, tx, noise, beta, compiled):
+    """One batched round with :data:`repro.kernels.COMPILED` patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "COMPILED", compiled)
+        return backend.resolve_reception_batch(tx, noise, beta)
+
+
+def _rounds_per_sec(backend, tx, noise, beta, compiled, rounds=ROUNDS):
     t0 = time.perf_counter()
     for _ in range(rounds):
-        backend.resolve_reception_batch(tx, noise, beta, kernel=kernel)
+        _resolve(backend, tx, noise, beta, compiled)
     return rounds / (time.perf_counter() - t0)
 
 
@@ -77,27 +86,23 @@ def test_kernel_throughput_100k(benchmark, capsys):
     tx = _tx_batch(n)
 
     def numpy_rounds():
-        return _rounds_per_sec(backend, tx, noise, beta, "numpy")
+        return _rounds_per_sec(backend, tx, noise, beta, False)
 
     rps_numpy = benchmark.pedantic(numpy_rounds, rounds=1, iterations=1)
 
     if kernels.HAVE_NUMBA:
         # One warm-up round so jit compilation stays out of the figure.
-        backend.resolve_reception_batch(tx, noise, beta, kernel="compiled")
-        rps_compiled = _rounds_per_sec(backend, tx, noise, beta, "compiled")
+        _resolve(backend, tx, noise, beta, True)
+        rps_compiled = _rounds_per_sec(backend, tx, noise, beta, True)
         ratio = rps_compiled / rps_numpy
     else:
         # Pure-python loops cannot race numpy; verify the contract that
         # makes the race fair instead: one bitwise-identical round.
-        heard_np = backend.resolve_reception_batch(
-            tx[:1], noise, beta, kernel="numpy"
-        )
-        heard_c = backend.resolve_reception_batch(
-            tx[:1], noise, beta, kernel="compiled"
-        )
+        heard_np = _resolve(backend, tx[:1], noise, beta, False)
+        heard_c = _resolve(backend, tx[:1], noise, beta, True)
         assert np.array_equal(heard_np, heard_c)
         rps_compiled = _rounds_per_sec(
-            backend, tx[:1], noise, beta, "compiled", rounds=1
+            backend, tx[:1], noise, beta, True, rounds=1
         )
         ratio = None
 
@@ -131,7 +136,8 @@ def test_kernel_throughput_100k(benchmark, capsys):
 @pytest.mark.compiled
 @_needs_memory(12 * 10**9)
 def test_wakeup_round_at_1m(benchmark, capsys):
-    """Acceptance criterion: an n=1M wake-up round completes compiled."""
+    """Acceptance criterion: an n=1M wake-up round completes (compiled
+    where numba is installed)."""
     from repro.fastsim.engine import spawn_rngs
     from repro.fastsim.wakeup import fast_adhoc_wakeup_batch
     from repro.sim.wakeup import WakeupSchedule
@@ -139,9 +145,7 @@ def test_wakeup_round_at_1m(benchmark, capsys):
     start = time.perf_counter()
     # A tighter cutoff than the 100k figure keeps the near field at
     # ~65 entries/row — the same working set the scale smoke test uses.
-    net = Network(
-        _coords(N_1M), backend="sparse", cutoff=1.0, kernel="auto"
-    )
+    net = Network(_coords(N_1M), backend="sparse", cutoff=1.0)
     schedule = WakeupSchedule.all_at(N_1M, 0)
     constants = ProtocolConstants.practical()
 
@@ -159,8 +163,7 @@ def test_wakeup_round_at_1m(benchmark, capsys):
     tx = np.zeros((1, N_1M), dtype=bool)
     tx[0, np.random.default_rng(SEED).choice(N_1M, N_1M // 50, False)] = True
     heard = resolve_reception_batch(
-        net.gain_operator, tx, net.params.noise, net.params.beta,
-        kernel=net.kernel_kind,
+        net.gain_operator, tx, net.params.noise, net.params.beta
     )
     assert int((heard[0] != NO_SENDER).sum()) > 0
 
@@ -168,7 +171,7 @@ def test_wakeup_round_at_1m(benchmark, capsys):
     backend = net.sparse_backend
     benchmark.extra_info.update(
         n=N_1M,
-        kernel=net.kernel_kind,
+        kernel_kind=net.kernel_kind,
         have_numba=kernels.HAVE_NUMBA,
         sparse_bytes=backend.nbytes(),
         nnz=int(backend.indices.size),

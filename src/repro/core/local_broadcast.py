@@ -104,9 +104,7 @@ def run_local_broadcast(
     while pending > 0 and round_no < end:
         tx = np.flatnonzero(rng.random(n) < probs)
         if tx.size:
-            heard_from = resolve_reception(
-                gains, tx, noise, beta, kernel=network.kernel_kind
-            )
+            heard_from = resolve_reception(gains, tx, noise, beta)
             receivers = np.flatnonzero(heard_from != NO_SENDER)
             for u in receivers:
                 v = int(heard_from[u])

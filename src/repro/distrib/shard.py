@@ -74,7 +74,6 @@ class PointRequest:
     seed: object
     constants: object
     kwargs: dict
-    use_batch: bool
     fingerprint: str
     descriptor: dict
     key: Optional[str] = None
@@ -236,7 +235,6 @@ async def _run_sharded_async(
             descriptor=req.descriptor,
             constants=req.constants,
             kwargs=req.kwargs,
-            use_batch=req.use_batch,
             key=req.key,
         )
         deliver(req, reply["sweep"])

@@ -102,8 +102,7 @@ def sweep_trials(
     The batched counterpart of ``for rng in trial_rngs(...)``: trial
     ``b`` draws from the same spawned generator either way, but the sweep
     engine advances all trials through the protocol in one set of numpy
-    operations (falling back to a loop over the reference simulator for
-    kinds without a batched kernel).
+    operations.
 
     :returns: a :class:`repro.fastsim.sweep.SweepResult`.
     """

@@ -131,7 +131,7 @@ def fast_spont_broadcast_batch(
         pilot_tx = mac_hook(pilot_round, pilot_tx, network)
     heard_from = resolve_reception_batch(
         network.gain_operator, pilot_tx, network.params.noise,
-        network.params.beta, kernel=network.kernel_kind,
+        network.params.beta,
     )[0]
     newly = (heard_from != NO_SENDER)[None, :] & ~informed
     informed |= newly

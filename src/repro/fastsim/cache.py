@@ -72,7 +72,7 @@ from repro import faults
 
 #: Bump when the stored payload layout changes; old entries become
 #: unaddressable rather than mis-read.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Age (seconds since last mtime) past which :meth:`ResultCache.prune`
 #: sweeps orphaned write temporaries (``.*.tmp``), lease files
@@ -168,21 +168,20 @@ def point_key(
     seed,
     n_replications: int,
     kwargs: dict,
-    use_batch: bool = True,
     post_name: str = "",
 ) -> str:
-    """Cache key of one grid point — the tuple the ISSUE of record names:
-    *(kind, deployment fingerprint, constants, seed, kwargs)*, plus the
-    replication count, the batch/reference switch and the identity of the
-    point's post-processing hook (its extras are stored alongside the
-    sweep, so a renamed hook must not replay stale extras).
+    """Cache key of one grid point: *(kind, deployment fingerprint,
+    constants, seed, kwargs)*, plus the replication count and the
+    identity of the point's post-processing hook (its extras are stored
+    alongside the sweep, so a renamed hook must not replay stale
+    extras).
 
-    The *kernel* choice (``Network(kernel=...)`` / ``REPRO_KERNEL``) is
+    Which kernel implementation ran (:data:`repro.kernels.COMPILED`) is
     deliberately absent, here and in the network fingerprint the key
     embeds: compiled and numpy kernels are bitwise identical
     (DESIGN.md §2.3, enforced by ``tests/test_kernel_differential.py``),
-    so a compiled run replaying a numpy run's entry — or vice versa —
-    returns exactly the bytes it would have computed.
+    so a host with numba replaying an entry computed without it — or
+    vice versa — returns exactly the bytes it would have computed.
     """
     return digest(
         {
@@ -193,7 +192,6 @@ def point_key(
             "seed": seed,
             "n_replications": n_replications,
             "kwargs": kwargs,
-            "use_batch": use_batch,
             "post": post_name,
         }
     )

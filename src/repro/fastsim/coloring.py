@@ -157,8 +157,7 @@ def fast_coloring_batch(
         )
 
     gains = network.gain_operator
-    kern = network.kernel_kind
-    fused = _kernels.use_compiled_updates(kern)
+    fused = _kernels.COMPILED
     noise = network.params.noise
     beta = network.params.beta
     counts_self = constants.playoff_counts_self
@@ -176,7 +175,7 @@ def fast_coloring_batch(
         prob: float, length: int, count_tx: bool, block_active: np.ndarray
     ) -> np.ndarray:
         """Run one test for active replications; per-station successes."""
-        nonlocal global_round, network, gains, kern, fused
+        nonlocal global_round, network, gains
         successes = np.zeros((B, n), dtype=int)
         draws = draw_block(rngs, block_active, length, n)
         for r in range(length):
@@ -184,13 +183,9 @@ def fast_coloring_batch(
             if network_hook is not None:
                 network = network_hook(global_round, network)
                 gains = network.gain_operator
-                kern = network.kernel_kind
-                fused = _kernels.use_compiled_updates(kern)
             if mac_hook is not None:
                 tx_mask = mac_hook(global_round, tx_mask, network)
-            heard_from = resolve_reception_batch(
-                gains, tx_mask, noise, beta, kernel=kern
-            )
+            heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
             heard = heard_from != NO_SENDER
             if fused:
                 _kernels.count_successes(

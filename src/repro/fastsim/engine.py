@@ -140,8 +140,7 @@ def dissemination_loop_batch(
     """
     B, n = informed.shape
     gains = network.gain_operator
-    kern = network.kernel_kind
-    fused = _kernels.use_compiled_updates(kern)
+    fused = _kernels.COMPILED
     noise = network.params.noise
     beta = network.params.beta
     if enabled is None:
@@ -162,13 +161,9 @@ def dissemination_loop_batch(
         if network_hook is not None:
             network = network_hook(round_no, network)
             gains = network.gain_operator
-            kern = network.kernel_kind
-            fused = _kernels.use_compiled_updates(kern)
         if mac_hook is not None:
             tx_mask = mac_hook(round_no, tx_mask, network)
-        heard_from = resolve_reception_batch(
-            gains, tx_mask, noise, beta, kernel=kern
-        )
+        heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
         if fused:
             # One jitted pass over (B, n) — same integer/boolean algebra
             # as the numpy expressions below (DESIGN.md §2.3).

@@ -128,7 +128,6 @@ class GridPoint:
         discipline of the first such point), one fingerprint and one
         shared-memory segment — e.g. several protocols compared on the
         same random network.
-    :param use_batch: forwarded to ``run_sweep``.
     """
 
     kind: str
@@ -140,7 +139,6 @@ class GridPoint:
     post: Optional[Callable[[Network, SweepResult], dict]] = None
     seed: Optional[int] = None
     share_deployment: Optional[str] = None
-    use_batch: bool = True
 
 
 @dataclass
@@ -291,7 +289,6 @@ def _prepare(spec: GridSpec) -> tuple[list[_Prepared], list[Network]]:
             seed=prep.seed,
             n_replications=prep.point.n_replications,
             kwargs=prep.kwargs,
-            use_batch=prep.point.use_batch,
             post_name=_post_name(prep.point.post),
         )
     return prepared, deployments
@@ -305,7 +302,6 @@ def _execute(prep: _Prepared, network: Network) -> tuple[SweepResult, dict]:
         prep.point.n_replications,
         prep.seed,
         prep.point.constants,
-        use_batch=prep.point.use_batch,
         **prep.kwargs,
     )
     extras = prep.point.post(network, sweep) if prep.point.post else {}
@@ -362,7 +358,7 @@ def _attach_network(dep_index: int) -> Network:
         data, indptr, indices = views
         net._backend_obj = SparseGainBackend.from_arrays(
             net.coords, net.params, net.channel, net.cutoff,
-            data, indices, indptr, kernel=net.kernel_kind,
+            data, indices, indptr,
         )
     else:
         (net._gain,) = views
@@ -764,7 +760,6 @@ def _run_service(
             seed=prep.seed,
             constants=prep.point.constants,
             kwargs=prep.kwargs,
-            use_batch=prep.point.use_batch,
             fingerprint=prep.network.fingerprint(),
             descriptor=prep.network.descriptor(),
             key=(prep.key or None) if prep.point.post is None else None,

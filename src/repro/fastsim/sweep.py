@@ -15,15 +15,16 @@ a single set of numpy operations:
   :func:`repro.sinr.reception.resolve_reception_batch`;
 * per-replication headline numbers land in a :class:`SweepResult`.
 
-Protocols without a batched kernel fall back to looping the reference
-simulator, so experiments can route every replication loop through
-:func:`run_sweep` unconditionally.
+Every sweepable kind has a batched kernel, so experiments route every
+replication loop through :func:`run_sweep` unconditionally; the
+reference simulators in :mod:`repro.core` and :mod:`repro.sim` are what
+the kernels are tested against, not a dispatch target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,8 +58,6 @@ class SweepResult:
         (``nan`` where the replication failed).
     :param success: ``(B,)`` per-replication success flags.
     :param outcomes: per-replication rich results (protocol-specific).
-    :param batched: whether the batched kernel ran (``False`` means the
-        reference-simulator fallback loop).
     """
 
     kind: str
@@ -66,7 +65,6 @@ class SweepResult:
     rounds: np.ndarray
     success: np.ndarray
     outcomes: list = field(default_factory=list)
-    batched: bool = True
 
     @property
     def n_replications(self) -> int:
@@ -144,33 +142,9 @@ def _batch_consensus(network, constants, rngs, *, x_max, values=None,
     )
 
 
-def _reference_consensus(network, constants, rng, *, x_max, values=None,
-                         **kwargs):
-    from repro.core.consensus import run_consensus
-
-    if values is None:
-        values = rng.integers(0, x_max + 1, size=network.size)
-    return run_consensus(
-        network, np.asarray(values).tolist(), x_max, constants, rng,
-        **kwargs,
-    )
-
-
-def _reference_adhoc_wakeup(network, constants, rng, *, schedule, **kwargs):
-    from repro.core.wakeup import run_adhoc_wakeup
-
-    return run_adhoc_wakeup(network, schedule, constants, rng, **kwargs)
-
-
-def _reference_leader(network, constants, rng, **kwargs):
-    from repro.core.leader_election import run_leader_election
-
-    return run_leader_election(network, constants, rng, **kwargs)
-
-
 @dataclass(frozen=True)
 class _SweepKind:
-    """One sweepable protocol: batched kernel + fallback + extractor.
+    """One sweepable protocol: batched kernel + headline extractor.
 
     ``takes_mac`` marks kinds whose runner accepts a
     :class:`repro.mac.MacModel` directly as a ``mac=`` argument (the
@@ -180,8 +154,7 @@ class _SweepKind:
     """
 
     headline: Callable
-    batch: Optional[Callable] = None
-    reference: Optional[Callable] = None
+    batch: Callable
     takes_mac: bool = False
 
 
@@ -229,7 +202,6 @@ SWEEP_KINDS: dict[str, _SweepKind] = {
         headline=_broadcast_headline,
         batch=lambda network, constants, rngs, *, schedule, **kw:
             fast_adhoc_wakeup_batch(network, schedule, constants, rngs, **kw),
-        reference=_reference_adhoc_wakeup,
     ),
     "colored_wakeup": _SweepKind(
         headline=_broadcast_headline,
@@ -242,13 +214,11 @@ SWEEP_KINDS: dict[str, _SweepKind] = {
     "consensus": _SweepKind(
         headline=_consensus_headline,
         batch=_batch_consensus,
-        reference=_reference_consensus,
     ),
     "leader_election": _SweepKind(
         headline=_leader_headline,
         batch=lambda network, constants, rngs, **kw:
             fast_leader_election_batch(network, constants, rngs, **kw),
-        reference=_reference_leader,
     ),
     "traffic": _SweepKind(
         headline=_traffic_headline,
@@ -269,8 +239,6 @@ def run_sweep(
     n_replications: int,
     seed: "int | np.random.SeedSequence",
     constants: Optional[ProtocolConstants] = None,
-    *,
-    use_batch: bool = True,
     **kwargs,
 ) -> SweepResult:
     """Run ``n_replications`` independent replications of one protocol.
@@ -278,9 +246,7 @@ def run_sweep(
     The workhorse of the experiment harness: spawns one generator per
     replication from ``seed`` (the same spawning discipline as
     ``trial_rngs``), dispatches to the protocol's batched kernel, and
-    aggregates per-replication headline numbers.  ``use_batch=False`` (or
-    a kind without a batched kernel) loops the reference simulator
-    instead, one replication at a time.
+    aggregates per-replication headline numbers.
 
     :param kind: one of :func:`sweep_kinds`.
     :param kwargs: protocol-specific arguments (``source=...`` for the
@@ -312,12 +278,6 @@ def run_sweep(
 
     mobility = kwargs.pop("mobility", None)
     if mobility is not None:
-        if not use_batch or spec.batch is None:
-            raise ProtocolError(
-                "mobility sweeps need a batched kernel: the reference "
-                "simulator has no per-round network callback "
-                f"(kind {kind!r} with use_batch={use_batch})"
-            )
         from repro.deploy.mobility import mobility_hook
 
         kwargs["network_hook"] = mobility_hook(mobility)
@@ -327,30 +287,11 @@ def run_sweep(
         if spec.takes_mac:
             kwargs["mac"] = mac
         else:
-            if not use_batch or spec.batch is None:
-                raise ProtocolError(
-                    "MAC sweeps need a batched kernel: the reference "
-                    "simulator has no per-slot transmit-decision hook "
-                    f"(kind {kind!r} with use_batch={use_batch})"
-                )
             from repro.mac import mac_hook
 
             kwargs["mac_hook"] = mac_hook(mac)
 
-    if use_batch and spec.batch is not None:
-        outcomes = spec.batch(network, constants, rngs, **kwargs)
-        batched = True
-    elif spec.reference is not None:
-        outcomes = [
-            spec.reference(network, constants, rng, **kwargs)
-            for rng in rngs
-        ]
-        batched = False
-    else:
-        raise ProtocolError(
-            f"sweep kind {kind!r} has no reference fallback"
-        )
-
+    outcomes = spec.batch(network, constants, rngs, **kwargs)
     rounds = np.empty(n_replications)
     success = np.empty(n_replications, dtype=bool)
     for b, outcome in enumerate(outcomes):
@@ -361,5 +302,4 @@ def run_sweep(
         rounds=rounds,
         success=success,
         outcomes=list(outcomes),
-        batched=batched,
     )

@@ -49,21 +49,16 @@ class VectorColoringState:
     channel outcomes, and it tracks quit levels and test counters for all
     stations of all replications.  Stations outside the ``active`` mask
     neither transmit nor observe (their counters stay frozen), matching
-    inactive reference nodes.  ``kernel`` selects the accumulation
-    implementation (fused jitted loops under ``"compiled"`` with numba;
-    the numpy expressions otherwise — same integer algebra either way,
-    DESIGN.md §2.3).
+    inactive reference nodes.  Counters accumulate through the fused
+    loop kernel when :data:`repro.kernels.COMPILED` is set and the numpy
+    expressions otherwise — same integer algebra either way
+    (DESIGN.md §2.3).
     """
 
-    def __init__(
-        self,
-        schedule: ColoringSchedule,
-        batch_size: int,
-        kernel: str = "numpy",
-    ):
+    def __init__(self, schedule: ColoringSchedule, batch_size: int):
         self.schedule = schedule
         self.constants = schedule.constants
-        self._fused = _kernels.use_compiled_updates(kernel)
+        self._fused = _kernels.COMPILED
         shape = (batch_size, schedule.n)
         self.quit_level = np.full(shape, -1, dtype=int)
         self.has_quit = np.zeros(shape, dtype=bool)
@@ -183,8 +178,7 @@ def fast_adhoc_wakeup_batch(
         round_budget = spread + phase_len * (2 * depth + budget_slack)
 
     gains = network.gain_operator
-    kern = network.kernel_kind
-    fused = _kernels.use_compiled_updates(kern)
+    fused = _kernels.COMPILED
     noise = network.params.noise
     beta = network.params.beta
 
@@ -210,7 +204,7 @@ def fast_adhoc_wakeup_batch(
             break
         phase, offset = divmod(round_no, phase_len)
         if offset == 0 or state is None:
-            state = VectorColoringState(coloring_schedule, B, kernel=kern)
+            state = VectorColoringState(coloring_schedule, B)
             phase_diss = None
         # Spontaneous wake-ups fire before this round's transmissions.
         if spontaneous.any():
@@ -234,13 +228,9 @@ def fast_adhoc_wakeup_batch(
         if network_hook is not None:
             network = network_hook(round_no, network)
             gains = network.gain_operator
-            kern = network.kernel_kind
-            fused = _kernels.use_compiled_updates(kern)
         if mac_hook is not None:
             tx_mask = mac_hook(round_no, tx_mask, network)
-        heard_from = resolve_reception_batch(
-            gains, tx_mask, noise, beta, kernel=kern
-        )
+        heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
         heard = heard_from != NO_SENDER
         if fused:
             _kernels.wake_update(

@@ -1,4 +1,4 @@
-"""Pluggable compiled kernel backend (DESIGN.md §2.3).
+"""Compiled loop kernels (DESIGN.md §2.3).
 
 The SINR resolvers and the per-round protocol state updates each have
 two implementations: the vectorized numpy expressions (the reference
@@ -28,38 +28,22 @@ Why the loops can promise bitwise equality:
 * the state updates are pure boolean/integer algebra, where equality
   is structural.
 
-Selection: ``Network(kernel="auto"|"numpy"|"compiled")``, with the
-``REPRO_KERNEL`` environment variable filling in whenever the request
-is ``"auto"``.  ``"auto"`` resolves to ``"compiled"`` when numba is
-importable and ``"numpy"`` otherwise, so environments without numba
-(including CI's fallback leg) run unchanged.  An explicit
-``"compiled"`` always takes the loop implementations — un-jitted pure
-python when numba is absent: slow, but bitwise identical, which is how
-the differential suite exercises the compiled arithmetic everywhere.
-
-The *float-fold* kernels (near scan, dense folds) keep their loop form
-without numba so the fallback runs the same accumulation order as the
-jitted code.  The *state-update* kernels are only dispatched when numba
-is actually present (:func:`use_compiled_updates`): their numpy
-expressions are elementwise boolean/integer operations the loops match
-structurally, so degrading to numpy loses nothing while sparing pure
-python an O(B·n)-per-round interpreted loop.
+Selection is by platform, not by caller: :data:`COMPILED` is set once,
+at import, from whether numba imports, and every resolver and protocol
+round loop reads it when called.  With numba, both the float folds and
+the fused state updates run jitted; without it, the numpy expressions
+run.  No argument, descriptor key or environment variable chooses — the
+two implementations return identical bytes, so there is nothing for a
+caller to choose between (:attr:`repro.network.network.Network.kernel_kind`
+reports the choice).  Tests drive the loops on any machine by
+monkeypatching :data:`COMPILED` to ``True``: without numba they then run
+as un-jitted python, slow but bitwise identical, which is how the
+differential suite checks the loop arithmetic everywhere.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 import numpy as np
-
-from repro.errors import ProtocolError
-
-#: Environment variable consulted when the kernel request is ``"auto"``.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Recognized kernel selectors (DESIGN.md §2.3).
-KERNELS = ("auto", "numpy", "compiled")
 
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit as _njit
@@ -74,6 +58,12 @@ except ImportError:  # pragma: no cover - the only branch on this box
 
         return _decorate
 
+#: Whether the loop kernels below serve the resolvers and the per-round
+#: state updates (DESIGN.md §2.3).  Set from the platform — numba
+#: present means jitted loops, absent means numpy — and never by a
+#: caller; callers read it at call time, so a test may monkeypatch it.
+COMPILED: bool = HAVE_NUMBA
+
 
 def _jit(fn):
     """Jit ``fn`` when numba is available; return it untouched otherwise.
@@ -83,46 +73,6 @@ def _jit(fn):
     processes (the grid layer forks workers per run).
     """
     return _njit(cache=True, fastmath=False)(fn)
-
-
-def resolve_kernel(request: Optional[str] = None) -> str:
-    """Resolve a kernel request to ``"numpy"`` or ``"compiled"``.
-
-    ``None`` means ``"auto"``.  An ``"auto"`` request is first filled
-    from :data:`KERNEL_ENV` (so ``REPRO_KERNEL=compiled pytest`` flips a
-    whole run without touching call sites), then falls back to
-    ``"compiled"`` iff numba is importable.  Explicit ``"numpy"`` /
-    ``"compiled"`` requests always win over the environment.
-    """
-    if request is None:
-        request = "auto"
-    if request not in KERNELS:
-        raise ProtocolError(
-            f"unknown kernel {request!r}; expected one of {KERNELS}"
-        )
-    if request == "auto":
-        env = os.environ.get(KERNEL_ENV, "").strip()
-        if env:
-            if env not in KERNELS:
-                raise ProtocolError(
-                    f"unknown {KERNEL_ENV} value {env!r}; expected one "
-                    f"of {KERNELS}"
-                )
-            request = env
-    if request == "auto":
-        return "compiled" if HAVE_NUMBA else "numpy"
-    return request
-
-
-def use_compiled_updates(kernel: str) -> bool:
-    """Whether the fused state-update kernels should serve ``kernel``.
-
-    True only for ``"compiled"`` with numba actually present: the state
-    updates are exact boolean/integer algebra either way, so without a
-    jit the numpy expressions *are* the fallback (running them as
-    interpreted python loops would cost O(B·n) per round for nothing).
-    """
-    return kernel == "compiled" and HAVE_NUMBA
 
 
 # ----------------------------------------------------------------------

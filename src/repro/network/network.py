@@ -34,11 +34,6 @@ from repro.sinr.sparse import (
 #: Recognized SINR backend selectors (DESIGN.md §2.2).
 BACKENDS = ("auto", "dense", "sparse")
 
-#: Recognized kernel selectors (DESIGN.md §2.3) — re-exported from
-#: :mod:`repro.kernels` so callers validating ``Network(kernel=...)``
-#: requests need only this module.
-KERNELS = _kernels.KERNELS
-
 #: Moved-station fraction above which :meth:`Network.advance` drops the
 #: incremental patch and lets the successor rebuild lazily from scratch
 #: — splicing cost approaches full-build cost well before every row is
@@ -66,13 +61,10 @@ class Network:
         Euclidean deployments under radial channels and dense otherwise.
     :param cutoff: near-field cutoff radius of the sparse backend
         (default ``2 r``); ignored in dense mode.
-    :param kernel: kernel selector (DESIGN.md §2.3): ``"numpy"`` runs
-        the vectorized reference arithmetic, ``"compiled"`` the
-        numba-jitted loop kernels (pure-python loops when numba is
-        absent), ``"auto"`` (default) defers to the ``REPRO_KERNEL``
-        environment variable and then to numba availability.  The two
-        kernels are bitwise identical, so the choice never enters
-        :meth:`fingerprint` or cache keys.
+
+    Which implementation of the hot loops runs is the platform's
+    choice, not the caller's (DESIGN.md §2.3): :attr:`kernel_kind`
+    reports it.
     """
 
     def __init__(
@@ -84,16 +76,11 @@ class Network:
         channel: Optional[ChannelModel] = None,
         backend: str = "auto",
         cutoff: Optional[float] = None,
-        kernel: str = "auto",
     ):
         if backend not in BACKENDS:
             raise ProtocolError(
                 f"unknown SINR backend {backend!r}; expected one of "
                 f"{BACKENDS}"
-            )
-        if kernel not in KERNELS:
-            raise ProtocolError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
@@ -103,6 +90,8 @@ class Network:
                 f"coordinates must be a non-empty (n, d) array, "
                 f"got shape {coords.shape}"
             )
+        if not np.isfinite(coords).all():
+            raise DeploymentError("coordinates must be finite numbers")
         self._coords = coords
         self._coords.setflags(write=False)
         self.params = params if params is not None else SINRParameters.default()
@@ -113,8 +102,6 @@ class Network:
         self.channel = channel if channel is not None else default_channel()
         self._backend_request = backend
         self._cutoff = cutoff
-        self._kernel_request = kernel
-        self._kernel_kind: Optional[str] = None
         self._backend_kind: Optional[str] = None
         self._backend_obj: Optional[SparseGainBackend] = None
         self._dist: Optional[np.ndarray] = None
@@ -207,19 +194,13 @@ class Network:
 
     @property
     def kernel_kind(self) -> str:
-        """Resolved kernel: ``"numpy"`` or ``"compiled"``.
+        """The loop implementation in effect: ``"compiled"`` or ``"numpy"``.
 
-        ``"auto"`` consults the ``REPRO_KERNEL`` environment variable
-        and then numba availability (:func:`repro.kernels.resolve_kernel`),
-        once, at first access; an explicit constructor request always
-        wins over the environment.  The fastsim round loops pass this to
-        the resolvers each round.
+        A report of :data:`repro.kernels.COMPILED` — ``"compiled"``
+        exactly when numba is installed — for benches and experiment
+        reports; nothing reads it to choose a path.
         """
-        if self._kernel_kind is None:
-            self._kernel_kind = _kernels.resolve_kernel(
-                self._kernel_request
-            )
-        return self._kernel_kind
+        return "compiled" if _kernels.COMPILED else "numpy"
 
     @property
     def sparse_backend(self) -> SparseGainBackend:
@@ -236,8 +217,7 @@ class Network:
                     f"{type(self.metric).__name__}"
                 )
             self._backend_obj = SparseGainBackend(
-                self._coords, self.params, self.channel, self._cutoff,
-                kernel=self.kernel_kind,
+                self._coords, self.params, self.channel, self._cutoff
             )
         return self._backend_obj
 
@@ -365,11 +345,9 @@ class Network:
     def descriptor(self) -> dict:
         """The constructor kwargs that rebuild this network: ``Network(**d)``.
 
-        Carries the backend, cutoff and kernel *requests*, not their
-        resolved values: a rebuild resolves them exactly as this network
-        did (same coordinates, parameters, metric and channel), and a
-        kernel request resolves against the rebuilding process's own
-        environment, which never changes results (DESIGN.md §2.3).  Fork
+        Carries the backend and cutoff *requests*, not their resolved
+        values: a rebuild resolves them exactly as this network did
+        (same coordinates, parameters, metric and channel).  Fork
         workers, service daemons and the copy methods all rebuild from
         this dict, so the rebuilt fingerprint and gain structure match
         bit for bit.  The coordinate array is shared, not copied — it is
@@ -383,7 +361,6 @@ class Network:
             "channel": self.channel,
             "backend": self._backend_request,
             "cutoff": self._cutoff,
-            "kernel": self._kernel_request,
         }
 
     def fingerprint(self) -> str:
@@ -451,16 +428,16 @@ class Network:
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Indices of stations within ``radius`` of station ``center``.
 
-        Sparse mode serves radii up to the cutoff from the cell index;
-        larger radii (rare — analysis code on small networks) fall back
-        to the dense distance matrix.
+        Sparse mode serves radii up to the cutoff from the cell index
+        and larger radii from ``center``'s own row of distances, so it
+        never builds the ``(n, n)`` matrix; the row is bitwise the dense
+        matrix's row.
         """
-        if (
-            self.backend_kind == "sparse"
-            and self._dist is None
-            and radius <= self.cutoff
-        ):
-            return self.sparse_backend.neighbors_within(center, radius)
+        if self.backend_kind == "sparse" and self._dist is None:
+            if radius <= self.cutoff:
+                return self.sparse_backend.neighbors_within(center, radius)
+            row = _distance_rows(self._coords, np.asarray([center]))[0]
+            return np.flatnonzero(row <= radius)
         return np.flatnonzero(self.distances[center] <= radius)
 
     # ------------------------------------------------------------------
@@ -546,13 +523,10 @@ class Network:
         """Install patched distance (and gain) matrices on ``successor``.
 
         Only the ``moved`` rows and columns are recomputed; the
-        expressions mirror :func:`repro.geometry.metric.pairwise_distances`
-        and the radial channel's elementwise gain, so patched entries
-        are bitwise equal to a fresh build's.
+        expressions mirror the radial channel's elementwise gain, so
+        patched entries are bitwise equal to a fresh build's.
         """
-        diff = new_coords[moved][:, None, :] - new_coords[None, :, :]
-        rows = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        rows[np.arange(moved.size), moved] = 0.0
+        rows = _distance_rows(new_coords, moved)
         check = rows.copy()
         check[np.arange(moved.size), moved] = np.inf
         if self.size > 1 and float(check.min()) < MIN_DISTANCE:
@@ -620,3 +594,15 @@ class Network:
 
     def __repr__(self) -> str:
         return f"Network(name={self.name!r}, n={self.size})"
+
+
+def _distance_rows(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the Euclidean distance matrix of ``coords``.
+
+    The expression of :func:`repro.geometry.metric.pairwise_distances`
+    restricted to those rows, so each row is bitwise the full matrix's.
+    """
+    diff = coords[rows][:, None, :] - coords[None, :, :]
+    out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    out[np.arange(rows.size), rows] = 0.0
+    return out

@@ -258,7 +258,6 @@ class ServiceClient:
         descriptor: Optional[dict] = None,
         constants=None,
         kwargs: Optional[dict] = None,
-        use_batch: bool = True,
         key: Optional[str] = None,
     ) -> dict:
         """Run a protocol sweep server-side on a resident network.
@@ -279,7 +278,6 @@ class ServiceClient:
             "seed": seed,
             "constants": constants,
             "kwargs": kwargs or {},
-            "use_batch": use_batch,
             "key": key,
         }
         reply = await self.request("sweep", payload=pack_pickle(payload))

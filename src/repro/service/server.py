@@ -94,8 +94,10 @@ def build_network(spec: dict) -> Network:
     Shared optional keys: ``params`` (kwargs of
     :meth:`SINRParameters.default`), ``channel`` (``{"kind":
     "uniform" | "log_normal" | "dual_slope", ...kwargs}``), ``backend``,
-    ``cutoff``, ``kernel``, ``name``.  The same spec always builds the
-    same network — the fingerprint is the client's stable handle.
+    ``cutoff``, ``name``.  The same spec always builds the same network
+    — the fingerprint is the client's stable handle.  Which kernel
+    implementation serves it is the daemon platform's choice, reported
+    as the ``build`` reply's ``kernel``.
     """
     from repro import deploy
     from repro.sinr.channel import (
@@ -109,7 +111,7 @@ def build_network(spec: dict) -> Network:
         params = SINRParameters.default(**spec["params"])
     shared = {
         key: spec[key]
-        for key in ("backend", "cutoff", "kernel")
+        for key in ("backend", "cutoff")
         if key in spec and spec[key] is not None
     }
     channel_spec = spec.get("channel")
@@ -495,12 +497,23 @@ class ServiceServer:
         return {"receptions": pairs.tolist(), "n": net.size}
 
     async def _op_ball(self, request: dict) -> dict:
-        """Stations within ``radius`` of ``center``."""
+        """Stations within ``radius`` of ``center``.
+
+        ``center`` must be an integer station index in ``[0, n)`` and
+        ``radius`` a finite number ``>= 0``.
+        """
         net = self._network(request)
-        center = int(request["center"])
-        radius = float(request["radius"])
-        if not 0 <= center < net.size:
-            raise ServiceError(f"center must be in [0, {net.size})")
+        center = request.get("center")
+        if type(center) is not int or not 0 <= center < net.size:
+            raise ServiceError(
+                f"'center' must be an integer in [0, {net.size}), "
+                f"got {center!r}"
+            )
+        radius = _real(request, "radius", None)
+        if not 0 <= radius < np.inf:
+            raise ServiceError(
+                f"'radius' must be finite and >= 0, got {radius}"
+            )
         members = await asyncio.to_thread(net.ball, center, radius)
         return {"stations": np.asarray(members).tolist()}
 
@@ -613,7 +626,6 @@ class ServiceServer:
                 payload["n_replications"],
                 payload["seed"],
                 payload.get("constants"),
-                use_batch=payload.get("use_batch", True),
                 **payload.get("kwargs", {}),
             )
             if key and self.cache is not None:

@@ -108,7 +108,6 @@ class Simulator:
             transmitters,
             self.network.params.noise,
             self.network.params.beta,
-            kernel=self.network.kernel_kind,
         )
 
         if self.trace is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,14 @@ from repro import kernels as _kernels
 
 #: Sentinel in the sender array for "heard nothing this round".
 NO_SENDER: int = -1
+
+#: Element budget of one slab of :func:`resolve_reception_batch`'s
+#: numpy path: rows are resolved in slabs of ``SLAB_ELEMENTS // n**2``
+#: (at least one), so the ``(B, n, k)`` ranking gather stays within
+#: about this many elements however large ``B`` is.  The dense twin of
+#: :data:`repro.sinr.sparse.SERVING_CHUNK_ELEMENTS`; slabbing is
+#: bitwise neutral per row.
+SLAB_ELEMENTS = 1 << 22
 
 #: Guards the module-level LRU caches (``_ARANGE_CACHE``,
 #: ``_RANK_CACHE``).  The service coalescer drives the resolvers from
@@ -65,7 +73,6 @@ def sinr_values(
     gain,
     transmitters: np.ndarray,
     noise: float,
-    kernel: Optional[str] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-transmitter SINR at every station.
 
@@ -75,22 +82,19 @@ def sinr_values(
         lower bound, DESIGN.md §2.2).
     :param transmitters: index array of this round's transmitters.
     :param noise: ambient noise ``N``.
-    :param kernel: kernel request (``None`` means ``"auto"``, see
-        :func:`repro.kernels.resolve_kernel`); ``"numpy"`` and
-        ``"compiled"`` are bitwise-identical (DESIGN.md §2.3).
     :returns: ``(best_sender, sinr)`` — for each station, the index of the
         strongest transmitter (``NO_SENDER`` if none transmit) and the SINR
         of that transmitter at the station (0 where no sender).
     """
     sparse = getattr(gain, "sinr_values", None)
     if sparse is not None:
-        return sparse(transmitters, noise, kernel=kernel)
+        return sparse(transmitters, noise)
     n = gain.shape[0]
     transmitters = np.asarray(transmitters, dtype=np.intp)
     best_sender = np.full(n, NO_SENDER, dtype=np.intp)
     if transmitters.size == 0:
         return best_sender, np.zeros(n)
-    if _kernels.resolve_kernel(kernel) == "compiled":
+    if _kernels.COMPILED:
         best_sender, strongest_gain, total = _kernels.sinr_single(
             gain, transmitters
         )
@@ -105,49 +109,6 @@ def sinr_values(
     interference = total - strongest_gain
     sinr = strongest_gain / (noise + interference)
     best_sender = transmitters[strongest_pos]
-    return best_sender, sinr
-
-
-def sinr_values_batch(
-    gain: np.ndarray,
-    tx_mask: np.ndarray,
-    noise: float,
-    kernel: Optional[str] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-transmitter SINR for ``B`` independent rounds at once.
-
-    The batched form of :func:`sinr_values`: replication ``b`` of the
-    batch has its own transmitter set ``tx_mask[b]`` but all replications
-    share one gain matrix (the sweep engine re-runs the same deployment
-    under different random seeds).
-
-    :param gain: shared ``(n, n)`` gain matrix.
-    :param tx_mask: ``(B, n)`` boolean transmitter mask.
-    :param noise: ambient noise ``N``.
-    :param kernel: kernel request (``None`` means ``"auto"``); both
-        kernels return identical bytes (DESIGN.md §2.3).
-    :returns: ``(best_sender, sinr)``, both ``(B, n)``.  ``best_sender``
-        is :data:`NO_SENDER` where a replication has no transmitters; it
-        is only meaningful where the SINR clears the threshold (with an
-        all-zero gain column the argmax is arbitrary but the SINR is 0).
-    """
-    tx_mask = np.asarray(tx_mask, dtype=bool)
-    if tx_mask.ndim != 2 or tx_mask.shape[1] != gain.shape[0]:
-        raise ValueError(
-            f"tx_mask must be (B, {gain.shape[0]}), got {tx_mask.shape}"
-        )
-    if _kernels.resolve_kernel(kernel) == "compiled":
-        strongest_pos, strongest_gain, total = _kernels.dense_strongest(
-            gain, tx_mask
-        )
-    else:
-        strongest_pos, strongest_gain, total = _strongest_transmitters(
-            gain, tx_mask
-        )
-    sinr = strongest_gain / (noise + total - strongest_gain)
-    best_sender = np.where(
-        tx_mask.any(axis=1)[:, None], strongest_pos, NO_SENDER
-    )
     return best_sender, sinr
 
 
@@ -298,8 +259,6 @@ def resolve_reception_batch(
     tx_mask: np.ndarray,
     noise: float,
     beta: float,
-    max_elements: int = 1 << 22,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Batched :func:`resolve_reception` over a ``(B, n)`` transmitter mask.
 
@@ -311,9 +270,9 @@ def resolve_reception_batch(
     SINR landing within an ulp of ``beta`` could in principle resolve
     differently.  *Within* each family the arithmetic is exact — a
     row's result is bitwise independent of the batch (and the slab
-    slicing bounded by ``max_elements``) it rides in, and independent
-    of the ``kernel`` serving it — which is the contract the sweep
-    engine builds on (DESIGN.md §6.2, §2.3).
+    slicing bounded by :data:`SLAB_ELEMENTS`) it rides in, and of which
+    implementation serves it — which is the contract the sweep engine
+    builds on (DESIGN.md §6.2, §2.3).
 
     ``gain`` may be a :class:`~repro.sinr.sparse.SparseGainBackend`
     instead of a dense matrix: the per-listener CSR scan replaces the
@@ -326,11 +285,13 @@ def resolve_reception_batch(
     """
     sparse = getattr(gain, "resolve_reception_batch", None)
     if sparse is not None:
-        return sparse(tx_mask, noise, beta, kernel=kernel)
+        return sparse(tx_mask, noise, beta)
     tx_mask = np.asarray(tx_mask, dtype=bool)
     n = gain.shape[0]
+    if tx_mask.ndim != 2 or tx_mask.shape[1] != n:
+        raise ValueError(f"tx_mask must be (B, {n}), got {tx_mask.shape}")
     B = tx_mask.shape[0]
-    if _kernels.resolve_kernel(kernel) == "compiled":
+    if _kernels.COMPILED:
         # The loop kernel never materializes the (B, n, k) position
         # tensor, so no slab slicing is needed; its per-row results are
         # bitwise equal to the numpy slabs regardless.
@@ -340,7 +301,7 @@ def resolve_reception_batch(
         sinr = strongest_gain / (noise + total - strongest_gain)
         heard = (sinr >= beta) & ~tx_mask & tx_mask.any(axis=1)[:, None]
         return np.where(heard, strongest, NO_SENDER).astype(np.intp)
-    slab = max(1, max_elements // max(1, n * n))
+    slab = max(1, SLAB_ELEMENTS // max(1, n * n))
     if B <= slab:
         return _resolve_slab(gain, tx_mask, noise, beta)
     heard = np.empty((B, n), dtype=np.intp)
@@ -367,7 +328,6 @@ def resolve_reception_many(
     transmitter_sets: Sequence[np.ndarray],
     noise: float,
     beta: float,
-    kernel: Optional[str] = None,
     compact: bool = False,
 ) -> list:
     """Resolve several *heterogeneous* transmitter sets in one batched call.
@@ -396,8 +356,6 @@ def resolve_reception_many(
         per query.
     :param noise: ambient noise ``N``.
     :param beta: SINR threshold.
-    :param kernel: kernel request (``None`` = ``"auto"``); kernels are
-        bitwise identical (DESIGN.md §2.3).
     :param compact: return each row as a ``(receivers, senders)``
         index-array pair — exactly the row's non-:data:`NO_SENDER`
         entries, decided by the same arithmetic — instead of the
@@ -415,13 +373,13 @@ def resolve_reception_many(
         # Sparse backend: resolve only at listeners reachable from each
         # set — far cheaper for the small heterogeneous sets a query
         # service serves (see that method for its equivalence contract).
-        return restricted(sets, noise, beta, kernel=kernel, compact=compact)
+        return restricted(sets, noise, beta, compact=compact)
     n = gain.shape[0]
     tx_mask = np.zeros((len(sets), n), dtype=bool)
     for b, transmitters in enumerate(sets):
         if transmitters.size:
             tx_mask[b, transmitters] = True
-    heard = resolve_reception_batch(gain, tx_mask, noise, beta, kernel=kernel)
+    heard = resolve_reception_batch(gain, tx_mask, noise, beta)
     if compact:
         out = []
         for b in range(len(sets)):
@@ -436,7 +394,6 @@ def resolve_reception(
     transmitters: np.ndarray,
     noise: float,
     beta: float,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Sender heard by each station this round (Eq. (1)).
 
@@ -451,8 +408,8 @@ def resolve_reception(
     """
     sparse = getattr(gain, "resolve_reception", None)
     if sparse is not None:
-        return sparse(transmitters, noise, beta, kernel=kernel)
-    return _dense_heard_and_sinr(gain, transmitters, noise, beta, kernel)[0]
+        return sparse(transmitters, noise, beta)
+    return _dense_heard_and_sinr(gain, transmitters, noise, beta)[0]
 
 
 def _dense_heard_and_sinr(
@@ -460,10 +417,9 @@ def _dense_heard_and_sinr(
     transmitters: np.ndarray,
     noise: float,
     beta: float,
-    kernel: Optional[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense :func:`resolve_reception` plus the :func:`sinr_values` SINR."""
-    best_sender, sinr = sinr_values(gain, transmitters, noise, kernel=kernel)
+    best_sender, sinr = sinr_values(gain, transmitters, noise)
     heard = np.where(sinr >= beta, best_sender, NO_SENDER)
     transmitters = np.asarray(transmitters, dtype=np.intp)
     if transmitters.size:
@@ -477,7 +433,6 @@ def resolve_at(
     listeners: np.ndarray,
     noise: float,
     beta: float,
-    kernel: Optional[str] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heard sender and SINR of one round, at ``listeners`` only.
 
@@ -495,8 +450,6 @@ def resolve_at(
     sparse = getattr(gain, "resolve_at", None)
     if sparse is not None:
         return sparse(transmitters, listeners, noise, beta)
-    heard, sinr = _dense_heard_and_sinr(
-        gain, transmitters, noise, beta, kernel
-    )
+    heard, sinr = _dense_heard_and_sinr(gain, transmitters, noise, beta)
     listeners = np.asarray(listeners, dtype=np.intp)
     return heard[listeners], sinr[listeners]

@@ -453,11 +453,10 @@ class SparseGainBackend:
         broadcast range they induce.
     :param channel: channel model; must be radial (distance-only).
     :param cutoff: near-field cutoff radius ``R`` (default ``2 r``).
-    :param kernel: kernel request for the near scan (``None`` means
-        ``"auto"``; resolved once at construction via
-        :func:`repro.kernels.resolve_kernel`).  Both kernels return
-        identical bytes (DESIGN.md §2.3), so the choice never enters
-        fingerprints or cache keys.
+
+    The near scan runs :func:`repro.kernels.csr_near_scan` when
+    :data:`repro.kernels.COMPILED` is set and the numpy fold otherwise;
+    both return identical bytes (DESIGN.md §2.3).
     """
 
     def __init__(
@@ -467,7 +466,6 @@ class SparseGainBackend:
         channel=None,
         cutoff: Optional[float] = None,
         *,
-        kernel: Optional[str] = None,
         _csr: Optional[tuple] = None,
         _cells: Optional["CellIndex"] = None,
     ):
@@ -484,8 +482,7 @@ class SparseGainBackend:
         self.cutoff = float(
             cutoff if cutoff is not None else default_cutoff(params)
         )
-        self.kernel = _kernels.resolve_kernel(kernel)
-        if self.cutoff < params.broadcast_range:
+        if not self.cutoff >= params.broadcast_range:  # NaN fails too
             raise ProtocolError(
                 f"sparse cutoff {self.cutoff} is below the broadcast range "
                 f"{params.broadcast_range}; far transmitters could then be "
@@ -585,7 +582,6 @@ class SparseGainBackend:
         data: np.ndarray,
         indices: np.ndarray,
         indptr: np.ndarray,
-        kernel: Optional[str] = None,
     ) -> "SparseGainBackend":
         """Rebuild a backend around precomputed CSR arrays.
 
@@ -594,11 +590,9 @@ class SparseGainBackend:
         the CSR arrays are zero-copy views into the parent's
         shared-memory segment.  The arrays must be exactly the ones a
         fresh build would produce — they carry the round arithmetic.
-        ``kernel`` carries the parent's kernel request into the worker.
         """
         return cls(
-            coords, params, channel, cutoff,
-            kernel=kernel, _csr=(data, indices, indptr),
+            coords, params, channel, cutoff, _csr=(data, indices, indptr)
         )
 
     @property
@@ -772,8 +766,7 @@ class SparseGainBackend:
 
         patched = SparseGainBackend(
             new_coords, self.params, self.channel, self.cutoff,
-            kernel=self.kernel, _csr=(data, indices, indptr),
-            _cells=new_cells,
+            _csr=(data, indices, indptr), _cells=new_cells,
         )
         # ``_dists`` stays lazy on the patched backend: protocol rounds
         # never touch it, and the :attr:`dists` property recomputes the
@@ -1059,7 +1052,7 @@ class SparseGainBackend:
         return listeners, values, senders
 
     def _near_scan(
-        self, transmitters: np.ndarray, kernel: Optional[str] = None
+        self, transmitters: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact near-field totals and strongest near sender.
 
@@ -1071,7 +1064,7 @@ class SparseGainBackend:
             compiled kernel walks the same CSR rows in the same order,
             so its bytes are identical (DESIGN.md §2.3).
         """
-        if (kernel or self.kernel) == "compiled":
+        if _kernels.COMPILED:
             return _kernels.csr_near_scan(
                 self.indptr, self.indices, self.data,
                 np.asarray(transmitters, dtype=np.int64), self.n,
@@ -1085,25 +1078,19 @@ class SparseGainBackend:
         tx_mask: np.ndarray,
         noise: float,
         beta: float,
-        kernel: Optional[str] = None,
     ) -> np.ndarray:
         """Batched Eq. (1) resolution with the certified truncation fold.
 
         Mirrors :func:`repro.sinr.reception.resolve_reception_batch`:
         returns the ``(B, n)`` heard-sender array.  The SINR denominator
         is ``N + I_near + I_far_estimate + band``; with the far set
-        empty it degenerates to the dense expression exactly.  ``kernel``
-        overrides the backend's construction-time kernel for this call.
+        empty it degenerates to the dense expression exactly.
         """
         tx_mask = np.asarray(tx_mask, dtype=bool)
         if tx_mask.ndim != 2 or tx_mask.shape[1] != self.n:
             raise ValueError(
                 f"tx_mask must be (B, {self.n}), got {tx_mask.shape}"
             )
-        kern = (
-            self.kernel if kernel is None
-            else _kernels.resolve_kernel(kernel)
-        )
         B = tx_mask.shape[0]
         heard = np.full((B, self.n), NO_SENDER, dtype=np.intp)
         far = band = None
@@ -1113,9 +1100,7 @@ class SparseGainBackend:
             transmitters = np.flatnonzero(tx_mask[b])
             if transmitters.size == 0:
                 continue
-            total, best_gain, best_sender = self._near_scan(
-                transmitters, kern
-            )
+            total, best_gain, best_sender = self._near_scan(transmitters)
             denom = noise + total - best_gain
             if far is not None:
                 denom = denom + far[b] + band[b]
@@ -1235,7 +1220,6 @@ class SparseGainBackend:
         transmitter_sets,
         noise: float,
         beta: float,
-        kernel: Optional[str] = None,
         compact: bool = False,
     ) -> list:
         """Heterogeneous-set resolution restricted to reachable listeners.
@@ -1264,9 +1248,8 @@ class SparseGainBackend:
         denominator terms are a different (tighter) rounding of the
         same certified sum, so decisions agree whenever the SINR margin
         exceeds ulp-scale rounding — and exactly, bit for bit, whenever
-        the far set is empty.  ``kernel`` is validated only: the fold
-        is numpy's for either request, whose bytes the compiled near
-        scan matches (DESIGN.md §2.3).
+        the far set is empty.  The fold is numpy's on every platform;
+        the compiled near scan matches its bytes (DESIGN.md §2.3).
 
         ``compact=True`` returns each row as a ``(receivers, senders)``
         index-array pair instead of materializing the length-``n`` row —
@@ -1277,8 +1260,6 @@ class SparseGainBackend:
         :returns: one length-``n`` heard-sender array per input set, or
             one ``(receivers, senders)`` pair per set if ``compact``.
         """
-        if kernel is not None:
-            _kernels.resolve_kernel(kernel)
         n = self.n
         arrays = [
             np.asarray(t, dtype=np.int64).ravel() for t in transmitter_sets
@@ -1339,7 +1320,6 @@ class SparseGainBackend:
         self,
         transmitters: np.ndarray,
         noise: float,
-        kernel: Optional[str] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Best near transmitter and its conservative SINR per station.
 
@@ -1347,19 +1327,14 @@ class SparseGainBackend:
         the SINR is the *certified lower bound* (truncation band folded
         into the denominator), equal to the dense value when the far set
         is empty.  Duplicate transmitter indices are collapsed.
-        ``kernel`` overrides the construction-time kernel for this call.
         """
         transmitters = np.unique(
             np.asarray(transmitters, dtype=np.int64)
         )
-        kern = (
-            self.kernel if kernel is None
-            else _kernels.resolve_kernel(kernel)
-        )
         best_sender = np.full(self.n, NO_SENDER, dtype=np.intp)
         if transmitters.size == 0:
             return best_sender, np.zeros(self.n)
-        total, best_gain, best = self._near_scan(transmitters, kern)
+        total, best_gain, best = self._near_scan(transmitters)
         denom = noise + total - best_gain
         if not self.far_empty:
             mask = np.zeros((1, self.n), dtype=bool)
@@ -1426,14 +1401,13 @@ class SparseGainBackend:
         transmitters: np.ndarray,
         noise: float,
         beta: float,
-        kernel: Optional[str] = None,
     ) -> np.ndarray:
         """Single-round resolution (the ``B = 1`` batched case)."""
         transmitters = np.asarray(transmitters, dtype=np.int64)
         mask = np.zeros((1, self.n), dtype=bool)
         if transmitters.size:
             mask[0, transmitters] = True
-        return self.resolve_reception_batch(mask, noise, beta, kernel)[0]
+        return self.resolve_reception_batch(mask, noise, beta)[0]
 
     # -- geometry queries ------------------------------------------------
     def pairs_within(
@@ -1552,7 +1526,7 @@ def sparse_supported(
         return False
     if cutoff is None:
         cutoff = default_cutoff(params)
-    if cutoff < params.broadcast_range:
+    if not cutoff >= params.broadcast_range:  # NaN fails too
         return False
     coords = np.asarray(coords, dtype=float)
     if coords.ndim == 1:

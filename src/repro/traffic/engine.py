@@ -209,7 +209,6 @@ def run_traffic(
     gain = network.gain_operator
     noise = network.params.noise
     beta = network.params.beta
-    kern = network.kernel_kind
 
     # Queues exist only for stations a packet has reached; ``backlog``
     # holds those with a packet waiting, so a slot's bookkeeping scales
@@ -245,9 +244,7 @@ def run_traffic(
             continue
         heads = [queues[v][0][0] for v in transmitters]
         hops = [next_hop[k][v] for k, v in zip(heads, transmitters)]
-        heard_from, sinr = resolve_at(
-            gain, transmitters, hops, noise, beta, kernel=kern
-        )
+        heard_from, sinr = resolve_at(gain, transmitters, hops, noise, beta)
         forwards = []  # (dest_station, flow_id, inject_round)
         for v, k, hop, sender, link_sinr in zip(
             transmitters, heads, hops, heard_from.tolist(), sinr.tolist()

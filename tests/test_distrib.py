@@ -446,7 +446,7 @@ class TestRunSharded:
     def test_empty_addresses_leaves_everything(self):
         req = PointRequest(
             index=0, kind="spont_broadcast", n_replications=1, seed=1,
-            constants=None, kwargs={}, use_batch=True,
+            constants=None, kwargs={},
             fingerprint="fp", descriptor={},
         )
         stats = run_sharded([req], [], on_sweep=lambda i, s: None)
@@ -460,7 +460,7 @@ class TestRunSharded:
         cache.put("k0", ("payload", {}))
         req = PointRequest(
             index=0, kind="spont_broadcast", n_replications=1, seed=1,
-            constants=None, kwargs={}, use_batch=True,
+            constants=None, kwargs={},
             fingerprint="fp", descriptor={}, key="k0",
         )
         got: dict = {}
@@ -482,7 +482,7 @@ class TestRunSharded:
         monkeypatch.setattr(client_module, "DEFAULT_REQUEST_TIMEOUT", 0.2)
         req = PointRequest(
             index=0, kind="spont_broadcast", n_replications=1, seed=1,
-            constants=None, kwargs={}, use_batch=True,
+            constants=None, kwargs={},
             fingerprint="fp", descriptor={},
         )
         outcome: dict = {}

@@ -59,7 +59,11 @@ def _displacements(
         lo = coords.min(axis=0)
         hi = coords.max(axis=0)
         steps = scale * rng.standard_normal((k, coords.shape[1]))
-        target = np.clip(coords[moved] + steps, lo, hi)
+        # Reflect off the box rather than clip: clipping piles movers
+        # onto its faces and corners, where two of them can coincide —
+        # a co-located deployment, which Network rightly refuses.
+        target = coords[moved] + steps
+        target = hi - np.abs(hi - (lo + np.abs(target - lo)))
         disp[moved] = target - coords[moved]
     else:
         mover = int(coords[:, 0].argmin())

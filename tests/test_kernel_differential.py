@@ -1,10 +1,10 @@
-"""Differential tests of the compiled kernel backend (DESIGN.md §2.3).
+"""Differential tests of the compiled loop kernels (DESIGN.md §2.3).
 
 The compiled loops (numba-jitted where available, pure python otherwise)
 and the numpy reference arithmetic are two implementations of one
 function, and the contract between them is **bitwise equality** — the
 property that lets the result cache and the network fingerprint ignore
-the kernel choice entirely.  This suite is the enforcement:
+which one ran.  This suite is the enforcement:
 
 * hypothesis fuzz over random gain matrices, transmitter masks and
   sparse deployments, asserting resolver outputs equal bit for bit;
@@ -13,15 +13,14 @@ the kernel choice entirely.  This suite is the enforcement:
   *entire execution* — every per-station round stamp — is identical;
 * a mobility ``advance`` step, whose patched CSR state must not depend
   on the kernel that will consume it;
-* a cross-kernel cache replay: a sweep computed under ``numpy`` must be
-  *hit* (not recomputed) by the same sweep requested under
-  ``compiled``, because their keys coincide by design;
-* the selection semantics of :func:`repro.kernels.resolve_kernel` and
-  the ``REPRO_KERNEL`` environment override.
+* a cross-kernel cache replay: a sweep computed by the numpy path must
+  be *hit* (not recomputed) by the same sweep under the loops, because
+  their keys coincide by design.
 
-Everything here runs with or without numba — without it, the
-``compiled`` leg exercises the un-jitted loop bodies, which are the
-same arithmetic the jit compiles.
+The platform picks the implementation (:data:`repro.kernels.COMPILED`);
+each leg here monkeypatches that constant, so everything runs with or
+without numba — without it, the compiled leg exercises the un-jitted
+loop bodies, which are the same arithmetic the jit compiles.
 """
 
 import numpy as np
@@ -38,7 +37,6 @@ from repro.deploy import (
     uniform_cube,
     uniform_square,
 )
-from repro.errors import ProtocolError
 from repro.fastsim.broadcast import fast_spont_broadcast_batch
 from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.grid import GridPoint, GridSpec, run_grid
@@ -53,7 +51,6 @@ from repro.sinr.reception import (
     resolve_reception,
     resolve_reception_batch,
     sinr_values,
-    sinr_values_batch,
 )
 from repro.sinr.sparse import SparseGainBackend
 
@@ -61,7 +58,20 @@ pytestmark = pytest.mark.compiled
 
 PARAMS = SINRParameters.default()
 CONSTANTS = ProtocolConstants.practical()
-KERNEL_PAIR = ("numpy", "compiled")
+
+
+def _legs(fn):
+    """``[fn() on the numpy path, fn() on the loop kernels]``.
+
+    The platform constant is patched per leg — the test substitution
+    for a machine with (or without) numba.
+    """
+    results = []
+    for compiled in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "COMPILED", compiled)
+            results.append(fn())
+    return results
 
 
 def _gains(seed: int, n: int, side: float = 2.2) -> np.ndarray:
@@ -91,16 +101,9 @@ class TestResolverFuzz:
     def test_dense_batched(self, seed, n, B, prob):
         gain = _gains(seed, n)
         tx_mask = np.random.default_rng(seed ^ 0xC0FE).random((B, n)) < prob
-        _bitwise([
-            resolve_reception_batch(
-                gain, tx_mask, PARAMS.noise, PARAMS.beta, kernel=k
-            )
-            for k in KERNEL_PAIR
-        ])
-        _bitwise([
-            sinr_values_batch(gain, tx_mask, PARAMS.noise, kernel=k)
-            for k in KERNEL_PAIR
-        ])
+        _bitwise(_legs(lambda: resolve_reception_batch(
+            gain, tx_mask, PARAMS.noise, PARAMS.beta
+        )))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -116,14 +119,10 @@ class TestResolverFuzz:
         tx = np.random.default_rng(seed ^ 0xBEEF).permutation(n)[
             : min(k, n)
         ]
-        _bitwise([
-            sinr_values(gain, tx, PARAMS.noise, kernel=kern)
-            for kern in KERNEL_PAIR
-        ])
-        _bitwise([
-            resolve_reception(gain, tx, PARAMS.noise, PARAMS.beta, kernel=kern)
-            for kern in KERNEL_PAIR
-        ])
+        _bitwise(_legs(lambda: sinr_values(gain, tx, PARAMS.noise)))
+        _bitwise(_legs(lambda: resolve_reception(
+            gain, tx, PARAMS.noise, PARAMS.beta
+        )))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -138,18 +137,14 @@ class TestResolverFuzz:
     def test_sparse_csr_scan(self, seed, n, B, prob, side, cutoff, dual_slope):
         coords = np.random.default_rng(seed).uniform(0, side, size=(n, 2))
         channel = DualSlope() if dual_slope else None
-        backends = [
-            SparseGainBackend(coords, PARAMS, channel, cutoff, kernel=k)
-            for k in KERNEL_PAIR
-        ]
+        backend = SparseGainBackend(coords, PARAMS, channel, cutoff)
         rng = np.random.default_rng(seed ^ 0xFACE)
         tx_mask = rng.random((B, n)) < prob
-        _bitwise([
-            b.resolve_reception_batch(tx_mask, PARAMS.noise, PARAMS.beta)
-            for b in backends
-        ])
+        _bitwise(_legs(lambda: backend.resolve_reception_batch(
+            tx_mask, PARAMS.noise, PARAMS.beta
+        )))
         tx = np.flatnonzero(tx_mask[0])
-        _bitwise([b.sinr_values(tx, PARAMS.noise) for b in backends])
+        _bitwise(_legs(lambda: backend.sinr_values(tx, PARAMS.noise)))
 
 
 #: Small connected deployments spanning the geometry families the paper
@@ -169,14 +164,14 @@ class TestProtocolTraces:
     """Whole protocol executions are kernel-independent, stamp for stamp.
 
     Each leg rebuilds the deployment and the replication rngs from the
-    same seeds under a different ``REPRO_KERNEL``, so the comparison
-    covers the full production path — deployment, coloring, pilot
-    rounds, dissemination, per-round state updates — not just one
-    resolver call.
+    same seeds under the other value of :data:`repro.kernels.COMPILED`,
+    so the comparison covers the full production path — deployment,
+    coloring, pilot rounds, dissemination, per-round state updates —
+    not just one resolver call.
     """
 
-    def _trace(self, monkeypatch, kern, deploy, channel, backend):
-        monkeypatch.setenv(kernels.KERNEL_ENV, kern)
+    @staticmethod
+    def _trace(deploy, channel, backend):
         net = deploy(np.random.default_rng(42))
         if channel is not None:
             net = net.with_channel(channel)
@@ -185,57 +180,66 @@ class TestProtocolTraces:
                 net.coords, net.params, name=net.name,
                 channel=net.channel, backend="sparse", cutoff=2.0,
             )
-        assert net.kernel_kind == kernels.resolve_kernel(kern)
+        assert net.kernel_kind == (
+            "compiled" if kernels.COMPILED else "numpy"
+        )
         return fast_spont_broadcast_batch(
             net, 0, CONSTANTS, spawn_rngs(2, 99)
         )
 
     @pytest.mark.parametrize("channel_name", sorted(CHANNELS))
     @pytest.mark.parametrize("deploy_name", sorted(DEPLOYMENTS))
-    def test_broadcast_trace(self, monkeypatch, deploy_name, channel_name):
-        runs = [
-            self._trace(
-                monkeypatch, kern, DEPLOYMENTS[deploy_name],
-                CHANNELS[channel_name], "dense",
-            )
-            for kern in KERNEL_PAIR
-        ]
+    def test_broadcast_trace(self, deploy_name, channel_name):
+        runs = _legs(lambda: self._trace(
+            DEPLOYMENTS[deploy_name], CHANNELS[channel_name], "dense"
+        ))
         for a, b in zip(*runs):
             assert a.success == b.success
             assert a.completion_round == b.completion_round
             assert a.total_rounds == b.total_rounds
             assert np.array_equal(a.informed_round, b.informed_round)
 
-    def test_broadcast_trace_sparse_backend(self, monkeypatch):
-        runs = [
-            self._trace(
-                monkeypatch, kern, DEPLOYMENTS["square"], None, "sparse"
-            )
-            for kern in KERNEL_PAIR
-        ]
+    def test_broadcast_trace_sparse_backend(self):
+        runs = _legs(
+            lambda: self._trace(DEPLOYMENTS["square"], None, "sparse")
+        )
         for a, b in zip(*runs):
             assert a.total_rounds == b.total_rounds
             assert np.array_equal(a.informed_round, b.informed_round)
 
-    def test_wakeup_trace(self, monkeypatch):
-        outcomes = []
-        for kern in KERNEL_PAIR:
-            monkeypatch.setenv(kernels.KERNEL_ENV, kern)
+    def test_wakeup_trace(self):
+        def run():
             net = DEPLOYMENTS["square"](np.random.default_rng(42))
             schedule = WakeupSchedule(
                 np.random.default_rng(3).integers(0, 6, net.size)
             )
-            outcomes.append(
-                fast_adhoc_wakeup_batch(
-                    net, schedule, CONSTANTS, spawn_rngs(2, 5),
-                    round_budget=200,
-                )
+            return fast_adhoc_wakeup_batch(
+                net, schedule, CONSTANTS, spawn_rngs(2, 5),
+                round_budget=200,
             )
-        for a, b in zip(*outcomes):
+
+        for a, b in zip(*_legs(run)):
             assert a.success == b.success
             assert a.total_rounds == b.total_rounds
             assert np.array_equal(a.informed_round, b.informed_round)
             assert a.extras["wakeup_time"] == b.extras["wakeup_time"]
+
+    def test_wakeup_trace_single_initiator(self):
+        # One spontaneous waker: every other station is woken by hearing
+        # a message, so the fused wake marking (the phase a woken
+        # station joins) and the coloring test counters shape the run.
+        def run():
+            net = DEPLOYMENTS["square"](np.random.default_rng(42))
+            return fast_adhoc_wakeup_batch(
+                net, WakeupSchedule.single(net.size, 0), CONSTANTS,
+                spawn_rngs(2, 5),
+            )
+
+        outcomes = _legs(run)
+        assert all(out.success for out in outcomes[0])
+        for a, b in zip(*outcomes):
+            assert a.total_rounds == b.total_rounds
+            assert np.array_equal(a.informed_round, b.informed_round)
 
 
 class TestMobilityAdvance:
@@ -245,102 +249,43 @@ class TestMobilityAdvance:
         coords = np.random.default_rng(8).uniform(0, 4, size=(40, 2))
         session = BrownianDrift(0.05, seed=3).session(coords)
         disp = session.displacements(coords, 0)
-        advanced = []
-        for kern in KERNEL_PAIR:
-            net = Network(
-                coords, backend="sparse", cutoff=1.5, kernel=kern
-            ).advance(disp)
-            backend = net.sparse_backend
-            advanced.append(
-                (backend.indptr, backend.indices, backend.data, net)
-            )
-        (pa, ia, da, neta), (pb, ib, db, netb) = advanced
-        assert np.array_equal(pa, pb)
-        assert np.array_equal(ia, ib)
-        assert np.array_equal(da, db)
         tx = np.random.default_rng(5).random((3, 40)) < 0.3
-        _bitwise([
-            resolve_reception_batch(
-                net.gain_operator, tx, PARAMS.noise, PARAMS.beta
+
+        def run():
+            net = Network(coords, backend="sparse", cutoff=1.5)
+            backend = net.advance(disp).sparse_backend
+            heard = resolve_reception_batch(
+                backend, tx, PARAMS.noise, PARAMS.beta
             )
-            for net in (neta, netb)
-        ])
+            return backend.indptr, backend.indices, backend.data, heard
+
+        _bitwise(_legs(run))
 
 
 class TestCacheReplay:
-    """A numpy-computed sweep replays under ``compiled`` — same key."""
+    """A numpy-computed sweep replays under the loop kernels — same key."""
 
     def test_cross_kernel_cache_hit(self, tmp_path):
         coords = np.random.default_rng(1).uniform(0, 1.5, size=(12, 2))
-
-        def point(kern):
-            return GridPoint(
+        spec = GridSpec(
+            points=[GridPoint(
                 kind="spont_broadcast",
-                deployment=lambda rng: Network(
-                    coords, name="diff-cache", kernel=kern
-                ),
+                deployment=lambda rng: Network(coords, name="diff-cache"),
                 n_replications=2,
-                label=f"kernel={kern}",
+                label="diff-cache",
                 constants=CONSTANTS,
                 kwargs={"source": 0},
+            )],
+            seed=7,
+            name="diff",
+        )
+        first, replay = (
+            point for (point,) in _legs(
+                lambda: run_grid(spec, jobs=1, cache_dir=tmp_path)
             )
-
-        first = run_grid(
-            GridSpec(points=[point("numpy")], seed=7, name="diff"),
-            jobs=1, cache_dir=tmp_path,
-        )[0]
+        )
         assert not first.cached
-        replay = run_grid(
-            GridSpec(points=[point("compiled")], seed=7, name="diff"),
-            jobs=1, cache_dir=tmp_path,
-        )[0]
         assert replay.cached  # the §2.3 contract, paying rent
         assert np.array_equal(first.sweep.rounds, replay.sweep.rounds,
                               equal_nan=True)
         assert np.array_equal(first.sweep.success, replay.sweep.success)
-
-
-class TestKernelSelection:
-    """``resolve_kernel`` / ``REPRO_KERNEL`` semantics (DESIGN.md §2.3)."""
-
-    def test_none_means_auto(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        assert kernels.resolve_kernel(None) == kernels.resolve_kernel("auto")
-        expected = "compiled" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.resolve_kernel("auto") == expected
-
-    def test_env_fills_auto(self, monkeypatch):
-        for kern in KERNEL_PAIR:
-            monkeypatch.setenv(kernels.KERNEL_ENV, kern)
-            assert kernels.resolve_kernel("auto") == kern
-            assert kernels.resolve_kernel(None) == kern
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-        assert kernels.resolve_kernel("compiled") == "compiled"
-        monkeypatch.setenv(kernels.KERNEL_ENV, "compiled")
-        assert kernels.resolve_kernel("numpy") == "numpy"
-
-    def test_rejects_unknown_request(self):
-        with pytest.raises(ProtocolError):
-            kernels.resolve_kernel("fortran")
-
-    def test_rejects_unknown_env_value(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "fortran")
-        with pytest.raises(ProtocolError):
-            kernels.resolve_kernel("auto")
-        # ... but explicit requests never consult the environment.
-        assert kernels.resolve_kernel("numpy") == "numpy"
-
-    def test_network_validates_kernel(self):
-        coords = np.zeros((2, 2))
-        coords[1, 0] = 0.5
-        with pytest.raises(ProtocolError):
-            Network(coords, kernel="fortran")
-        net = Network(coords, kernel="compiled")
-        assert net.kernel_kind == "compiled"
-        assert net.describe()["kernel"] == "compiled"
-
-    def test_fused_updates_require_numba(self):
-        assert not kernels.use_compiled_updates("numpy")
-        assert kernels.use_compiled_updates("compiled") == kernels.HAVE_NUMBA

@@ -459,13 +459,6 @@ class TestHookContract:
 
 
 class TestSweepIntegration:
-    def test_mac_requires_batched_kernel(self, small_chain):
-        with pytest.raises(ProtocolError):
-            run_sweep(
-                "leader_election", small_chain, 1, seed=1,
-                mac=CSMA(), use_batch=False,
-            )
-
     def test_cache_keys_split_bare_and_models(self, small_square):
         def key(kwargs):
             return point_key(

@@ -208,14 +208,6 @@ class TestSweepIntegration:
             mobile1.rounds, mobile2.rounds, equal_nan=True
         )
 
-    def test_mobility_requires_batched_kernel(self):
-        net = _net(n=16, seed=8)
-        with pytest.raises(ProtocolError):
-            run_sweep(
-                "leader_election", net, 1, seed=1,
-                mobility=BrownianDrift(0.01), use_batch=False,
-            )
-
     def test_cache_keys_split_static_dynamic_and_models(self):
         net = _net(n=16, seed=9)
         def key(kwargs):

@@ -5,12 +5,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DeploymentError,
     DisconnectedNetworkError,
     GeometryError,
+    ProtocolError,
 )
+from repro.geometry.metric import pairwise_distances
 from repro.network.graph import (
     bfs_layers,
     communication_graph,
@@ -344,7 +348,82 @@ class TestDescriptor:
     def test_descriptor_carries_requests_not_resolutions(self):
         net = Network(np.random.default_rng(2).random((12, 2)))
         d = net.descriptor()
-        assert (d["backend"], d["cutoff"], d["kernel"]) == (
-            "auto", None, "auto"
-        )
+        assert (d["backend"], d["cutoff"]) == ("auto", None)
+        assert "kernel" not in d
         assert d["coords"] is net.coords
+
+
+class TestBallBeyondCutoff:
+    """A sparse network answers radii past its cutoff from one row of
+    distances — never the ``(n, n)`` matrix — and the row is the dense
+    matrix's row bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3]),
+        n=st.integers(2, 60),
+        data=st.data(),
+    )
+    def test_matches_dense_row_at_exact_radii(self, seed, dim, n, data):
+        coords = np.random.default_rng(seed).uniform(0, 8.0, size=(n, dim))
+        net = Network(coords, backend="sparse")
+        dist = pairwise_distances(coords)
+        center = data.draw(st.integers(0, n - 1))
+        far = np.flatnonzero(dist[center] > net.cutoff)
+        # A radius equal to an actual distance puts that station exactly
+        # on the boundary: only a bitwise-equal row gets it right.
+        radius = (
+            float(dist[center, data.draw(st.sampled_from(far.tolist()))])
+            if far.size else 2.5 * net.cutoff
+        )
+        got = net.ball(center, radius)
+        assert net._dist is None
+        assert np.array_equal(got, np.flatnonzero(dist[center] <= radius))
+
+    def test_just_past_cutoff_leaves_no_matrix(self):
+        coords = np.random.default_rng(4).uniform(0, 20.0, size=(500, 2))
+        net = Network(coords, backend="sparse")
+        dense = Network(coords, backend="dense")
+        got = net.ball(0, net.cutoff * 1.01)
+        assert net._dist is None
+        assert np.array_equal(got, dense.ball(0, net.cutoff * 1.01))
+
+
+class TestNonFiniteInputs:
+    """NaN and inf never become station positions or a cutoff."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_constructor_rejects_non_finite_coords(self, backend, bad):
+        coords = np.random.default_rng(1).uniform(0, 2.0, size=(20, 2))
+        coords[7, 1] = bad
+        with pytest.raises(DeploymentError, match="finite"):
+            Network(coords, backend=backend)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_advance_rejects_non_finite_steps(self, backend, bad):
+        coords = np.random.default_rng(2).uniform(0, 2.0, size=(20, 2))
+        net = Network(coords, backend=backend)
+        net.gain_operator  # built, so advance would patch incrementally
+        disp = np.zeros_like(coords)
+        disp[3, 0] = bad
+        with pytest.raises(DeploymentError, match="finite"):
+            net.advance(disp)
+
+    def test_nan_cutoff_is_refused(self):
+        from repro.geometry.metric import EuclideanMetric
+        from repro.sinr.channel import default_channel
+        from repro.sinr.sparse import SparseGainBackend, sparse_supported
+
+        coords = np.random.default_rng(3).uniform(0, 2.0, size=(20, 2))
+        params = SINRParameters.default()
+        nan = float("nan")
+        with pytest.raises(ProtocolError, match="cutoff"):
+            SparseGainBackend(coords, params, cutoff=nan)
+        with pytest.raises(ProtocolError, match="cutoff"):
+            Network(coords, backend="sparse", cutoff=nan).gain_operator
+        assert not sparse_supported(
+            coords, params, EuclideanMetric(2), default_channel(), cutoff=nan
+        )

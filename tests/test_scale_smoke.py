@@ -84,19 +84,16 @@ def test_50k_wakeup_sweep_through_grid_layer():
 def test_1m_wakeup_round_through_sparse_kernel():
     """One n=1M wake-up round completes under the wall-clock budget.
 
-    ``kernel="auto"`` keeps the test honest on every machine: with
-    numba installed it drives the compiled CSR kernels, without it the
-    numpy fold (the two are bitwise identical, so the *protocol result*
-    asserted here is the same either way).  A tighter cutoff than the
+    The platform picks the kernels, which keeps the test honest on
+    every machine: with numba installed it drives the compiled CSR
+    kernels, without it the numpy fold (the two are bitwise identical,
+    so the *protocol result* asserted here is the same either way).  A tighter cutoff than the
     50k test (1.0 vs 2.0) keeps the CSR near field at ~65 entries/row.
     """
     start = perf_counter()
     side = math.sqrt(N_1M / DENSITY)
     coords = np.random.default_rng(2014).uniform(0, side, size=(N_1M, 2))
-    net = Network(
-        coords, name="smoke-1m", backend="sparse", cutoff=1.0,
-        kernel="auto",
-    )
+    net = Network(coords, name="smoke-1m", backend="sparse", cutoff=1.0)
 
     # The wake-up round: every station wakes spontaneously at round 0
     # and the batched kernel resolves reception over the full million.
@@ -115,8 +112,7 @@ def test_1m_wakeup_round_through_sparse_kernel():
     picks = np.random.default_rng(2014).choice(N_1M, N_1M // 50, False)
     tx[0, picks] = True
     heard = resolve_reception_batch(
-        net.gain_operator, tx, net.params.noise, net.params.beta,
-        kernel=net.kernel_kind,
+        net.gain_operator, tx, net.params.noise, net.params.beta
     )
     assert int((heard[0] != NO_SENDER).sum()) > 0
 

@@ -430,6 +430,86 @@ class TestSinrRejectsMalformedQueries:
         assert isinstance(_sinr_reply([3, 1], beta=True), ServiceError)
 
 
+def _op_reply(op, **fields):
+    """Reply (or the ServiceError) of one raw ``op`` request on SPEC."""
+    async def go():
+        async with _serve() as (_, client):
+            built = await client.build(SPEC)
+            try:
+                return await client.request(op, net=built["net"], **fields)
+            except ServiceError as exc:
+                return exc
+
+    return asyncio.run(go())
+
+
+class TestBallRejectsMalformedQueries:
+    """A ``ball`` query needs an integer centre and a finite radius."""
+
+    def test_well_formed_query_is_answered(self):
+        reply = _op_reply("ball", center=3, radius=0.5)
+        assert isinstance(reply, dict)
+        assert reply["stations"] == build_network(SPEC).ball(3, 0.5).tolist()
+
+    def test_string_center(self):
+        reply = _op_reply("ball", center="3", radius=0.5)
+        assert isinstance(reply, ServiceError)
+
+    def test_fractional_center(self):
+        reply = _op_reply("ball", center=3.7, radius=0.5)
+        assert isinstance(reply, ServiceError)
+
+    def test_boolean_center(self):
+        reply = _op_reply("ball", center=True, radius=0.5)
+        assert isinstance(reply, ServiceError)
+
+    def test_string_radius(self):
+        reply = _op_reply("ball", center=3, radius="0.5")
+        assert isinstance(reply, ServiceError)
+
+    def test_nan_radius(self):
+        reply = _op_reply("ball", center=3, radius=float("nan"))
+        assert isinstance(reply, ServiceError)
+
+    def test_negative_radius(self):
+        reply = _op_reply("ball", center=3, radius=-1)
+        assert isinstance(reply, ServiceError)
+
+
+class TestNonFiniteCoordinatesRefused:
+    """``build`` and ``advance`` refuse NaN/inf positions from the wire
+    (Python's ``json`` reads ``NaN`` and ``Infinity`` literals)."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_build_coords_spec(self, backend):
+        coords = np.random.default_rng(5).uniform(0, 2.0, size=(20, 2))
+        coords[4, 0] = np.nan
+
+        async def go():
+            async with _serve() as (server, client):
+                with pytest.raises(ServiceError, match="DeploymentError"):
+                    await client.build(
+                        {"coords": coords.tolist(), "backend": backend}
+                    )
+                assert len(server.pool) == 0
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_advance(self, backend, bad):
+        async def go():
+            async with _serve() as (server, client):
+                built = await client.build({**SPEC, "backend": backend})
+                disp = np.zeros((built["n"], 2))
+                disp[2, 1] = bad
+                with pytest.raises(ServiceError, match="DeploymentError"):
+                    await client.advance(built["net"], disp)
+                assert len(server.pool) == 1
+
+        asyncio.run(go())
+
+
 # ----------------------------------------------------------------------
 # per-request timeouts (the unbounded-await bug)
 # ----------------------------------------------------------------------

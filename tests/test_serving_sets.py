@@ -16,7 +16,6 @@ else shares the call.  Pinned here:
   (:data:`~repro.sinr.sparse.SERVING_CHUNK_ELEMENTS`) or kept in one,
   and mixed set sizes;
 * ``compact=False`` rows hold exactly the compact pairs;
-* the ``"compiled"`` kernel request answers what ``"numpy"`` does;
 * each far-field estimate and error equals, bit for bit, a per-pair
   reference evaluated from the kernel definitions.  Replies compare
   decisions only, which an ulp-level change in a far sum rarely flips.
@@ -192,17 +191,6 @@ def test_full_rows_hold_the_compact_pairs(name, data):
         assert row.dtype == np.intp and row.shape == (net.size,)
         assert np.array_equal(np.flatnonzero(row != NO_SENDER), receivers)
         assert np.array_equal(row[receivers], senders)
-
-
-@given(name=st.sampled_from(sorted(SMALL)), data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_compiled_request_matches_numpy(name, data):
-    net = _small(name)
-    sets = _draw_sets(data, net, max_sets=6)
-    numpy_rows = _resolve(net, sets, kernel="numpy", compact=True)
-    compiled_rows = _resolve(net, sets, kernel="compiled", compact=True)
-    for a, b in zip(numpy_rows, compiled_rows):
-        _same(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ These encode the paper's Facts 2/3-style reasoning as concrete channel
 behaviours: lone transmitters reach their range, co-transmitters collide,
 capture favours the nearest transmitter.
 
-The whole module is parametrized over the kernel backend (via the
-autouse :func:`kernel` fixture setting ``REPRO_KERNEL``), so every
-resolver test here doubles as a backend-conformance test: the compiled
-loops must reproduce the numpy reference bit for bit (DESIGN.md §2.3).
+The whole module is parametrized over the kernel implementation (via
+the autouse :func:`kernel` fixture patching
+:data:`repro.kernels.COMPILED`), so every resolver test here doubles as
+a conformance test: the compiled loops must reproduce the numpy
+reference bit for bit (DESIGN.md §2.3).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from repro import kernels
 from repro.errors import SimulationError
 from repro.geometry.metric import pairwise_distances
+from repro.sinr import reception
 from repro.sinr.gain import gain_matrix, interference_at, received_power
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import (
@@ -23,7 +25,6 @@ from repro.sinr.reception import (
     resolve_reception,
     resolve_reception_batch,
     sinr_values,
-    sinr_values_batch,
 )
 
 PARAMS = SINRParameters.default()  # alpha=3, beta=1, N=1, P=1*1... range 1
@@ -31,20 +32,19 @@ PARAMS = SINRParameters.default()  # alpha=3, beta=1, N=1, P=1*1... range 1
 
 @pytest.fixture(
     autouse=True,
-    params=["numpy", "compiled"],
+    params=[False, True],
     ids=["k-numpy", "k-compiled"],
 )
 def kernel(request, monkeypatch):
-    """Run every test in this module under both kernel backends.
+    """Run every test in this module under both kernel implementations.
 
-    The resolvers default to ``kernel=None`` (= ``"auto"``), which
-    consults :data:`repro.kernels.KERNEL_ENV` — so one environment
-    variable flips the whole module without touching any call site.
-    Without numba the ``"compiled"`` leg runs the un-jitted pure-python
+    The resolvers read :data:`repro.kernels.COMPILED` when called, so
+    patching it flips the whole module without touching any call site.
+    Without numba the compiled leg runs the un-jitted pure-python
     loops: slow but bitwise identical, which is exactly the contract
     under test.
     """
-    monkeypatch.setenv(kernels.KERNEL_ENV, request.param)
+    monkeypatch.setattr(kernels, "COMPILED", request.param)
     return request.param
 
 
@@ -242,11 +242,12 @@ class TestBatchedReception:
             for u in np.flatnonzero(heard[b] != NO_SENDER):
                 assert tx_mask[b, heard[b, u]]
 
-    def test_slab_chunking_is_bitwise_neutral(self):
+    def test_slab_chunking_is_bitwise_neutral(self, monkeypatch):
         g, tx_mask = self._random_case(6, n=12, B=16)
         whole = resolve_reception_batch(g, tx_mask, PARAMS.noise, PARAMS.beta)
+        monkeypatch.setattr(reception, "SLAB_ELEMENTS", 12 * 12)
         slabbed = resolve_reception_batch(
-            g, tx_mask, PARAMS.noise, PARAMS.beta, max_elements=12 * 12
+            g, tx_mask, PARAMS.noise, PARAMS.beta
         )
         assert np.array_equal(whole, slabbed)
 
@@ -261,19 +262,24 @@ class TestBatchedReception:
             assert np.array_equal(whole[b], alone)
 
     def test_sinr_values_batch_match(self):
+        # Every heard sender of a batched row is that row's strongest
+        # single-round sender, clearing beta in sinr_values too.
         g, tx_mask = self._random_case(8, B=4)
-        best, sinr = sinr_values_batch(g, tx_mask, PARAMS.noise)
+        heard = resolve_reception_batch(g, tx_mask, PARAMS.noise, PARAMS.beta)
         for b in range(4):
             tx = np.flatnonzero(tx_mask[b])
             sbest, ssinr = sinr_values(g, tx, PARAMS.noise)
-            keep = ssinr > 0
-            assert np.allclose(sinr[b][keep], ssinr[keep])
-            assert np.array_equal(best[b][keep], sbest[keep])
+            got = heard[b] != NO_SENDER
+            assert got.any()
+            assert np.array_equal(heard[b][got], sbest[got])
+            assert np.all(ssinr[got] >= PARAMS.beta * (1 - 1e-12))
 
     def test_rejects_bad_shape(self):
         g = _gains([[0, 0], [0.5, 0]])
         with pytest.raises(ValueError):
-            sinr_values_batch(g, np.zeros((2, 3), dtype=bool), PARAMS.noise)
+            resolve_reception_batch(
+                g, np.zeros((2, 3), dtype=bool), PARAMS.noise, PARAMS.beta
+            )
 
 
 class TestSinrValues:
@@ -295,24 +301,27 @@ class TestSinrValues:
 class TestKernelEdgeCases:
     """Degenerate shapes where loop bounds and sentinels earn their keep.
 
-    Each case also asserts explicit ``kernel="numpy"`` vs
-    ``kernel="compiled"`` bitwise equality, independent of the autouse
-    environment parametrization — so a broken env override cannot mask
-    a divergence.
+    Each case also asserts numpy vs compiled bitwise equality within
+    the one test, independent of the autouse parametrization — so a
+    broken fixture cannot mask a divergence.
     """
 
     @staticmethod
     def _both(fn):
-        a = fn(kernel="numpy")
-        b = fn(kernel="compiled")
+        results = []
+        for compiled in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "COMPILED", compiled)
+                results.append(fn())
+        a, b = results
         assert np.array_equal(a, b)
         return a
 
     def test_single_station_transmitting(self):
         g = _gains([[0.0, 0.0]])  # n=1: the 1x1 zero matrix
         heard = self._both(
-            lambda kernel: resolve_reception(
-                g, np.array([0]), PARAMS.noise, PARAMS.beta, kernel=kernel
+            lambda: resolve_reception(
+                g, np.array([0]), PARAMS.noise, PARAMS.beta
             )
         )
         assert heard[0] == NO_SENDER  # half-duplex, nobody to hear it
@@ -320,9 +329,8 @@ class TestKernelEdgeCases:
     def test_single_station_silent(self):
         g = _gains([[0.0, 0.0]])
         heard = self._both(
-            lambda kernel: resolve_reception(
-                g, np.array([], dtype=int), PARAMS.noise, PARAMS.beta,
-                kernel=kernel,
+            lambda: resolve_reception(
+                g, np.array([], dtype=int), PARAMS.noise, PARAMS.beta
             )
         )
         assert heard[0] == NO_SENDER
@@ -330,8 +338,8 @@ class TestKernelEdgeCases:
     def test_all_transmit(self):
         g = _gains([[0, 0], [0.5, 0], [1.0, 0], [0.2, 0.4]])
         heard = self._both(
-            lambda kernel: resolve_reception(
-                g, np.arange(4), PARAMS.noise, PARAMS.beta, kernel=kernel
+            lambda: resolve_reception(
+                g, np.arange(4), PARAMS.noise, PARAMS.beta
             )
         )
         assert np.all(heard == NO_SENDER)
@@ -341,8 +349,8 @@ class TestKernelEdgeCases:
         tx_mask = np.zeros((4, 3), dtype=bool)
         tx_mask[1, 0] = True  # one live row between empty ones
         heard = self._both(
-            lambda kernel: resolve_reception_batch(
-                g, tx_mask, PARAMS.noise, PARAMS.beta, kernel=kernel
+            lambda: resolve_reception_batch(
+                g, tx_mask, PARAMS.noise, PARAMS.beta
             )
         )
         assert np.all(heard[[0, 2, 3]] == NO_SENDER)
@@ -352,13 +360,29 @@ class TestKernelEdgeCases:
         # Everyone but station 2 transmits: one listener, full channel.
         g = _gains([[0, 0], [3.0, 0], [0.3, 0.3]])
         heard = self._both(
-            lambda kernel: resolve_reception(
-                g, np.array([0, 1]), PARAMS.noise, PARAMS.beta,
-                kernel=kernel,
+            lambda: resolve_reception(
+                g, np.array([0, 1]), PARAMS.noise, PARAMS.beta
             )
         )
         assert heard[2] == 0  # station 1 is too far to interfere
         assert heard[0] == heard[1] == NO_SENDER
+
+    def test_equal_gain_tie_breaks_to_lowest_index(self):
+        # Station 1 sits midway between transmitters 0 and 2: their
+        # gains there are bitwise equal, and beta < 1 lets the tie be
+        # heard, so the tie-break decides the sender.
+        g = _gains([[0, 0], [1, 0], [2, 0]])
+        heard = self._both(
+            lambda: resolve_reception_batch(
+                g, np.array([[True, False, True]]), PARAMS.noise, 0.4
+            )
+        )
+        assert heard[0, 1] == 0
+        # The single-round fold keeps the first maximum in given order.
+        best = self._both(
+            lambda: sinr_values(g, np.array([2, 0]), PARAMS.noise)[0]
+        )
+        assert best[1] == 2
 
     def test_unsorted_duplicate_transmitters_single(self):
         # sinr_values folds in the *given* order (argmax positional
@@ -367,25 +391,22 @@ class TestKernelEdgeCases:
         g = _gains(np.random.default_rng(11).uniform(0, 2, size=(9, 2)))
         tx = np.array([7, 2, 5, 2])
         for part in (0, 1):
-            self._both(
-                lambda kernel: sinr_values(
-                    g, tx, PARAMS.noise, kernel=kernel
-                )[part]
-            )
+            self._both(lambda: sinr_values(g, tx, PARAMS.noise)[part])
 
     def test_sparse_backend_edges(self):
         from repro.sinr.sparse import SparseGainBackend
 
         coords = np.random.default_rng(5).uniform(0, 3, size=(16, 2))
+        backend = SparseGainBackend(coords, PARAMS, None, 1.5)
         for tx in (
             np.array([], dtype=int),        # empty transmitter set
             np.arange(16),                  # all transmit
             np.array([3]),                  # lone transmitter
         ):
             heard = self._both(
-                lambda kernel: SparseGainBackend(
-                    coords, PARAMS, None, 1.5, kernel=kernel
-                ).resolve_reception(tx, PARAMS.noise, PARAMS.beta)
+                lambda: backend.resolve_reception(
+                    tx, PARAMS.noise, PARAMS.beta
+                )
             )
             if tx.size in (0, 16):
                 assert np.all(heard == NO_SENDER)

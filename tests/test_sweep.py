@@ -17,7 +17,6 @@ from repro.fastsim import (
     spawn_rngs,
     sweep_kinds,
 )
-from repro.fastsim.sweep import SWEEP_KINDS
 from repro.sim.wakeup import WakeupSchedule
 
 
@@ -61,7 +60,6 @@ class TestRunSweepDispatch:
         assert result.n_replications == 3
         assert result.kind == "spont_broadcast"
         assert result.seed == 7
-        assert result.batched
         assert len(result.outcomes) == 3
         assert result.rounds.shape == (3,)
         assert 0.0 <= result.success_rate() <= 1.0
@@ -83,22 +81,6 @@ class TestRunSweepDispatch:
             result.rounds
             == constants.coloring_total_rounds(small_square.size)
         )
-
-    def test_reference_fallback(self, small_square, constants):
-        schedule = WakeupSchedule.single(small_square.size, 0)
-        result = run_sweep(
-            "adhoc_wakeup", small_square, 2, 5, constants,
-            schedule=schedule, use_batch=False,
-        )
-        assert not result.batched
-        assert result.success.all()
-
-    def test_fallback_requires_reference(self, small_square, constants):
-        assert SWEEP_KINDS["coloring"].reference is None
-        with pytest.raises(ProtocolError):
-            run_sweep(
-                "coloring", small_square, 2, 5, constants, use_batch=False
-            )
 
 
 class TestSweepEqualsSequentialLoop:

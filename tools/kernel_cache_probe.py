@@ -1,12 +1,15 @@
-"""Cross-environment cache replay probe for the kernel backend.
+"""Cross-environment cache replay probe for the kernel implementations.
 
-CI's two kernel legs (numba installed / numba absent) run this script
-against one shared cache directory: the first leg ``write``s a small
-deterministic grid sweep, the second leg must ``replay`` it from cache
-without recomputing.  A recompute on the second leg means the cache key
-or the network fingerprint started depending on the kernel environment
-— exactly the regression DESIGN.md §2.3 forbids (compiled and numpy
-kernels are bitwise identical, so their runs must share entries).
+The platform picks the kernels (:data:`repro.kernels.COMPILED`: the
+numba-jitted loops where numba imports, numpy elsewhere), so CI's two
+kernel legs — numba installed, numba absent — run this script against
+one shared cache directory: the first leg ``write``s a small
+deterministic grid sweep with the compiled kernels, the second leg must
+``replay`` it from cache on numpy without recomputing.  A recompute on
+the second leg means the cache key or the network fingerprint started
+depending on which kernels ran — exactly the regression DESIGN.md §2.3
+forbids (compiled and numpy kernels are bitwise identical, so their
+runs must share entries).
 
 Usage::
 
