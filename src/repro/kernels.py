@@ -21,7 +21,9 @@ Why the loops can promise bitwise equality:
   ascending index, matching the in-order ``einsum`` contraction of
   :func:`repro.sinr.reception._strongest_transmitters` — skipping a
   silent station is an exact ``+ 0.0`` no-op for the non-negative
-  gains (DESIGN.md §6.2's zero-neutrality argument);
+  gains (DESIGN.md §6.2's zero-neutrality argument).  It is the only
+  dense fold: single-round resolution is its ``B = 1`` row, so there
+  is no separate single-round loop;
 * strongest-sender selection uses a strict ``>`` over the same
   iteration order, reproducing the numpy paths' first-maximum /
   lowest-index tie-breaks;
@@ -181,58 +183,12 @@ def dense_strongest(
     cols = np.flatnonzero(tx_mask.any(axis=0))
     total = np.zeros((B, n))
     best_gain = np.zeros((B, n))
-    best_sender = np.full((B, n), -1, dtype=np.int64)
+    best_sender = np.full((B, n), -1, dtype=np.intp)
     if cols.size:
         _dense_strongest_jit(
             gain, cols, np.ascontiguousarray(tx_mask[:, cols]),
             total, best_gain, best_sender,
         )
-    return best_sender, best_gain, total
-
-
-def _sinr_single_loop(gain, transmitters, total, best_gain, best_sender):
-    n = gain.shape[0]
-    t0 = transmitters[0]
-    for u in range(n):
-        g = gain[t0, u]
-        total[u] += g
-        best_gain[u] = g
-        best_sender[u] = t0
-    for j in range(1, transmitters.shape[0]):
-        t = transmitters[j]
-        for u in range(n):
-            g = gain[t, u]
-            total[u] += g
-            if g > best_gain[u]:
-                best_gain[u] = g
-                best_sender[u] = t
-
-
-_sinr_single_jit = _jit(_sinr_single_loop)
-
-
-def sinr_single(
-    gain: np.ndarray, transmitters: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compiled single-round dense fold behind ``sinr_values``.
-
-    Folds ``gain[transmitters]`` in the *given* transmitter order —
-    the order the numpy path's in-order ``einsum`` reduction and
-    first-occurrence ``argmax`` use — so totals, strongest gains and
-    the selected senders match bit for bit, duplicates included.
-    Requires a non-empty transmitter array (the caller handles the
-    empty case, as the numpy path does).
-
-    :returns: ``(best_sender, best_gain, total)``, all ``(n,)``.
-    """
-    n = gain.shape[0]
-    total = np.zeros(n)
-    best_gain = np.zeros(n)
-    best_sender = np.empty(n, dtype=np.int64)
-    _sinr_single_jit(
-        gain, np.ascontiguousarray(transmitters, dtype=np.int64),
-        total, best_gain, best_sender,
-    )
     return best_sender, best_gain, total
 
 

@@ -17,7 +17,7 @@ obstacle variants alongside it.
 """
 
 from repro.sinr.params import SINRParameters, ParameterBounds
-from repro.sinr.gain import gain_matrix, received_power, interference_at
+from repro.sinr.gain import gain_matrix
 from repro.sinr.channel import (
     ChannelModel,
     DualSlope,
@@ -32,7 +32,6 @@ from repro.sinr.reception import (
     resolve_at,
     resolve_reception,
     resolve_reception_many,
-    sinr_values,
 )
 from repro.sinr.sparse import (
     SparseGainBackend,
@@ -49,8 +48,6 @@ __all__ = [
     "SINRParameters",
     "ParameterBounds",
     "gain_matrix",
-    "received_power",
-    "interference_at",
     "ChannelModel",
     "UniformPower",
     "LogNormalShadowing",
@@ -61,6 +58,5 @@ __all__ = [
     "resolve_at",
     "resolve_reception",
     "resolve_reception_many",
-    "sinr_values",
     "NO_SENDER",
 ]

@@ -1,10 +1,12 @@
-"""Path-gain and interference computations.
+"""The uniform-power gain matrix.
 
 Under uniform power the received power of transmitter ``v`` at listener
 ``u`` is ``g[v, u] = P * dist(v, u)^-alpha``.  The gain matrix is computed
 once per network and reused by every round of every protocol, which is what
-makes the round loop cheap: interference at all stations from a transmitter
-set ``T`` is just ``gain[T].sum(axis=0)``.
+makes the round loop cheap: interference at every station from a
+transmitter set ``T`` is a fold over the rows ``gain[T]``.  That fold —
+signal, interference and SINR alike — lives in one place, the batched
+resolver of :mod:`repro.sinr.reception`.
 """
 
 from __future__ import annotations
@@ -34,37 +36,3 @@ def gain_matrix(dist: np.ndarray, power: float, alpha: float) -> np.ndarray:
     gain = power * safe ** (-alpha)
     np.fill_diagonal(gain, 0.0)
     return gain
-
-
-def received_power(
-    gain: np.ndarray, transmitters: np.ndarray
-) -> np.ndarray:
-    """Total received power at every station from a transmitter set.
-
-    :param gain: ``(n, n)`` gain matrix.
-    :param transmitters: integer index array of transmitting stations.
-    :returns: length-``n`` array; entry ``u`` is
-        ``sum_{v in T} gain[v, u]``.
-    """
-    transmitters = np.asarray(transmitters, dtype=np.intp)
-    if transmitters.size == 0:
-        return np.zeros(gain.shape[0])
-    return gain[transmitters].sum(axis=0)
-
-
-def interference_at(
-    gain: np.ndarray,
-    transmitters: np.ndarray,
-    listener: int,
-    sender: int,
-) -> float:
-    """Interference at ``listener`` w.r.t. a designated ``sender``.
-
-    ``sum_{w in T, w != sender} gain[w, listener]`` — the denominator term
-    of Eq. (1) minus noise.
-    """
-    transmitters = np.asarray(transmitters, dtype=np.intp)
-    total = float(gain[transmitters, listener].sum())
-    if sender in set(int(t) for t in transmitters):
-        total -= float(gain[sender, listener])
-    return total

@@ -8,6 +8,10 @@ a given listener, and if any does it is the one with the strongest received
 power (larger signal and smaller residual interference).  The resolver
 therefore tests only the strongest transmitter per listener, in one
 vectorized pass.
+
+There is one SINR arithmetic, the batched fold of
+:func:`resolve_reception_batch`; the single-round resolvers
+(:func:`resolve_reception`, :func:`resolve_at`) are its ``B = 1`` row.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ SLAB_ELEMENTS = 1 << 22
 #: allocates).
 _CACHE_LOCK = threading.RLock()
 
-#: Read-only per-``n`` listener index arrays.  Both resolvers index the
-#: listener axis with ``arange(n)`` every round; caching the array turns
-#: a per-round allocation into a dictionary hit (a handful of distinct
-#: ``n`` values are ever live at once).
+#: Read-only per-``n`` listener index arrays.  The batched fold indexes
+#: the listener axis with ``arange(n)`` every round; caching the array
+#: turns a per-round allocation into a dictionary hit (a handful of
+#: distinct ``n`` values are ever live at once).
 _ARANGE_CACHE: dict[int, np.ndarray] = {}
 _ARANGE_CACHE_LIMIT = 16
 
@@ -67,49 +71,6 @@ def _listener_index(n: int) -> np.ndarray:
             _ARANGE_CACHE.pop(next(iter(_ARANGE_CACHE)))
         _ARANGE_CACHE[n] = arr
     return arr
-
-
-def sinr_values(
-    gain,
-    transmitters: np.ndarray,
-    noise: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-transmitter SINR at every station.
-
-    :param gain: ``(n, n)`` gain matrix, or a
-        :class:`~repro.sinr.sparse.SparseGainBackend` (CSR near field +
-        certified far field; the returned SINR is then the certified
-        lower bound, DESIGN.md §2.2).
-    :param transmitters: index array of this round's transmitters.
-    :param noise: ambient noise ``N``.
-    :returns: ``(best_sender, sinr)`` — for each station, the index of the
-        strongest transmitter (``NO_SENDER`` if none transmit) and the SINR
-        of that transmitter at the station (0 where no sender).
-    """
-    sparse = getattr(gain, "sinr_values", None)
-    if sparse is not None:
-        return sparse(transmitters, noise)
-    n = gain.shape[0]
-    transmitters = np.asarray(transmitters, dtype=np.intp)
-    best_sender = np.full(n, NO_SENDER, dtype=np.intp)
-    if transmitters.size == 0:
-        return best_sender, np.zeros(n)
-    if _kernels.COMPILED:
-        best_sender, strongest_gain, total = _kernels.sinr_single(
-            gain, transmitters
-        )
-        interference = total - strongest_gain
-        return best_sender, strongest_gain / (noise + interference)
-    tx_gain = gain[transmitters]                 # (|T|, n)
-    # In-order fold along the given transmitter order (not a pairwise
-    # sum) — the order the compiled kernel replicates bit for bit.
-    total = np.einsum("tu->u", tx_gain, optimize=False)
-    strongest_pos = np.argmax(tx_gain, axis=0)   # (n,) positions into T
-    strongest_gain = tx_gain[strongest_pos, _listener_index(n)]
-    interference = total - strongest_gain
-    sinr = strongest_gain / (noise + interference)
-    best_sender = transmitters[strongest_pos]
-    return best_sender, sinr
 
 
 #: Per-gain-matrix listener rankings (see :func:`_listener_ranking`).
@@ -260,19 +221,18 @@ def resolve_reception_batch(
     noise: float,
     beta: float,
 ) -> np.ndarray:
-    """Batched :func:`resolve_reception` over a ``(B, n)`` transmitter mask.
+    """Eq. (1) for ``B`` independent rounds given as a ``(B, n)`` mask.
 
-    Agrees elementwise with running the single-instance resolver on each
-    row (ties between equal-gain transmitters break toward the lowest
-    station index in both) up to floating-point association in the SINR
-    denominator: the single resolver groups it ``noise + (total -
-    signal)`` while this one groups ``(noise + total) - signal``, so an
-    SINR landing within an ulp of ``beta`` could in principle resolve
-    differently.  *Within* each family the arithmetic is exact — a
-    row's result is bitwise independent of the batch (and the slab
-    slicing bounded by :data:`SLAB_ELEMENTS`) it rides in, and of which
-    implementation serves it — which is the contract the sweep engine
-    builds on (DESIGN.md §6.2, §2.3).
+    The one dense SINR arithmetic of the repo: per listener, gains fold
+    over the transmitters in ascending station index, the strongest
+    transmitter is the first maximum along that order (equal gains
+    break toward the lowest index), and its SINR is ``signal / ((noise
+    + total) - signal)``.  :func:`resolve_reception` and
+    :func:`resolve_at` are its ``B = 1`` row.  A row's result is
+    bitwise independent of the batch (and the slab slicing bounded by
+    :data:`SLAB_ELEMENTS`) it rides in, and of which implementation
+    serves it — the contract the sweep engine builds on (DESIGN.md
+    §6.2, §2.3).
 
     ``gain`` may be a :class:`~repro.sinr.sparse.SparseGainBackend`
     instead of a dense matrix: the per-listener CSR scan replaces the
@@ -291,36 +251,44 @@ def resolve_reception_batch(
     if tx_mask.ndim != 2 or tx_mask.shape[1] != n:
         raise ValueError(f"tx_mask must be (B, {n}), got {tx_mask.shape}")
     B = tx_mask.shape[0]
-    if _kernels.COMPILED:
-        # The loop kernel never materializes the (B, n, k) position
-        # tensor, so no slab slicing is needed; its per-row results are
-        # bitwise equal to the numpy slabs regardless.
-        strongest, strongest_gain, total = _kernels.dense_strongest(
-            gain, tx_mask
-        )
-        sinr = strongest_gain / (noise + total - strongest_gain)
-        heard = (sinr >= beta) & ~tx_mask & tx_mask.any(axis=1)[:, None]
-        return np.where(heard, strongest, NO_SENDER).astype(np.intp)
-    slab = max(1, SLAB_ELEMENTS // max(1, n * n))
+    # The loop kernel never materializes the (B, n, k) position tensor,
+    # so it takes the batch whole; its rows equal the numpy slabs'.
+    slab = B if _kernels.COMPILED else max(1, SLAB_ELEMENTS // max(1, n * n))
     if B <= slab:
-        return _resolve_slab(gain, tx_mask, noise, beta)
+        return _resolve_slab(gain, tx_mask, noise, beta)[0]
     heard = np.empty((B, n), dtype=np.intp)
     for lo in range(0, B, slab):
         heard[lo:lo + slab] = _resolve_slab(
             gain, tx_mask[lo:lo + slab], noise, beta
-        )
+        )[0]
     return heard
 
 
 def _resolve_slab(
     gain: np.ndarray, tx_mask: np.ndarray, noise: float, beta: float
-) -> np.ndarray:
-    strongest_pos, strongest_gain, total = _strongest_transmitters(
-        gain, tx_mask
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heard senders and strongest-transmitter SINR, both ``(B, n)``.
+
+    Runs :func:`repro.kernels.dense_strongest` or
+    :func:`_strongest_transmitters`, whichever the platform picks —
+    they return identical bytes (DESIGN.md §2.3).
+    """
+    fold = (
+        _kernels.dense_strongest if _kernels.COMPILED
+        else _strongest_transmitters
     )
+    strongest, strongest_gain, total = fold(gain, tx_mask)
     sinr = strongest_gain / (noise + total - strongest_gain)
     heard = (sinr >= beta) & ~tx_mask & tx_mask.any(axis=1)[:, None]
-    return np.where(heard, strongest_pos, NO_SENDER)
+    return np.where(heard, strongest, NO_SENDER), sinr
+
+
+def _round_mask(gain, transmitters) -> np.ndarray:
+    """The ``(1, n)`` mask of one round (a repeated index sets one bit)."""
+    n = gain.shape[0] if isinstance(gain, np.ndarray) else gain.n
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, np.asarray(transmitters, dtype=np.intp)] = True
+    return mask
 
 
 def resolve_reception_many(
@@ -344,11 +312,8 @@ def resolve_reception_many(
     of the batch it rides in, for the dense path and the sparse backend
     alike.  That is the coalescing-equivalence guarantee: a server may
     fold concurrently arriving queries into one kernel call and answer
-    each client exactly what a dedicated call would have.  (Like
-    :func:`resolve_reception_batch`, the denominator association is
-    ``(noise + total) - signal``; the single-round
-    :func:`resolve_reception` groups it the other way, so *that*
-    function is not the oracle for this one.)
+    each client exactly what a dedicated call would have.  On a dense
+    matrix that is also :func:`resolve_reception` of the set.
 
     :param gain: ``(n, n)`` gain matrix or a
         :class:`~repro.sinr.sparse.SparseGainBackend`.
@@ -400,31 +365,18 @@ def resolve_reception(
     A station ``u`` receives from ``v`` iff ``v`` transmits, ``u`` does
     not, and ``SINR(v, u, T) >= beta``.  Transmitters never receive
     (half-duplex, Sect. 1.1 "a station can either act as a sender or as a
-    receiver during a round").  Accepts a dense gain matrix or a
-    :class:`~repro.sinr.sparse.SparseGainBackend`.
+    receiver during a round").  This is the ``B = 1`` row of
+    :func:`resolve_reception_batch` — the same arithmetic, on a dense
+    matrix or a :class:`~repro.sinr.sparse.SparseGainBackend`.
+    ``transmitters`` is a set of station indices, so a repeated index
+    names one transmitter.
 
     :returns: length-``n`` integer array: the sender index heard by each
         station, or :data:`NO_SENDER`.
     """
-    sparse = getattr(gain, "resolve_reception", None)
-    if sparse is not None:
-        return sparse(transmitters, noise, beta)
-    return _dense_heard_and_sinr(gain, transmitters, noise, beta)[0]
-
-
-def _dense_heard_and_sinr(
-    gain: np.ndarray,
-    transmitters: np.ndarray,
-    noise: float,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense :func:`resolve_reception` plus the :func:`sinr_values` SINR."""
-    best_sender, sinr = sinr_values(gain, transmitters, noise)
-    heard = np.where(sinr >= beta, best_sender, NO_SENDER)
-    transmitters = np.asarray(transmitters, dtype=np.intp)
-    if transmitters.size:
-        heard[transmitters] = NO_SENDER
-    return heard, sinr
+    return resolve_reception_batch(
+        gain, _round_mask(gain, transmitters), noise, beta
+    )[0]
 
 
 def resolve_at(
@@ -436,20 +388,25 @@ def resolve_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heard sender and SINR of one round, at ``listeners`` only.
 
-    Returns ``(resolve_reception(...)[listeners],
-    sinr_values(...)[1][listeners])`` bit for bit, from one resolver
-    pass; ``listeners`` may be unsorted, repeat stations or name
-    transmitters.  The traffic engine asks only about its packets' next
-    hops, so on a :class:`~repro.sinr.sparse.SparseGainBackend` the cost
-    follows those stations' neighbourhoods plus one far-field transform
-    instead of ``n`` (:meth:`~repro.sinr.sparse.SparseGainBackend.resolve_at`).
-    A dense matrix resolves the whole round and gathers.
+    ``heard`` is ``resolve_reception(...)[listeners]`` bit for bit, and
+    ``sinr`` is the SINR of each listener's strongest transmitter as the
+    same ``B = 1`` fold computes it (0 where no transmitter reaches the
+    listener); ``listeners`` may be unsorted, repeat stations or name
+    transmitters, and a repeated transmitter index names one
+    transmitter.  A dense matrix resolves the whole round with the one
+    batched fold (:func:`resolve_reception_batch`) and gathers.  The
+    traffic engine asks only about its packets' next hops, so on a
+    :class:`~repro.sinr.sparse.SparseGainBackend` the cost follows
+    those stations' neighbourhoods plus one far-field transform instead
+    of ``n`` (:meth:`~repro.sinr.sparse.SparseGainBackend.resolve_at`).
 
     :returns: ``(heard, sinr)``, both aligned with ``listeners``.
     """
     sparse = getattr(gain, "resolve_at", None)
     if sparse is not None:
         return sparse(transmitters, listeners, noise, beta)
-    heard, sinr = _dense_heard_and_sinr(gain, transmitters, noise, beta)
+    heard, sinr = _resolve_slab(
+        gain, _round_mask(gain, transmitters), noise, beta
+    )
     listeners = np.asarray(listeners, dtype=np.intp)
-    return heard[listeners], sinr[listeners]
+    return heard[0, listeners], sinr[0, listeners]

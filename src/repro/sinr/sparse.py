@@ -443,8 +443,10 @@ class SparseGainBackend:
 
     Drop-in replacement for the dense gain matrix in
     :mod:`repro.sinr.reception` — the resolver functions there dispatch
-    to :meth:`resolve_reception_batch` / :meth:`sinr_values` when handed
-    a backend instead of an ndarray.  Construction requires a *radial*
+    to :meth:`resolve_reception_batch`, :meth:`resolve_reception_sets`
+    and :meth:`resolve_at` when handed a backend instead of an ndarray
+    (single-round resolution is the ``B = 1`` batched row, as on the
+    dense path).  Construction requires a *radial*
     channel (:meth:`repro.sinr.channel.ChannelModel.radial_gain`); the
     per-pair gains are bitwise identical to the dense matrix entries.
 
@@ -1316,36 +1318,6 @@ class SparseGainBackend:
             lo = hi
         return out
 
-    def sinr_values(
-        self,
-        transmitters: np.ndarray,
-        noise: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Best near transmitter and its conservative SINR per station.
-
-        The sparse analogue of :func:`repro.sinr.reception.sinr_values`;
-        the SINR is the *certified lower bound* (truncation band folded
-        into the denominator), equal to the dense value when the far set
-        is empty.  Duplicate transmitter indices are collapsed.
-        """
-        transmitters = np.unique(
-            np.asarray(transmitters, dtype=np.int64)
-        )
-        best_sender = np.full(self.n, NO_SENDER, dtype=np.intp)
-        if transmitters.size == 0:
-            return best_sender, np.zeros(self.n)
-        total, best_gain, best = self._near_scan(transmitters)
-        denom = noise + total - best_gain
-        if not self.far_empty:
-            mask = np.zeros((1, self.n), dtype=bool)
-            mask[0, transmitters] = True
-            far, band = self.far_band(mask)
-            denom = denom + far[0] + band[0]
-        sinr = np.divide(best_gain, denom)
-        found = best < self.n
-        best_sender[found] = best[found]
-        return best_sender, sinr
-
     def resolve_at(
         self,
         transmitters: np.ndarray,
@@ -1355,11 +1327,16 @@ class SparseGainBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Heard sender and SINR of one round, at ``listeners`` only.
 
-        Bitwise ``resolve_reception(...)[listeners]`` and
-        ``sinr_values(...)[1][listeners]``, for any listener array
-        (unsorted, repeated, transmitters included), at a cost set by
-        the listeners' CSR rows plus one far-field transform rather
-        than by ``n``:
+        ``heard`` is ``resolve_reception(...)[listeners]`` bit for bit,
+        and ``sinr`` is the same ``B = 1`` row's certified lower bound
+        on the strongest near transmitter's SINR, ``signal / ((noise +
+        total) - signal + far + band)`` (0 where no near transmitter
+        reaches the listener) — bitwise the dense
+        :func:`repro.sinr.reception.resolve_at` value when the cutoff
+        covers the deployment.  Any listener array works (unsorted,
+        repeated, transmitters included), and a repeated transmitter
+        index names one transmitter.  The cost is set by the listeners'
+        CSR rows plus one far-field transform rather than by ``n``:
 
         * the near fold reads each *listener's* row instead of each
           transmitter's.  Gains are bitwise symmetric and rows list
@@ -1370,7 +1347,7 @@ class SparseGainBackend:
         * the far term is :meth:`far_band`'s transform, gathered at the
           listeners' cells only.
         """
-        transmitters = np.unique(np.asarray(transmitters, dtype=np.int64))
+        transmitters = np.asarray(transmitters, dtype=np.int64)
         listeners = np.asarray(listeners, dtype=np.int64)
         m = listeners.size
         heard = np.full(m, NO_SENDER, dtype=np.intp)
@@ -1395,19 +1372,6 @@ class SparseGainBackend:
         ok = (best_sender < self.n) & (sinr >= beta) & ~is_tx[0, listeners]
         heard[ok] = best_sender[ok]
         return heard, sinr
-
-    def resolve_reception(
-        self,
-        transmitters: np.ndarray,
-        noise: float,
-        beta: float,
-    ) -> np.ndarray:
-        """Single-round resolution (the ``B = 1`` batched case)."""
-        transmitters = np.asarray(transmitters, dtype=np.int64)
-        mask = np.zeros((1, self.n), dtype=bool)
-        if transmitters.size:
-            mask[0, transmitters] = True
-        return self.resolve_reception_batch(mask, noise, beta)[0]
 
     # -- geometry queries ------------------------------------------------
     def pairs_within(

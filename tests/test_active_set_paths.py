@@ -5,9 +5,10 @@ hops.  Each shortcut is pinned against the whole-network computation
 it replaces, bit for bit:
 
 * :func:`~repro.sinr.reception.resolve_at` at any listener array
-  (unsorted, repeated, transmitters included) equals
-  ``resolve_reception(...)[L]`` and ``sinr_values(...)[1][L]`` on
-  sparse far-active, sparse far-empty and dense networks;
+  (unsorted, repeated, transmitters included) hears what
+  ``resolve_reception(...)[L]`` hears, and its SINR equals a per-station
+  reference of the batched fold's arithmetic, on sparse far-active,
+  sparse far-empty and dense networks;
 * CSMA arbitration over the CSR sense adjacency equals the pair rule
   "defer iff an intending station within sense range drew a strictly
   smaller backoff", evaluated by brute force over every pair, for
@@ -31,7 +32,6 @@ from repro.sinr.reception import (
     resolve_at,
     resolve_reception,
     resolve_reception_many,
-    sinr_values,
 )
 
 #: name -> (n, side, seed, Network kwargs)
@@ -60,16 +60,51 @@ def test_deployments_cover_each_regime():
 # ----------------------------------------------------------------------
 # resolution at a listener subset
 # ----------------------------------------------------------------------
+def _reference_sinr(net, transmitters, listeners):
+    """Strongest-transmitter SINR at each listener, one pair at a time.
+
+    The batched fold's arithmetic written out per station: the gains
+    reaching the listener added in ascending sender order, the
+    denominator grouped ``(noise + total) - signal``, and on a sparse
+    network the near gains only, plus the certified far estimate and
+    band at the listener.
+    """
+    noise = net.params.noise
+    tx = np.unique(transmitters)
+    if net.backend_kind == "sparse":
+        backend = net.sparse_backend
+        mask = np.zeros((1, net.size), dtype=bool)
+        mask[0, tx] = True
+        far, band = backend.far_band(mask)
+    out = []
+    for u in listeners:
+        if net.backend_kind == "sparse":
+            row = slice(backend.indptr[u], backend.indptr[u + 1])
+            near = np.isin(backend.indices[row], tx)
+            gains = backend.data[row][near]
+        else:
+            gains = net.gains[tx, u]
+        total = signal = 0.0
+        for g in gains.tolist():
+            total += g
+            signal = max(signal, g)
+        denom = (noise + total) - signal
+        if net.backend_kind == "sparse" and not backend.far_empty:
+            denom = denom + float(far[0, u]) + float(band[0, u])
+        out.append(signal / denom)
+    return np.asarray(out, dtype=float)
+
+
 def _check_resolve_at(net, transmitters, listeners):
     gain, p = net.gain_operator, net.params
     transmitters = np.asarray(transmitters, dtype=np.int64)
     listeners = np.asarray(listeners, dtype=np.int64)
     heard, sinr = resolve_at(gain, transmitters, listeners, p.noise, p.beta)
     full = resolve_reception(gain, transmitters, p.noise, p.beta)
-    _, full_sinr = sinr_values(gain, transmitters, p.noise)
     assert heard.dtype == full.dtype
     assert np.array_equal(heard, full[listeners])
-    assert sinr.tobytes() == full_sinr[listeners].tobytes()
+    reference = _reference_sinr(net, transmitters, listeners)
+    assert sinr.tobytes() == reference.tobytes()
     return heard
 
 

@@ -48,9 +48,9 @@ from repro.sinr.channel import DualSlope
 from repro.sinr.gain import gain_matrix
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import (
+    resolve_at,
     resolve_reception,
     resolve_reception_batch,
-    sinr_values,
 )
 from repro.sinr.sparse import SparseGainBackend
 
@@ -112,14 +112,17 @@ class TestResolverFuzz:
         k=st.integers(1, 32),
     )
     def test_dense_single_unsorted_transmitters(self, seed, n, k):
-        # sinr_values folds in the given transmitter order (argmax
-        # first-occurrence semantics) — feed it a permutation, not a
-        # sorted set, so an accidental sort in either path would show.
+        # Single-round resolution is the B = 1 row of the batched fold;
+        # feed it a permutation, not a sorted set, so an order
+        # dependence in either path would show.  resolve_at's SINR leg
+        # compares dense_strongest's floats with the numpy fold's.
         gain = _gains(seed, n)
         tx = np.random.default_rng(seed ^ 0xBEEF).permutation(n)[
             : min(k, n)
         ]
-        _bitwise(_legs(lambda: sinr_values(gain, tx, PARAMS.noise)))
+        _bitwise(_legs(lambda: resolve_at(
+            gain, tx, np.arange(n), PARAMS.noise, PARAMS.beta
+        )))
         _bitwise(_legs(lambda: resolve_reception(
             gain, tx, PARAMS.noise, PARAMS.beta
         )))
@@ -143,8 +146,10 @@ class TestResolverFuzz:
         _bitwise(_legs(lambda: backend.resolve_reception_batch(
             tx_mask, PARAMS.noise, PARAMS.beta
         )))
+        # The near scan's float outputs: csr_near_scan against the
+        # numpy bincount fold.
         tx = np.flatnonzero(tx_mask[0])
-        _bitwise(_legs(lambda: backend.sinr_values(tx, PARAMS.noise)))
+        _bitwise(_legs(lambda: backend._near_scan(tx)))
 
 
 #: Small connected deployments spanning the geometry families the paper

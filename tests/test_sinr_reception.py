@@ -18,14 +18,15 @@ from repro import kernels
 from repro.errors import SimulationError
 from repro.geometry.metric import pairwise_distances
 from repro.sinr import reception
-from repro.sinr.gain import gain_matrix, interference_at, received_power
+from repro.sinr.gain import gain_matrix
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import (
     NO_SENDER,
+    resolve_at,
     resolve_reception,
     resolve_reception_batch,
-    sinr_values,
 )
+from repro.sinr.sparse import SparseGainBackend
 
 PARAMS = SINRParameters.default()  # alpha=3, beta=1, N=1, P=1*1... range 1
 
@@ -73,36 +74,6 @@ class TestGainMatrix:
             gain_matrix(dist, 0.0, 3.0)
         with pytest.raises(SimulationError):
             gain_matrix(dist, 1.0, -1.0)
-
-
-class TestReceivedPower:
-    def test_no_transmitters(self):
-        g = _gains([[0, 0], [1, 0]])
-        assert np.all(received_power(g, np.array([], dtype=int)) == 0)
-
-    def test_single_transmitter(self):
-        g = _gains([[0, 0], [0.5, 0]])
-        total = received_power(g, np.array([0]))
-        assert total[1] == pytest.approx(g[0, 1])
-        assert total[0] == 0.0  # no self-contribution
-
-    def test_additive(self):
-        g = _gains([[0, 0], [1, 0], [0.5, 0.5]])
-        total = received_power(g, np.array([0, 1]))
-        assert total[2] == pytest.approx(g[0, 2] + g[1, 2])
-
-
-class TestInterferenceAt:
-    def test_excludes_designated_sender(self):
-        g = _gains([[0, 0], [0.6, 0], [1.2, 0]])
-        tx = np.array([0, 2])
-        i = interference_at(g, tx, listener=1, sender=0)
-        assert i == pytest.approx(g[2, 1])
-
-    def test_sender_not_transmitting_is_fine(self):
-        g = _gains([[0, 0], [0.6, 0], [1.2, 0]])
-        i = interference_at(g, np.array([2]), listener=1, sender=0)
-        assert i == pytest.approx(g[2, 1])
 
 
 class TestResolveReception:
@@ -172,11 +143,45 @@ class TestResolveReception:
         coords = rng.uniform(0, 2, size=(12, 2))
         g = _gains(coords)
         tx = np.array([0, 3, 7])
-        best, sinr = sinr_values(g, tx, PARAMS.noise)
+        heard, sinr = resolve_at(
+            g, tx, np.arange(12), PARAMS.noise, PARAMS.beta
+        )
+        assert np.any(heard != NO_SENDER)
         for u in range(12):
             if u in tx:
                 continue
-            assert g[best[u], u] == pytest.approx(g[tx, u].max())
+            # The SINR reported is the strongest transmitter's ...
+            strongest = g[tx, u].max()
+            assert sinr[u] == pytest.approx(
+                strongest / (PARAMS.noise + g[tx, u].sum() - strongest)
+            )
+            # ... and a heard sender is that transmitter.
+            if heard[u] != NO_SENDER:
+                assert g[heard[u], u] == strongest
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_repeated_transmitter_index_names_one_transmitter(
+        self, backend
+    ):
+        # Station 1 hears station 0 over station 2's interference; a
+        # repeated index must not count station 2 once per repeat.
+        coords = np.array([[0.0, 0.0], [0.8, 0.0], [2.2, 0.0]])
+        gain = (
+            _gains(coords) if backend == "dense"
+            else SparseGainBackend(coords, PARAMS, None, 4.0)
+        )
+        stations = np.arange(3)
+        once = resolve_at(gain, [0, 2], stations, PARAMS.noise, PARAMS.beta)
+        repeated = resolve_at(
+            gain, [0, 2, 2, 2], stations, PARAMS.noise, PARAMS.beta
+        )
+        assert once[0][1] == 0
+        for got, want in zip(repeated, once):
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(
+            resolve_reception(gain, [0, 2, 2, 2], PARAMS.noise, PARAMS.beta),
+            once[0],
+        )
 
 
 class TestBatchedReception:
@@ -262,17 +267,20 @@ class TestBatchedReception:
             assert np.array_equal(whole[b], alone)
 
     def test_sinr_values_batch_match(self):
-        # Every heard sender of a batched row is that row's strongest
-        # single-round sender, clearing beta in sinr_values too.
+        # A batched row is the single-round resolution of that round:
+        # the same heard senders, and a station hears exactly where it
+        # is silent and the reported SINR clears beta.
         g, tx_mask = self._random_case(8, B=4)
         heard = resolve_reception_batch(g, tx_mask, PARAMS.noise, PARAMS.beta)
         for b in range(4):
             tx = np.flatnonzero(tx_mask[b])
-            sbest, ssinr = sinr_values(g, tx, PARAMS.noise)
+            sheard, ssinr = resolve_at(
+                g, tx, np.arange(g.shape[0]), PARAMS.noise, PARAMS.beta
+            )
             got = heard[b] != NO_SENDER
             assert got.any()
-            assert np.array_equal(heard[b][got], sbest[got])
-            assert np.all(ssinr[got] >= PARAMS.beta * (1 - 1e-12))
+            assert np.array_equal(heard[b], sheard)
+            assert np.array_equal(got, (ssinr >= PARAMS.beta) & ~tx_mask[b])
 
     def test_rejects_bad_shape(self):
         g = _gains([[0, 0], [0.5, 0]])
@@ -285,16 +293,23 @@ class TestBatchedReception:
 class TestSinrValues:
     def test_empty_transmitters(self):
         g = _gains([[0, 0], [1, 0]])
-        best, sinr = sinr_values(g, np.array([], dtype=int), PARAMS.noise)
-        assert np.all(best == NO_SENDER)
+        heard, sinr = resolve_at(
+            g, np.array([], dtype=int), np.arange(2),
+            PARAMS.noise, PARAMS.beta,
+        )
+        assert np.all(heard == NO_SENDER)
         assert np.all(sinr == 0)
 
     def test_matches_manual_sinr(self):
+        # Station 1 sits midway between the two transmitters: the SINR
+        # of either one there, and it clears no threshold >= 1.
         g = _gains([[0, 0], [0.6, 0], [1.2, 0]])
         tx = np.array([0, 2])
-        best, sinr = sinr_values(g, tx, PARAMS.noise)
+        heard, sinr = resolve_at(
+            g, tx, np.arange(3), PARAMS.noise, PARAMS.beta
+        )
         manual = g[0, 1] / (PARAMS.noise + g[2, 1])
-        assert best[1] == 0
+        assert heard[1] == NO_SENDER
         assert sinr[1] == pytest.approx(manual)
 
 
@@ -378,24 +393,14 @@ class TestKernelEdgeCases:
             )
         )
         assert heard[0, 1] == 0
-        # The single-round fold keeps the first maximum in given order.
-        best = self._both(
-            lambda: sinr_values(g, np.array([2, 0]), PARAMS.noise)[0]
+        # The single-round resolver is the batch's B = 1 row: the order
+        # the transmitters are given in cannot move the tie-break.
+        heard = self._both(
+            lambda: resolve_reception(g, np.array([2, 0]), PARAMS.noise, 0.4)
         )
-        assert best[1] == 2
-
-    def test_unsorted_duplicate_transmitters_single(self):
-        # sinr_values folds in the *given* order (argmax positional
-        # semantics); the compiled loop must reproduce that, not a
-        # sorted variant.
-        g = _gains(np.random.default_rng(11).uniform(0, 2, size=(9, 2)))
-        tx = np.array([7, 2, 5, 2])
-        for part in (0, 1):
-            self._both(lambda: sinr_values(g, tx, PARAMS.noise)[part])
+        assert heard[1] == 0
 
     def test_sparse_backend_edges(self):
-        from repro.sinr.sparse import SparseGainBackend
-
         coords = np.random.default_rng(5).uniform(0, 3, size=(16, 2))
         backend = SparseGainBackend(coords, PARAMS, None, 1.5)
         for tx in (
@@ -404,8 +409,8 @@ class TestKernelEdgeCases:
             np.array([3]),                  # lone transmitter
         ):
             heard = self._both(
-                lambda: backend.resolve_reception(
-                    tx, PARAMS.noise, PARAMS.beta
+                lambda: resolve_reception(
+                    backend, tx, PARAMS.noise, PARAMS.beta
                 )
             )
             if tx.size in (0, 16):
@@ -564,7 +569,6 @@ class TestResolveReceptionMany:
 
     def test_sparse_backend_rows_match(self):
         from repro.sinr.reception import resolve_reception_many
-        from repro.sinr.sparse import SparseGainBackend
 
         rng = np.random.default_rng(12)
         coords = rng.uniform(0, 2.0, size=(14, 2))

@@ -23,9 +23,9 @@ from repro.sinr.channel import (
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import (
     NO_SENDER,
+    resolve_at,
     resolve_reception,
     resolve_reception_batch,
-    sinr_values,
 )
 from repro.sinr.sparse import (
     CELLS_PER_CUTOFF,
@@ -199,28 +199,37 @@ class TestResolverAgainstDense:
             assert np.all(far[b] - band[b] <= true_far + 1e-9)
 
     def test_single_instance_resolution(self):
-        coords = _spread_coords(60, 1.8, seed=3)
-        dense = Network(coords, backend="dense")
-        sparse = Network(coords, backend="sparse", cutoff=2.0)
-        transmitters = np.asarray([3, 17, 40])
-        assert np.array_equal(
-            resolve_reception(dense.gain_operator, transmitters, 1.0, 1.0),
-            resolve_reception(sparse.gain_operator, transmitters, 1.0, 1.0),
-        )
-        bs_d, sinr_d = sinr_values(dense.gain_operator, transmitters, 1.0)
-        bs_s, sinr_s = sinr_values(sparse.gain_operator, transmitters, 1.0)
-        # covered regime: identical strongest senders at every
-        # non-degenerate station (dense reports an arbitrary argmax at
-        # stations that hear only themselves); SINR values agree up to
-        # summation association — the dense *single-instance* resolver
-        # uses numpy's pairwise sum while the sparse scan folds in
-        # order, the same last-ulp caveat documented between the dense
-        # single and batched resolvers.
-        listeners = np.setdiff1d(np.arange(60), transmitters)
-        assert np.array_equal(bs_d[listeners], bs_s[listeners])
-        np.testing.assert_allclose(
-            sinr_d[listeners], sinr_s[listeners], rtol=1e-12
-        )
+        # Covered regime: both backends resolve a round as the B = 1 row
+        # of the batched fold — gains added in ascending sender order,
+        # the denominator grouped (noise + total) - signal — so heard
+        # senders *and* SINR values agree bit for bit at every station,
+        # transmitters included, under either channel.
+        stations = np.arange(60)
+        for seed in (3, 4, 5, 6):
+            coords = _spread_coords(60, 1.8, seed=seed)
+            rng = np.random.default_rng(seed)
+            rounds = [np.asarray([3, 17, 40])] + [
+                rng.choice(60, size=k, replace=False) for k in (1, 6, 15)
+            ]
+            for channel in (None, DualSlope()):
+                dense = Network(coords, backend="dense", channel=channel)
+                sparse = Network(
+                    coords, backend="sparse", cutoff=2.0, channel=channel
+                )
+                assert sparse.sparse_backend.far_empty
+                for tx in rounds:
+                    assert np.array_equal(
+                        resolve_reception(dense.gain_operator, tx, 1.0, 1.0),
+                        resolve_reception(sparse.gain_operator, tx, 1.0, 1.0),
+                    )
+                    got_d = resolve_at(
+                        dense.gain_operator, tx, stations, 1.0, 1.0
+                    )
+                    got_s = resolve_at(
+                        sparse.gain_operator, tx, stations, 1.0, 1.0
+                    )
+                    for d, s in zip(got_d, got_s):
+                        assert d.tobytes() == s.tobytes(), (seed, tx)
 
 
 class TestResolverEdgeCases:
@@ -257,8 +266,10 @@ class TestResolverEdgeCases:
 
     def test_empty_transmitter_set(self):
         backend = _backend(_spread_coords(10, 1.5))
-        best, sinr = backend.sinr_values(np.asarray([], dtype=int), 1.0)
-        assert np.all(best == NO_SENDER)
+        heard, sinr = resolve_at(
+            backend, np.asarray([], dtype=int), np.arange(10), 1.0, 1.0
+        )
+        assert np.all(heard == NO_SENDER)
         assert np.all(sinr == 0)
 
     def test_sinr_values_with_live_far_field_is_lower_bound(self):
@@ -266,19 +277,19 @@ class TestResolverEdgeCases:
         backend = _backend(coords, cutoff=1.0)
         assert not backend.far_empty
         transmitters = np.asarray([0, 30, 60, 90, 120])
-        _, sinr_cons = backend.sinr_values(transmitters, PARAMS.noise)
-        _, sinr_true = sinr_values(
-            Network(coords, backend="dense").gain_operator,
-            transmitters, PARAMS.noise,
-        )
         listeners = np.setdiff1d(np.arange(150), transmitters)
+        _, sinr_cons = resolve_at(
+            backend, transmitters, listeners, PARAMS.noise, PARAMS.beta
+        )
+        _, sinr_true = resolve_at(
+            Network(coords, backend="dense").gain_operator,
+            transmitters, listeners, PARAMS.noise, PARAMS.beta,
+        )
         # certified lower bound wherever the sparse near field sees a
         # sender at all
-        seen = sinr_cons[listeners] > 0
-        assert np.all(
-            sinr_cons[listeners][seen]
-            <= sinr_true[listeners][seen] * (1 + 1e-12)
-        )
+        seen = sinr_cons > 0
+        assert seen.any()
+        assert np.all(sinr_cons[seen] <= sinr_true[seen] * (1 + 1e-12))
 
     def test_measured_gamma_tail_bound(self):
         backend = _backend(_spread_coords(300, 6.0, seed=14), cutoff=1.0)
