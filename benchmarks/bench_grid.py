@@ -3,8 +3,8 @@
 One multi-point SBroadcast grid (10 deployments of growing size, batched
 replications per point) runs through three paths — ``run_grid(jobs=1)``
 (the serial baseline the experiments used to hand-roll), ``run_grid``
-with a 4-worker fork pool and shared-memory gain matrices, and a pure
-cache replay.  The acceptance criteria of the grid subsystem are asserted
+with a 4-worker fork pool running on the parent's gain matrices, and a
+pure cache replay.  The acceptance criteria of the grid subsystem are asserted
 directly:
 
 * the parallel run is **bitwise result-identical** to the serial run

@@ -67,8 +67,8 @@ def main() -> None:
     print()
     print(
         "The communication graph never changes — only reception does.\n"
-        "Distinct fingerprints keep the grid cache and shared-memory\n"
-        "registry from ever replaying one channel's results as another's."
+        "Distinct fingerprints keep the grid's result cache from ever\n"
+        "replaying one channel's results as another's."
     )
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.errors import DeploymentError
-from repro.network.network import MOBILITY_REBUILD_FRACTION, Network
+from repro.network.network import Network
 
 #: Signature of the per-round callback consumed by the fastsim kernels:
 #: ``hook(round_no, network) -> network`` (DESIGN.md §7).
@@ -411,12 +411,7 @@ class GroupDrift(MobilityModel):
 # ----------------------------------------------------------------------
 # the fastsim adapter
 # ----------------------------------------------------------------------
-def mobility_hook(
-    model: MobilityModel,
-    *,
-    every: int = 1,
-    rebuild_fraction: float = MOBILITY_REBUILD_FRACTION,
-) -> NetworkHook:
+def mobility_hook(model: MobilityModel, *, every: int = 1) -> NetworkHook:
     """Adapt a model to the kernels' per-round network callback.
 
     The returned hook owns one trajectory: the session starts from the
@@ -427,12 +422,11 @@ def mobility_hook(
     the static snapshot still ride the single evolving trajectory.
     Hook construction is deterministic given the model, which is what
     makes ``jobs=N`` grid runs bitwise equal to ``jobs=1`` — every
-    worker rebuilds the identical trajectory from the descriptor.
+    worker rebuilds the identical trajectory from the model, starting
+    at the parent's own network.
 
     :param every: advance the deployment every ``every``-th call
         (coarser environment clocks for cheap slow-mobility sweeps).
-    :param rebuild_fraction: forwarded to
-        :meth:`~repro.network.network.Network.advance`.
     """
     if every < 1:
         raise DeploymentError(f"every must be >= 1, got {every}")
@@ -447,7 +441,7 @@ def mobility_hook(
             disp = state["session"].displacements(
                 net.coords, state["calls"]
             )
-            net = net.advance(disp, rebuild_fraction=rebuild_fraction)
+            net = net.advance(disp)
             state["net"] = net
         state["calls"] += 1
         return net

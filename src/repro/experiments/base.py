@@ -73,13 +73,13 @@ def trial_rngs(
 def run_grid_points(points, seed: int, name: str):
     """Execute experiment points through the grid orchestrator.
 
-    The grid counterpart of :func:`sweep_trials`: the experiment declares
-    its parameter points as :class:`repro.fastsim.grid.GridPoint` entries
-    and this helper runs them through
-    :func:`repro.fastsim.grid.run_grid`, inheriting the process-wide
-    execution options (``--jobs``, ``--cache-dir``) the CLI installed.
-    Per-point seeds are spawned from ``seed`` unless a point pins one, so
-    no two points ever share (or arithmetically collide into) a seed.
+    The experiment declares its parameter points as
+    :class:`repro.fastsim.grid.GridPoint` entries and this helper runs
+    them through :func:`repro.fastsim.grid.run_grid`, inheriting the
+    process-wide execution options (``--jobs``, ``--cache-dir``) the CLI
+    installed.  Per-point seeds are spawned from ``seed`` unless a point
+    pins one, so no two points ever share (or arithmetically collide
+    into) a seed.
 
     :returns: list of :class:`repro.fastsim.grid.GridPointResult` in
         point order.
@@ -87,30 +87,6 @@ def run_grid_points(points, seed: int, name: str):
     from repro.fastsim.grid import GridSpec, run_grid
 
     return run_grid(GridSpec(points=list(points), seed=seed, name=name))
-
-
-def sweep_trials(
-    kind: str,
-    network,
-    n_trials: int,
-    seed: int,
-    constants=None,
-    **kwargs,
-):
-    """Run one experiment replication loop through the sweep engine.
-
-    The batched counterpart of ``for rng in trial_rngs(...)``: trial
-    ``b`` draws from the same spawned generator either way, but the sweep
-    engine advances all trials through the protocol in one set of numpy
-    operations.
-
-    :returns: a :class:`repro.fastsim.sweep.SweepResult`.
-    """
-    from repro.fastsim.sweep import run_sweep
-
-    return run_sweep(
-        kind, network, n_trials, seed, constants=constants, **kwargs
-    )
 
 
 def fmt(value: float, digits: int = 1) -> str:

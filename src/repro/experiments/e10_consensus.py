@@ -3,9 +3,9 @@
 The bitwise min-consensus runs one time-boxed colored wake-up per bit of
 the message space ``{0..x}``; total rounds should scale linearly with
 ``ceil(log2(x+1))`` at fixed network, and every trial must agree on the
-true minimum.  All ``x`` points share one deployment (one shared-memory
-gain matrix under ``--jobs``); each replication draws its own value
-vector inside the sweep.
+true minimum.  All ``x`` points share one deployment (one gain matrix,
+built once by the parent and inherited by every ``--jobs`` worker); each
+replication draws its own value vector inside the sweep.
 """
 
 from __future__ import annotations

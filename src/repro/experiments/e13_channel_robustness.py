@@ -21,7 +21,7 @@ scenario library's geometry x channel matrix is exercised end to end.
 Every (channel, deployment) pair is one :class:`GridPoint`; deployments
 are built once parent-side and re-wrapped per channel with
 ``Network.with_channel``, so each pair gets a distinct fingerprint (and
-hence cache key and shared-memory segment) while sharing coordinates.
+hence cache key and gain structure) while sharing coordinates.
 """
 
 from __future__ import annotations

@@ -17,16 +17,15 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
   method.  The spec (closures included) reaches workers through fork
   inheritance; the only objects pickled are point indices going in and
   :class:`~repro.fastsim.sweep.SweepResult` payloads coming out.
-* **shared-memory gain arrays** — each distinct deployment's gain
-  structure is materialized exactly once, into a
-  ``multiprocessing.shared_memory`` segment created by the parent: the
-  dense ``(n, n)`` matrix in dense mode, the sparse backend's CSR
-  triple (data/indices/indptr, DESIGN.md §2.2) in sparse mode; workers
-  attach by name and install read-only views on a
-  :class:`~repro.network.network.Network` rebuilt from the parent's
-  ``Network.descriptor()``.  Heavy arrays are never pickled.  The
-  parent owns segment lifetime: created before dispatch, unlinked in a
-  ``finally`` once every point has reported.
+* **fork inheritance** — before the pool starts, the parent builds
+  each distinct deployment's gain structure exactly once, on its own
+  :class:`~repro.network.network.Network` object
+  (:attr:`~repro.network.network.Network.gain_operator`: the dense
+  ``(n, n)`` matrix in dense mode, the sparse backend's CSR triple and
+  cell index in sparse mode, DESIGN.md §2.2).  Workers inherit those
+  objects copy-on-write and run every point on them with the same
+  :func:`_execute` call as the in-process loop, so the gain pages are
+  shared by ``fork`` and heavy arrays are never copied or pickled.
 * **result cache** — with a cache directory configured, each point's
   result is stored content-addressed under
   :func:`repro.fastsim.cache.point_key`; re-runs (and ``--scale full``
@@ -35,9 +34,9 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
 * **mobility descriptors** — a point whose kwargs carry a
   :class:`~repro.deploy.mobility.MobilityModel` runs over a moving
   deployment (DESIGN.md §7).  The model is a tiny seeded descriptor:
-  it rides to workers through the fork payload next to the
-  shared-memory gain arrays, each worker rebuilds the identical
-  trajectory deterministically inside ``run_sweep``, and the model's
+  it rides to workers through the fork payload next to the parent's
+  networks, each worker rebuilds the identical trajectory
+  deterministically inside ``run_sweep``, and the model's
   ``identity()`` participates in the cache key — so ``jobs=N`` stays
   bitwise equal to ``jobs=1`` for dynamic sweeps and dynamic results
   never collide with static ones.
@@ -45,9 +44,10 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
   pending points as ``sweep`` requests to one or more resident-network
   query daemons (:mod:`repro.service`, DESIGN.md §8) instead of forking
   a pool: deployments stay hot in each daemon's pool across grid runs
-  (and across interactive queries), rather than being rebuilt per fork.
-  A daemon rebuilds each network from the same ``Network.descriptor()``
-  a fork worker does, and ``run_sweep`` arguments travel verbatim;
+  (and across interactive queries), rather than being rebuilt per run.
+  A daemon rebuilds each network from the parent's
+  ``Network.descriptor()`` into a bitwise identical gain structure,
+  and ``run_sweep`` arguments travel verbatim;
   ``post`` hooks run client-side on the parent's network instance.
   Points are pulled from a shared queue by per-worker dispatch tasks
   (:mod:`repro.distrib`, DESIGN.md §9), coordinated through the on-disk
@@ -74,7 +74,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing import shared_memory
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,7 +84,6 @@ from repro.fastsim.cache import ResultCache, point_key
 from repro.fastsim.journal import SweepJournal, sweep_key
 from repro.fastsim.sweep import SweepResult, run_sweep
 from repro.network.network import Network
-from repro.sinr.sparse import SparseGainBackend
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,8 @@ class GridPoint:
     :param share_deployment: points carrying the same non-``None`` key
         share one deployment instance (built once, with the derive
         discipline of the first such point), one fingerprint and one
-        shared-memory segment — e.g. several protocols compared on the
-        same random network.
+        gain structure — e.g. several protocols compared on the same
+        random network.
     """
 
     kind: str
@@ -237,8 +235,9 @@ def _prepare(spec: GridSpec) -> tuple[list[_Prepared], list[Network]]:
 
     Deployment sharing: points with equal ``share_deployment`` keys get
     the network built for the first of them; distinct deployments are
-    deduplicated by fingerprint as well, so the shared-memory registry
-    holds at most one segment per distinct gain matrix.
+    deduplicated by fingerprint as well, so a fork pool builds at most
+    one gain structure per distinct fingerprint (``deployments`` holds
+    the first network of each, ``dep_index`` points into it).
     """
     points = list(spec.points)
     if not points:
@@ -313,100 +312,15 @@ def _execute(prep: _Prepared, network: Network) -> tuple[SweepResult, dict]:
 # ----------------------------------------------------------------------
 #: Set by the parent immediately before pool creation; workers inherit it
 #: through ``fork`` (nothing here is ever pickled).  Layout:
-#: ``(prepared, [(shm_name, layout, descriptor), ...])`` — see
-#: :func:`_create_segment`.
+#: ``(prepared, deployments)`` as returned by :func:`_prepare`.
 _FORK_PAYLOAD: Optional[tuple] = None
-
-#: Worker-local registry of attached segments: dep_index -> (shm, Network).
-_WORKER_NETS: dict[int, tuple] = {}
-
-
-def _attach_network(dep_index: int) -> Network:
-    """Worker-side Network with its gain arrays mapped from shared memory.
-
-    The Network is rebuilt from the parent's
-    :meth:`~repro.network.network.Network.descriptor`; the heavy arrays
-    are read-only zero-copy views into the parent's segment — the dense
-    ``(n, n)`` gain matrix in dense mode, the CSR triple
-    (data/indptr/indices) in sparse mode, where the cheap parts (cell
-    index, far-field kernels) are derived from the coordinates
-    deterministically.  Attachments are kept for the worker's lifetime
-    (a worker typically runs several points of the same deployment) and
-    released by process exit; the parent is the sole owner of segment
-    unlinking.
-    """
-    cached = _WORKER_NETS.get(dep_index)
-    if cached is not None:
-        return cached[1]
-    _, segments = _FORK_PAYLOAD
-    shm_name, layout, descriptor = segments[dep_index]
-    # NOTE on the resource tracker: fork workers share the parent's
-    # tracker process, and its registry is a set — the attach here
-    # re-registers the same name the parent registered at creation, so
-    # exactly one unregister happens when the parent unlinks.  No
-    # worker-side bookkeeping is needed (or correct).
-    shm = shared_memory.SharedMemory(name=shm_name)
-    views = []
-    for shape, dtype_str, offset in layout:
-        view = np.ndarray(
-            shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=offset,
-        )
-        view.setflags(write=False)
-        views.append(view)
-    net = Network(**descriptor)
-    if net.backend_kind == "sparse":
-        data, indptr, indices = views
-        net._backend_obj = SparseGainBackend.from_arrays(
-            net.coords, net.params, net.channel, net.cutoff,
-            data, indices, indptr,
-        )
-    else:
-        (net._gain,) = views
-    _WORKER_NETS[dep_index] = (shm, net)
-    return net
 
 
 def _worker_run(index: int) -> tuple[int, SweepResult, dict]:
-    prepared, _ = _FORK_PAYLOAD
+    prepared, deployments = _FORK_PAYLOAD
     prep = prepared[index]
-    sweep, extras = _execute(prep, _attach_network(prep.dep_index))
+    sweep, extras = _execute(prep, deployments[prep.dep_index])
     return index, sweep, extras
-
-
-def _create_segment(net: Network) -> tuple[shared_memory.SharedMemory, tuple]:
-    """Materialize ``net``'s gain arrays into a fresh shm segment.
-
-    Returns the segment and what a worker needs to attach to it:
-    ``(shm_name, layout, net.descriptor())``, where ``layout`` lists
-    ``(shape, dtype_str, offset)`` per packed array — the ``(n, n)``
-    gain matrix in dense mode; the backend's CSR triple in sparse mode,
-    packed data, then indptr, then indices so every section stays
-    8-byte aligned.  The parent's Network keeps its lazy caches
-    untouched, and no view into the segment is left dangling on the
-    parent side (the fill views die inside this function), so unlinking
-    after the run can never invalidate a returned result.
-    """
-    if net.backend_kind == "sparse":
-        backend = net.sparse_backend
-        arrays = (backend.data, backend.indptr, backend.indices)
-    elif net._gain is not None:
-        arrays = (net._gain,)
-    else:
-        arrays = (net.channel.gain(net.distances, net.coords, net.params),)
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(1, sum(arr.nbytes for arr in arrays))
-    )
-    layout = []
-    offset = 0
-    for arr in arrays:
-        view = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-        )
-        view[:] = arr
-        del view
-        layout.append((arr.shape, arr.dtype.str, offset))
-        offset += arr.nbytes
-    return shm, (shm.name, layout, net.descriptor())
 
 
 def _fork_available() -> bool:
@@ -461,8 +375,7 @@ def run_grid(
     (seeds were fixed at preparation time either way).  SIGTERM is
     converted to ``KeyboardInterrupt`` for the duration of the run, so
     both interrupt signals drain gracefully: completed points are
-    already journaled, shared-memory segments are unlinked, and worker
-    processes are reaped on the way out.
+    already journaled and worker processes are reaped on the way out.
     """
     options = get_default_grid_options()
     jobs = options.jobs if jobs is None else jobs
@@ -601,13 +514,12 @@ def _interruptible_sigterm():
     """Convert SIGTERM to ``KeyboardInterrupt`` for the block.
 
     A polite kill (``kill <pid>``, a job scheduler's preemption notice)
-    then drains exactly like Ctrl-C: the fork pool is torn down with
-    its shared-memory segments unlinked, completed points stay
-    journaled and cached, and the process exits by exception instead of
-    vanishing mid-write.  Only effective on the main thread (signal
-    handlers cannot be installed elsewhere — grids run from worker
-    threads keep the process default); the previous handler is restored
-    on exit either way.
+    then drains exactly like Ctrl-C: the fork pool is torn down,
+    completed points stay journaled and cached, and the process exits
+    by exception instead of vanishing mid-write.  Only effective on the
+    main thread (signal handlers cannot be installed elsewhere — grids
+    run from worker threads keep the process default); the previous
+    handler is restored on exit either way.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -660,28 +572,24 @@ def _run_parallel(
     point or an interrupt loses only in-flight work, matching the serial
     path's behavior.
 
-    Shared-memory lifetime: every needed deployment's segment exists
-    before the first task is submitted and is closed + unlinked in the
-    ``finally`` after the pool has shut down — workers only ever attach
-    to live segments, and nothing keeps a mapping after the run.  The
-    teardown is interrupt-proof: on ``KeyboardInterrupt`` (or any other
-    exception) the pool is shut down *without* waiting for in-flight
-    points — queued work cancelled, worker processes terminated — and
-    every segment's close/unlink runs independently, so one failing
-    unlink cannot leak its siblings (the PR 9 shm-leak satellite;
-    ``tests/test_chaos.py`` interrupts a live grid and asserts nothing
-    survives in ``/dev/shm``).
+    Fork inheritance: before the pool exists, the parent builds every
+    needed deployment's gain structure on its own network object
+    (:attr:`~repro.network.network.Network.gain_operator`), where it
+    stays cached as on the in-process path.  Workers inherit those
+    objects through ``fork`` (pages shared copy-on-write) and call
+    :func:`_execute` on them exactly as the in-process loop does, so no
+    worker rebuilds a network and the run holds no resource beyond its
+    worker processes.  The teardown is interrupt-proof: on
+    ``KeyboardInterrupt`` (or any other exception) the pool is shut
+    down *without* waiting for in-flight points — queued work
+    cancelled, worker processes terminated (``tests/test_chaos.py``
+    interrupts a live grid and asserts it drains).
     """
     global _FORK_PAYLOAD
-    needed = sorted({prepared[i].dep_index for i in pending})
-    segments: dict[int, shared_memory.SharedMemory] = {}
-    descriptors: list[Optional[tuple]] = [None] * len(deployments)
+    for dep in {prepared[i].dep_index for i in pending}:
+        deployments[dep].gain_operator
+    _FORK_PAYLOAD = (prepared, deployments)
     try:
-        for dep in needed:
-            shm, descriptor = _create_segment(deployments[dep])
-            segments[dep] = shm
-            descriptors[dep] = descriptor
-        _FORK_PAYLOAD = (list(prepared), descriptors)
         pool = ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("fork")
         )
@@ -692,8 +600,7 @@ def _run_parallel(
         except BaseException:
             # Interrupt/failure: don't wait out in-flight points (the
             # `with` form would block on them) — cancel the queue and
-            # terminate the workers so the finally below can unlink
-            # segments promptly.
+            # terminate the workers.
             # Snapshot the worker handles first: shutdown() nulls the
             # executor's process table.
             procs = list((getattr(pool, "_processes", None) or {}).values())
@@ -706,11 +613,6 @@ def _run_parallel(
             pool.shutdown(wait=True)
     finally:
         _FORK_PAYLOAD = None
-        for shm in segments.values():
-            with contextlib.suppress(Exception):
-                shm.close()
-            with contextlib.suppress(Exception):
-                shm.unlink()
 
 
 def _run_service(
@@ -730,7 +632,7 @@ def _run_service(
     entirely — the cross-run win) and its
     :meth:`~repro.network.network.Network.descriptor` (so an evicted or
     never-seen deployment is rebuilt server-side, bitwise-identically to
-    the fork worker's reconstruction).
+    the parent's own build).
 
     Failure handling is per point, never per run: a failed or timed-out
     point is retried (on another worker where one exists) and, if it

@@ -347,11 +347,12 @@ class Network:
 
         Carries the backend and cutoff *requests*, not their resolved
         values: a rebuild resolves them exactly as this network did
-        (same coordinates, parameters, metric and channel).  Fork
-        workers, service daemons and the copy methods all rebuild from
-        this dict, so the rebuilt fingerprint and gain structure match
-        bit for bit.  The coordinate array is shared, not copied — it is
-        read-only.
+        (same coordinates, parameters, metric and channel).  Service
+        daemons (``run_grid(workers=...)``) and the copy methods
+        (:meth:`advance`, :meth:`with_params`, :meth:`with_channel`)
+        rebuild from this dict, so the rebuilt fingerprint and gain
+        structure match bit for bit.  The coordinate array is shared,
+        not copied — it is read-only.
         """
         return {
             "coords": self._coords,
@@ -371,9 +372,9 @@ class Network:
         — but *not* ``name``, which is a display label.  Two networks with
         equal fingerprints produce identical gain matrices and hence
         identical protocol behaviour on identical seeds; the grid layer
-        keys its shared-memory registry and the on-disk result cache on
-        this value (DESIGN.md §6.3), so networks differing only in
-        channel never replay each other's results.
+        builds one gain structure per distinct value and keys the
+        on-disk result cache on it (DESIGN.md §6.3), so networks
+        differing only in channel never replay each other's results.
 
         Dense-mode fingerprints are byte-identical to pre-backend
         releases, so existing result caches stay valid; sparse mode
@@ -443,12 +444,7 @@ class Network:
     # ------------------------------------------------------------------
     # mobility (DESIGN.md §7)
     # ------------------------------------------------------------------
-    def advance(
-        self,
-        displacements: np.ndarray,
-        *,
-        rebuild_fraction: float = MOBILITY_REBUILD_FRACTION,
-    ) -> "Network":
+    def advance(self, displacements: np.ndarray) -> "Network":
         """The network one mobility step later (a new ``Network``).
 
         Networks stay immutable: ``advance`` returns a successor at
@@ -458,10 +454,10 @@ class Network:
         carries over is the expensive gain structure, *incrementally*:
 
         * **sparse** — when this network's backend is built and at most
-          ``rebuild_fraction`` of the stations moved, the successor gets
-          :meth:`repro.sinr.sparse.SparseGainBackend.advanced`'s patched
-          backend: only CSR rows whose cell neighbourhood saw a moved
-          station are recomputed, the rest are copied.  The patched
+          :data:`MOBILITY_REBUILD_FRACTION` of the stations moved, the
+          successor gets :meth:`repro.sinr.sparse.SparseGainBackend.advanced`'s
+          patched backend: only CSR rows whose cell neighbourhood saw a
+          moved station are recomputed, the rest are copied.  The patched
           state is bitwise equal to a from-scratch build at the new
           coordinates (the equivalence suite asserts it); when the cell
           grid itself drifts (bounding-box origin/shape change) the
@@ -482,8 +478,6 @@ class Network:
 
         :param displacements: ``(n, d)`` per-station displacement array;
             stations with an exact-zero row are treated as unmoved.
-        :param rebuild_fraction: moved-fraction threshold above which no
-            patching is attempted.
         """
         disp = np.asarray(displacements, dtype=float)
         if disp.ndim == 1:
@@ -504,7 +498,7 @@ class Network:
         new_coords = self._coords + disp
         successor = Network(**{**self.descriptor(), "coords": new_coords})
         successor.advance_mode = "rebuild"
-        if moved.size <= rebuild_fraction * self.size:
+        if moved.size <= MOBILITY_REBUILD_FRACTION * self.size:
             if self.backend_kind == "sparse" and self._backend_obj is not None:
                 patched = self._backend_obj.advanced(new_coords, moved)
                 if patched is not None:

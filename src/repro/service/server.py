@@ -696,11 +696,11 @@ class ServiceServer:
         """Rebuild a network from a grid client's pickled
         :meth:`~repro.network.network.Network.descriptor`.
 
-        The fork worker's reconstruction
-        (:func:`repro.fastsim.grid._attach_network`) starts from the
-        same dict, so the gain structure is bitwise identical, which is
-        what makes ``run_grid(workers=[...])`` results bitwise equal to
-        fork-pool runs.
+        The dict carries every constructor input of the client's own
+        network, so the gain structure built here is bitwise identical
+        to the one the client's fork workers share, which is what makes
+        ``run_grid(workers=[...])`` results bitwise equal to fork-pool
+        runs.
         """
         net = Network(**descriptor)
         net.gain_operator

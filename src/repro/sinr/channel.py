@@ -17,14 +17,15 @@ The contract (DESIGN.md §2.1):
 * **Determinism.**  Randomized models own their seed: construction takes
   ``seed=`` and :meth:`ChannelModel.gain` derives a fresh
   ``default_rng(seed)`` on every call, so one model instance always
-  produces one matrix.  Networks cache gains lazily and the grid layer
-  rebuilds them in workers; a channel whose output drifted between calls
-  would silently break the parallel-equals-serial contract.
+  produces one matrix.  Networks cache gains lazily, and remote grid
+  workers rebuild them from ``Network.descriptor()``; a channel whose
+  output drifted between calls would silently break the contract that
+  remote results equal local ones.
 * :meth:`ChannelModel.identity` returns a tuple of primitives that,
   together with ``(dist, coords, params)``, uniquely determines the
   model's output.  ``Network.fingerprint()`` hashes it, so two networks
-  differing only in channel never collide in the shared-memory registry
-  or the on-disk result cache (DESIGN.md §6.3).
+  differing only in channel never share a gain structure in the grid
+  layer or collide in the on-disk result cache (DESIGN.md §6.3).
 
 The *communication graph* stays distance-based (``(1 - eps) r``): the
 paper's claims are statements about that graph, and E13 asks precisely

@@ -283,11 +283,23 @@ def _resolve_slab(
     return np.where(heard, strongest, NO_SENDER), sinr
 
 
+def _checked_transmitters(n: int, transmitters) -> np.ndarray:
+    """One round's transmitters as station indices, each in ``[0, n)``.
+
+    Unchecked, a negative index would name a station counted from the
+    end: ``[NO_SENDER]`` would make station ``n - 1`` transmit.
+    """
+    stations = np.asarray(transmitters, dtype=np.intp)
+    if stations.size and not 0 <= stations.min() <= stations.max() < n:
+        raise ValueError(f"transmitter indices must be in [0, {n})")
+    return stations
+
+
 def _round_mask(gain, transmitters) -> np.ndarray:
     """The ``(1, n)`` mask of one round (a repeated index sets one bit)."""
     n = gain.shape[0] if isinstance(gain, np.ndarray) else gain.n
     mask = np.zeros((1, n), dtype=bool)
-    mask[0, np.asarray(transmitters, dtype=np.intp)] = True
+    mask[0, _checked_transmitters(n, transmitters)] = True
     return mask
 
 
@@ -318,7 +330,7 @@ def resolve_reception_many(
     :param gain: ``(n, n)`` gain matrix or a
         :class:`~repro.sinr.sparse.SparseGainBackend`.
     :param transmitter_sets: sequence of transmitter index arrays, one
-        per query.
+        per query; an index outside ``[0, n)`` raises ``ValueError``.
     :param noise: ambient noise ``N``.
     :param beta: SINR threshold.
     :param compact: return each row as a ``(receivers, senders)``
@@ -342,8 +354,7 @@ def resolve_reception_many(
     n = gain.shape[0]
     tx_mask = np.zeros((len(sets), n), dtype=bool)
     for b, transmitters in enumerate(sets):
-        if transmitters.size:
-            tx_mask[b, transmitters] = True
+        tx_mask[b, _checked_transmitters(n, transmitters)] = True
     heard = resolve_reception_batch(gain, tx_mask, noise, beta)
     if compact:
         out = []
@@ -369,7 +380,8 @@ def resolve_reception(
     :func:`resolve_reception_batch` — the same arithmetic, on a dense
     matrix or a :class:`~repro.sinr.sparse.SparseGainBackend`.
     ``transmitters`` is a set of station indices, so a repeated index
-    names one transmitter.
+    names one transmitter; an index outside ``[0, n)`` raises
+    ``ValueError``.
 
     :returns: length-``n`` integer array: the sender index heard by each
         station, or :data:`NO_SENDER`.
@@ -392,10 +404,11 @@ def resolve_at(
     ``sinr`` is the SINR of each listener's strongest transmitter as the
     same ``B = 1`` fold computes it (0 where no transmitter reaches the
     listener); ``listeners`` may be unsorted, repeat stations or name
-    transmitters, and a repeated transmitter index names one
-    transmitter.  A dense matrix resolves the whole round with the one
-    batched fold (:func:`resolve_reception_batch`) and gathers.  The
-    traffic engine asks only about its packets' next hops, so on a
+    transmitters, a repeated transmitter index names one transmitter,
+    and one outside ``[0, n)`` raises ``ValueError``.  A dense matrix
+    resolves the whole round with the one batched fold
+    (:func:`resolve_reception_batch`) and gathers.  The traffic engine
+    asks only about its packets' next hops, so on a
     :class:`~repro.sinr.sparse.SparseGainBackend` the cost follows
     those stations' neighbourhoods plus one far-field transform instead
     of ``n`` (:meth:`~repro.sinr.sparse.SparseGainBackend.resolve_at`).
@@ -404,7 +417,10 @@ def resolve_at(
     """
     sparse = getattr(gain, "resolve_at", None)
     if sparse is not None:
-        return sparse(transmitters, listeners, noise, beta)
+        return sparse(
+            _checked_transmitters(gain.n, transmitters), listeners, noise,
+            beta,
+        )
     heard, sinr = _resolve_slab(
         gain, _round_mask(gain, transmitters), noise, beta
     )

@@ -311,9 +311,9 @@ class CellIndex:
     every neighbourhood query is a handful of ``searchsorted`` calls.
 
     :param reach: Chebyshev radius (in cells) of the "near"
-        neighbourhood served by :meth:`adjacent_pair_chunks` and
-        :meth:`candidates_near`; pairs at Euclidean distance
-        ``<= reach * cell_size`` are guaranteed to be near.
+        neighbourhood served by :meth:`adjacent_pair_chunks`; pairs at
+        Euclidean distance ``<= reach * cell_size`` are guaranteed to be
+        near.
     """
 
     def __init__(self, coords: np.ndarray, cell_size: float, reach: int = 1):
@@ -404,35 +404,6 @@ class CellIndex:
                 keep = i != j
                 i, j = i[keep], j[keep]
             yield i, j
-
-    def candidates_near(self, point: np.ndarray) -> np.ndarray:
-        """Stations in the Chebyshev-``reach`` cell neighbourhood of a point.
-
-        Complete for any query radius ``<= reach * cell_size`` around a
-        point inside the indexed bounding box (clipped cells at the
-        boundary still cover exterior points within one cell side).
-        """
-        point = np.asarray(point, dtype=float)
-        cell = np.floor((point - self.origin) / self.h).astype(np.int64)
-        np.clip(cell, 0, np.asarray(self.shape) - 1, out=cell)
-        chunks = []
-        span = range(-self.reach, self.reach + 1)
-        for offset in product(span, repeat=self.dim):
-            nb = cell + np.asarray(offset, dtype=np.int64)
-            if np.any(nb < 0) or np.any(nb >= np.asarray(self.shape)):
-                continue
-            bucket = self._bucket_of(
-                np.asarray([np.ravel_multi_index(tuple(nb), self.shape)])
-            )[0]
-            if bucket < 0:
-                continue
-            start = self.bucket_start[bucket]
-            chunks.append(
-                self.order[start:start + self.bucket_count[bucket]]
-            )
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
 
 
 # ----------------------------------------------------------------------
@@ -574,32 +545,10 @@ class SparseGainBackend:
         self.data = self._radial(dists)
         self._dists = dists
 
-    @classmethod
-    def from_arrays(
-        cls,
-        coords: np.ndarray,
-        params: SINRParameters,
-        channel,
-        cutoff: float,
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-    ) -> "SparseGainBackend":
-        """Rebuild a backend around precomputed CSR arrays.
-
-        Used by the grid layer's fork workers: the (cheap) cell index
-        and far-field kernels are derived from the coordinates, while
-        the CSR arrays are zero-copy views into the parent's
-        shared-memory segment.  The arrays must be exactly the ones a
-        fresh build would produce — they carry the round arithmetic.
-        """
-        return cls(
-            coords, params, channel, cutoff, _csr=(data, indices, indptr)
-        )
-
     @property
     def dists(self) -> np.ndarray:
-        """CSR-aligned pair distances (lazy when CSR came from shm)."""
+        """CSR-aligned pair distances (lazy on a backend built around
+        given CSR arrays, as :meth:`advanced` builds its result)."""
         if self._dists is None:
             rows = np.repeat(
                 np.arange(self.n), np.diff(self.indptr)

@@ -13,9 +13,10 @@ each provoked and pinned here with the seeded fault-injection layer
   checksum, is quarantined, and degrades to a miss; a mangled service
   reply fails its payload checksum and is re-dispatched — damaged
   bytes are never consumed, anywhere.
-* **No leaked resources.**  An interrupted fork-pool grid unlinks its
-  shared-memory segments on the way out (the ``/dev/shm`` leak this
-  PR fixes), and SIGTERM drains exactly like Ctrl-C.
+* **No leaked resources.**  An interrupted fork-pool grid tears its
+  pool down and leaves nothing in ``/dev/shm`` (its workers share the
+  parent's networks through ``fork``), and SIGTERM drains exactly like
+  Ctrl-C.
 
 The failure-matrix rows (DESIGN.md §9.3/§10.4) that need a live server
 use an in-process :class:`ServiceServer` on a background thread with a

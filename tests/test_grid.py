@@ -1,5 +1,7 @@
 """Tests for the parallel grid orchestrator and its result cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def _sparse_points(trials=4):
 
 
 class TestSparseGridMode:
-    """The grid layer ships CSR arrays through shared memory (§2.2/§6.3)."""
+    """Fork workers run sparse points on the parent's backend (§2.2/§6.3)."""
 
     def test_jobs2_bitwise_identical_to_jobs1(self):
         serial = run_grid(_spec(_sparse_points()), jobs=1)
@@ -213,6 +215,39 @@ class TestSparseGridMode:
         # same coords, same seed spawning — but the sparse point must
         # compute, not replay the dense entry
         assert not sparse[0].cached
+
+
+def _identity_probe(network, sweep):
+    return {"network": id(network), "gain": id(network.gain_operator)}
+
+
+class TestForkHandOff:
+    """Fork workers run every point on the parent's own network object
+    and gain structure, as the in-process loop does, never on a copy
+    rebuilt in the worker (§6.3)."""
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_jobs2_points_run_on_parent_objects(self, mode):
+        if mode == "dense":
+            shared = dict(share_deployment="net", post=_identity_probe)
+            points = [
+                _uniform_point(14, **shared),
+                _uniform_point(14, kind="nospont_broadcast", label="nos",
+                               **shared),
+                _uniform_point(10, label="small", post=_identity_probe),
+            ]
+        else:
+            points = [
+                dataclasses.replace(point, post=_identity_probe)
+                for point in _sparse_points(trials=2)
+            ]
+        results = run_grid(_spec(points), jobs=2)
+        assert {r.network.backend_kind for r in results} == {mode}
+        for r in results:
+            assert r.extras == {
+                "network": id(r.network),
+                "gain": id(r.network.gain_operator),
+            }
 
 
 class TestResultCache:

@@ -4,10 +4,10 @@ The parallel-equals-serial contract (DESIGN.md §6.3): for *any* grid —
 random deployments, replication counts, master seed — ``run_grid`` with a
 worker pool produces bitwise the same per-point ``rounds``/``success``
 arrays as the in-process serial path.  Seeds are fixed at preparation
-time and the workers' shared-memory gain matrices are byte copies of the
-parent's, so any divergence (seed re-derivation in workers, matrix
-transport corruption, point/result misalignment) breaks exact equality
-immediately.
+time and the workers run on the parent's own networks and gain matrices,
+inherited through ``fork``, so any divergence (seed re-derivation in
+workers, workers seeing other gains than the parent, point/result
+misalignment) breaks exact equality immediately.
 """
 
 import tempfile
@@ -133,7 +133,7 @@ def test_cache_misses_across_channels_and_parallel_matches_serial(
 ):
     """One deployment, two channels, one cache directory: the second
     channel must recompute, not replay — and the parallel path must carry
-    the channel through its fork descriptors bitwise."""
+    the channel to its fork workers bitwise."""
     rng = np.random.default_rng(seed)
     xs = np.arange(6) * 0.45 + rng.uniform(-0.05, 0.05, size=6)
     coords = np.column_stack([xs, rng.uniform(-0.1, 0.1, size=6)])

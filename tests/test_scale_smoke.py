@@ -3,10 +3,10 @@
 The sparse backend's reason to exist is deployments the dense resolver
 cannot touch (a dense n=50k gain matrix alone is 20 GB).  These tests
 drive the full production path at scale — deployment → sparse backend →
-grid orchestrator → shared-memory CSR shipping → batched wake-up kernel
-at 50k, and a direct million-station wake-up round plus resolver fold
-at 1M — gated behind the ``slow`` marker so the CI fast lane stays fast
-(the tier-1 job runs them).
+grid orchestrator → fork workers sharing the parent's CSR → batched
+wake-up kernel at 50k, and a direct million-station wake-up round plus
+resolver fold at 1M — gated behind the ``slow`` marker so the CI fast
+lane stays fast (the tier-1 job runs them).
 """
 
 import math

@@ -25,6 +25,7 @@ from repro.sinr.reception import (
     resolve_at,
     resolve_reception,
     resolve_reception_batch,
+    resolve_reception_many,
 )
 from repro.sinr.sparse import SparseGainBackend
 
@@ -182,6 +183,38 @@ class TestResolveReception:
             resolve_reception(gain, [0, 2, 2, 2], PARAMS.noise, PARAMS.beta),
             once[0],
         )
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "n"])
+    @pytest.mark.parametrize(
+        "resolve",
+        [
+            lambda g, tx: resolve_reception(
+                g, tx, PARAMS.noise, PARAMS.beta
+            ),
+            lambda g, tx: resolve_at(
+                g, tx, np.arange(4), PARAMS.noise, PARAMS.beta
+            ),
+            lambda g, tx: resolve_reception_many(
+                g, [[0], tx], PARAMS.noise, PARAMS.beta
+            ),
+        ],
+        ids=["resolve_reception", "resolve_at", "resolve_reception_many"],
+    )
+    def test_out_of_range_transmitter_index_rejected(
+        self, backend, bad, resolve
+    ):
+        # A negative index must not wrap around: ``[-1]`` would name
+        # station 3, which station 2 would then "hear".
+        coords = np.array([[0.0, 0.0], [0.8, 0.0], [2.2, 0.0], [3.0, 0.0]])
+        gain = (
+            _gains(coords) if backend == "dense"
+            else SparseGainBackend(coords, PARAMS)
+        )
+        with pytest.raises(
+            ValueError, match=r"transmitter indices must be in \[0, 4\)"
+        ):
+            resolve(gain, [bad])
 
 
 class TestBatchedReception:
