@@ -26,12 +26,13 @@ from repro.analysis.stats import aggregate_trials, success_rate
 from repro.core.constants import ProtocolConstants
 from repro.core.properties import lemma2_best_masses
 from repro.deploy import uniform_square
-from repro.experiments.base import ExperimentReport, check_scale, fmt, trial_rngs
+from repro.experiments.base import ExperimentReport, check_scale, fmt
 from repro.fastsim import fast_coloring, fast_spont_broadcast
+from repro.fastsim.engine import spawn_rngs
 
 
 def _bank(n: int, seed: int):
-    rng = next(iter(trial_rngs(1, seed)))
+    rng = spawn_rngs(1, seed)[0]
     return uniform_square(n=n, side=3.0, rng=rng)
 
 
@@ -51,7 +52,7 @@ def ablate_playoff_self(scale: str = "quick", seed: int = 2014) -> ExperimentRep
     metrics = {}
     for label, counts_self in (("receptions-only", False), ("paper", True)):
         constants = ProtocolConstants.practical(playoff_counts_self=counts_self)
-        rng = next(iter(trial_rngs(1, seed + 1)))
+        rng = spawn_rngs(1, seed + 1)[0]
         result = fast_coloring(net, constants, rng)
         masses = lemma2_best_masses(net, result, radius=0.4)
         report.rows.append(
@@ -87,7 +88,7 @@ def ablate_ceps(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         constants = ProtocolConstants.practical(
             ceps=ceps, pmax=0.9 / ceps
         )
-        rng = next(iter(trial_rngs(1, seed + int(ceps))))
+        rng = spawn_rngs(1, seed + int(ceps))[0]
         result = fast_coloring(net, constants, rng)
         masses = lemma2_best_masses(net, result, radius=0.4)
         out = fast_spont_broadcast(net, 0, constants, rng)
@@ -123,7 +124,7 @@ def ablate_dissemination(scale: str = "quick", seed: int = 2014) -> ExperimentRe
     for c in (1.0, 3.0, 6.0, 12.0, 24.0):
         constants = ProtocolConstants.practical(dissemination=c)
         rounds, succ = [], []
-        for rng in trial_rngs(trials, seed + int(c)):
+        for rng in spawn_rngs(trials, seed + int(c)):
             out = fast_spont_broadcast(net, 0, constants, rng)
             succ.append(out.success)
             if out.success:
@@ -146,7 +147,7 @@ def ablate_coloring_refresh(scale: str = "quick", seed: int = 2014) -> Experimen
     from repro.deploy import dumbbell
 
     trials = 2 if scale == "quick" else 5
-    rng0 = next(iter(trial_rngs(1, seed)))
+    rng0 = spawn_rngs(1, seed)[0]
     net = dumbbell(12 if scale == "quick" else 24, 5, rng0)
     constants = ProtocolConstants.practical()
     base = run_coloring(net, constants, rng0)
@@ -160,7 +161,7 @@ def ablate_coloring_refresh(scale: str = "quick", seed: int = 2014) -> Experimen
     )
     for label, refresh in (("with q_v", True), ("p_v only", False)):
         rounds, succ = [], []
-        for rng in trial_rngs(trials, seed + int(refresh)):
+        for rng in spawn_rngs(trials, seed + int(refresh)):
             out = run_colored_wakeup(
                 net, [0], base_colors, constants, rng,
                 refresh_coloring=refresh,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -59,15 +58,6 @@ class ExperimentReport:
             )
         parts.extend(f"note: {n}" for n in self.notes)
         return "\n".join(parts)
-
-
-def trial_rngs(
-    n_trials: int, seed: int
-) -> Iterator[np.random.Generator]:
-    """Independent, reproducible per-trial generators."""
-    seq = np.random.SeedSequence(seed)
-    for child in seq.spawn(n_trials):
-        yield np.random.default_rng(child)
 
 
 def run_grid_points(points, seed: int, name: str):

@@ -23,8 +23,8 @@ from repro.experiments.base import (
     check_scale,
     fmt,
     run_grid_points,
-    trial_rngs,
 )
+from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.grid import GridPoint
 
 #: Trial counts raised from the pre-grid 4/8: the spread statistics are
@@ -50,7 +50,7 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
               "node positions within reachability balls",
         headers=["deployment", "perturbation", "mean rounds", "trials"],
     )
-    rng0 = next(iter(trial_rngs(1, seed)))
+    rng0 = spawn_rngs(1, seed)[0]
     base = uniform_square(n=cfg["n"], side=3.0, rng=rng0)
     family = same_graph_family(base, cfg["scales"], rng0)
 

@@ -42,8 +42,8 @@ from repro.experiments.base import (
     check_scale,
     fmt,
     run_grid_points,
-    trial_rngs,
 )
+from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.grid import GridPoint
 from repro.network.network import Network
 from repro.sinr.channel import (
@@ -142,7 +142,7 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
             "channel", "deployment", "mean rounds", "success", "trials",
         ],
     )
-    rng0 = next(iter(trial_rngs(1, seed)))
+    rng0 = spawn_rngs(1, seed)[0]
     base = uniform_square(n=cfg["n"], side=cfg["side"], rng=rng0)
     family = same_graph_family(base, cfg["scales"], rng0)
     dense = uniform_square(

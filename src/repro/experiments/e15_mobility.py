@@ -45,8 +45,8 @@ from repro.experiments.base import (
     fmt,
     hop_round_budget,
     run_grid_points,
-    trial_rngs,
 )
+from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.grid import GridPoint
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
@@ -154,7 +154,7 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
             "escape",
         ],
     )
-    rng0 = next(iter(trial_rngs(1, seed)))
+    rng0 = spawn_rngs(1, seed)[0]
 
     levels, branching = cfg["fractal"]
     families = [

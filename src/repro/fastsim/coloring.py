@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.core.coloring import FINAL_COLOR_LEVEL, NOT_PARTICIPATING
 from repro.core.constants import ColoringSchedule, ProtocolConstants
 from repro.errors import ProtocolError
@@ -157,7 +156,6 @@ def fast_coloring_batch(
         )
 
     gains = network.gain_operator
-    fused = _kernels.COMPILED
     noise = network.params.noise
     beta = network.params.beta
     counts_self = constants.playoff_counts_self
@@ -187,11 +185,7 @@ def fast_coloring_batch(
                 tx_mask = mac_hook(global_round, tx_mask, network)
             heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
             heard = heard_from != NO_SENDER
-            if fused:
-                _kernels.count_successes(
-                    successes, heard, tx_mask, bool(count_tx)
-                )
-            elif count_tx:
+            if count_tx:
                 successes += (heard | tx_mask)
             else:
                 successes += heard

@@ -5,8 +5,8 @@ replications of one protocol on one deployment in a single set of numpy
 operations.  This module holds the shared machinery:
 
 * **seed-spawned generators** — every replication owns a generator
-  spawned from one ``SeedSequence``, exactly like
-  :func:`repro.experiments.base.trial_rngs`, so a batched sweep and a
+  spawned from one ``SeedSequence`` by :func:`spawn_rngs`, which the
+  experiments' sequential trial loops use too, so a batched sweep and a
   Python loop over single runs see the *same* random streams;
 * **blocked Bernoulli draws** — a generator filling ``(rounds, n)`` in
   one call yields the identical stream to ``rounds`` successive
@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.errors import ProtocolError
 from repro.network.network import Network
 from repro.sinr.reception import NO_SENDER, resolve_reception_batch
@@ -50,9 +49,9 @@ def spawn_rngs(
 ) -> list[np.random.Generator]:
     """One independent generator per replication, spawned from ``seed``.
 
-    Identical spawning discipline to ``repro.experiments.base.trial_rngs``:
-    replication ``b`` of a batched sweep gets the same stream as trial
-    ``b`` of a sequential experiment loop with the same master seed.
+    The experiments' sequential trial loops draw their generators here
+    too, so replication ``b`` of a batched sweep gets the same stream as
+    trial ``b`` of a sequential loop with the same master seed.
 
     ``seed`` may also be a ``numpy.random.SeedSequence`` (the grid layer
     hands every sweep a child sequence spawned from the grid's master
@@ -140,7 +139,6 @@ def dissemination_loop_batch(
     """
     B, n = informed.shape
     gains = network.gain_operator
-    fused = _kernels.COMPILED
     noise = network.params.noise
     beta = network.params.beta
     if enabled is None:
@@ -164,17 +162,10 @@ def dissemination_loop_batch(
         if mac_hook is not None:
             tx_mask = mac_hook(round_no, tx_mask, network)
         heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
-        if fused:
-            # One jitted pass over (B, n) — same integer/boolean algebra
-            # as the numpy expressions below (DESIGN.md §2.3).
-            _kernels.spread_update(
-                heard_from, informed, informed_round, running, round_no
-            )
-        else:
-            newly = (heard_from != NO_SENDER) & ~informed & running[:, None]
-            if newly.any():
-                informed |= newly
-                informed_round[newly] = round_no
+        newly = (heard_from != NO_SENDER) & ~informed & running[:, None]
+        if newly.any():
+            informed |= newly
+            informed_round[newly] = round_no
         round_no += 1
         just_done = running & informed.all(axis=1)
         if just_done.any():

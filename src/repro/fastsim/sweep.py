@@ -7,10 +7,11 @@ runs ``B`` independent replications of one protocol on one deployment in
 a single set of numpy operations:
 
 * replication ``b`` draws from its own generator, spawned from the master
-  seed exactly like ``repro.experiments.base.trial_rngs``, so a batched
-  sweep is *sample-for-sample identical* to a sequential loop of
-  single-instance fast runs over the same seeds (the hypothesis suite
-  asserts exact equality, not statistical closeness);
+  seed by :func:`repro.fastsim.engine.spawn_rngs` as in the experiments'
+  sequential trial loops, so a batched sweep is *sample-for-sample
+  identical* to a sequential loop of single-instance fast runs over the
+  same seeds (the hypothesis suite asserts exact equality, not
+  statistical closeness);
 * the channel is resolved for all replications at once through
   :func:`repro.sinr.reception.resolve_reception_batch`;
 * per-replication headline numbers land in a :class:`SweepResult`.
@@ -244,9 +245,10 @@ def run_sweep(
     """Run ``n_replications`` independent replications of one protocol.
 
     The workhorse of the experiment harness: spawns one generator per
-    replication from ``seed`` (the same spawning discipline as
-    ``trial_rngs``), dispatches to the protocol's batched kernel, and
-    aggregates per-replication headline numbers.
+    replication from ``seed`` (:func:`repro.fastsim.engine.spawn_rngs`,
+    as the experiments' sequential trial loops do), dispatches to the
+    protocol's batched kernel, and aggregates per-replication headline
+    numbers.
 
     :param kind: one of :func:`sweep_kinds`.
     :param kwargs: protocol-specific arguments (``source=...`` for the

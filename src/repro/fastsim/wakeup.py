@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.core.constants import ColoringSchedule, ProtocolConstants, log2ceil
 from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
 from repro.errors import ProtocolError
@@ -49,16 +48,12 @@ class VectorColoringState:
     channel outcomes, and it tracks quit levels and test counters for all
     stations of all replications.  Stations outside the ``active`` mask
     neither transmit nor observe (their counters stay frozen), matching
-    inactive reference nodes.  Counters accumulate through the fused
-    loop kernel when :data:`repro.kernels.COMPILED` is set and the numpy
-    expressions otherwise — same integer algebra either way
-    (DESIGN.md §2.3).
+    inactive reference nodes.
     """
 
     def __init__(self, schedule: ColoringSchedule, batch_size: int):
         self.schedule = schedule
         self.constants = schedule.constants
-        self._fused = _kernels.COMPILED
         shape = (batch_size, schedule.n)
         self.quit_level = np.full(shape, -1, dtype=int)
         self.has_quit = np.zeros(shape, dtype=bool)
@@ -86,23 +81,10 @@ class VectorColoringState:
         level, _block, part, _r = self.schedule.position(offset)
         counting = active & ~self.has_quit
         if part == "density":
-            if self._fused:
-                _kernels.observe_accumulate(
-                    self._density, counting, heard, transmitted, True
-                )
-            else:
-                self._density += counting & (heard | transmitted)
+            self._density += counting & (heard | transmitted)
         else:
             counts_self = self.constants.playoff_counts_self
-            if self._fused:
-                _kernels.observe_accumulate(
-                    self._playoff, counting, heard, transmitted,
-                    bool(counts_self),
-                )
-            else:
-                self._playoff += counting & (
-                    heard | (transmitted & counts_self)
-                )
+            self._playoff += counting & (heard | (transmitted & counts_self))
         if self.schedule.is_block_end(offset):
             n = self.schedule.n
             passed = (
@@ -178,7 +160,6 @@ def fast_adhoc_wakeup_batch(
         round_budget = spread + phase_len * (2 * depth + budget_slack)
 
     gains = network.gain_operator
-    fused = _kernels.COMPILED
     noise = network.params.noise
     beta = network.params.beta
 
@@ -232,13 +213,7 @@ def fast_adhoc_wakeup_batch(
             tx_mask = mac_hook(round_no, tx_mask, network)
         heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
         heard = heard_from != NO_SENDER
-        if fused:
-            _kernels.wake_update(
-                heard, awake_round, active_from, round_no,
-                round_no // phase_len + 1, NEVER_INFORMED,
-            )
-        else:
-            mark_awake(heard, round_no)
+        mark_awake(heard, round_no)
         if offset < coloring_len:
             state.observe(offset, heard, tx_mask, active)
         just_done = running & (awake_round != NEVER_INFORMED).all(axis=1)

@@ -1,13 +1,14 @@
 """Compiled loop kernels (DESIGN.md §2.3).
 
-The SINR resolvers and the per-round protocol state updates each have
-two implementations: the vectorized numpy expressions (the reference
-arithmetic everything else in the repo is validated against) and the
-explicit loops in this module, jitted by numba when it is installed.
-The contract binding them is **bitwise equivalence** — not tolerance,
-not "statistically indistinguishable": for any inputs, the compiled
-path returns the exact bytes the numpy path returns.  That is what
-lets :meth:`repro.network.network.Network.fingerprint` and
+The two float folds of the SINR resolvers — the sparse CSR near scan
+and the dense batched fold — each have two implementations: the
+vectorized numpy expressions (the reference arithmetic everything else
+in the repo is validated against) and the explicit loops in this
+module, jitted by numba when it is installed.  The contract binding
+them is **bitwise equivalence** — not tolerance, not "statistically
+indistinguishable": for any inputs, the compiled path returns the
+exact bytes the numpy path returns.  That is what lets
+:meth:`repro.network.network.Network.fingerprint` and
 :func:`repro.fastsim.cache.point_key` deliberately *exclude* the kernel
 choice — compiled and numpy runs share cache entries because they are
 the same function (``tests/test_kernel_differential.py`` enforces it).
@@ -26,21 +27,21 @@ Why the loops can promise bitwise equality:
   is no separate single-round loop;
 * strongest-sender selection uses a strict ``>`` over the same
   iteration order, reproducing the numpy paths' first-maximum /
-  lowest-index tie-breaks;
-* the state updates are pure boolean/integer algebra, where equality
-  is structural.
+  lowest-index tie-breaks.
 
 Selection is by platform, not by caller: :data:`COMPILED` is set once,
-at import, from whether numba imports, and every resolver and protocol
-round loop reads it when called.  With numba, both the float folds and
-the fused state updates run jitted; without it, the numpy expressions
-run.  No argument, descriptor key or environment variable chooses — the
-two implementations return identical bytes, so there is nothing for a
-caller to choose between (:attr:`repro.network.network.Network.kernel_kind`
-reports the choice).  Tests drive the loops on any machine by
-monkeypatching :data:`COMPILED` to ``True``: without numba they then run
-as un-jitted python, slow but bitwise identical, which is how the
-differential suite checks the loop arithmetic everywhere.
+at import, from whether numba imports, and every resolver reads it
+when called.  With numba, the float folds run jitted; without it, the
+numpy expressions run.  No argument, descriptor key or environment
+variable chooses — the two implementations return identical bytes, so
+there is nothing for a caller to choose between
+(:attr:`repro.network.network.Network.kernel_kind` reports the choice).
+The per-round protocol state updates have one implementation, the
+boolean/integer numpy expressions in :mod:`repro.fastsim`.  Tests drive
+the loops on any machine by monkeypatching :data:`COMPILED` to
+``True``: without numba they then run as un-jitted python, slow but
+bitwise identical, which is how the differential suite checks the loop
+arithmetic everywhere.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ except ImportError:  # pragma: no cover - the only branch on this box
 
         return _decorate
 
-#: Whether the loop kernels below serve the resolvers and the per-round
-#: state updates (DESIGN.md §2.3).  Set from the platform — numba
-#: present means jitted loops, absent means numpy — and never by a
-#: caller; callers read it at call time, so a test may monkeypatch it.
+#: Whether the loop kernels below serve the resolvers (DESIGN.md §2.3).
+#: Set from the platform — numba present means jitted loops, absent
+#: means numpy — and never by a caller; callers read it at call time,
+#: so a test may monkeypatch it.
 COMPILED: bool = HAVE_NUMBA
 
 
@@ -190,129 +191,3 @@ def dense_strongest(
             total, best_gain, best_sender,
         )
     return best_sender, best_gain, total
-
-
-# ----------------------------------------------------------------------
-# fused per-round state updates (integer/boolean algebra — exact)
-# ----------------------------------------------------------------------
-def _spread_update_loop(
-    heard_from, informed, informed_round, running, round_no
-):
-    B, n = informed.shape
-    for b in range(B):
-        if not running[b]:
-            continue
-        for u in range(n):
-            if heard_from[b, u] != -1 and not informed[b, u]:
-                informed[b, u] = True
-                informed_round[b, u] = round_no
-
-
-_spread_update_jit = _jit(_spread_update_loop)
-
-
-def spread_update(
-    heard_from: np.ndarray,
-    informed: np.ndarray,
-    informed_round: np.ndarray,
-    running: np.ndarray,
-    round_no: int,
-) -> None:
-    """Fused dissemination-round state update (in place).
-
-    One pass replacing the numpy expression in
-    :func:`repro.fastsim.engine.dissemination_loop_batch` — mark every
-    running replication's newly-hearing stations informed and stamp the
-    round — without materializing the ``(B, n)`` ``newly`` temporary.
-    """
-    _spread_update_jit(heard_from, informed, informed_round, running, round_no)
-
-
-def _wake_update_loop(
-    heard, awake_round, active_from, round_no, next_phase, never
-):
-    B, n = heard.shape
-    for b in range(B):
-        for u in range(n):
-            if heard[b, u] and awake_round[b, u] == never:
-                awake_round[b, u] = round_no
-                active_from[b, u] = next_phase
-
-
-_wake_update_jit = _jit(_wake_update_loop)
-
-
-def wake_update(
-    heard: np.ndarray,
-    awake_round: np.ndarray,
-    active_from: np.ndarray,
-    round_no: int,
-    next_phase: int,
-    never: int,
-) -> None:
-    """Fused ``mark_awake`` for the heard path of the wake-up kernel.
-
-    Stations hearing a message for the first time record the round and
-    join the phase structure at ``next_phase`` — the exact integer
-    semantics of the closure in
-    :func:`repro.fastsim.wakeup.fast_adhoc_wakeup_batch`, minus its
-    boolean temporaries.
-    """
-    _wake_update_jit(
-        heard, awake_round, active_from, round_no, next_phase, never
-    )
-
-
-def _count_successes_loop(successes, heard, transmitted, count_tx):
-    B, n = successes.shape
-    for b in range(B):
-        for u in range(n):
-            if heard[b, u] or (count_tx and transmitted[b, u]):
-                successes[b, u] += 1
-
-
-_count_successes_jit = _jit(_count_successes_loop)
-
-
-def count_successes(
-    successes: np.ndarray,
-    heard: np.ndarray,
-    transmitted: np.ndarray,
-    count_tx: bool,
-) -> None:
-    """Fused per-round success accumulation of the coloring tests.
-
-    ``successes += heard | transmitted`` (or just ``heard``) from
-    :func:`repro.fastsim.coloring.fast_coloring_batch`, in place,
-    without the intermediate boolean array.
-    """
-    _count_successes_jit(successes, heard, transmitted, count_tx)
-
-
-def _observe_accumulate_loop(acc, counting, heard, transmitted, count_tx):
-    B, n = acc.shape
-    for b in range(B):
-        for u in range(n):
-            if counting[b, u] and (
-                heard[b, u] or (count_tx and transmitted[b, u])
-            ):
-                acc[b, u] += 1
-
-
-_observe_accumulate_jit = _jit(_observe_accumulate_loop)
-
-
-def observe_accumulate(
-    acc: np.ndarray,
-    counting: np.ndarray,
-    heard: np.ndarray,
-    transmitted: np.ndarray,
-    count_tx: bool,
-) -> None:
-    """Fused test-counter accumulation for the wake-up coloring state.
-
-    The gated form of :func:`count_successes` used by
-    :meth:`repro.fastsim.wakeup.VectorColoringState.observe`: only
-    stations in the ``counting`` mask accumulate.
-    """
-    _observe_accumulate_jit(acc, counting, heard, transmitted, count_tx)

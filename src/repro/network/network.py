@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.errors import DeploymentError, ProtocolError
+from repro.errors import DeploymentError, GeometryError, ProtocolError
 from repro.geometry.metric import (
     EuclideanMetric,
     Metric,
@@ -432,8 +432,20 @@ class Network:
         Sparse mode serves radii up to the cutoff from the cell index
         and larger radii from ``center``'s own row of distances, so it
         never builds the ``(n, n)`` matrix; the row is bitwise the dense
-        matrix's row.
+        matrix's row.  ``center`` must be an integer station index in
+        ``[0, n)`` and ``radius >= 0``, else :class:`GeometryError`.
         """
+        if (
+            isinstance(center, (bool, np.bool_))
+            or not isinstance(center, (int, np.integer))
+            or not 0 <= center < self.size
+        ):
+            raise GeometryError(
+                f"ball center must be a station index in [0, {self.size}),"
+                f" got {center!r}"
+            )
+        if not radius >= 0:
+            raise GeometryError(f"ball radius must be >= 0, got {radius!r}")
         if self.backend_kind == "sparse" and self._dist is None:
             if radius <= self.cutoff:
                 return self.sparse_backend.neighbors_within(center, radius)

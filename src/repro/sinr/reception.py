@@ -35,43 +35,16 @@ NO_SENDER: int = -1
 #: bitwise neutral per row.
 SLAB_ELEMENTS = 1 << 22
 
-#: Guards the module-level LRU caches (``_ARANGE_CACHE``,
-#: ``_RANK_CACHE``).  The service coalescer drives the resolvers from
-#: multiple in-flight requests on executor threads, so the
-#: refresh-recency ``pop``/re-insert dance and the eviction loops must
-#: be atomic; the (idempotent) array computations happen outside the
-#: lock, so contention is a dictionary operation, not a sort.  Reentrant
-#: because the ``_RANK_CACHE`` weakref finalizers also take it, and a
-#: garbage-collection pass can run them on a thread that already holds
-#: the lock (e.g. while a dict resize inside the locked region
-#: allocates).
+#: Guards :data:`_RANK_CACHE`.  The service coalescer drives the
+#: resolvers from multiple in-flight requests on executor threads, so
+#: the refresh-recency ``pop``/re-insert dance and the eviction loop
+#: must be atomic; the (idempotent) ranking computation happens outside
+#: the lock, so contention is a dictionary operation, not a sort.
+#: Reentrant because the ``_RANK_CACHE`` weakref finalizers also take
+#: it, and a garbage-collection pass can run them on a thread that
+#: already holds the lock (e.g. while a dict resize inside the locked
+#: region allocates).
 _CACHE_LOCK = threading.RLock()
-
-#: Read-only per-``n`` listener index arrays.  The batched fold indexes
-#: the listener axis with ``arange(n)`` every round; caching the array
-#: turns a per-round allocation into a dictionary hit (a handful of
-#: distinct ``n`` values are ever live at once).
-_ARANGE_CACHE: dict[int, np.ndarray] = {}
-_ARANGE_CACHE_LIMIT = 16
-
-
-def _listener_index(n: int) -> np.ndarray:
-    with _CACHE_LOCK:
-        arr = _ARANGE_CACHE.get(n)
-        if arr is not None:
-            _ARANGE_CACHE[n] = _ARANGE_CACHE.pop(n)  # refresh recency
-            return arr
-    arr = np.arange(n)
-    arr.setflags(write=False)
-    with _CACHE_LOCK:
-        while len(_ARANGE_CACHE) >= _ARANGE_CACHE_LIMIT:
-            # Evict one entry (insertion order ~ oldest) instead of
-            # wiping hot sizes wholesale — same discipline as
-            # _RANK_CACHE below.
-            _ARANGE_CACHE.pop(next(iter(_ARANGE_CACHE)))
-        _ARANGE_CACHE[n] = arr
-    return arr
-
 
 #: Per-gain-matrix listener rankings (see :func:`_listener_ranking`).
 _RANK_CACHE: dict[int, tuple] = {}
@@ -114,7 +87,7 @@ def _listener_ranking(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dtype = np.int16 if n < _SENTINEL_16 else np.int32
     rank = np.argsort(-gain, axis=0, kind="stable").T.astype(dtype)
     position = np.empty_like(rank)
-    position[_listener_index(n)[:, None], rank] = np.arange(n, dtype=dtype)
+    position[np.arange(n)[:, None], rank] = np.arange(n, dtype=dtype)
     with _CACHE_LOCK:
         while len(_RANK_CACHE) >= _RANK_CACHE_LIMIT:
             # Bound the cache by evicting the least recently used entry
@@ -139,28 +112,6 @@ def _pop_rank_entry(key: int) -> None:
     """Weakref finalizer target: drop a dead matrix's ranking entry."""
     with _CACHE_LOCK:
         _RANK_CACHE.pop(key, None)
-
-
-#: Grow-only scratch buffer backing the float view of ``tx_sub`` in
-#: :func:`_strongest_transmitters` — one allocation amortized over every
-#: round instead of a fresh ``(B, |cols|)`` array per call.  Reuse is safe
-#: because the buffer is consumed within the call (``einsum`` reads it and
-#: writes a fresh output) and the buffer is *per thread*: the service
-#: coalescer runs resolver calls on executor threads, so a process-global
-#: buffer would be scribbled over by concurrent calls.
-_TX_FLOAT_WS = threading.local()
-
-
-def _tx_float_workspace(tx_sub: np.ndarray) -> np.ndarray:
-    """``tx_sub`` as floats (0.0/1.0) in this thread's scratch buffer."""
-    buf = getattr(_TX_FLOAT_WS, "buf", None)
-    if buf is None or buf.size < tx_sub.size:
-        size = tx_sub.size if buf is None else max(tx_sub.size, 2 * buf.size)
-        buf = np.empty(size)
-        _TX_FLOAT_WS.buf = buf
-    view = buf[: tx_sub.size].reshape(tx_sub.shape)
-    np.copyto(view, tx_sub)
-    return view
 
 
 def _strongest_transmitters(
@@ -190,8 +141,7 @@ def _strongest_transmitters(
     rank, position = _listener_ranking(gain)
     tx_sub = tx_mask[:, cols]
     total = np.einsum(
-        "bv,vu->bu", _tx_float_workspace(tx_sub), gain[cols],
-        optimize=False,
+        "bv,vu->bu", tx_sub.astype(float), gain[cols], optimize=False
     )
     dtype = position.dtype
     sentinel = dtype.type(
@@ -207,7 +157,7 @@ def _strongest_transmitters(
     )
     best_pos = masked_pos.min(axis=1)
     valid = best_pos < sentinel
-    listeners = _listener_index(n)[None, :]
+    listeners = np.arange(n)[None, :]
     strongest = rank[
         listeners, np.where(valid, best_pos, 0)
     ].astype(np.intp)
@@ -283,23 +233,31 @@ def _resolve_slab(
     return np.where(heard, strongest, NO_SENDER), sinr
 
 
-def _checked_transmitters(n: int, transmitters) -> np.ndarray:
-    """One round's transmitters as station indices, each in ``[0, n)``.
+def _checked_stations(n: int, stations, role: str) -> np.ndarray:
+    """Station indices as an array, each in ``[0, n)``.
 
     Unchecked, a negative index would name a station counted from the
-    end: ``[NO_SENDER]`` would make station ``n - 1`` transmit.
+    end: ``[NO_SENDER]`` would make station ``n - 1`` transmit, or
+    report station ``n - 1``'s reception under another name.  ``role``
+    (``"transmitter"`` or ``"listener"``) names the indices in the
+    ``ValueError``.
     """
-    stations = np.asarray(transmitters, dtype=np.intp)
+    stations = np.asarray(stations, dtype=np.intp)
     if stations.size and not 0 <= stations.min() <= stations.max() < n:
-        raise ValueError(f"transmitter indices must be in [0, {n})")
+        raise ValueError(f"{role} indices must be in [0, {n})")
     return stations
+
+
+def _station_count(gain) -> int:
+    """``n`` of a dense gain matrix or a sparse backend."""
+    return gain.shape[0] if isinstance(gain, np.ndarray) else gain.n
 
 
 def _round_mask(gain, transmitters) -> np.ndarray:
     """The ``(1, n)`` mask of one round (a repeated index sets one bit)."""
-    n = gain.shape[0] if isinstance(gain, np.ndarray) else gain.n
+    n = _station_count(gain)
     mask = np.zeros((1, n), dtype=bool)
-    mask[0, _checked_transmitters(n, transmitters)] = True
+    mask[0, _checked_stations(n, transmitters, "transmitter")] = True
     return mask
 
 
@@ -354,7 +312,7 @@ def resolve_reception_many(
     n = gain.shape[0]
     tx_mask = np.zeros((len(sets), n), dtype=bool)
     for b, transmitters in enumerate(sets):
-        tx_mask[b, _checked_transmitters(n, transmitters)] = True
+        tx_mask[b, _checked_stations(n, transmitters, "transmitter")] = True
     heard = resolve_reception_batch(gain, tx_mask, noise, beta)
     if compact:
         out = []
@@ -404,8 +362,9 @@ def resolve_at(
     ``sinr`` is the SINR of each listener's strongest transmitter as the
     same ``B = 1`` fold computes it (0 where no transmitter reaches the
     listener); ``listeners`` may be unsorted, repeat stations or name
-    transmitters, a repeated transmitter index names one transmitter,
-    and one outside ``[0, n)`` raises ``ValueError``.  A dense matrix
+    transmitters, and a repeated transmitter index names one
+    transmitter.  A listener or transmitter index outside ``[0, n)``
+    raises ``ValueError`` on either backend.  A dense matrix
     resolves the whole round with the one batched fold
     (:func:`resolve_reception_batch`) and gathers.  The traffic engine
     asks only about its packets' next hops, so on a
@@ -415,14 +374,15 @@ def resolve_at(
 
     :returns: ``(heard, sinr)``, both aligned with ``listeners``.
     """
+    n = _station_count(gain)
+    listeners = _checked_stations(n, listeners, "listener")
     sparse = getattr(gain, "resolve_at", None)
     if sparse is not None:
         return sparse(
-            _checked_transmitters(gain.n, transmitters), listeners, noise,
-            beta,
+            _checked_stations(n, transmitters, "transmitter"), listeners,
+            noise, beta,
         )
     heard, sinr = _resolve_slab(
         gain, _round_mask(gain, transmitters), noise, beta
     )
-    listeners = np.asarray(listeners, dtype=np.intp)
     return heard[0, listeners], sinr[0, listeners]

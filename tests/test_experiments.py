@@ -9,12 +9,7 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.errors import AnalysisError
-from repro.experiments.base import (
-    ExperimentReport,
-    check_scale,
-    fmt,
-    trial_rngs,
-)
+from repro.experiments.base import ExperimentReport, check_scale, fmt
 from repro.experiments.registry import get_experiment, list_experiments
 
 
@@ -37,15 +32,6 @@ class TestBase:
         assert check_scale("quick") == "quick"
         with pytest.raises(AnalysisError):
             check_scale("huge")
-
-    def test_trial_rngs_independent(self):
-        a, b = list(trial_rngs(2, seed=1))
-        assert a.random() != b.random()
-
-    def test_trial_rngs_reproducible(self):
-        a1 = [g.random() for g in trial_rngs(3, seed=5)]
-        a2 = [g.random() for g in trial_rngs(3, seed=5)]
-        assert a1 == a2
 
     def test_fmt(self):
         assert fmt(3.14159) == "3.1"

@@ -10,7 +10,8 @@ which one ran.  This suite is the enforcement:
   sparse deployments, asserting resolver outputs equal bit for bit;
 * full protocol traces (broadcast and wake-up) across deployment
   families, channel models and both SINR backends, asserting the
-  *entire execution* — every per-station round stamp — is identical;
+  *entire execution* — every per-station round stamp — is identical,
+  and every sweep kind's full outcome digest on both backends;
 * a mobility ``advance`` step, whose patched CSR state must not depend
   on the kernel that will consume it;
 * a cross-kernel cache replay: a sweep computed by the numpy path must
@@ -38,8 +39,11 @@ from repro.deploy import (
     uniform_square,
 )
 from repro.fastsim.broadcast import fast_spont_broadcast_batch
+from repro.fastsim.cache import digest
+from repro.fastsim.coloring import fast_coloring
 from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.grid import GridPoint, GridSpec, run_grid
+from repro.fastsim.sweep import run_sweep, sweep_kinds
 from repro.fastsim.wakeup import fast_adhoc_wakeup_batch
 from repro.geometry.metric import pairwise_distances
 from repro.network.network import Network
@@ -164,6 +168,21 @@ DEPLOYMENTS = {
 
 CHANNELS = {"uniform": None, "dual-slope": DualSlope()}
 
+#: Per-kind ``run_sweep`` arguments for a given network (kinds absent
+#: here need none beyond the default source).
+SWEEP_KWARGS = {
+    "adhoc_wakeup": lambda net: {
+        "schedule": WakeupSchedule.single(net.size, 0)
+    },
+    "colored_wakeup": lambda net: {
+        "initiators": [0],
+        "base_colors": fast_coloring(
+            net, CONSTANTS, np.random.default_rng(11)
+        ).colors,
+    },
+    "consensus": lambda net: {"x_max": 3},
+}
+
 
 class TestProtocolTraces:
     """Whole protocol executions are kernel-independent, stamp for stamp.
@@ -176,7 +195,7 @@ class TestProtocolTraces:
     """
 
     @staticmethod
-    def _trace(deploy, channel, backend):
+    def _network(deploy, channel, backend):
         net = deploy(np.random.default_rng(42))
         if channel is not None:
             net = net.with_channel(channel)
@@ -188,8 +207,13 @@ class TestProtocolTraces:
         assert net.kernel_kind == (
             "compiled" if kernels.COMPILED else "numpy"
         )
+        return net
+
+    @classmethod
+    def _trace(cls, deploy, channel, backend):
         return fast_spont_broadcast_batch(
-            net, 0, CONSTANTS, spawn_rngs(2, 99)
+            cls._network(deploy, channel, backend), 0, CONSTANTS,
+            spawn_rngs(2, 99),
         )
 
     @pytest.mark.parametrize("channel_name", sorted(CHANNELS))
@@ -212,6 +236,23 @@ class TestProtocolTraces:
             assert a.total_rounds == b.total_rounds
             assert np.array_equal(a.informed_round, b.informed_round)
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in sweep_kinds() if kind != "traffic"]
+    )
+    def test_sweep_trace(self, kind, backend):
+        # Every protocol through the entry the experiments use: headline
+        # rounds, success flags and each replication's whole outcome
+        # (round stamps, colors, extras) digest identically.
+        def run():
+            net = self._network(DEPLOYMENTS["square"], None, backend)
+            kwargs = SWEEP_KWARGS.get(kind, lambda _net: {})(net)
+            sweep = run_sweep(kind, net, 2, 5, CONSTANTS, **kwargs)
+            return digest([sweep.rounds, sweep.success, sweep.outcomes])
+
+        numpy_digest, loop_digest = _legs(run)
+        assert numpy_digest == loop_digest
+
     def test_wakeup_trace(self):
         def run():
             net = DEPLOYMENTS["square"](np.random.default_rng(42))
@@ -231,8 +272,8 @@ class TestProtocolTraces:
 
     def test_wakeup_trace_single_initiator(self):
         # One spontaneous waker: every other station is woken by hearing
-        # a message, so the fused wake marking (the phase a woken
-        # station joins) and the coloring test counters shape the run.
+        # a message, so the wake marking (the phase a woken station
+        # joins) and the coloring test counters shape the run.
         def run():
             net = DEPLOYMENTS["square"](np.random.default_rng(42))
             return fast_adhoc_wakeup_batch(

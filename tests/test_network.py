@@ -390,6 +390,39 @@ class TestBallBeyondCutoff:
         assert np.array_equal(got, dense.ball(0, net.cutoff * 1.01))
 
 
+class TestBallRejectsInvalidQueries:
+    """``ball`` answers only for a real station and a radius ``>= 0``.
+
+    Unchecked, a center of ``-1`` named station ``n - 1`` on a dense
+    network and a station that does not exist on a sparse one, and the
+    two backends disagreed on a negative radius.
+    """
+
+    COORDS = np.array([[0.0, 0.0], [0.8, 0.0], [2.2, 0.0], [3.0, 0.0]])
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "center", [-1, 4, True, 1.0], ids=["negative", "n", "bool", "float"]
+    )
+    def test_center_outside_stations_rejected(self, backend, center):
+        net = Network(self.COORDS, backend=backend)
+        with pytest.raises(GeometryError, match="ball center"):
+            net.ball(center, 1.0)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("radius", [-0.5, np.nan], ids=["negative", "nan"])
+    def test_negative_radius_rejected(self, backend, radius):
+        net = Network(self.COORDS, backend=backend)
+        with pytest.raises(GeometryError, match="ball radius"):
+            net.ball(1, radius)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_valid_queries_still_answer(self, backend):
+        net = Network(self.COORDS, backend=backend)
+        assert net.ball(np.int64(1), 1.0).tolist() == [0, 1]
+        assert net.ball(1, 0.0).tolist() == [1]
+
+
 class TestNonFiniteInputs:
     """NaN and inf never become station positions or a cutoff."""
 

@@ -216,6 +216,21 @@ class TestResolveReception:
         ):
             resolve(gain, [bad])
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "n"])
+    def test_out_of_range_listener_index_rejected(self, backend, bad):
+        # ``[-1]`` must not report station 3's reception under the name
+        # -1, nor ``[4]`` surface as an error from the backend's arrays.
+        coords = np.array([[0.0, 0.0], [0.8, 0.0], [2.2, 0.0], [3.0, 0.0]])
+        gain = (
+            _gains(coords) if backend == "dense"
+            else SparseGainBackend(coords, PARAMS)
+        )
+        with pytest.raises(
+            ValueError, match=r"listener indices must be in \[0, 4\)"
+        ):
+            resolve_at(gain, [2], [bad], PARAMS.noise, PARAMS.beta)
+
 
 class TestBatchedReception:
     """The ``(B, n)`` resolver agrees elementwise with the single form."""
