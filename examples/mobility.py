@@ -10,7 +10,8 @@ effects E15 measures (DESIGN.md §7):
    incrementally instead of rebuilding it);
 2. **protocol cost** — ad hoc wake-up latency on the frozen deployment
    versus the same deployment moving at increasing rates, via the
-   `network_hook` callback every fastsim kernel accepts.
+   `medium=` argument every fastsim kernel accepts (a `Medium` steps
+   the trajectory once per round before resolving it).
 
 Run:  python examples/mobility.py
 """
@@ -20,7 +21,8 @@ import numpy as np
 from repro import deploy
 from repro.analysis.tables import render_table
 from repro.core import ProtocolConstants
-from repro.deploy.mobility import BrownianDrift, mobility_hook
+from repro.deploy.mobility import BrownianDrift
+from repro.fastsim.engine import Medium
 from repro.fastsim.wakeup import fast_adhoc_wakeup
 from repro.sim.wakeup import WakeupSchedule
 
@@ -41,13 +43,10 @@ def main() -> None:
     #    Gaussian step, reflected into the deployment's bounding box —
     #    under the rebuild threshold, so `advance` patches the computed
     #    gain structure instead of rebuilding it.
-    model = BrownianDrift(0.03, move_prob=0.2, seed=5)
-    session = model.session(net.coords)
-    current = net
+    medium = Medium(net, mobility=BrownianDrift(0.03, move_prob=0.2, seed=5))
     print("\nround  connected  edges  advance-mode")
     for round_no in range(12):
-        disp = session.displacements(current.coords, round_no)
-        current = current.advance(disp)
+        current = medium.step()
         if round_no % 3 == 2:
             print(
                 f"{round_no + 1:>5}  {str(current.is_connected):>9}  "
@@ -63,14 +62,12 @@ def main() -> None:
     schedule = WakeupSchedule(wake_rounds)
     rows = []
     for rate in [0.0, 0.02, 0.05]:
-        hook = (
-            mobility_hook(BrownianDrift(rate, move_prob=0.2, seed=9))
-            if rate > 0.0
-            else None
+        mobility = (
+            BrownianDrift(rate, move_prob=0.2, seed=9) if rate > 0.0 else None
         )
         outcome = fast_adhoc_wakeup(
             net, schedule, constants, np.random.default_rng(3),
-            network_hook=hook,
+            medium=Medium(net, mobility=mobility),
         )
         rows.append(
             [

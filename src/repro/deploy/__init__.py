@@ -39,7 +39,6 @@ from repro.deploy.mobility import (
     GroupDrift,
     MobilityModel,
     RandomWaypoint,
-    mobility_hook,
 )
 from repro.deploy.perturb import perturb_within_balls, same_graph_family
 
@@ -65,5 +64,4 @@ __all__ = [
     "BrownianDrift",
     "RandomWaypoint",
     "GroupDrift",
-    "mobility_hook",
 ]

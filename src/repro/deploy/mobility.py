@@ -19,9 +19,9 @@ this round get an exact ``0.0`` row, which is what
 :meth:`repro.network.network.Network.advance` keys its incremental
 sparse update on.
 
-:func:`mobility_hook` adapts a model to the per-round network callback
-the :mod:`repro.fastsim` kernels accept — one trajectory per hook,
-advanced once per communication round in call order, shared by every
+A :class:`repro.fastsim.engine.Medium` runs a model in the
+:mod:`repro.fastsim` kernels — one trajectory per medium, advanced once
+per communication round in execution order, shared by every
 replication of a batched sweep (the *environment* moves; replications
 differ only in protocol randomness).
 """
@@ -30,25 +30,11 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import DeploymentError
-from repro.network.network import Network
-
-#: Signature of the per-round callback consumed by the fastsim kernels:
-#: ``hook(round_no, network) -> network`` (DESIGN.md §7).
-#:
-#: Hooks MUST be stateful and own their trajectory: multi-stage kernels
-#: (broadcast pilot rounds, consensus bit boxes) re-pass the *static
-#: snapshot* they were called with, not the network a previous stage's
-#: hook calls produced, so the ``network`` argument is only a starting
-#: point for the hook's first call.  A stateless
-#: ``lambda r, net: net.advance(...)`` would silently restart the
-#: trajectory at every stage; :func:`mobility_hook` is the reference
-#: implementation (ignores the passed network after its first call).
-NetworkHook = Callable[[int, Network], Network]
 
 
 def _resolve_box(
@@ -406,44 +392,3 @@ class GroupDrift(MobilityModel):
 
     def session(self, coords: np.ndarray) -> MobilitySession:
         return _GroupSession(self, coords)
-
-
-# ----------------------------------------------------------------------
-# the fastsim adapter
-# ----------------------------------------------------------------------
-def mobility_hook(model: MobilityModel, *, every: int = 1) -> NetworkHook:
-    """Adapt a model to the kernels' per-round network callback.
-
-    The returned hook owns one trajectory: the session starts from the
-    first network it is handed, advances once per call (kernels call it
-    once per communication round, in order — the ``round_no`` argument
-    is informational), and always returns its own current network, so
-    multi-stage kernels (consensus boxes, wake-up phases) that re-pass
-    the static snapshot still ride the single evolving trajectory.
-    Hook construction is deterministic given the model, which is what
-    makes ``jobs=N`` grid runs bitwise equal to ``jobs=1`` — every
-    worker rebuilds the identical trajectory from the model, starting
-    at the parent's own network.
-
-    :param every: advance the deployment every ``every``-th call
-        (coarser environment clocks for cheap slow-mobility sweeps).
-    """
-    if every < 1:
-        raise DeploymentError(f"every must be >= 1, got {every}")
-    state: dict = {"session": None, "net": None, "calls": 0}
-
-    def hook(round_no: int, network: Network) -> Network:
-        if state["session"] is None:
-            state["session"] = model.session(network.coords)
-            state["net"] = network
-        net = state["net"]
-        if state["calls"] % every == 0:
-            disp = state["session"].displacements(
-                net.coords, state["calls"]
-            )
-            net = net.advance(disp)
-            state["net"] = net
-        state["calls"] += 1
-        return net
-
-    return hook

@@ -12,8 +12,8 @@ dimensions — a 2D uniform square (``gamma ~ 2``), a corridor
   :class:`~repro.deploy.mobility.BrownianDrift` at increasing per-round
   rates (trajectory shared by all replications; the sweeps ride the
   incremental sparse/dense `advance` path through the kernels'
-  ``network_hook``).  The headline is the mobile/static mean-round
-  ratio per (family, rate).
+  :class:`~repro.fastsim.engine.Medium`).  The headline is the
+  mobile/static mean-round ratio per (family, rate).
 * **same-graph-family escape time** — how many rounds the drifting
   deployment keeps its initial communication graph, i.e. how long it
   stays inside the same-graph family whose E12/E14 spread underpins the
@@ -46,8 +46,9 @@ from repro.experiments.base import (
     hop_round_budget,
     run_grid_points,
 )
-from repro.fastsim.engine import spawn_rngs
+from repro.fastsim.engine import Medium, spawn_rngs
 from repro.fastsim.grid import GridPoint
+from repro.mac import pairs_within
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -95,19 +96,6 @@ def _deploy_square(
     )
 
 
-def _edge_arrays(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Communication-graph edges as sorted ``(i, j)`` index arrays.
-
-    Sparse mode reads the cell-indexed near field; dense mode the
-    distance matrix — both avoid building a networkx graph per round.
-    """
-    r = net.params.comm_radius
-    if net.backend_kind == "sparse":
-        return net.sparse_backend.pairs_within(r)
-    ii, jj = np.nonzero(np.triu(net.distances <= r, k=1))
-    return ii, jj
-
-
 def escape_time(
     net: Network,
     model: BrownianDrift,
@@ -115,19 +103,19 @@ def escape_time(
 ) -> int:
     """Rounds until the drifting deployment leaves its same-graph family.
 
-    Advances ``net`` one mobility step per round (through the
-    incremental :meth:`~repro.network.network.Network.advance` path) and
-    compares communication-graph edge sets against the initial graph;
-    returns the first round at which they differ, or ``cap`` if the
-    graph survives the whole horizon.
+    Steps a :class:`~repro.fastsim.engine.Medium` over ``net`` one
+    mobility step per round (through the incremental
+    :meth:`~repro.network.network.Network.advance` path) and compares
+    communication-graph edge sets (:func:`repro.mac.pairs_within` at the
+    communication radius — no networkx graph per round) against the
+    initial graph; returns the first round at which they differ, or
+    ``cap`` if the graph survives the whole horizon.
     """
-    base_i, base_j = _edge_arrays(net)
-    session = model.session(net.coords)
-    current = net
+    radius = net.params.comm_radius
+    base_i, base_j = pairs_within(net, radius)
+    medium = Medium(net, mobility=model)
     for round_no in range(cap):
-        disp = session.displacements(current.coords, round_no)
-        current = current.advance(disp)
-        ii, jj = _edge_arrays(current)
+        ii, jj = pairs_within(medium.step(), radius)
         if not (
             np.array_equal(ii, base_i) and np.array_equal(jj, base_j)
         ):

@@ -22,9 +22,9 @@ from repro.core.constants import ColoringSchedule, ProtocolConstants, log2ceil
 from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
 from repro.errors import ProtocolError
 from repro.fastsim.coloring import fast_coloring_batch
-from repro.fastsim.engine import dissemination_loop_batch
+from repro.fastsim.engine import Medium, dissemination_loop_batch
 from repro.network.network import Network
-from repro.sinr.reception import NO_SENDER, resolve_reception_batch
+from repro.sinr.reception import NO_SENDER
 
 Rngs = Sequence[np.random.Generator]
 
@@ -89,30 +89,28 @@ def fast_spont_broadcast_batch(
     round_budget: Optional[int] = None,
     budget_scale: int = 16,
     tighten_eps: bool = True,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched vectorized ``SBroadcast`` (Theorem 2).
 
-    ``network_hook`` (optional, DESIGN.md §7) threads a per-round
-    network callback through the coloring, the pilot round and the
-    dissemination loop, so the broadcast runs over a moving deployment.
-    ``mac_hook`` (optional, DESIGN.md §11) threads the per-slot
-    transmit-decision callback through the same three stages; MAC
+    ``medium`` (optional, :class:`~repro.fastsim.engine.Medium`) carries
+    the coloring, the pilot round and the dissemination loop over one
+    moving and/or MAC-arbitrated channel (DESIGN.md §7.2, §11); MAC
     arbitration is shared across replications (round-keyed draws), so
     the pilot round's single shared resolution is preserved.
     """
     if tighten_eps:
         constants = constants.with_eps_prime()
     _check_source(network, source)
+    if medium is None:
+        medium = Medium(network)
     n = network.size
     B = len(rngs)
     informed, informed_round = _source_state(B, n, source)
 
     coloring = fast_coloring_batch(
         network, constants, rngs,
-        informed=informed, informed_round=informed_round,
-        network_hook=network_hook, mac_hook=mac_hook,
+        informed=informed, informed_round=informed_round, medium=medium,
     )
     colors = np.where(np.isnan(coloring.colors), 0.0, coloring.colors)
     diss_probs = dissemination_probs(colors, constants, n)
@@ -125,30 +123,24 @@ def fast_spont_broadcast_batch(
     pilot_tx = np.zeros((1, n), dtype=bool)
     pilot_tx[0, source] = True
     pilot_round = coloring.rounds
-    if network_hook is not None:
-        network = network_hook(pilot_round, network)
-    if mac_hook is not None:
-        pilot_tx = mac_hook(pilot_round, pilot_tx, network)
-    heard_from = resolve_reception_batch(
-        network.gain_operator, pilot_tx, network.params.noise,
-        network.params.beta,
-    )[0]
-    newly = (heard_from != NO_SENDER)[None, :] & ~informed
+    _, heard_from = medium.resolve(pilot_round, pilot_tx)
+    newly = (heard_from != NO_SENDER) & ~informed
     informed |= newly
     informed_round[newly] = pilot_round
 
     if round_budget is None:
         logn = log2ceil(n)
-        depth = network.eccentricity(source) if n > 1 else 0
+        # The pilot round's network: under mobility the budget follows
+        # the deployment the dissemination starts on.
+        depth = medium.network.eccentricity(source) if n > 1 else 0
         round_budget = budget_scale * (depth * logn + logn * logn)
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, diss_probs, 0.0)
 
     last = dissemination_loop_batch(
-        network, rngs, informed, informed_round, probs,
-        pilot_round + 1, round_budget, network_hook=network_hook,
-        mac_hook=mac_hook,
+        medium, rngs, informed, informed_round, probs,
+        pilot_round + 1, round_budget,
     )
     return _outcomes(
         "SBroadcast(fast)", informed_round, last,
@@ -165,8 +157,7 @@ def fast_spont_broadcast(
     round_budget: Optional[int] = None,
     budget_scale: int = 16,
     tighten_eps: bool = True,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized ``SBroadcast`` (Theorem 2)."""
     if constants is None:
@@ -176,8 +167,7 @@ def fast_spont_broadcast(
     return fast_spont_broadcast_batch(
         network, source, constants, [rng],
         round_budget=round_budget, budget_scale=budget_scale,
-        tighten_eps=tighten_eps, network_hook=network_hook,
-        mac_hook=mac_hook,
+        tighten_eps=tighten_eps, medium=medium,
     )[0]
 
 
@@ -189,8 +179,7 @@ def fast_nospont_broadcast_batch(
     *,
     max_phases: Optional[int] = None,
     budget_slack: int = 8,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched vectorized ``NoSBroadcast`` (Theorem 1).
 
@@ -198,9 +187,13 @@ def fast_nospont_broadcast_batch(
     ``max_phases`` elapse (default ``2 * ecc + slack``).  A replication
     that completes stops participating (and stops consuming randomness)
     at the next phase boundary; per-replication round counts reflect the
-    phase in which each finished.
+    phase in which each finished.  Every phase's coloring and
+    dissemination resolve through one ``medium`` (default: the static
+    ``network``, no MAC).
     """
     _check_source(network, source)
+    if medium is None:
+        medium = Medium(network)
     n = network.size
     B = len(rngs)
     schedule = ColoringSchedule(constants=constants, n=n)
@@ -227,8 +220,7 @@ def fast_nospont_broadcast_batch(
             informed=informed, informed_round=informed_round,
             round_offset=round_no,
             enabled=running,
-            network_hook=network_hook,
-            mac_hook=mac_hook,
+            medium=medium,
         )
         round_no += coloring.rounds
         colors = np.where(np.isnan(coloring.colors), 0.0, coloring.colors)
@@ -240,9 +232,8 @@ def fast_nospont_broadcast_batch(
             return diss
 
         last = dissemination_loop_batch(
-            network, rngs, informed, informed_round, probs,
-            round_no, part2, enabled=running, network_hook=network_hook,
-            mac_hook=mac_hook,
+            medium, rngs, informed, informed_round, probs,
+            round_no, part2, enabled=running,
         )
         round_no = round_no + part2
         total_rounds[running] = np.where(
@@ -265,8 +256,7 @@ def fast_nospont_broadcast(
     *,
     max_phases: Optional[int] = None,
     budget_slack: int = 8,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized ``NoSBroadcast`` (Theorem 1)."""
     if constants is None:
@@ -275,8 +265,7 @@ def fast_nospont_broadcast(
         rng = np.random.default_rng(0)
     return fast_nospont_broadcast_batch(
         network, source, constants, [rng],
-        max_phases=max_phases, budget_slack=budget_slack,
-        network_hook=network_hook, mac_hook=mac_hook,
+        max_phases=max_phases, budget_slack=budget_slack, medium=medium,
     )[0]
 
 
@@ -291,14 +280,12 @@ def _flood_batch(
     prob_of_round: Callable[[int, np.ndarray], np.ndarray],
     round_budget: int,
     extras: Callable[[int], dict],
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
-    n = network.size
-    informed, informed_round = _source_state(len(rngs), n, source)
+    informed, informed_round = _source_state(len(rngs), network.size, source)
     last = dissemination_loop_batch(
-        network, rngs, informed, informed_round, prob_of_round,
-        0, round_budget, network_hook=network_hook, mac_hook=mac_hook,
+        medium or Medium(network), rngs, informed, informed_round,
+        prob_of_round, 0, round_budget,
     )
     return _outcomes(algorithm, informed_round, last, extras)
 
@@ -311,8 +298,7 @@ def fast_uniform_broadcast_batch(
     *,
     round_budget: Optional[int] = None,
     budget_scale: int = 64,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched fixed-probability flooding (baseline)."""
     _check_source(network, source)
@@ -331,7 +317,7 @@ def fast_uniform_broadcast_batch(
 
     return _flood_batch(
         "UniformFlood(fast)", network, source, rngs, probs, round_budget,
-        lambda b: {"q": q}, network_hook=network_hook, mac_hook=mac_hook,
+        lambda b: {"q": q}, medium,
     )
 
 
@@ -343,16 +329,14 @@ def fast_uniform_broadcast(
     *,
     round_budget: Optional[int] = None,
     budget_scale: int = 64,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized fixed-probability flooding (baseline)."""
     if rng is None:
         rng = np.random.default_rng(0)
     return fast_uniform_broadcast_batch(
         network, source, [rng], q,
-        round_budget=round_budget, budget_scale=budget_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
+        round_budget=round_budget, budget_scale=budget_scale, medium=medium,
     )[0]
 
 
@@ -364,8 +348,7 @@ def fast_decay_broadcast_batch(
     ladder_len: Optional[int] = None,
     round_budget: Optional[int] = None,
     budget_scale: int = 96,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched Decay sweep (the granularity-sensitive baseline)."""
     _check_source(network, source)
@@ -386,8 +369,7 @@ def fast_decay_broadcast_batch(
 
     return _flood_batch(
         "DecaySweep(fast)", network, source, rngs, probs, round_budget,
-        lambda b: {"ladder_len": ladder_len},
-        network_hook=network_hook, mac_hook=mac_hook,
+        lambda b: {"ladder_len": ladder_len}, medium,
     )
 
 
@@ -399,8 +381,7 @@ def fast_decay_broadcast(
     ladder_len: Optional[int] = None,
     round_budget: Optional[int] = None,
     budget_scale: int = 96,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized Decay sweep (the granularity-sensitive baseline)."""
     if rng is None:
@@ -408,8 +389,7 @@ def fast_decay_broadcast(
     return fast_decay_broadcast_batch(
         network, source, [rng],
         ladder_len=ladder_len, round_budget=round_budget,
-        budget_scale=budget_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
+        budget_scale=budget_scale, medium=medium,
     )[0]
 
 
@@ -421,8 +401,7 @@ def fast_local_broadcast_global_batch(
     round_budget: Optional[int] = None,
     budget_slack: int = 8,
     phase_scale: float = 2.0,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched local-broadcast composition (``Delta``-paying baseline)."""
     _check_source(network, source)
@@ -442,7 +421,7 @@ def fast_local_broadcast_global_batch(
         "LocalBroadcastGlobal(fast)", network, source, rngs, probs,
         round_budget,
         lambda b: {"max_degree": delta, "phase_length": phase_len},
-        network_hook=network_hook, mac_hook=mac_hook,
+        medium,
     )
 
 
@@ -454,8 +433,7 @@ def fast_local_broadcast_global(
     round_budget: Optional[int] = None,
     budget_slack: int = 8,
     phase_scale: float = 2.0,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized local-broadcast composition (``Delta``-paying baseline)."""
     if rng is None:
@@ -463,6 +441,5 @@ def fast_local_broadcast_global(
     return fast_local_broadcast_global_batch(
         network, source, [rng],
         round_budget=round_budget, budget_slack=budget_slack,
-        phase_scale=phase_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
+        phase_scale=phase_scale, medium=medium,
     )[0]

@@ -23,9 +23,9 @@ import numpy as np
 from repro.core.coloring import FINAL_COLOR_LEVEL, NOT_PARTICIPATING
 from repro.core.constants import ColoringSchedule, ProtocolConstants
 from repro.errors import ProtocolError
-from repro.fastsim.engine import draw_block
+from repro.fastsim.engine import Medium, draw_block
 from repro.network.network import Network
-from repro.sinr.reception import NO_SENDER, resolve_reception_batch
+from repro.sinr.reception import NO_SENDER
 
 
 @dataclass
@@ -112,8 +112,7 @@ def fast_coloring_batch(
     informed_round: Optional[np.ndarray] = None,
     round_offset: int = 0,
     enabled: Optional[np.ndarray] = None,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> FastColoringBatch:
     """Run ``B`` independent ``StabilizeProbability`` executions at once.
 
@@ -129,16 +128,13 @@ def fast_coloring_batch(
         round (for ``informed_round`` bookkeeping).
     :param enabled: optional ``(B,)`` mask; disabled replications consume
         no randomness and come back with all-NaN colors.
-    :param network_hook: optional per-round network callback
-        (DESIGN.md §7): called once per executed round with the global
-        round number; the returned network's gain operator resolves that
-        round, so the coloring runs over a moving deployment.  Skipped
-        blocks (every replication quit) do not advance the hook.
-    :param mac_hook: optional per-slot transmit-decision callback
-        (:data:`repro.mac.TransmitHook`, DESIGN.md §11), keyed by the
-        global round number — MAC arbitration is round-keyed, so a
-        replication's decisions are unchanged whether its batch skips a
-        quit block or runs it for other lanes.
+    :param medium: optional :class:`~repro.fastsim.engine.Medium`
+        (default: the static ``network``, no MAC) resolving each
+        executed round under its global round number.  Skipped blocks
+        (every replication quit) do not step the medium, and MAC
+        arbitration is round-keyed, so a replication's decisions are
+        unchanged whether its batch skips a quit block or runs it for
+        other lanes.
     """
     n = network.size
     B = len(rngs)
@@ -155,9 +151,8 @@ def fast_coloring_batch(
             "informed_round must accompany informed for bookkeeping"
         )
 
-    gains = network.gain_operator
-    noise = network.params.noise
-    beta = network.params.beta
+    if medium is None:
+        medium = Medium(network)
     counts_self = constants.playoff_counts_self
 
     in_ladder = masks.copy()
@@ -173,17 +168,13 @@ def fast_coloring_batch(
         prob: float, length: int, count_tx: bool, block_active: np.ndarray
     ) -> np.ndarray:
         """Run one test for active replications; per-station successes."""
-        nonlocal global_round, network, gains
+        nonlocal global_round
         successes = np.zeros((B, n), dtype=int)
         draws = draw_block(rngs, block_active, length, n)
         for r in range(length):
-            tx_mask = in_ladder & (draws[:, r, :] < prob)
-            if network_hook is not None:
-                network = network_hook(global_round, network)
-                gains = network.gain_operator
-            if mac_hook is not None:
-                tx_mask = mac_hook(global_round, tx_mask, network)
-            heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
+            tx_mask, heard_from = medium.resolve(
+                global_round, in_ladder & (draws[:, r, :] < prob)
+            )
             heard = heard_from != NO_SENDER
             if count_tx:
                 successes += (heard | tx_mask)
@@ -240,7 +231,7 @@ def fast_coloring(
     informed: Optional[np.ndarray] = None,
     informed_round: Optional[np.ndarray] = None,
     round_offset: int = 0,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> FastColoringResult:
     """Run one ``StabilizeProbability`` execution, vectorized.
 
@@ -266,6 +257,6 @@ def fast_coloring(
             None if informed_round is None else informed_round[None, :]
         ),
         round_offset=round_offset,
-        mac_hook=mac_hook,
+        medium=medium,
     )
     return batch.replication(0)

@@ -26,6 +26,7 @@ from repro.core.consensus import ConsensusResult, bits_for_range
 from repro.core.constants import ProtocolConstants, log2ceil
 from repro.errors import ProtocolError
 from repro.fastsim.coloring import fast_coloring_batch
+from repro.fastsim.engine import Medium
 from repro.fastsim.wakeup import fast_colored_wakeup_batch
 from repro.network.network import Network
 
@@ -41,8 +42,7 @@ def fast_consensus_batch(
     *,
     box_budget: Optional[int] = None,
     budget_scale: int = 16,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[ConsensusResult]:
     """Agree on the minimum of each replication's values, batched.
 
@@ -51,14 +51,11 @@ def fast_consensus_batch(
     :param box_budget: rounds per bit time box; defaults to the wake-up
         budget ``budget_scale * (D log n + log^2 n)`` — every box must
         use the *same* fixed length so silence is meaningful.
-    :param network_hook: optional per-round network callback
-        (DESIGN.md §7), threaded through the backbone coloring and every
-        bit box; a stateful hook (``repro.deploy.mobility.mobility_hook``)
-        keeps one trajectory across all stages.
-    :param mac_hook: optional per-slot transmit-decision callback
-        (:data:`repro.mac.TransmitHook`, DESIGN.md §11), threaded
-        through the backbone coloring and every bit box (round-keyed
-        arbitration makes the skipped silent boxes stream-neutral).
+    :param medium: optional :class:`~repro.fastsim.engine.Medium`
+        (default: the static ``network``, no MAC) shared by the backbone
+        coloring and every bit box, so all stages ride one trajectory
+        and one MAC session (round-keyed arbitration makes the skipped
+        silent boxes stream-neutral).
     """
     n = network.size
     B = len(rngs)
@@ -76,10 +73,9 @@ def fast_consensus_batch(
     if (values >= 2 ** width).any():
         raise ProtocolError(f"some value does not fit in {width} bits")
 
-    backbone = fast_coloring_batch(
-        network, constants, rngs, network_hook=network_hook,
-        mac_hook=mac_hook,
-    )
+    if medium is None:
+        medium = Medium(network)
+    backbone = fast_coloring_batch(network, constants, rngs, medium=medium)
     base_colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
     total_rounds = np.full(B, backbone.rounds, dtype=int)
 
@@ -106,8 +102,7 @@ def fast_consensus_batch(
                 rngs,
                 round_budget=box_budget,
                 enabled=live,
-                network_hook=network_hook,
-                mac_hook=mac_hook,
+                medium=medium,
             )
             heard = np.stack(
                 [out.informed_round >= 0 for out in outcomes]
@@ -154,8 +149,7 @@ def fast_consensus(
     *,
     box_budget: Optional[int] = None,
     budget_scale: int = 16,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> ConsensusResult:
     """Vectorized min-consensus (the ``B = 1`` batched case).
 
@@ -174,6 +168,5 @@ def fast_consensus(
         )
     return fast_consensus_batch(
         network, values, x_max, constants, [rng],
-        box_budget=box_budget, budget_scale=budget_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
+        box_budget=box_budget, budget_scale=budget_scale, medium=medium,
     )[0]

@@ -12,6 +12,10 @@ operations.  This module holds the shared machinery:
   one call yields the identical stream to ``rounds`` successive
   ``random(n)`` calls, so draws can be batched per protocol block without
   changing any replication's sample path;
+* **the round medium** — :class:`Medium`, the one place a round's
+  transmit intents become transmissions and receptions: it moves the
+  deployment one mobility step, lets the MAC remove intents, and
+  resolves Eq. (1) on the current network (DESIGN.md §7.2, §11);
 * **the batched dissemination loop** — the flooding primitive under all
   broadcast-style protocols, advancing every replication's informed set
   per round and retiring replications independently as they complete.
@@ -30,7 +34,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.deploy.mobility import MobilityModel
 from repro.errors import ProtocolError
+from repro.mac import MacModel
 from repro.network.network import Network
 from repro.sinr.reception import NO_SENDER, resolve_reception_batch
 
@@ -91,8 +97,79 @@ def draw_block(
     return out
 
 
+class Medium:
+    """The shared channel of one kernel run (DESIGN.md §7.2, §11).
+
+    Every fastsim round goes through :meth:`resolve`: the deployment
+    takes one mobility step, the MAC removes intents, and Eq. (1)
+    decides who hears whom on the current network.  One medium serves
+    every stage of a multi-stage kernel, so a run rides one trajectory
+    and one MAC session; all replications of a batch share both — the
+    *environment* moves and arbitrates, replications differ only in
+    protocol randomness.
+
+    :param network: the deployment the run starts on; the trajectory
+        starts at its coordinates.
+    :param mobility: optional :class:`~repro.deploy.mobility.MobilityModel`;
+        ``None`` keeps the deployment static.
+    :param mac: optional :class:`~repro.mac.MacModel`; its session is
+        built from the network of the first resolved round (after that
+        round's mobility step) and held for the run.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        mobility: Optional[MobilityModel] = None,
+        mac: Optional[MacModel] = None,
+    ):
+        self.network = network
+        self._mac = mac
+        self._trajectory = (
+            None if mobility is None else mobility.session(network.coords)
+        )
+        self._steps = 0
+        self._session = None
+
+    def step(self) -> Network:
+        """Move the deployment one mobility step; return the network."""
+        if self._trajectory is not None:
+            disp = self._trajectory.displacements(
+                self.network.coords, self._steps
+            )
+            self.network = self.network.advance(disp)
+            self._steps += 1
+        return self.network
+
+    def resolve(
+        self, round_no: int, intents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run one round for ``(B, n)`` transmit ``intents``.
+
+        :param round_no: the kernel's round number, which keys the MAC's
+            round-keyed draws (DESIGN.md §11.2).
+        :returns: ``(transmitted, heard_from)`` — the intents the MAC
+            let through (MACs only remove) and the ``(B, n)`` heard
+            sender per station (:data:`NO_SENDER` where none).
+        """
+        network = self.step()
+        transmitted = intents
+        if self._mac is not None:
+            if self._session is None:
+                self._session = self._mac.session(network)
+            transmitted = intents & np.asarray(
+                self._session.transmit_mask(round_no, intents, network),
+                dtype=bool,
+            )
+        params = network.params
+        heard_from = resolve_reception_batch(
+            network.gain_operator, transmitted, params.noise, params.beta
+        )
+        return transmitted, heard_from
+
+
 def dissemination_loop_batch(
-    network: Network,
+    medium: Medium,
     rngs: Sequence[np.random.Generator],
     informed: np.ndarray,
     informed_round: np.ndarray,
@@ -100,8 +177,6 @@ def dissemination_loop_batch(
     start_round: int,
     budget: int,
     enabled: Optional[np.ndarray] = None,
-    network_hook: Optional[Callable[[int, Network], Network]] = None,
-    mac_hook=None,
 ) -> np.ndarray:
     """Batched flooding until every replication informs everyone or times out.
 
@@ -111,36 +186,17 @@ def dissemination_loop_batch(
     retire independently; retired (and disabled) replications neither
     transmit nor consume randomness.
 
+    :param medium: the run's :class:`Medium`; every round resolves
+        through it.
     :param informed: ``(B, n)`` boolean mask, updated in place.
     :param informed_round: ``(B, n)`` int array, updated in place.
     :param prob_of_round: maps ``(round_no, informed)`` to the ``(B, n)``
         transmission-probability array.
     :param enabled: optional ``(B,)`` mask of replications that run at
         all (disabled ones are reported as stopping at ``start_round``).
-    :param network_hook: optional per-round network callback
-        (DESIGN.md §7): called once per round, in order, before
-        reception is resolved; the returned network's gain operator
-        serves the round, so protocols run over a moving deployment.
-        All replications share the one trajectory — the *environment*
-        moves, replications differ only in protocol randomness.  Hooks
-        must be stateful (own their trajectory, like
-        :func:`repro.deploy.mobility.mobility_hook`): multi-stage
-        kernels re-pass their static snapshot, not a previous stage's
-        result.
-    :param mac_hook: optional per-slot transmit-decision callback
-        (:data:`repro.mac.TransmitHook`, DESIGN.md §11): called after
-        the protocol's transmission intents are computed (and after the
-        network hook, so arbitration sees the round's geometry), it
-        returns the subset of intents actually transmitting.  MACs only
-        *remove* transmitters; protocol state advances on the filtered
-        mask, exactly as a real station that deferred would not have
-        been heard.
     :returns: ``(B,)`` per-replication first unused round number.
     """
     B, n = informed.shape
-    gains = network.gain_operator
-    noise = network.params.noise
-    beta = network.params.beta
     if enabled is None:
         enabled = np.ones(B, dtype=bool)
     running = enabled & ~informed.all(axis=1)
@@ -155,13 +211,9 @@ def dissemination_loop_batch(
                 rngs, running, min(DRAW_CHUNK, end - round_no), n
             )
         probs = prob_of_round(round_no, informed)
-        tx_mask = running[:, None] & (buffer[:, k, :] < probs)
-        if network_hook is not None:
-            network = network_hook(round_no, network)
-            gains = network.gain_operator
-        if mac_hook is not None:
-            tx_mask = mac_hook(round_no, tx_mask, network)
-        heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
+        _, heard_from = medium.resolve(
+            round_no, running[:, None] & (buffer[:, k, :] < probs)
+        )
         newly = (heard_from != NO_SENDER) & ~informed & running[:, None]
         if newly.any():
             informed |= newly

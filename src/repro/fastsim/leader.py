@@ -19,6 +19,7 @@ from repro.core.constants import ProtocolConstants
 from repro.core.leader_election import LeaderElectionResult
 from repro.errors import ProtocolError
 from repro.fastsim.consensus import fast_consensus_batch
+from repro.fastsim.engine import Medium
 from repro.network.network import Network
 
 Rngs = Sequence[np.random.Generator]
@@ -30,15 +31,14 @@ def fast_leader_election_batch(
     rngs: Rngs,
     *,
     box_budget: Optional[int] = None,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[LeaderElectionResult]:
     """Batched leader election over seed-spawned replications.
 
-    ``network_hook`` (optional, DESIGN.md §7) is forwarded to the
-    underlying consensus so the election runs over a moving deployment;
-    ``mac_hook`` (DESIGN.md §11) likewise threads MAC arbitration
-    through every consensus stage.
+    ``medium`` (optional, :class:`~repro.fastsim.engine.Medium`) is
+    forwarded to the underlying consensus, so every stage of the
+    election rides one moving and/or MAC-arbitrated channel
+    (DESIGN.md §7.2, §11).
     """
     n = network.size
     if n < 1:
@@ -49,7 +49,7 @@ def fast_leader_election_batch(
     )
     results = fast_consensus_batch(
         network, ids, id_space, constants, rngs, box_budget=box_budget,
-        network_hook=network_hook, mac_hook=mac_hook,
+        medium=medium,
     )
     elections = []
     for b, result in enumerate(results):
@@ -76,8 +76,7 @@ def fast_leader_election(
     rng: Optional[np.random.Generator] = None,
     *,
     box_budget: Optional[int] = None,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> LeaderElectionResult:
     """Vectorized leader election (the ``B = 1`` batched case).
 
@@ -89,6 +88,5 @@ def fast_leader_election(
     if rng is None:
         rng = np.random.default_rng(0)
     return fast_leader_election_batch(
-        network, constants, [rng], box_budget=box_budget,
-        network_hook=network_hook, mac_hook=mac_hook,
+        network, constants, [rng], box_budget=box_budget, medium=medium,
     )[0]

@@ -12,8 +12,8 @@ a single set of numpy operations:
   identical* to a sequential loop of single-instance fast runs over the
   same seeds (the hypothesis suite asserts exact equality, not
   statistical closeness);
-* the channel is resolved for all replications at once through
-  :func:`repro.sinr.reception.resolve_reception_batch`;
+* the channel is resolved for all replications at once, through one
+  :class:`repro.fastsim.engine.Medium` per sweep;
 * per-replication headline numbers land in a :class:`SweepResult`.
 
 Every sweepable kind has a batched kernel, so experiments route every
@@ -41,7 +41,7 @@ from repro.fastsim.broadcast import (
 from repro.fastsim.coloring import fast_coloring_batch
 from repro.fastsim.consensus import fast_consensus_batch
 from repro.fastsim.leader import fast_leader_election_batch
-from repro.fastsim.engine import spawn_rngs
+from repro.fastsim.engine import Medium, spawn_rngs
 from repro.fastsim.wakeup import (
     fast_adhoc_wakeup_batch,
     fast_colored_wakeup_batch,
@@ -149,9 +149,9 @@ class _SweepKind:
 
     ``takes_mac`` marks kinds whose runner accepts a
     :class:`repro.mac.MacModel` directly as a ``mac=`` argument (the
-    traffic engine builds its own sessions); other kinds receive MAC
-    models translated into the kernels' ``mac_hook`` callback by
-    :func:`run_sweep`.
+    traffic engine builds its own sessions, on a static deployment);
+    other kinds receive a :class:`~repro.fastsim.engine.Medium` built
+    by :func:`run_sweep`.
     """
 
     headline: Callable
@@ -254,17 +254,16 @@ def run_sweep(
     :param kwargs: protocol-specific arguments (``source=...`` for the
         broadcasts, ``schedule=...`` for wake-up, ``x_max=...`` for
         consensus, budget overrides, ...).  ``mobility=`` accepts a
-        :class:`repro.deploy.mobility.MobilityModel`: the sweep then
-        runs over a moving deployment (one trajectory shared by all
-        replications, DESIGN.md §7) by translating the model into the
-        kernels' ``network_hook`` callback.  The model rides in the
-        kwargs, so grid cache keys cover its ``identity()`` and dynamic
-        results never collide with static ones.  ``mac=`` accepts a
-        :class:`repro.mac.MacModel` the same way (DESIGN.md §11):
-        protocol kinds get it translated into the kernels' ``mac_hook``
-        per-slot callback, the ``"traffic"`` kind consumes the model
-        directly; either way the model stays in the kwargs, so cache
-        keys cover MAC identity too.  The ``"traffic"`` kind also needs
+        :class:`repro.deploy.mobility.MobilityModel` and ``mac=`` a
+        :class:`repro.mac.MacModel`: the sweep builds one
+        :class:`~repro.fastsim.engine.Medium` from them, so every round
+        of every replication moves along one shared trajectory and is
+        arbitrated by one MAC session (DESIGN.md §7, §11).  The models
+        ride in the kwargs, so grid cache keys cover their
+        ``identity()`` and dynamic or arbitrated results never collide
+        with bare ones.  The ``"traffic"`` kind consumes ``mac=``
+        directly, runs on a static deployment (``mobility=`` raises
+        :class:`~repro.errors.ProtocolError`), and needs
         ``flows=[...]`` and ``rounds=N`` (see
         :func:`repro.traffic.engine.run_traffic`).
     """
@@ -279,19 +278,15 @@ def run_sweep(
     rngs = spawn_rngs(n_replications, seed)
 
     mobility = kwargs.pop("mobility", None)
-    if mobility is not None:
-        from repro.deploy.mobility import mobility_hook
-
-        kwargs["network_hook"] = mobility_hook(mobility)
-
-    mac = kwargs.pop("mac", None)
-    if mac is not None:
-        if spec.takes_mac:
-            kwargs["mac"] = mac
-        else:
-            from repro.mac import mac_hook
-
-            kwargs["mac_hook"] = mac_hook(mac)
+    if not spec.takes_mac:
+        kwargs["medium"] = Medium(
+            network, mobility=mobility, mac=kwargs.pop("mac", None)
+        )
+    elif mobility is not None:
+        raise ProtocolError(
+            f"sweep kind {kind!r} runs on a static deployment; "
+            "it takes no mobility="
+        )
 
     outcomes = spec.batch(network, constants, rngs, **kwargs)
     rounds = np.empty(n_replications)

@@ -23,7 +23,7 @@ same :class:`~repro.core.constants.ColoringSchedule` positions.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
 from repro.errors import ProtocolError
 from repro.fastsim.broadcast import dissemination_probs
 from repro.fastsim.coloring import fast_coloring_batch
-from repro.fastsim.engine import dissemination_loop_batch, draw_block
+from repro.fastsim.engine import Medium, dissemination_loop_batch, draw_block
 from repro.network.network import Network
 from repro.sim.wakeup import WakeupSchedule
-from repro.sinr.reception import NO_SENDER, resolve_reception_batch
+from repro.sinr.reception import NO_SENDER
 
 Rngs = Sequence[np.random.Generator]
 
@@ -121,8 +121,7 @@ def fast_adhoc_wakeup_batch(
     *,
     round_budget: Optional[int] = None,
     budget_slack: int = 8,
-    network_hook: Optional[Callable[[int, Network], Network]] = None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched ad hoc wake-up under one adversarial schedule.
 
@@ -134,16 +133,13 @@ def fast_adhoc_wakeup_batch(
     spontaneous wake.  A replication stops the moment all its stations
     are awake (per-replication ``total_rounds``).
 
-    :param network_hook: optional per-round network callback
-        (DESIGN.md §7) — each round's reception resolves on the network
-        the hook returns, so the wake-up runs over a moving deployment
+    :param medium: optional :class:`~repro.fastsim.engine.Medium`
+        (default: the static ``network``, no MAC) resolving every round,
+        so the wake-up can run over a moving deployment and under a MAC
         (the default round budget still derives from the *initial*
-        network's diameter).
-    :param mac_hook: optional per-slot transmit-decision callback
-        (:data:`repro.mac.TransmitHook`, DESIGN.md §11): applied to each
-        round's transmission intents before reception resolves; the
-        coloring state observes the *filtered* mask, exactly as a
-        deferring real station would not have transmitted.
+        network's diameter); the coloring state observes the
+        *transmitted* mask, exactly as a deferring real station would
+        not have transmitted.
     """
     n = network.size
     B = len(rngs)
@@ -158,10 +154,8 @@ def fast_adhoc_wakeup_batch(
         depth = network.diameter if n > 1 else 0
         spread = int(np.max(schedule.wake_rounds))
         round_budget = spread + phase_len * (2 * depth + budget_slack)
-
-    gains = network.gain_operator
-    noise = network.params.noise
-    beta = network.params.beta
+    if medium is None:
+        medium = Medium(network)
 
     wake_rounds = schedule.wake_rounds
     spontaneous = wake_rounds >= 0
@@ -205,13 +199,7 @@ def fast_adhoc_wakeup_batch(
                 )
             probs = np.where(active, phase_diss, 0.0)
         draws = draw_block(rngs, running, 1, n)[:, 0, :]
-        tx_mask = draws < probs
-        if network_hook is not None:
-            network = network_hook(round_no, network)
-            gains = network.gain_operator
-        if mac_hook is not None:
-            tx_mask = mac_hook(round_no, tx_mask, network)
-        heard_from = resolve_reception_batch(gains, tx_mask, noise, beta)
+        tx_mask, heard_from = medium.resolve(round_no, draws < probs)
         heard = heard_from != NO_SENDER
         mark_awake(heard, round_no)
         if offset < coloring_len:
@@ -252,8 +240,7 @@ def fast_adhoc_wakeup(
     *,
     round_budget: Optional[int] = None,
     budget_slack: int = 8,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized ad hoc wake-up (the ``B = 1`` batched case)."""
     if constants is None:
@@ -262,8 +249,7 @@ def fast_adhoc_wakeup(
         rng = np.random.default_rng(0)
     return fast_adhoc_wakeup_batch(
         network, schedule, constants, [rng],
-        round_budget=round_budget, budget_slack=budget_slack,
-        network_hook=network_hook, mac_hook=mac_hook,
+        round_budget=round_budget, budget_slack=budget_slack, medium=medium,
     )[0]
 
 
@@ -300,8 +286,7 @@ def fast_colored_wakeup_batch(
     budget_scale: int = 16,
     refresh_coloring: bool = True,
     enabled: Optional[np.ndarray] = None,
-    network_hook: Optional[Callable[[int, Network], Network]] = None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched wake-up with established coloring (Sect. 5).
 
@@ -313,15 +298,13 @@ def fast_colored_wakeup_batch(
     :param enabled: optional ``(B,)`` mask; disabled replications consume
         no randomness (consensus uses this for silent bit boxes).  Every
         enabled replication needs at least one initiator.
-    :param network_hook: optional per-round network callback
-        (DESIGN.md §7), threaded through the auxiliary coloring and the
-        dissemination loop so the whole execution rides one moving
-        deployment.
-    :param mac_hook: optional per-slot transmit-decision callback
-        (:data:`repro.mac.TransmitHook`, DESIGN.md §11), threaded
-        through both stages.  Stage-local round numbers key the
-        arbitration (each stage restarts at 0), so batched and
-        sequential executions see identical MAC decisions.
+    :param medium: optional :class:`~repro.fastsim.engine.Medium`
+        (default: the static ``network``, no MAC) shared by the
+        auxiliary coloring and the dissemination loop, so the whole
+        execution rides one moving, arbitrated channel.  Stage-local
+        round numbers key the arbitration (each stage restarts at 0),
+        so batched and sequential executions see identical MAC
+        decisions.
     """
     n = network.size
     B = len(rngs)
@@ -341,13 +324,15 @@ def fast_colored_wakeup_batch(
             f"base_colors must have shape ({n},) or ({B}, {n}), "
             f"got {base_colors.shape}"
         )
+    if medium is None:
+        medium = Medium(network)
 
     aux_rounds = 0
     q_colors = np.zeros((B, n))
     if refresh_coloring:
         aux = fast_coloring_batch(
             network, constants, rngs, participants=masks, enabled=enabled,
-            network_hook=network_hook, mac_hook=mac_hook,
+            medium=medium,
         )
         aux_rounds = aux.rounds
         q_colors = np.where(np.isnan(aux.colors), 0.0, aux.colors)
@@ -366,9 +351,8 @@ def fast_colored_wakeup_batch(
         return np.where(inf, diss, 0.0)
 
     last = dissemination_loop_batch(
-        network, rngs, informed, informed_round, probs,
-        0, round_budget, enabled=enabled, network_hook=network_hook,
-        mac_hook=mac_hook,
+        medium, rngs, informed, informed_round, probs,
+        0, round_budget, enabled=enabled,
     )
 
     outcomes = []
@@ -406,8 +390,7 @@ def fast_colored_wakeup(
     round_budget: Optional[int] = None,
     budget_scale: int = 16,
     refresh_coloring: bool = True,
-    network_hook=None,
-    mac_hook=None,
+    medium: Optional[Medium] = None,
 ) -> BroadcastOutcome:
     """Vectorized wake-up with established coloring (``B = 1``)."""
     if constants is None:
@@ -417,6 +400,5 @@ def fast_colored_wakeup(
     return fast_colored_wakeup_batch(
         network, initiators, base_colors, constants, [rng],
         round_budget=round_budget, budget_scale=budget_scale,
-        refresh_coloring=refresh_coloring, network_hook=network_hook,
-        mac_hook=mac_hook,
+        refresh_coloring=refresh_coloring, medium=medium,
     )[0]

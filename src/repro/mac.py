@@ -25,39 +25,29 @@ arbitrates.  This module adds the missing medium-access layer
   receiver selects how many queued packets a successful slot carries.
 
 The run-time half is the :class:`MacSession` (per-run state built from
-the network a kernel is launched on); :func:`mac_hook` adapts a model to
-the per-slot callback the :mod:`repro.fastsim` kernels accept — the MAC
-analogue of ``network_hook``.  All per-round MAC randomness is drawn
-from *round-keyed* generators (a pure function of ``(seed, round_no)``),
-never from a sequential stream, so a replication's MAC decisions are
-independent of batch composition, skipped schedule blocks and
-multi-stage kernel re-entry — which is what keeps "batched ==
-sequential" and ``jobs=N == jobs=1`` bitwise under every MAC
-(DESIGN.md §11.2).
+the network of a kernel run's first round); a
+:class:`repro.fastsim.engine.Medium` holds one session per run and
+applies it to every round's transmit intents, between the round's
+mobility step and its reception resolution.  All per-round MAC
+randomness is drawn from *round-keyed* generators (a pure function of
+``(seed, round_no)``), never from a sequential stream, so a
+replication's MAC decisions are independent of batch composition,
+skipped schedule blocks and multi-stage kernel re-entry — which is
+what keeps "batched == sequential" and ``jobs=N == jobs=1`` bitwise
+under every MAC (DESIGN.md §11.2).
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ProtocolError
 from repro.network.network import Network
 from repro.sinr.sparse import csr_row_positions, csr_upper_pairs
-
-#: Signature of the per-slot transmit-decision callback consumed by the
-#: fastsim kernels: ``hook(round_no, tx_mask, network) -> tx_mask``
-#: (DESIGN.md §11).  The hook is handed the ``(B, n)`` mask of stations
-#: that *intend* to transmit this round (the protocol's own decision)
-#: and returns the subset actually transmitting.  Hooks may only
-#: *remove* transmitters, never add them; :func:`mac_hook` enforces the
-#: subset property.  Like network hooks, MAC hooks own their session
-#: state: multi-stage kernels re-pass the static snapshot they were
-#: called with, so the ``network`` argument only seeds the first call.
-TransmitHook = Callable[[int, np.ndarray, "Network"], np.ndarray]
 
 
 def round_rng(seed: int, round_no: int) -> np.random.Generator:
@@ -193,12 +183,12 @@ def derive_sense_range(
 class MacSession(ABC):
     """Per-run arbitration state of one :class:`MacModel`.
 
-    Created by :meth:`MacModel.session` from the network a kernel run
-    starts on; geometry-derived structure (sense adjacency, TDMA slot
-    schedules) is computed here once and held static for the run — under
-    mobility the MAC keeps the schedule of the *initial* deployment,
-    which is exactly how provisioned real-world schedules behave
-    (DESIGN.md §11.3).
+    Created by :meth:`MacModel.session` from the network of a kernel
+    run's first round; geometry-derived structure (sense adjacency, TDMA
+    slot schedules) is computed here once and held static for the run —
+    under mobility the MAC keeps the schedule of the deployment it was
+    built on, which is exactly how provisioned real-world schedules
+    behave (DESIGN.md §11.3).
     """
 
     def __init__(self, model: "MacModel", network: Network):
@@ -216,8 +206,10 @@ class MacSession(ABC):
         :param intents: ``(B, n)`` boolean mask of stations whose
             protocol wants to transmit.
         :param network: the round's network (informational — sessions
-            derive their structure from the initial network).
-        :returns: ``(B, n)`` boolean mask, elementwise ``<= intents``.
+            derive their structure from the network they were built on).
+        :returns: ``(B, n)`` boolean mask, elementwise ``<= intents``;
+            a :class:`~repro.fastsim.engine.Medium` intersects the
+            answer with ``intents`` whatever a session returns.
         """
 
 
@@ -420,7 +412,7 @@ class CSMA(MacModel):
         persist: float = 1.0,
         seed: int = 0,
     ):
-        if sense_range is not None and sense_range <= 0:
+        if sense_range is not None and not sense_range > 0:
             raise ProtocolError(
                 f"sense_range must be > 0, got {sense_range}"
             )
@@ -518,7 +510,7 @@ class TdmaFromColoring(MacModel):
     """
 
     def __init__(self, *, interference_scale: float = 2.0, seed: int = 0):
-        if interference_scale <= 0:
+        if not interference_scale > 0:
             raise ProtocolError(
                 "interference_scale must be > 0, got "
                 f"{interference_scale}"
@@ -563,6 +555,10 @@ class RateTable:
                 "need one rate per threshold (and at least one), got "
                 f"{len(thresholds)} thresholds / {len(rates)} rates"
             )
+        if not np.all(np.isfinite(thresholds)):
+            raise ProtocolError(
+                f"thresholds must be finite, got {thresholds}"
+            )
         if list(thresholds) != sorted(set(thresholds)):
             raise ProtocolError(
                 f"thresholds must be strictly ascending, got {thresholds}"
@@ -598,35 +594,3 @@ class RateTable:
 
     def __hash__(self) -> int:
         return hash(self.identity())
-
-
-# ----------------------------------------------------------------------
-# the fastsim adapter
-# ----------------------------------------------------------------------
-def mac_hook(model: MacModel) -> TransmitHook:
-    """Adapt a model to the kernels' per-slot transmit callback.
-
-    The returned hook owns one session, built lazily from the first
-    network it sees (multi-stage kernels re-pass their static snapshot,
-    so only the first call's network matters — the
-    :data:`~repro.deploy.mobility.NetworkHook` discipline).  The
-    session's answer is intersected with the intents, enforcing the
-    "MACs only remove transmitters" contract whatever a model returns.
-    Hook construction is deterministic given the model, which is what
-    keeps ``jobs=N`` grid runs bitwise equal to ``jobs=1`` — every
-    worker rebuilds the identical arbitration from the descriptor.
-    """
-    state: dict = {"session": None}
-
-    def hook(
-        round_no: int, tx_mask: np.ndarray, network: Network
-    ) -> np.ndarray:
-        if state["session"] is None:
-            state["session"] = model.session(network)
-        filtered = np.asarray(
-            state["session"].transmit_mask(round_no, tx_mask, network),
-            dtype=bool,
-        )
-        return filtered & tx_mask
-
-    return hook

@@ -11,7 +11,8 @@ which one ran.  This suite is the enforcement:
 * full protocol traces (broadcast and wake-up) across deployment
   families, channel models and both SINR backends, asserting the
   *entire execution* — every per-station round stamp — is identical,
-  and every sweep kind's full outcome digest on both backends;
+  and every sweep kind's full outcome digest on both backends, and
+  pinned under a moving, CSMA-arbitrated medium;
 * a mobility ``advance`` step, whose patched CSR state must not depend
   on the kernel that will consume it;
 * a cross-kernel cache replay: a sweep computed by the numpy path must
@@ -46,6 +47,7 @@ from repro.fastsim.grid import GridPoint, GridSpec, run_grid
 from repro.fastsim.sweep import run_sweep, sweep_kinds
 from repro.fastsim.wakeup import fast_adhoc_wakeup_batch
 from repro.geometry.metric import pairwise_distances
+from repro.mac import CSMA
 from repro.network.network import Network
 from repro.sim.wakeup import WakeupSchedule
 from repro.sinr.channel import DualSlope
@@ -183,6 +185,33 @@ SWEEP_KWARGS = {
     "consensus": lambda net: {"x_max": 3},
 }
 
+#: ``digest([rounds, success, outcomes])`` of every sweep kind but
+#: traffic on the dense square under a drifting deployment and CSMA
+#: (``test_sweep_trace_moving_arbitrated``), recorded with the
+#: per-kernel mobility and MAC callbacks that the medium replaced.
+MOVING_ARBITRATED_DIGESTS = {
+    "adhoc_wakeup":
+        "685b2b4bbcf95c690461b4c72b38fdc45358b45b13d8383419cea2f8467ae093",
+    "colored_wakeup":
+        "3640f1167daa616ccc442587dc91720acceb4ddc5971192e43a67b7a9af5f8fa",
+    "coloring":
+        "bff891151e5537625670c3cceb541a69aa44441a0c7db3bb207d3b614865082f",
+    "consensus":
+        "5a947db9580a744b9837b3ff3b778fb5c231fdb4f3f8834db8cbf6a60f03fc9a",
+    "decay_broadcast":
+        "3c596fd00baae6689099537ca756dd38e26d8cc277e8cc95cd648ebe46ddcb9b",
+    "leader_election":
+        "5b34047a815180302af6f59ac2679d4558e3af3bc4c48971394f905b0ba119ae",
+    "local_broadcast":
+        "780dd58dcf57237f22da96631e8c40add1b24a698f0d4e8955911f992d483fdb",
+    "nospont_broadcast":
+        "a6fddde6f7875062d0d9339fa8dc82ad585d60688775275a75a178c844e6f097",
+    "spont_broadcast":
+        "da8403a973ef6da3594b5b339b3c9c607afeef309c77452835d96f1d77bed66f",
+    "uniform_broadcast":
+        "9fe94db8613e77262eab0041ffb50c44f10e6db34bf5735cc3ebbdec0937291f",
+}
+
 
 class TestProtocolTraces:
     """Whole protocol executions are kernel-independent, stamp for stamp.
@@ -252,6 +281,24 @@ class TestProtocolTraces:
 
         numpy_digest, loop_digest = _legs(run)
         assert numpy_digest == loop_digest
+
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in sweep_kinds() if kind != "traffic"]
+    )
+    def test_sweep_trace_moving_arbitrated(self, kind):
+        # Mobility and MAC together: every round steps the trajectory,
+        # arbitrates, then resolves, in that order, on one medium.
+        def run():
+            net = self._network(DEPLOYMENTS["square"], None, "dense")
+            kwargs = SWEEP_KWARGS.get(kind, lambda _net: {})(net)
+            sweep = run_sweep(
+                kind, net, 2, 5, CONSTANTS,
+                mobility=BrownianDrift(0.03, move_prob=0.4, seed=11),
+                mac=CSMA(persist=0.9, seed=7), **kwargs,
+            )
+            return digest([sweep.rounds, sweep.success, sweep.outcomes])
+
+        assert _legs(run) == [MOVING_ARBITRATED_DIGESTS[kind]] * 2
 
     def test_wakeup_trace(self):
         def run():

@@ -11,7 +11,7 @@ The contracts pinned here, per DESIGN.md §11:
   interference graph: no two interference-adjacent stations share a
   slot.
 * **Batched == sequential** — a batched sweep under any MAC equals a
-  sequential loop of single-instance runs with fresh hooks (round-keyed
+  sequential loop of single-instance runs with fresh media (round-keyed
   arbitration makes this exact, not statistical).
 * **Cache-key separation** — ``mac=`` kwargs land in grid point keys
   through the model's ``identity()``; no MAC can replay a bare sweep's
@@ -26,11 +26,13 @@ import numpy as np
 import pytest
 
 from repro.core.constants import ProtocolConstants
+from repro.deploy import BrownianDrift
 from repro.errors import ProtocolError
 from repro.fastsim import run_sweep, spawn_rngs
 from repro.fastsim.broadcast import fast_spont_broadcast
 from repro.fastsim.cache import fingerprint_bytes, point_key
 from repro.fastsim.coloring import fast_coloring
+from repro.fastsim.engine import Medium
 from repro.mac import (
     CSMA,
     MacModel,
@@ -38,7 +40,6 @@ from repro.mac import (
     SlottedAloha,
     TdmaFromColoring,
     derive_sense_range,
-    mac_hook,
     pairs_within,
     round_rng,
 )
@@ -78,6 +79,12 @@ class TestModels:
             CSMA(persist=0.0)
         with pytest.raises(ProtocolError):
             TdmaFromColoring(interference_scale=0.0)
+        # NaN fails every comparison, so it must not slip past a check
+        # written as "reject if <= 0" (no sensing, a one-slot frame).
+        with pytest.raises(ProtocolError):
+            CSMA(sense_range=float("nan"))
+        with pytest.raises(ProtocolError):
+            TdmaFromColoring(interference_scale=float("nan"))
 
     def test_identity_separates_models_and_knobs(self):
         models = [
@@ -317,6 +324,11 @@ class TestRateTable:
             RateTable(thresholds=(2.0,), rates=(0,))
         with pytest.raises(ProtocolError):
             RateTable(thresholds=(2.0, 4.0), rates=(2,))
+        # A NaN threshold is never reached; an infinite one never cleared.
+        with pytest.raises(ProtocolError):
+            RateTable(thresholds=(2.0, float("nan")), rates=(2, 3))
+        with pytest.raises(ProtocolError):
+            RateTable(thresholds=(2.0, float("inf")), rates=(2, 3))
 
     def test_rate_lookup(self):
         table = RateTable(thresholds=(2.0, 4.0, 8.0), rates=(2, 3, 4))
@@ -388,7 +400,7 @@ class TestAlohaAnchor:
 
 class TestBatchedEqualsSequential:
     """Batched kernels under a real MAC equal a sequential loop with a
-    fresh hook per replication (round-keyed arbitration makes the MAC
+    fresh medium per replication (round-keyed arbitration makes the MAC
     stream independent of batch composition)."""
 
     B = 3
@@ -406,7 +418,8 @@ class TestBatchedEqualsSequential:
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
             single = fast_spont_broadcast(
-                small_square, 0, constants, rng, mac_hook=mac_hook(model)
+                small_square, 0, constants, rng,
+                medium=Medium(small_square, mac=model),
             )
             assert np.array_equal(
                 out.informed_round, single.informed_round
@@ -426,8 +439,8 @@ class TestBatchedEqualsSequential:
         assert np.array_equal(a.rounds, b.rounds, equal_nan=True)
 
 
-class TestHookContract:
-    def test_hook_intersects_with_intents(self):
+class TestMediumContract:
+    def test_medium_intersects_with_intents(self):
         # Even a session returning all-ones may only remove, never add.
         net = _net(n=8, seed=1)
 
@@ -441,21 +454,32 @@ class TestHookContract:
 
                 return S()
 
-        hook = mac_hook(Loud())
+        medium = Medium(net, mac=Loud())
         intents = np.zeros((1, net.size), dtype=bool)
         intents[0, 2] = True
-        assert np.array_equal(hook(0, intents, net), intents)
+        transmitted, _ = medium.resolve(0, intents)
+        assert np.array_equal(transmitted, intents)
 
-    def test_hook_owns_one_session(self):
+    def test_medium_owns_one_session(self):
         net = _net(n=10, seed=2)
-        model = TdmaFromColoring(seed=4)
-        hook = mac_hook(model)
+        built = []
+
+        class Counted(TdmaFromColoring):
+            def session(self, network):
+                built.append(network)
+                return super().session(network)
+
+        medium = Medium(
+            net, mobility=BrownianDrift(0.3, seed=1), mac=Counted(seed=4)
+        )
         intents = np.ones((1, net.size), dtype=bool)
-        first = hook(0, intents, net)
-        # Re-passing a different network must not rebuild the schedule.
-        other = _net(n=10, seed=3)
-        again = hook(0, intents, other)
+        first, _ = medium.resolve(0, intents)
+        # A moved deployment must not rebuild the schedule.
+        again, _ = medium.resolve(0, intents)
         assert np.array_equal(first, again)
+        # One session, built on the first round's network, i.e. after
+        # that round's mobility step.
+        assert len(built) == 1 and built[0] is not net
 
 
 class TestSweepIntegration:

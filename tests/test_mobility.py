@@ -17,10 +17,10 @@ from repro.deploy.mobility import (
     GroupDrift,
     MobilityModel,
     RandomWaypoint,
-    mobility_hook,
 )
 from repro.errors import DeploymentError, ProtocolError
 from repro.fastsim.cache import fingerprint_bytes, point_key
+from repro.fastsim.engine import Medium
 from repro.fastsim.sweep import run_sweep
 from repro.geometry.metric import MatrixMetric
 from repro.network.network import Network
@@ -166,32 +166,26 @@ class TestAdvance:
             net.advance(disp)
 
 
-class TestHook:
-    def test_hook_owns_one_trajectory(self):
+class TestMedium:
+    def test_medium_owns_one_trajectory(self):
         net = _net(seed=5)
         model = BrownianDrift(0.02, move_prob=0.5, seed=9)
-        hook = mobility_hook(model)
-        n1 = hook(0, net)
-        n2 = hook(1, net)  # passing the stale snapshot is fine
+        medium = Medium(net, mobility=model)
+        n1 = medium.step()
+        n2 = medium.step()
         assert n1 is not net
         assert not np.array_equal(n1.coords, n2.coords)
-        # a fresh hook over the same model replays the trajectory
-        replay = mobility_hook(model)
-        m1 = replay(0, net)
-        m2 = replay(1, net)
+        # a fresh medium over the same model replays the trajectory
+        replay = Medium(net, mobility=model)
+        m1 = replay.step()
+        m2 = replay.step()
         assert np.array_equal(n1.coords, m1.coords)
         assert np.array_equal(n2.coords, m2.coords)
 
-    def test_every_throttles_advances(self):
+    def test_static_medium_never_moves(self):
         net = _net(seed=6)
-        hook = mobility_hook(BrownianDrift(0.05, seed=1), every=3)
-        first = hook(0, net)
-        assert hook(1, net) is first and hook(2, net) is first
-        assert hook(3, net) is not first
-
-    def test_every_validation(self):
-        with pytest.raises(DeploymentError):
-            mobility_hook(BrownianDrift(0.1), every=0)
+        medium = Medium(net)
+        assert medium.step() is net and medium.network is net
 
 
 class TestSweepIntegration:
@@ -204,9 +198,17 @@ class TestSweepIntegration:
         mobile2 = run_sweep(
             "spont_broadcast", net, 3, seed=5, source=0, mobility=model
         )
+        static = run_sweep("spont_broadcast", net, 3, seed=5, source=0)
         assert np.array_equal(
             mobile1.rounds, mobile2.rounds, equal_nan=True
         )
+        assert not np.array_equal(
+            mobile1.rounds, static.rounds, equal_nan=True
+        )
+        # Pinned: the round order (mobility step, MAC, Eq. (1)) and the
+        # trajectory both show in these numbers.
+        assert mobile1.rounds.tolist() == [109, 129, 189]
+        assert static.rounds.tolist() == [118, 115, 144]
 
     def test_cache_keys_split_static_dynamic_and_models(self):
         net = _net(n=16, seed=9)

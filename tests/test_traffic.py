@@ -24,6 +24,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.deploy import BrownianDrift
 from repro.errors import ProtocolError
 from repro.fastsim import run_sweep
 from repro.fastsim.cache import point_key
@@ -318,6 +319,16 @@ class TestSweep:
             for out in sweep.outcomes
         }
         assert len(injected) > 1
+
+    def test_mobility_rejected(self):
+        # Traffic runs on a static deployment: a moving one is refused
+        # by name, not by a keyword the caller never passed.
+        with pytest.raises(ProtocolError, match="static deployment"):
+            run_sweep(
+                "traffic", _chain(n=6), 1, 0,
+                flows=[Flow(0, 5, Poisson(0.2))], rounds=5,
+                mobility=BrownianDrift(0.02, seed=1),
+            )
 
     def test_cache_keys_split_traffic_identity(self):
         net = _converge_net()
