@@ -358,7 +358,6 @@ def resolve_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heard sender and SINR of one round, at ``listeners`` only.
 
-    ``heard`` is ``resolve_reception(...)[listeners]`` bit for bit, and
     ``sinr`` is the SINR of each listener's strongest transmitter as the
     same ``B = 1`` fold computes it (0 where no transmitter reaches the
     listener); ``listeners`` may be unsorted, repeat stations or name
@@ -366,11 +365,16 @@ def resolve_at(
     transmitter.  A listener or transmitter index outside ``[0, n)``
     raises ``ValueError`` on either backend.  A dense matrix
     resolves the whole round with the one batched fold
-    (:func:`resolve_reception_batch`) and gathers.  The traffic engine
-    asks only about its packets' next hops, so on a
+    (:func:`resolve_reception_batch`) and gathers, so ``heard`` is
+    ``resolve_reception(...)[listeners]`` bit for bit.  The traffic
+    engine asks only about its packets' next hops, so on a
     :class:`~repro.sinr.sparse.SparseGainBackend` the cost follows
-    those stations' neighbourhoods plus one far-field transform instead
-    of ``n`` (:meth:`~repro.sinr.sparse.SparseGainBackend.resolve_at`).
+    those stations' neighbourhoods and the listener x transmitter
+    pairs of the far term instead of ``n`` or the cell grid
+    (:meth:`~repro.sinr.sparse.SparseGainBackend.resolve_at`); there
+    ``heard`` equals ``resolve_reception(...)[listeners]`` whenever the
+    SINR margin exceeds ulp-scale rounding, and bit for bit whenever
+    the far set is empty.
 
     :returns: ``(heard, sinr)``, both aligned with ``listeners``.
     """

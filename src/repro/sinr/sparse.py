@@ -14,7 +14,9 @@ structure:
 * **far-field interference** (cell offsets with some axis ``> s``, so
   pair distance ``>= R``) is aggregated per cell: each round's
   transmitter counts per cell are convolved (FFT over the cell grid)
-  with the radial gain kernel evaluated at cell-center offsets;
+  with the radial gain kernel evaluated at cell-center offsets, or,
+  for queries at a few listeners, the same sums are gathered per
+  (listener, transmitter) pair from the spatial kernel tables;
 * the **truncation error** of that aggregation is certified: every far
   pair's per-axis distance lies within one cell side of its cell-center
   offset, so a second convolution with the bracket kernel
@@ -906,6 +908,15 @@ class SparseGainBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-listener far-field estimate and certified error band.
 
+        The backend's only far-field transform.  It answers every
+        station of every row, so it serves whole-network batches
+        (:meth:`resolve_reception_batch`); queries at a few listeners
+        gather the same certified sums per pair instead
+        (:meth:`_far_pairs`), at a cost that follows the query rather
+        than the cell grid.  The far field is constant within a cell,
+        so the transform runs on per-cell transmitter counts and each
+        station reads its cell's value.
+
         :param tx_mask: ``(B, n)`` boolean transmitter mask.
         :returns: ``(far_estimate, band)`` — both ``(B, n)``, with
             ``|I_far - far_estimate| <= band`` guaranteed per listener
@@ -916,20 +927,6 @@ class SparseGainBackend:
         if self.far_empty:
             zeros = np.zeros((B, n))
             return zeros, zeros.copy()
-        est_cells, err_cells = self._far_cells(tx_mask)
-        cell_of = self.cells.cell_of
-        return _with_band(est_cells[:, cell_of], err_cells[:, cell_of])
-
-    def _far_cells(
-        self, tx_mask: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell far-field estimate and error, ``(B, n_cells)`` each.
-
-        The far field is constant within a cell, so every listener's
-        value is a gather from these arrays (:meth:`far_band` gathers
-        all stations, :meth:`resolve_at` only the ones it asks about).
-        """
-        B = tx_mask.shape[0]
         K_hat, E_hat, padded = self._far_kernels()
         # One batched transform over the trailing cell axes instead of
         # per-row FFT dispatch: this runs every round of every sweep.
@@ -947,9 +944,10 @@ class SparseGainBackend:
         err_cells = np.fft.irfftn(
             C_hat * E_hat[None], s=padded, axes=axes
         )[region]
-        return (
-            np.maximum(est_cells.reshape(B, -1), 0.0),
-            np.maximum(err_cells.reshape(B, -1), 0.0),
+        cell_of = self.cells.cell_of
+        return _with_band(
+            np.maximum(est_cells.reshape(B, -1), 0.0)[:, cell_of],
+            np.maximum(err_cells.reshape(B, -1), 0.0)[:, cell_of],
         )
 
     def certified_tail_bound(
@@ -1276,16 +1274,19 @@ class SparseGainBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Heard sender and SINR of one round, at ``listeners`` only.
 
-        ``heard`` is ``resolve_reception(...)[listeners]`` bit for bit,
-        and ``sinr`` is the same ``B = 1`` row's certified lower bound
-        on the strongest near transmitter's SINR, ``signal / ((noise +
-        total) - signal + far + band)`` (0 where no near transmitter
-        reaches the listener) — bitwise the dense
-        :func:`repro.sinr.reception.resolve_at` value when the cutoff
-        covers the deployment.  Any listener array works (unsorted,
-        repeated, transmitters included), and a repeated transmitter
-        index names one transmitter.  The cost is set by the listeners'
-        CSR rows plus one far-field transform rather than by ``n``:
+        ``sinr`` is the certified lower bound on the strongest near
+        transmitter's SINR, ``signal / ((noise + total) - signal + far
+        + band)`` (0 where no near transmitter reaches the listener) —
+        bitwise the dense :func:`repro.sinr.reception.resolve_at` value
+        when the cutoff covers the deployment.  ``heard`` keeps the
+        contract of :meth:`resolve_reception_sets`: it equals
+        ``resolve_reception(...)[listeners]`` whenever the SINR margin
+        exceeds ulp-scale rounding, and bit for bit whenever the far
+        set is empty.  Any listener array works (unsorted, repeated,
+        transmitters included), and a repeated transmitter index names
+        one transmitter.  The cost is set by the listeners' CSR rows
+        and the listener x transmitter pairs, not by ``n`` or the cell
+        grid:
 
         * the near fold reads each *listener's* row instead of each
           transmitter's.  Gains are bitwise symmetric and rows list
@@ -1293,8 +1294,13 @@ class SparseGainBackend:
           values in the same order as :meth:`_near_scan`; max and min
           are exact, so the strongest sender matches too (either
           kernel — they are bitwise equal, DESIGN.md §2.3);
-        * the far term is :meth:`far_band`'s transform, gathered at the
-          listeners' cells only.
+        * the far term is the serving path's per-pair gather
+          (:meth:`_far_pairs`) over the ascending transmitters: the
+          certified sum of :meth:`far_band`, rounded differently inside
+          the same band.  Listeners go in chunks of at most
+          :data:`SERVING_CHUNK_ELEMENTS` pairs, and each row is summed
+          from its own values, so a listener's bits do not depend on
+          which other listeners share the call.
         """
         transmitters = np.asarray(transmitters, dtype=np.int64)
         listeners = np.asarray(listeners, dtype=np.int64)
@@ -1302,23 +1308,31 @@ class SparseGainBackend:
         heard = np.full(m, NO_SENDER, dtype=np.intp)
         if transmitters.size == 0:
             return heard, np.zeros(m)
-        is_tx = np.zeros((1, self.n), dtype=bool)
-        is_tx[0, transmitters] = True
+        is_tx = np.zeros(self.n, dtype=bool)
+        is_tx[transmitters] = True
         pos, lengths = csr_row_positions(self.indptr, listeners)
         senders = self.indices[pos].astype(np.int64, copy=False)
-        live = is_tx[0, senders]
+        live = is_tx[senders]
         total, best_gain, best_sender = _strongest(
             np.repeat(np.arange(m), lengths)[live], self.data[pos[live]],
             senders[live], m, self.n,
         )
         denom = noise + total - best_gain
         if not self.far_empty:
-            est_cells, err_cells = self._far_cells(is_tx)
-            cells = self.cells.cell_of[listeners]
-            est, band = _with_band(est_cells[0, cells], err_cells[0, cells])
+            tx = np.flatnonzero(is_tx)
+            t = tx.size
+            rows = max(1, SERVING_CHUNK_ELEMENTS // t)
+            far = np.empty((2, m))
+            for lo in range(0, m, rows):
+                chunk = listeners[lo:lo + rows]
+                far[:, lo:lo + rows] = self._far_pairs(
+                    np.zeros(chunk.size, dtype=np.int64), chunk, tx,
+                    np.zeros(1, dtype=np.int64), np.array([t]), [t],
+                )
+            est, band = _with_band(*far)
             denom = denom + est + band
         sinr = np.divide(best_gain, denom)
-        ok = (best_sender < self.n) & (sinr >= beta) & ~is_tx[0, listeners]
+        ok = (best_sender < self.n) & (sinr >= beta) & ~is_tx[listeners]
         heard[ok] = best_sender[ok]
         return heard, sinr
 

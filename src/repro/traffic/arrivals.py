@@ -13,11 +13,19 @@ counts it produces — so arrival streams replay bit-for-bit across
 from __future__ import annotations
 
 import hashlib
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.errors import ProtocolError
+
+
+def _checked_rate(rate: float) -> float:
+    """``rate`` as a float; ProtocolError unless it is finite and > 0."""
+    if not 0 < rate < math.inf:
+        raise ProtocolError(f"arrival rate must be finite and > 0, got {rate}")
+    return float(rate)
 
 
 class ArrivalProcess(ABC):
@@ -57,13 +65,11 @@ class ArrivalProcess(ABC):
 class Poisson(ArrivalProcess):
     """Memoryless arrivals: ``count_t ~ Poisson(rate)`` i.i.d. per round.
 
-    :param rate: mean packets injected per round (``> 0``).
+    :param rate: mean packets injected per round (finite, ``> 0``).
     """
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ProtocolError(f"arrival rate must be > 0, got {rate}")
-        self.rate = float(rate)
+        self.rate = _checked_rate(rate)
 
     def identity(self) -> tuple:
         return ("poisson", self.rate)
@@ -81,13 +87,11 @@ class CBR(ArrivalProcess):
     consumes **no** randomness, so CBR flows never shift other flows'
     streams.
 
-    :param rate: packets per round (``> 0``, may be fractional).
+    :param rate: packets per round (finite, ``> 0``, may be fractional).
     """
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ProtocolError(f"arrival rate must be > 0, got {rate}")
-        self.rate = float(rate)
+        self.rate = _checked_rate(rate)
 
     def identity(self) -> tuple:
         return ("cbr", self.rate)
@@ -109,7 +113,7 @@ class OnOff(ArrivalProcess):
     to zero, not skipped), so stream consumption is fixed at
     ``2 * rounds`` variates regardless of the state trajectory.
 
-    :param rate: mean packets per *on* round (``> 0``).
+    :param rate: mean packets per *on* round (finite, ``> 0``).
     :param p_on: off → on switch probability per round.
     :param p_off: on → off switch probability per round.
     :param start_on: whether round 0 starts in the on state.
@@ -123,14 +127,12 @@ class OnOff(ArrivalProcess):
         *,
         start_on: bool = True,
     ):
-        if rate <= 0:
-            raise ProtocolError(f"arrival rate must be > 0, got {rate}")
+        self.rate = _checked_rate(rate)
         if not 0.0 < p_on <= 1.0 or not 0.0 < p_off <= 1.0:
             raise ProtocolError(
                 "switch probabilities must be in (0, 1], got "
                 f"p_on={p_on} p_off={p_off}"
             )
-        self.rate = float(rate)
         self.p_on = float(p_on)
         self.p_off = float(p_off)
         self.start_on = bool(start_on)

@@ -118,6 +118,11 @@ class TrafficResult:
         )
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer (Python or numpy), not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _flow_paths(network: Network, flows: Sequence[Flow]) -> list:
     """Shortest ``Network.graph`` path per flow (ProtocolError if none)."""
     import networkx as nx
@@ -170,22 +175,25 @@ def run_traffic(
 
     :param flows: traffic demands; packets follow each flow's shortest
         path, computed once on the initial network.
-    :param rounds: number of slots to play.
+    :param rounds: number of slots to play (an integer, not a bool).
     :param rng: arrival randomness — all flows' arrival streams are
         drawn from it up front, in flow order, with fixed per-flow
         stream consumption (DESIGN.md §11.6).
     :param mac: medium-access model (default :class:`~repro.mac.SlottedAloha`
         — every head-of-line packet contends every slot).
     :param rate_table: optional SINR-thresholded rate adaptation.
-    :param queue_cap: per-station queue bound; arrivals and forwards
-        beyond it are dropped (and counted against their flow).
+    :param queue_cap: per-station queue bound (an integer, not a bool);
+        arrivals and forwards beyond it are dropped (and counted
+        against their flow).
     :returns: per-flow and aggregate accounting; see
         :class:`TrafficResult`.
     """
-    if rounds < 1:
-        raise ProtocolError(f"need at least one round, got {rounds}")
-    if queue_cap < 1:
-        raise ProtocolError(f"queue_cap must be >= 1, got {queue_cap}")
+    if not _is_count(rounds) or rounds < 1:
+        raise ProtocolError(f"rounds must be an integer >= 1, got {rounds!r}")
+    if not _is_count(queue_cap) or queue_cap < 1:
+        raise ProtocolError(
+            f"queue_cap must be an integer >= 1, got {queue_cap!r}"
+        )
     if not flows:
         raise ProtocolError("need at least one flow")
     if mac is None:

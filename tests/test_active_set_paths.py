@@ -7,8 +7,12 @@ it replaces, bit for bit:
 * :func:`~repro.sinr.reception.resolve_at` at any listener array
   (unsorted, repeated, transmitters included) hears what
   ``resolve_reception(...)[L]`` hears, and its SINR equals a per-station
-  reference of the batched fold's arithmetic, on sparse far-active,
-  sparse far-empty and dense networks;
+  reference of the batched fold's arithmetic with the far term summed
+  pair by pair, on sparse far-active, sparse far-empty and dense
+  networks;
+* a listener's sparse ``resolve_at`` bits do not depend on how the far
+  gather is chunked or on which other listeners share the call, and
+  the traffic path runs no far-field transform;
 * CSMA arbitration over the CSR sense adjacency equals the pair rule
   "defer iff an intending station within sense range drew a strictly
   smaller backoff", evaluated by brute force over every pair, for
@@ -22,17 +26,20 @@ it replaces, bit for bit:
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mac import CSMA, adjacency_within, pairs_within
 from repro.network.network import Network
+from repro.sinr import sparse
 from repro.sinr.reception import (
     NO_SENDER,
     resolve_at,
     resolve_reception,
     resolve_reception_many,
 )
+from repro.sinr.sparse import _with_band
 
 #: name -> (n, side, seed, Network kwargs)
 DEPLOYMENTS = {
@@ -60,6 +67,30 @@ def test_deployments_cover_each_regime():
 # ----------------------------------------------------------------------
 # resolution at a listener subset
 # ----------------------------------------------------------------------
+def _far_reference(backend, transmitters, listener):
+    """One listener's far estimate and band, from the kernel definitions.
+
+    Offsets, distances and gains follow ``_far_kernels``' expressions;
+    the terms are summed as one ``(1, t)`` row in ascending sender
+    order, clipped at zero, then widened by the rounding slack.
+    """
+    cells = backend.cells
+    delta = (
+        cells.cell_vec[listener] - cells.cell_vec[transmitters]
+    ).astype(float)
+    absd = np.abs(delta)
+    center = cells.h * np.sqrt(sum(g * g for g in delta.T))
+    lo = cells.h * np.sqrt(sum(np.maximum(g - 1.0, 0.0) ** 2 for g in absd.T))
+    hi = cells.h * np.sqrt(sum((g + 1.0) ** 2 for g in absd.T))
+    far = (absd > cells.reach).any(axis=1)
+    K = np.where(far, backend._radial(center), 0.0)
+    E = np.where(far, backend._radial(lo) - backend._radial(hi), 0.0)
+    return _with_band(
+        np.maximum(K[None].sum(axis=1), 0.0)[0],
+        np.maximum(E[None].sum(axis=1), 0.0)[0],
+    )
+
+
 def _reference_sinr(net, transmitters, listeners):
     """Strongest-transmitter SINR at each listener, one pair at a time.
 
@@ -67,18 +98,14 @@ def _reference_sinr(net, transmitters, listeners):
     reaching the listener added in ascending sender order, the
     denominator grouped ``(noise + total) - signal``, and on a sparse
     network the near gains only, plus the certified far estimate and
-    band at the listener.
+    band at the listener, summed pair by pair (:func:`_far_reference`).
     """
     noise = net.params.noise
     tx = np.unique(transmitters)
-    if net.backend_kind == "sparse":
-        backend = net.sparse_backend
-        mask = np.zeros((1, net.size), dtype=bool)
-        mask[0, tx] = True
-        far, band = backend.far_band(mask)
+    backend = net.sparse_backend if net.backend_kind == "sparse" else None
     out = []
     for u in listeners:
-        if net.backend_kind == "sparse":
+        if backend is not None:
             row = slice(backend.indptr[u], backend.indptr[u + 1])
             near = np.isin(backend.indices[row], tx)
             gains = backend.data[row][near]
@@ -89,8 +116,9 @@ def _reference_sinr(net, transmitters, listeners):
             total += g
             signal = max(signal, g)
         denom = (noise + total) - signal
-        if net.backend_kind == "sparse" and not backend.far_empty:
-            denom = denom + float(far[0, u]) + float(band[0, u])
+        if backend is not None and not backend.far_empty:
+            far, band = _far_reference(backend, tx, u)
+            denom = denom + float(far) + float(band)
         out.append(signal / denom)
     return np.asarray(out, dtype=float)
 
@@ -137,6 +165,49 @@ def test_resolve_at_every_station_with_receptions():
             net, transmitters, np.arange(net.size)[::-1]
         )
         assert np.any(heard != NO_SENDER), name
+
+
+@pytest.mark.parametrize("every", [9, 2, 1], ids=["sparse", "dense", "all"])
+def test_resolve_at_rows_ignore_chunking_and_co_listeners(every, monkeypatch):
+    net = _network("sparse-far")
+    gain, p = net.gain_operator, net.params
+    transmitters = np.arange(0, net.size, every)
+    stations = np.arange(net.size)
+    listeners = np.random.default_rng(3).permutation(
+        np.concatenate([stations, stations[::3]])
+    )
+
+    def answer(at):
+        return resolve_at(gain, transmitters, at, p.noise, p.beta)
+
+    whole = answer(listeners)
+    alone = [answer(listeners[i:i + 1]) for i in range(listeners.size)]
+    monkeypatch.setattr(sparse, "SERVING_CHUNK_ELEMENTS", 64)
+    chunked = answer(listeners)
+    for heard, sinr in (chunked, map(np.concatenate, zip(*alone))):
+        assert heard.tobytes() == whole[0].tobytes()
+        assert sinr.tobytes() == whole[1].tobytes()
+
+
+def test_resolve_at_runs_no_far_transform(monkeypatch):
+    net = _network("sparse-far")
+    gain, p = net.gain_operator, net.params
+    transmitters = np.arange(0, net.size, 4)
+    listeners = np.arange(net.size)[::-1]
+    net.sparse_backend._far_kernels()
+
+    def transform(*args, **kwargs):
+        raise AssertionError("a traffic slot ran a far-field transform")
+
+    monkeypatch.setattr(np.fft, "rfftn", transform)
+    monkeypatch.setattr(np.fft, "irfftn", transform)
+    heard, sinr = resolve_at(gain, transmitters, listeners, p.noise, p.beta)
+    monkeypatch.undo()
+    full = resolve_reception(gain, transmitters, p.noise, p.beta)
+    assert np.array_equal(heard, full[listeners])
+    assert np.any(heard != NO_SENDER)
+    reference = _reference_sinr(net, transmitters, listeners)
+    assert sinr.tobytes() == reference.tobytes()
 
 
 # ----------------------------------------------------------------------

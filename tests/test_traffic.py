@@ -107,6 +107,10 @@ class TestArrivals:
             OnOff(1.0, p_on=1.5)
         with pytest.raises(ProtocolError):
             OnOff(0.0)
+        for process in (Poisson, CBR, OnOff):
+            for rate in (float("nan"), float("inf")):
+                with pytest.raises(ProtocolError):
+                    process(rate)
 
     def test_equality_repr_and_hash(self):
         assert Poisson(1.0) == Poisson(1.0) != Poisson(2.0)
@@ -144,6 +148,16 @@ class TestRunTrafficValidation:
             run_traffic(net, [Flow(0, 9, CBR(0.5))], 10, rng)
         with pytest.raises(ProtocolError):
             run_traffic(net, [Flow(2, 2, CBR(0.5))], 10, rng)
+        for cap in (float("nan"), float("inf"), 2.5, True):
+            with pytest.raises(ProtocolError):
+                run_traffic(net, [flow], 10, rng, queue_cap=cap)
+        for rounds in (True, 2.5):
+            with pytest.raises(ProtocolError):
+                run_traffic(net, [flow], rounds, rng)
+        result = run_traffic(
+            net, [flow], np.int64(10), rng, queue_cap=np.int32(4)
+        )
+        assert result.rounds == 10
 
     def test_no_path_raises(self):
         net = Network(np.array([[0.0, 0.0], [5.0, 0.0]]))
