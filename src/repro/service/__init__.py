@@ -6,8 +6,9 @@ This package is the long-running alternative: an asyncio daemon
 (``python -m repro.service``) holds a pool of resident
 :class:`~repro.network.network.Network` objects — sparse CSR backends,
 compiled kernels, lazy caches all warm — and serves SINR / connectivity
-/ ball / mobility-advance queries over newline-delimited JSON on a unix
-or TCP socket.
+/ ball / mobility-advance queries on a unix or TCP socket, one typed
+frame per message: a JSON header plus raw array buffers
+(:mod:`repro.service.protocol`).
 
 SINR queries are served by the set resolver
 (:func:`repro.sinr.reception.resolve_reception_many`), whose cost is

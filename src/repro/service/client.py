@@ -43,13 +43,11 @@ async def connect(
     """
     if address.startswith("unix:"):
         reader, writer = await asyncio.open_unix_connection(
-            address[len("unix:"):], limit=_STREAM_LIMIT
+            address[len("unix:"):]
         )
     elif address.startswith("tcp:"):
         host, _, port = address[len("tcp:"):].rpartition(":")
-        reader, writer = await asyncio.open_connection(
-            host, int(port), limit=_STREAM_LIMIT
-        )
+        reader, writer = await asyncio.open_connection(host, int(port))
     else:
         raise ServiceError(
             f"unrecognized service address {address!r}; expected "
@@ -60,9 +58,6 @@ async def connect(
         timeout=DEFAULT_REQUEST_TIMEOUT if timeout is None else timeout,
     )
 
-
-#: Mirror of the server's stream limit (big displacement/graph frames).
-_STREAM_LIMIT = 256 * 1024 * 1024
 
 #: Default per-request timeout.  Generous — a full-scale sweep point
 #: legitimately computes for minutes — but *finite*: a peer that dies
@@ -113,7 +108,14 @@ class ServiceClient:
                 message = await read_frame(self._reader)
                 if message is None:
                     break
-                future = self._pending.pop(message.get("id"), None)
+                request_id = message.get("id")
+                # Ids this client sends are ints; any other id (a list,
+                # an array) matches no request and must not kill the loop.
+                future = (
+                    self._pending.pop(request_id, None)
+                    if type(request_id) is int
+                    else None
+                )
                 if future is not None and not future.done():
                     future.set_result(message)
         except (ServiceError, ConnectionError, OSError) as exc:
@@ -178,7 +180,7 @@ class ServiceClient:
                     ) from None
         finally:
             self._pending.pop(request_id, None)
-        if not response.get("ok"):
+        if response.get("ok") is not True:
             raise ServiceError(
                 f"{op}: {response.get('error')} "
                 f"[{response.get('kind', 'ServiceError')}]"
@@ -206,9 +208,10 @@ class ServiceClient:
         """Resolve receptions for ``transmitters`` on network ``net``.
 
         Returns ``{"receptions": [[listener, sender], ...]}`` — or, with
-        ``full=True``, the dense length-``n`` heard array under
-        ``"heard"``.  Bitwise identical whether or not the server
-        coalesced the call with others (DESIGN.md §8).
+        ``full=True``, the dense length-``n`` heard list under
+        ``"heard"`` — rebuilt as Python lists from the reply's index
+        buffer.  Bitwise identical whether or not the server coalesced
+        the call with others (DESIGN.md §8).
         """
         fields: dict = {
             "net": net,
@@ -220,7 +223,10 @@ class ServiceClient:
             fields["beta"] = beta
         if full:
             fields["full"] = True
-        return await self.request("sinr", **fields)
+        reply = await self.request("sinr", **fields)
+        key = "heard" if full else "receptions"
+        reply[key] = reply[key].tolist()
+        return reply
 
     async def ball(self, net: str, center: int, radius: float) -> list[int]:
         """Station indices within ``radius`` of ``center``."""

@@ -4,8 +4,9 @@ One :class:`ServiceServer` owns a :class:`~repro.service.pool.NetworkPool`
 of hot networks, a per-(network, noise, beta) family of
 :class:`~repro.service.coalescer.BatchCoalescer` instances, and
 optionally the shared on-disk :class:`~repro.fastsim.cache.ResultCache`.
-It listens on a unix socket and/or loopback TCP, speaking the
-newline-JSON protocol of :mod:`repro.service.protocol`.
+It listens on a unix socket and/or loopback TCP, speaking the typed
+frames of :mod:`repro.service.protocol`: a JSON header plus raw array
+buffers.
 
 Requests on one connection are handled concurrently (one task per
 frame), so a single pipelining client coalesces against itself just
@@ -18,7 +19,8 @@ Supported ops — see :meth:`ServiceServer.handlers`:
     Deploy (or look up) a network from a JSON spec; admit it to the
     pool; reply with its fingerprint — the handle every other op takes.
 ``sinr``
-    Resolve receptions for one transmitter set through the coalescer.
+    Resolve receptions for one transmitter set through the coalescer;
+    the reply's ``(listener, sender)`` pairs travel as one buffer.
 ``ball`` / ``graph`` / ``is_connected``
     Geometry and connectivity queries against the resident structures.
 ``advance``
@@ -75,10 +77,6 @@ BUILD_FAMILIES = (
     "grid",
     "uniform_chain",
 )
-
-#: Stream buffer limit for incoming frames (must exceed the largest
-#: request line; displacement arrays for big deployments are the driver).
-_STREAM_LIMIT = 256 * 1024 * 1024
 
 
 def build_network(spec: dict) -> Network:
@@ -225,8 +223,7 @@ class ServiceServer:
         the single-threaded loop works through the accept queue.
         """
         server = await asyncio.start_unix_server(
-            self._handle_client, path=path, limit=_STREAM_LIMIT,
-            backlog=backlog,
+            self._handle_client, path=path, backlog=backlog,
         )
         self.unix_path = path
         self._servers.append(server)
@@ -237,8 +234,7 @@ class ServiceServer:
         """Listen on TCP (loopback by default; ``port=0`` picks a free
         port, readable from :attr:`tcp_address`)."""
         server = await asyncio.start_server(
-            self._handle_client, host=host, port=port,
-            limit=_STREAM_LIMIT, backlog=backlog,
+            self._handle_client, host=host, port=port, backlog=backlog,
         )
         sock = server.sockets[0]
         self.tcp_address = sock.getsockname()[:2]
@@ -325,7 +321,7 @@ class ServiceServer:
                 task = asyncio.ensure_future(serve_one(request))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         except asyncio.CancelledError:
             # Loop shutdown cancels connection tasks mid-read; treat it
@@ -352,7 +348,9 @@ class ServiceServer:
         """Route one request to its handler; never raises."""
         request_id = request.get("id")
         op = request.get("op")
-        handler = self.handlers().get(op)
+        # Only a string can name an op; a list or object would not even
+        # hash, and the request must still get its error reply.
+        handler = self.handlers().get(op) if isinstance(op, str) else None
         if handler is None:
             return error_response(
                 request_id,
@@ -462,7 +460,10 @@ class ServiceServer:
         in ``[0, n)``; ``noise`` and ``beta`` must be finite numbers
         within :class:`~repro.sinr.params.SINRParameters`' rules
         (``noise > 0``, ``beta >= 1`` — the resolver tests only the
-        strongest sender, which is exact only for ``beta >= 1``).
+        strongest sender, which is exact only for ``beta >= 1``).  The
+        reply carries ``receptions``, the ``(k, 2)`` array of
+        ``(listener, sender)`` pairs, or under ``full`` the ``(n,)``
+        ``heard`` array; each travels as one frame buffer.
         """
         net = self._network(request)
         listed = request.get("transmitters", [])
@@ -490,11 +491,11 @@ class ServiceServer:
         if request.get("full"):
             heard = np.full(net.size, NO_SENDER, dtype=np.intp)
             heard[receivers] = senders
-            return {"heard": heard.tolist()}
-        # column_stack + tolist converts to native ints in C — replies
-        # routinely carry hundreds of pairs and this runs per request.
-        pairs = np.column_stack((receivers, senders))
-        return {"receptions": pairs.tolist(), "n": net.size}
+            return {"heard": heard}
+        return {
+            "receptions": np.column_stack((receivers, senders)),
+            "n": net.size,
+        }
 
     async def _op_ball(self, request: dict) -> dict:
         """Stations within ``radius`` of ``center``.

@@ -25,11 +25,16 @@ caller's loop.
 import asyncio
 import base64
 import contextlib
+import json
 import pickle
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.constants import ProtocolConstants
 from repro.deploy import uniform_square
@@ -47,6 +52,7 @@ from repro.service import (
 )
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    WIRE_DTYPES,
     encode_frame,
     pack_pickle,
     read_frame,
@@ -60,6 +66,15 @@ CONSTANTS = ProtocolConstants.practical()
 #: A small deterministic deployment spec reused across tests.
 SPEC = {"family": "uniform_square", "seed": 7,
         "args": {"n": 30, "side": 2.0}}
+
+
+#: A frame's length prefix: the header's size, little-endian u32.
+_PREFIX = struct.Struct("<I")
+
+
+def _frame(header: bytes, body: bytes = b"") -> bytes:
+    """A frame around a raw ``header``: its length prefix, then ``body``."""
+    return _PREFIX.pack(len(header)) + header + body
 
 
 def _transmitter_sets(n, count, seed=0):
@@ -84,6 +99,29 @@ async def _serve(**server_kwargs):
     finally:
         await client.aclose()
         await server.aclose()
+
+
+@contextlib.asynccontextmanager
+async def _scripted_peer(reply_bytes: bytes):
+    """A client whose peer answers the first frame it reads with
+    ``reply_bytes``, whatever they hold, then waits for the client to
+    hang up."""
+    async def handle(reader, writer):
+        await read_frame(reader)
+        writer.write(reply_bytes)
+        await writer.drain()
+        await reader.read()
+        writer.close()
+
+    peer = await asyncio.start_server(handle, "127.0.0.1", 0)
+    host, port = peer.sockets[0].getsockname()[:2]
+    client = await connect(f"tcp:{host}:{port}", timeout=5)
+    try:
+        yield client
+    finally:
+        await client.aclose()
+        peer.close()
+        await peer.wait_closed()
 
 
 class _ServerThread:
@@ -148,20 +186,15 @@ class TestProtocol:
 
     def test_garbage_raises(self):
         with pytest.raises(ServiceError):
-            self._roundtrip(b"not json\n")
+            self._roundtrip(_frame(b"not json"))
 
     def test_non_object_raises(self):
         with pytest.raises(ServiceError):
-            self._roundtrip(b"[1, 2]\n")
+            self._roundtrip(_frame(b"[1, 2]"))
 
     def test_oversize_raises(self):
-        async def go():
-            reader = asyncio.StreamReader(limit=1 << 16)
-            reader.feed_data(b"x" * (1 << 17))
-            return await read_frame(reader)
-
-        with pytest.raises(ServiceError):
-            asyncio.run(go())
+        with pytest.raises(ServiceError, match="MAX_FRAME_BYTES"):
+            self._roundtrip(_PREFIX.pack(MAX_FRAME_BYTES + 1) + b"x" * 64)
         assert MAX_FRAME_BYTES > (1 << 20)
 
     def test_pickle_roundtrip(self):
@@ -176,6 +209,188 @@ class TestProtocol:
         bare = base64.b64encode(pickle.dumps({"a": 1})).decode("ascii")
         with pytest.raises(ServiceCorruptPayload, match="no checksum"):
             unpack_pickle(bare)
+
+
+def _decode(data: bytes, *, eof: bool = True, wait: float = 5.0):
+    """``read_frame`` over ``data``; the reader sees EOF after it unless
+    ``eof`` is false, and a decoder still waiting after ``wait`` seconds
+    fails the caller with ``asyncio.TimeoutError``."""
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        if eof:
+            reader.feed_eof()
+        return await asyncio.wait_for(read_frame(reader), wait)
+
+    return asyncio.run(go())
+
+
+def _assert_same_message(got, want):
+    """Frame round trip equality, arrays compared by value and layout."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype
+            assert got[key].shape == value.shape
+            assert np.array_equal(got[key], value)
+        else:
+            assert got[key] == value
+
+
+#: A reply with two buffers, as a full ``sinr`` reply and a compact one
+#: would carry them.
+_TWO_BUFFER_REPLY = {
+    "id": 9, "ok": True, "n": 5,
+    "receptions": np.array([[0, 3], [4, 3]], dtype=np.intp),
+    "heard": np.array([3, -1, -1, -1, 3], dtype=np.intp),
+}
+_TWO_BUFFERS = encode_frame(_TWO_BUFFER_REPLY)
+
+_JSON_FIELDS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**63)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_WIRE_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from(WIRE_DTYPES),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+)
+
+
+class TestFrameDecoder:
+    """A frame decodes to the message it encodes, and anything else —
+    garbage, truncation, a lying length — is a ``ServiceError`` (or
+    ``None`` for a stream that ended between frames), decided before
+    the decoder asks for bytes the bound does not allow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=6),  # too short to be the reserved "buffers"
+        _JSON_FIELDS | _WIRE_ARRAYS,
+        max_size=6,
+    ))
+    @example(_TWO_BUFFER_REPLY)
+    @example({"id": 1, "ok": True, "n": 30,
+              "receptions": np.empty((0, 2), dtype=np.intp)})
+    def test_roundtrip(self, message):
+        decoded = _decode(encode_frame(message))
+        _assert_same_message(decoded, message)
+        for value in decoded.values():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+
+    def test_every_truncation_is_refused(self):
+        assert _decode(b"") is None
+        for cut in range(1, len(_TWO_BUFFERS)):
+            with pytest.raises(ServiceError, match="truncated frame"):
+                _decode(_TWO_BUFFERS[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | st.builds(
+        lambda header, tail: _frame(header, tail),
+        st.binary(max_size=48), st.binary(max_size=16),
+    ))
+    def test_arbitrary_bytes(self, data):
+        try:
+            decoded = _decode(data)
+        except ServiceError:
+            return
+        assert (decoded is None) == (data == b"")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON_FIELDS, st.binary(max_size=32))
+    def test_arbitrary_buffer_lists(self, buffers, tail):
+        frame = _frame(json.dumps({"id": 1, "buffers": buffers}).encode(),
+                       tail)
+        try:
+            decoded = _decode(frame)
+        except ServiceError:
+            return
+        assert isinstance(decoded, dict) and "buffers" not in decoded
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1))
+    def test_oversized_header_refused_before_reading(self, size):
+        with pytest.raises(ServiceError, match="MAX_FRAME_BYTES"):
+            _decode(_PREFIX.pack(size), eof=False)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(MAX_FRAME_BYTES // 8, 2**40), st.integers(1, 4))
+    @example(rows=10**4000, cols=10**4000)
+    def test_oversized_buffers_refused_before_reading(self, rows, cols):
+        header = json.dumps(
+            {"buffers": [["receptions", "<i8", [rows, cols]]]}
+        ).encode()
+        with pytest.raises(ServiceError, match="MAX_FRAME_BYTES"):
+            _decode(_frame(header), eof=False)
+
+    def test_bound_is_inclusive(self):
+        # Header plus buffers of exactly MAX_FRAME_BYTES are accepted —
+        # the decoder goes on to wait for the buffer bytes — and one
+        # byte more is refused.
+        rows = (MAX_FRAME_BYTES - 64) // 8
+
+        def header(pad):
+            return json.dumps({
+                "pad": "x" * pad, "buffers": [["heard", "<i8", [rows]]],
+            }).encode()
+
+        pad = 64 - len(header(0))
+        assert len(header(pad)) + 8 * rows == MAX_FRAME_BYTES
+        with pytest.raises(asyncio.TimeoutError):
+            _decode(_frame(header(pad)), eof=False, wait=0.2)
+        with pytest.raises(ServiceError, match="MAX_FRAME_BYTES"):
+            _decode(_frame(header(pad + 1)), eof=False)
+
+    @pytest.mark.parametrize("buffers", [
+        {"heard": ["<i8", [2]]},
+        [["heard", "<i8"]],
+        [("heard", "<i8", [2], 0)],
+        [[3, "<i8", [2]]],
+        [["heard", "<f8", [2]]],
+        [["heard", "<i4", [2]]],
+        [["heard", ">i8", [2]]],
+        [["heard", "object", [2]]],
+        [["heard", ["<i8"], [2]]],
+        [["heard", "<i8", []]],
+        [["heard", "<i8", [1, 1, 2]]],
+        [["heard", "<i8", [-2]]],
+        [["heard", "<i8", [True, 2]]],
+        [["heard", "<i8", [2.0]]],
+        [["heard", "<i8", 2]],
+        [["heard", "<i8", [1]], ["heard", "<i8", [1]]],
+        [["id", "<i8", [1]]],
+        [["buffers", "<i8", [1]]],
+    ])
+    def test_malformed_buffer_lists(self, buffers):
+        header = json.dumps({"id": 1, "buffers": buffers}).encode()
+        with pytest.raises(ServiceError):
+            _decode(_frame(header, b"\0" * 64))
+
+    @pytest.mark.parametrize("header", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"id": ' + b"7" * 5000 + b"}",
+        b'{"id": "\xff"}',
+        b'{"id": 1',
+        b"",
+    ])
+    def test_undecodable_headers(self, header):
+        with pytest.raises(ServiceError, match="undecodable frame"):
+            _decode(_frame(header))
+
+    @pytest.mark.parametrize("message", [
+        {"heard": np.arange(3, dtype=np.float64)},
+        {"heard": np.arange(3, dtype=np.int32)},
+        {"heard": np.arange(3, dtype=">i8")},
+        {"heard": np.array(3, dtype=np.intp)},
+        {"heard": np.zeros((1, 1, 3), dtype=np.intp)},
+        {"buffers": []},
+    ])
+    def test_encoder_refuses_what_the_wire_cannot_carry(self, message):
+        with pytest.raises(TypeError):
+            encode_frame(message)
 
 
 # ----------------------------------------------------------------------
@@ -604,6 +819,94 @@ class TestServerOps:
                 assert await client.ping()
 
         asyncio.run(go())
+
+    def test_non_string_op_is_an_unknown_op(self):
+        # A list or object op cannot name a handler; it gets the usual
+        # error reply rather than leaving the caller to time out.
+        async def go():
+            async with _serve() as (_, client):
+                for op in (["sinr"], {"a": 1}):
+                    with pytest.raises(ServiceError, match="unknown op") as err:
+                        await client.request(op, timeout=5)
+                    assert not isinstance(err.value, ServiceTimeout)
+                assert await client.ping()
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("data, error", [
+        # A peer speaking the newline-JSON framing: its first four
+        # bytes read as a header length of 1,684,611,707.
+        (b'{"id":1,"op":"ping"}\n', "MAX_FRAME_BYTES"),
+        (_frame(b"[" * 100_000), "undecodable frame"),
+        (_frame(b'{"id": ' + b"7" * 5000 + b"}"), "undecodable frame"),
+        (_frame(b'{"id": "\xff"}'), "undecodable frame"),
+    ])
+    def test_unreadable_frame_gets_error_reply_and_drop(self, data, error):
+        async def go():
+            async with _serve() as (server, client):
+                host, port = server.tcp_address
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(data)
+                    await writer.drain()
+                    reply = await asyncio.wait_for(read_frame(reader), 5)
+                    after = await asyncio.wait_for(read_frame(reader), 5)
+                finally:
+                    writer.close()
+                # The daemon serves its other connections on.
+                return reply, after, await client.ping()
+
+        reply, after, alive = asyncio.run(go())
+        assert reply["ok"] is False and reply["kind"] == "ServiceError"
+        assert error in reply["error"]
+        assert after is None
+        assert alive
+
+    @pytest.mark.parametrize("data, error", [
+        (_frame(b"[" * 100_000), "undecodable frame"),
+        (_frame(b'{"id": 1, "ok": true, "n": ' + b"7" * 5000 + b"}"),
+         "undecodable frame"),
+        (_frame(b'{"id": 1, "buffers": [["heard", "<f8", [1]]]}'),
+         "dtype"),
+    ])
+    def test_unreadable_reply_fails_the_pending_request(self, data, error):
+        # The client's read loop turns a reply it cannot decode into
+        # that error for every pending request, not into a bare
+        # exception that ends the loop as "connection closed".
+        async def go():
+            async with _scripted_peer(data) as client:
+                with pytest.raises(ServiceError, match=error):
+                    await client.ping()
+
+        asyncio.run(go())
+
+    def test_reply_is_ok_only_when_ok_is_true(self):
+        # A frame can carry an array where the client expects a flag;
+        # anything but ``ok: true`` is a ServiceError, not numpy's
+        # ambiguous-truth ValueError.
+        reply = encode_frame({"id": 1, "ok": np.array([1, 1], dtype=np.intp)})
+
+        async def go():
+            async with _scripted_peer(reply) as client:
+                with pytest.raises(ServiceError):
+                    await client.ping()
+
+        asyncio.run(go())
+
+    def test_reply_with_foreign_id_is_ignored(self):
+        replies = b"".join(
+            encode_frame(message) for message in (
+                {"id": [1], "ok": True},
+                {"id": np.array([1], dtype=np.intp), "ok": True},
+                {"id": 1, "ok": True, "pong": True},
+            )
+        )
+
+        async def go():
+            async with _scripted_peer(replies) as client:
+                return await client.ping()
+
+        assert asyncio.run(go())
 
     def test_ball_graph_connected_match_direct(self):
         async def go():
