@@ -48,7 +48,6 @@ from repro.experiments.base import (
 )
 from repro.fastsim.engine import Medium, spawn_rngs
 from repro.fastsim.grid import GridPoint
-from repro.mac import pairs_within
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -106,16 +105,17 @@ def escape_time(
     Steps a :class:`~repro.fastsim.engine.Medium` over ``net`` one
     mobility step per round (through the incremental
     :meth:`~repro.network.network.Network.advance` path) and compares
-    communication-graph edge sets (:func:`repro.mac.pairs_within` at the
+    communication-graph edge sets
+    (:meth:`~repro.network.network.Network.pairs_within` at the
     communication radius — no networkx graph per round) against the
     initial graph; returns the first round at which they differ, or
     ``cap`` if the graph survives the whole horizon.
     """
     radius = net.params.comm_radius
-    base_i, base_j = pairs_within(net, radius)
+    base_i, base_j = net.pairs_within(radius)
     medium = Medium(net, mobility=model)
     for round_no in range(cap):
-        ii, jj = pairs_within(medium.step(), radius)
+        ii, jj = medium.step().pairs_within(radius)
         if not (
             np.array_equal(ii, base_i) and np.array_equal(jj, base_j)
         ):

@@ -25,7 +25,8 @@ arbitrates.  This module adds the missing medium-access layer
   receiver selects how many queued packets a successful slot carries.
 
 The run-time half is the :class:`MacSession` (per-run state built from
-the network of a kernel run's first round); a
+the network of a kernel run's first round, whose geometry it reads
+through :meth:`~repro.network.network.Network.adjacency_within`); a
 :class:`repro.fastsim.engine.Medium` holds one session per run and
 applies it to every round's transmit intents, between the round's
 mobility step and its reception resolution.  All per-round MAC
@@ -63,67 +64,6 @@ def round_rng(seed: int, round_no: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(round_no),))
     )
-
-
-def pairs_within(network: Network, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """All station pairs ``i < j`` at distance ``<= radius``.
-
-    Serves the MAC layer's geometry queries (carrier-sense adjacency,
-    interference graphs) on either backend: sparse deployments answer
-    from the cell-indexed near field when ``radius`` is inside the
-    cutoff and fall back to a chunked brute-force pass over the
-    coordinates beyond it (sparse mode guarantees Euclidean geometry);
-    dense deployments read the distance matrix.
-    """
-    if radius < 0:
-        raise ProtocolError(f"pair radius must be >= 0, got {radius}")
-    if network.backend_kind == "sparse":
-        if radius <= network.cutoff:
-            return network.sparse_backend.pairs_within(radius)
-        coords = network.coords
-        n = network.size
-        rows, cols = [], []
-        chunk = max(1, (1 << 22) // max(n, 1))
-        for start in range(0, n, chunk):
-            block = coords[start:start + chunk]
-            diff = block[:, None, :] - coords[None, :, :]
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            ii, jj = np.nonzero(dist <= radius)
-            keep = (ii + start) < jj
-            rows.append(ii[keep] + start)
-            cols.append(jj[keep])
-        return (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-        )
-    ii, jj = np.nonzero(np.triu(network.distances <= radius, k=1))
-    return ii, jj
-
-
-def adjacency_within(
-    network: Network, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR ``(indptr, indices)`` of :func:`pairs_within`.
-
-    Row ``v`` lists every station within ``radius`` of ``v`` in
-    ascending order, so a query touches only the rows it asks about.
-    Sparse deployments with ``radius`` inside the cutoff return the
-    backend's memoized adjacency
-    (:meth:`~repro.sinr.sparse.SparseGainBackend.adjacency_within`);
-    otherwise the pairs are folded into a fresh CSR.
-    """
-    if (
-        network.backend_kind == "sparse"
-        and 0 <= radius <= network.cutoff
-    ):
-        return network.sparse_backend.adjacency_within(radius)
-    ii, jj = pairs_within(network, radius)
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(network.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=network.size), out=indptr[1:])
-    return indptr, cols[order]
 
 
 def derive_sense_range(
@@ -306,7 +246,9 @@ class SlottedAloha(MacModel):
 
 
 class _CsmaSession(MacSession):
-    """Backoff arbitration over the sense graph (DESIGN.md §11.1)."""
+    """Backoff arbitration over the sense graph (DESIGN.md §11.1): the
+    network's :meth:`~repro.network.network.Network.adjacency_within`
+    at the sense range."""
 
     def __init__(self, model: "CSMA", network: Network):
         super().__init__(model, network)
@@ -315,8 +257,8 @@ class _CsmaSession(MacSession):
             if model.sense_range is not None
             else derive_sense_range(network, model.sense_threshold)
         )
-        self.sense_indptr, self.sense_indices = adjacency_within(
-            network, self.sense_range
+        self.sense_indptr, self.sense_indices = network.adjacency_within(
+            self.sense_range
         )
 
     @property
@@ -457,7 +399,7 @@ class _TdmaSession(MacSession):
         )
         colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
         radius = model.interference_scale * network.params.comm_radius
-        ii, jj = pairs_within(network, radius)
+        ii, jj = network.pairs_within(radius)
         adjacency: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in zip(ii.tolist(), jj.tolist()):
             adjacency[i].append(j)
@@ -490,14 +432,15 @@ class TdmaFromColoring(MacModel):
     The session runs one seeded ``StabilizeProbability`` execution on
     the initial network (the paper's backbone coloring, Fact 7), then
     greedily proper-colors the **interference graph** — stations within
-    ``interference_scale`` communication radii — visiting stations in
-    descending backbone-color order.  The result is a slot schedule in
-    which no two stations that can interfere at a common receiver share
-    a slot; each station transmits only when ``round_no % frame`` hits
-    its slot.  This is conflict-free by construction: hidden-node pairs
-    are interference-graph neighbours even though they are invisible to
-    each other's carrier sense, which is why TDMA eliminates the
-    asymmetry CSMA suffers (E16).
+    ``interference_scale`` communication radii
+    (:meth:`~repro.network.network.Network.pairs_within`) — visiting
+    stations in descending backbone-color order.  The result is a slot
+    schedule in which no two stations that can interfere at a common
+    receiver share a slot; each station transmits only when
+    ``round_no % frame`` hits its slot.  This is conflict-free by
+    construction: hidden-node pairs are interference-graph neighbours
+    even though they are invisible to each other's carrier sense, which
+    is why TDMA eliminates the asymmetry CSMA suffers (E16).
 
     Note the interference graph, not the communication graph, is
     colored: a proper coloring of the communication graph would still

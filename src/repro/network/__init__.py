@@ -3,7 +3,6 @@
 from repro.network.network import Network
 from repro.network.graph import (
     bfs_layers,
-    communication_graph,
     diameter,
     eccentricity,
     granularity,
@@ -12,7 +11,6 @@ from repro.network.graph import (
 
 __all__ = [
     "Network",
-    "communication_graph",
     "diameter",
     "eccentricity",
     "bfs_layers",

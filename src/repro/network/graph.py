@@ -5,7 +5,9 @@ distance at most ``(1 - eps) * r``.  All of the paper's complexity bounds
 are phrased in terms of this graph: its diameter ``D``, its maximum degree
 ``Delta`` (for the local-broadcast comparison) and its *granularity*
 ``Rs`` — the maximum ratio between distances of connected stations (used by
-Daum et al. [5], whose bound the paper improves upon).
+Daum et al. [5], whose bound the paper improves upon).  The graph itself
+is :attr:`repro.network.network.Network.graph`, built from the network's
+radius query; these functions measure it.
 """
 
 from __future__ import annotations
@@ -14,25 +16,6 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import DisconnectedNetworkError, GeometryError
-
-
-def communication_graph(dist: np.ndarray, comm_radius: float) -> nx.Graph:
-    """Build the communication graph from a distance matrix.
-
-    Nodes are station indices ``0..n-1``; ``{i, j}`` is an edge iff
-    ``dist(i, j) <= comm_radius`` and ``i != j``.  Uniform power makes the
-    graph symmetric (Sect. 1.1).
-    """
-    if comm_radius <= 0:
-        raise GeometryError(
-            f"communication radius must be positive, got {comm_radius}"
-        )
-    n = dist.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    ii, jj = np.nonzero(np.triu(dist <= comm_radius, k=1))
-    graph.add_edges_from(zip(ii.tolist(), jj.tolist()))
-    return graph
 
 
 def diameter(graph: nx.Graph) -> int:

@@ -27,6 +27,9 @@ from repro.sinr.params import SINRParameters
 from repro.sinr.sparse import (
     SPARSE_AUTO_MIN,
     SparseGainBackend,
+    csr_index_dtype,
+    csr_row_positions,
+    csr_upper_pairs,
     default_cutoff,
     sparse_supported,
 )
@@ -242,44 +245,93 @@ class Network:
         )
 
     # ------------------------------------------------------------------
-    # communication graph
+    # radius queries and the communication graph
     # ------------------------------------------------------------------
+    def adjacency_within(
+        self, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric CSR ``(indptr, indices)`` of the pairs within ``radius``.
+
+        Row ``v`` lists every other station at distance ``<= radius``
+        from ``v`` in ascending order.  Every "who is within ``r``"
+        question reads this one answer: :meth:`pairs_within`,
+        :attr:`graph`, :attr:`is_connected`, CSMA's sense adjacency,
+        TDMA's interference graph (:meth:`ball`, one station's
+        question, filters one row instead).  A sparse network with
+        ``radius`` up to the cutoff returns its backend's memoized
+        near-field CSR
+        (:meth:`~repro.sinr.sparse.SparseGainBackend.adjacency_within`);
+        every other case builds the CSR afresh from blocks of distance
+        rows (the dense matrix, or rows computed from the coordinates on
+        a sparse network, which never builds the ``(n, n)`` matrix).
+        Both give the same bytes.
+
+        :raises GeometryError: for a radius that is not ``>= 0``
+            (negative or NaN).
+        """
+        if not radius >= 0:
+            raise GeometryError(f"radius must be >= 0, got {radius!r}")
+        sparse = self.backend_kind == "sparse"
+        if sparse and radius <= self.cutoff:
+            return self.sparse_backend.adjacency_within(radius)
+        n = self.size
+        step = max(1, (1 << 22) // n)
+        counts, cols = [], []
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            within = (
+                _distance_rows(self._coords, np.arange(start, stop))
+                if sparse else self.distances[start:stop]
+            ) <= radius
+            # Distance 0 puts every station within any radius of itself;
+            # it is not its own neighbour.
+            np.fill_diagonal(within[:, start:], False)
+            counts.append(np.count_nonzero(within, axis=1))
+            cols.append(np.flatnonzero(within) % n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        return indptr, np.concatenate(cols).astype(csr_index_dtype(n))
+
+    def pairs_within(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """All station pairs ``i < j`` within ``radius``, sorted by ``(i, j)``.
+
+        The upper triangle of :meth:`adjacency_within`.
+        """
+        return csr_upper_pairs(*self.adjacency_within(radius))
+
     @property
     def graph(self) -> nx.Graph:
         """The communication graph (edges at distance ``<= (1-eps) r``).
 
-        In sparse mode the edge list comes from cell-index neighbour
-        queries (the comm radius is below the cutoff by construction),
-        so the dense distance matrix is never materialized; the edges
-        are identical to the dense construction bit for bit.
+        Built from :meth:`pairs_within` at the communication radius on
+        either backend, edges inserted in sorted ``(i, j)`` order.
         """
         if self._graph is None:
-            if self.backend_kind == "sparse":
-                ii, jj = self.sparse_backend.pairs_within(
-                    self.params.comm_radius
-                )
-                graph = nx.Graph()
-                graph.add_nodes_from(range(self.size))
-                graph.add_edges_from(zip(ii.tolist(), jj.tolist()))
-                self._graph = graph
-            else:
-                self._graph = graph_utils.communication_graph(
-                    self.distances, self.params.comm_radius
-                )
+            ii, jj = self.pairs_within(self.params.comm_radius)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(self.size))
+            graph.add_edges_from(zip(ii.tolist(), jj.tolist()))
+            self._graph = graph
         return self._graph
 
     @property
     def is_connected(self) -> bool:
         """Whether the communication graph is connected.
 
-        Sparse mode answers with a frontier BFS over the CSR near field
-        — no networkx graph object is built for the check.
+        A frontier BFS over :meth:`adjacency_within` at the
+        communication radius; no networkx graph is built for the check.
         """
-        if self.size == 1:
-            return True
-        if self.backend_kind == "sparse" and self._graph is None:
-            return self.sparse_backend.connected(self.params.comm_radius)
-        return nx.is_connected(self.graph)
+        indptr, indices = self.adjacency_within(self.params.comm_radius)
+        seen = np.zeros(self.size, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            pos, _ = csr_row_positions(indptr, frontier)
+            nxt = np.unique(indices[pos])
+            nxt = nxt[~seen[nxt]]
+            seen[nxt] = True
+            frontier = nxt
+        return bool(seen.all())
 
     @property
     def diameter(self) -> int:
@@ -429,11 +481,14 @@ class Network:
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Indices of stations within ``radius`` of station ``center``.
 
-        Sparse mode serves radii up to the cutoff from the cell index
-        and larger radii from ``center``'s own row of distances, so it
-        never builds the ``(n, n)`` matrix; the row is bitwise the dense
-        matrix's row.  ``center`` must be an integer station index in
-        ``[0, n)`` and ``radius >= 0``, else :class:`GeometryError`.
+        Filters ``center``'s row of the sparse near field for radii up
+        to the cutoff, and otherwise ``center``'s row of distances
+        (computed from the coordinates on a sparse network, so the
+        ``(n, n)`` matrix is never built; the row is bitwise the dense
+        matrix's row).  Nothing is memoized per radius: the service's
+        ``ball`` op takes radii from its peers.  ``center`` must be an
+        integer station index in ``[0, n)`` and ``radius >= 0``, else
+        :class:`GeometryError`.
         """
         if (
             isinstance(center, (bool, np.bool_))
@@ -446,12 +501,16 @@ class Network:
             )
         if not radius >= 0:
             raise GeometryError(f"ball radius must be >= 0, got {radius!r}")
-        if self.backend_kind == "sparse" and self._dist is None:
+        if self.backend_kind == "sparse":
             if radius <= self.cutoff:
-                return self.sparse_backend.neighbors_within(center, radius)
+                backend = self.sparse_backend
+                lo, hi = backend.indptr[center], backend.indptr[center + 1]
+                near = backend.indices[lo:hi][backend.dists[lo:hi] <= radius]
+                return np.union1d(near.astype(np.int64), center)
             row = _distance_rows(self._coords, np.asarray([center]))[0]
-            return np.flatnonzero(row <= radius)
-        return np.flatnonzero(self.distances[center] <= radius)
+        else:
+            row = self.distances[center]
+        return np.flatnonzero(row <= radius)
 
     # ------------------------------------------------------------------
     # mobility (DESIGN.md §7)

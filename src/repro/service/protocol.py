@@ -65,6 +65,10 @@ _PREFIX = struct.Struct("<I")
 #: Header key listing a frame's buffers.
 _BUFFERS = "buffers"
 
+#: One compact encoder for every header: ``json.dumps`` with any
+#: non-default argument builds a new ``JSONEncoder`` per call.
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class ServiceError(RuntimeError):
     """A request the service rejected (unknown op, bad args, missing
@@ -135,7 +139,7 @@ def encode_frame(message: dict) -> bytes:
         blobs.append(value.tobytes())
     if specs:
         header[_BUFFERS] = specs
-    head = json.dumps(header, separators=(",", ":")).encode()
+    head = _HEADER_ENCODER.encode(header).encode()
     return b"".join((_PREFIX.pack(len(head)), head, *blobs))
 
 

@@ -49,7 +49,6 @@ from repro.sinr.params import SINRParameters
 class ChannelModel(ABC):
     """Strategy mapping a deployment to its received-power matrix."""
 
-    @abstractmethod
     def gain(
         self,
         dist: np.ndarray,
@@ -58,11 +57,19 @@ class ChannelModel(ABC):
     ) -> np.ndarray:
         """The ``(n, n)`` gain matrix of the deployment under this channel.
 
+        Radial models inherit this: :meth:`radial_gain` of every entry
+        with the diagonal zeroed, so the dense matrix and the sparse
+        backend's per-pair gains come from one expression.  Non-radial
+        models override it.
+
         :param dist: ``(n, n)`` distance matrix.
         :param coords: ``(n, d)`` station coordinates (geometry-aware
             models — obstacles — need positions, not just distances).
         :param params: SINR parameters supplying ``power`` and ``alpha``.
         """
+        gain = self.radial_gain(dist, params)
+        np.fill_diagonal(gain, 0.0)
+        return gain
 
     @abstractmethod
     def identity(self) -> tuple:
@@ -82,13 +89,13 @@ class ChannelModel(ABC):
         The sparse backend (DESIGN.md §2.2) evaluates gains pair by pair
         instead of as a matrix, which is only sound when the gain is a
         function of distance alone.  Radial models override this to
-        return the gain of each entry of a 1-D distance array — and the
-        values must be **bitwise identical** to the corresponding dense
-        :meth:`gain` matrix entries (same clamping, same elementwise
-        expression), because the covered-cutoff regime promises exact
-        equality with the dense resolver.  Non-radial models (shadowing
-        draws keyed to station indices, obstacle geometry) inherit this
-        ``None`` default and stay on the dense backend.
+        return the gain of each entry of a distance array, elementwise,
+        and inherit :meth:`gain` from it: the sparse per-pair gains are
+        then **bitwise identical** to the dense matrix entries, which
+        the covered-cutoff regime's exact equality with the dense
+        resolver needs.  Non-radial models (shadowing draws keyed to
+        station indices, obstacle geometry) inherit this ``None``
+        default, override :meth:`gain` and stay on the dense backend.
         """
         return None
 
@@ -112,9 +119,6 @@ class UniformPower(ChannelModel):
     every :class:`~repro.network.network.Network`, so pre-channel-model
     behaviour (and every pinned seed expectation) is unchanged.
     """
-
-    def gain(self, dist, coords, params) -> np.ndarray:
-        return gain_matrix(dist, params.power, params.alpha)
 
     def radial_gain(self, dist, params) -> np.ndarray:
         safe = np.maximum(dist, MIN_DISTANCE)
@@ -194,21 +198,6 @@ class DualSlope(ChannelModel):
             )
         self.breakpoint = float(breakpoint)
         self.alpha_far = None if alpha_far is None else float(alpha_far)
-
-    def gain(self, dist, coords, params) -> np.ndarray:
-        alpha_far = (
-            params.alpha + 1.0 if self.alpha_far is None else self.alpha_far
-        )
-        safe = np.maximum(dist, MIN_DISTANCE)
-        near = params.power * safe ** (-params.alpha)
-        far = (
-            params.power
-            * self.breakpoint ** (alpha_far - params.alpha)
-            * safe ** (-alpha_far)
-        )
-        gain = np.where(safe <= self.breakpoint, near, far)
-        np.fill_diagonal(gain, 0.0)
-        return gain
 
     def radial_gain(self, dist, params) -> np.ndarray:
         alpha_far = (

@@ -40,14 +40,23 @@ class SINRParameters:
     eps: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ProtocolError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 1:
-            raise ProtocolError(f"beta must be >= 1, got {self.beta}")
-        if self.noise <= 0:
-            raise ProtocolError(f"noise must be positive, got {self.noise}")
-        if self.power <= 0:
-            raise ProtocolError(f"power must be positive, got {self.power}")
+        # Written so that NaN fails every comparison and is rejected.
+        if not 0 < self.alpha < math.inf:
+            raise ProtocolError(
+                f"alpha must be finite and positive, got {self.alpha}"
+            )
+        if not 1 <= self.beta < math.inf:
+            raise ProtocolError(
+                f"beta must be finite and >= 1, got {self.beta}"
+            )
+        if not 0 < self.noise < math.inf:
+            raise ProtocolError(
+                f"noise must be finite and positive, got {self.noise}"
+            )
+        if not 0 < self.power < math.inf:
+            raise ProtocolError(
+                f"power must be finite and positive, got {self.power}"
+            )
         if not 0 < self.eps < 1:
             raise ProtocolError(f"eps must be in (0, 1), got {self.eps}")
 
@@ -126,11 +135,14 @@ class ParameterBounds:
             ("noise", self.noise_min, self.noise_max),
         )
         for name, low, high in pairs:
-            if low <= 0:
-                raise ProtocolError(f"{name}_min must be positive, got {low}")
-            if low > high:
+            if not 0 < low < math.inf:
                 raise ProtocolError(
-                    f"{name} bounds are inverted: [{low}, {high}]"
+                    f"{name}_min must be finite and positive, got {low}"
+                )
+            if not low <= high < math.inf:
+                raise ProtocolError(
+                    f"{name} bounds must be finite and ordered, got "
+                    f"[{low}, {high}]"
                 )
         if self.beta_min < 1:
             raise ProtocolError("beta_min must be >= 1")

@@ -115,6 +115,11 @@ def default_cutoff(params: SINRParameters) -> float:
 # ----------------------------------------------------------------------
 # CSR helpers
 # ----------------------------------------------------------------------
+def csr_index_dtype(n: int) -> type:
+    """Column dtype of an ``n``-station CSR: ``int32`` where it fits."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def csr_row_positions(
     indptr: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -542,8 +547,7 @@ class SparseGainBackend:
         counts = np.bincount(listeners, minlength=self.n)
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
-        idx_dtype = np.int32 if self.n <= np.iinfo(np.int32).max else np.int64
-        self.indices = senders.astype(idx_dtype)
+        self.indices = senders.astype(csr_index_dtype(self.n))
         self.data = self._radial(dists)
         self._dists = dists
 
@@ -1337,15 +1341,6 @@ class SparseGainBackend:
         return heard, sinr
 
     # -- geometry queries ------------------------------------------------
-    def pairs_within(
-        self, radius: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All pairs ``i < j`` at distance ``<= radius <= cutoff``.
-
-        Read off :meth:`adjacency_within`, sorted by ``(i, j)``.
-        """
-        return csr_upper_pairs(*self.adjacency_within(radius))
-
     def adjacency_within(
         self, radius: float
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1372,41 +1367,6 @@ class SparseGainBackend:
             adjacency = (indptr, self.indices[kept])
             self._adjacency[key] = adjacency
         return adjacency
-
-    def neighbors_within(self, station: int, radius: float) -> np.ndarray:
-        """Sorted station indices within ``radius`` of ``station``."""
-        if radius > self.cutoff:
-            raise GeometryError(
-                f"neighbour query radius {radius} exceeds the cutoff "
-                f"{self.cutoff}"
-            )
-        lo, hi = self.indptr[station], self.indptr[station + 1]
-        row = self.indices[lo:hi].astype(np.int64, copy=False)
-        near = row[self.dists[lo:hi] <= radius]
-        out = np.concatenate([near, [station]])
-        out.sort()
-        return out
-
-    def connected(self, radius: float) -> bool:
-        """Connectivity of the distance-``radius`` graph (frontier BFS)."""
-        if self.n <= 1:
-            return True
-        mask = self.dists <= radius
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = np.asarray([0], dtype=np.int64)
-        reached = 1
-        while frontier.size:
-            pos, _ = csr_row_positions(self.indptr, frontier)
-            if pos.size == 0:
-                break
-            nbrs = self.indices[pos][mask[pos]]
-            nxt = np.unique(nbrs.astype(np.int64, copy=False))
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            reached += nxt.size
-            frontier = nxt
-        return reached == self.n
 
     def describe(self) -> dict:
         """Summary stats used by benches and experiment reports."""

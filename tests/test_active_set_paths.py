@@ -18,7 +18,8 @@ it replaces, bit for bit:
   smaller backoff", evaluated by brute force over every pair, for
   several intent rows at once, on dense networks and on sparse ones
   with the sense range inside and beyond the cutoff;
-* the session's sensing pairs are exactly :func:`repro.mac.pairs_within`;
+* the session's sensing pairs are exactly
+  :meth:`~repro.network.network.Network.pairs_within`;
 * :meth:`~repro.sinr.sparse.SparseGainBackend.nbytes` counts the lazily
   built structures: merge keys, far-field tables, memoized adjacencies.
 """
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mac import CSMA, adjacency_within, pairs_within
+from repro.mac import CSMA
 from repro.network.network import Network
 from repro.sinr import sparse
 from repro.sinr.reception import (
@@ -268,7 +269,7 @@ def test_sense_pairs_are_pairs_within():
     for name, sense_range in CSMA_CASES.values():
         net = _network(name)
         session = CSMA(sense_range=sense_range).session(net)
-        ii, jj = pairs_within(net, session.sense_range)
+        ii, jj = net.pairs_within(session.sense_range)
         assert ii.size > 0
         assert np.array_equal(session.sense_i, ii)
         assert np.array_equal(session.sense_j, jj)
@@ -278,7 +279,7 @@ def test_adjacency_is_symmetric_with_sorted_rows():
     for name, sense_range in CSMA_CASES.values():
         net = _network(name)
         radius = sense_range or 1.0
-        indptr, indices = adjacency_within(net, radius)
+        indptr, indices = net.adjacency_within(radius)
         rows = np.repeat(np.arange(net.size), np.diff(indptr))
         pairs = set(zip(rows.tolist(), indices.tolist()))
         assert pairs == {(j, i) for i, j in pairs}
@@ -289,8 +290,8 @@ def test_adjacency_is_symmetric_with_sorted_rows():
 
 def test_sparse_adjacency_is_memoized_per_backend():
     net = _network("sparse-far-wide")
-    first = adjacency_within(net, 1.2)
-    again = adjacency_within(net, 1.2)
+    first = net.adjacency_within(1.2)
+    again = net.adjacency_within(1.2)
     assert first[0] is again[0] and first[1] is again[1]
 
 

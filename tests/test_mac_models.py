@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.constants import ProtocolConstants
 from repro.deploy import BrownianDrift
-from repro.errors import ProtocolError
+from repro.errors import GeometryError, ProtocolError
 from repro.fastsim import run_sweep, spawn_rngs
 from repro.fastsim.broadcast import fast_spont_broadcast
 from repro.fastsim.cache import fingerprint_bytes, point_key
@@ -40,7 +40,6 @@ from repro.mac import (
     SlottedAloha,
     TdmaFromColoring,
     derive_sense_range,
-    pairs_within,
     round_rng,
 )
 from repro.network.network import Network
@@ -168,13 +167,13 @@ class TestSenseRange:
 
     def test_pairs_within_matches_distances(self):
         net = _net()
-        ii, jj = pairs_within(net, 0.8)
+        ii, jj = net.pairs_within(0.8)
         dense = set(
             zip(*np.nonzero(np.triu(net.distances <= 0.8, k=1)))
         )
         assert set(zip(ii.tolist(), jj.tolist())) == dense
-        with pytest.raises(ProtocolError):
-            pairs_within(net, -0.1)
+        with pytest.raises(GeometryError):
+            net.pairs_within(-0.1)
 
     @pytest.mark.parametrize("radius", [0.8, 3.0])
     def test_pairs_within_sparse_matches_dense(self, radius):
@@ -187,7 +186,7 @@ class TestSenseRange:
         expected = set(
             zip(*np.nonzero(np.triu(dense.distances <= radius, k=1)))
         )
-        ii, jj = pairs_within(sparse, radius)
+        ii, jj = sparse.pairs_within(radius)
         assert set(zip(ii.tolist(), jj.tolist())) == expected
 
     def test_unbounded_sense_range_rejected(self):

@@ -3,6 +3,7 @@
 import functools
 import pickle
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from repro.errors import (
 from repro.geometry.metric import pairwise_distances
 from repro.network.graph import (
     bfs_layers,
-    communication_graph,
     diameter,
     eccentricity,
     granularity,
@@ -37,9 +37,12 @@ class TestCommunicationGraph:
     def test_no_self_loops(self, small_square):
         assert all(u != v for u, v in small_square.graph.edges)
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(GeometryError):
-            communication_graph(np.zeros((2, 2)), 0.0)
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("radius", [-0.5, np.nan], ids=["negative", "nan"])
+    def test_rejects_bad_radius(self, backend, radius):
+        net = Network(np.array([[0.0, 0.0], [0.5, 0.0]]), backend=backend)
+        with pytest.raises(GeometryError, match="radius"):
+            net.adjacency_within(radius)
 
     def test_isolated_station(self):
         net = Network(np.array([[0.0, 0.0], [5.0, 0.0]]))
@@ -388,6 +391,86 @@ class TestBallBeyondCutoff:
         got = net.ball(0, net.cutoff * 1.01)
         assert net._dist is None
         assert np.array_equal(got, dense.ball(0, net.cutoff * 1.01))
+
+
+class TestAdjacencyWithin:
+    """One radius query answers for both backends, byte for byte.
+
+    ``sparse-small`` serves radii up to 1.0 from its near field and
+    computes distance rows beyond it; ``sparse-large`` serves every
+    radius up to 2.5 from its near field.
+    """
+
+    COORDS = np.random.default_rng(21).uniform(0, 4.0, size=(80, 2))
+
+    @functools.cached_property
+    def networks(self) -> dict:
+        return {
+            "dense": Network(self.COORDS, backend="dense"),
+            "sparse-small": Network(self.COORDS, backend="sparse", cutoff=1.0),
+            "sparse-large": Network(self.COORDS, backend="sparse", cutoff=2.5),
+        }
+
+    def radii(self) -> list:
+        dist = self.networks["dense"].distances
+        # Radii below, at and above each cutoff, plus pair distances in
+        # each regime (0.47, 1.62, 2.80), which put a station exactly on
+        # the boundary.
+        return [
+            0.5, 1.0, 1.7, 2.5, 3.1,
+            float(dist[0, 7]), float(dist[0, 2]), float(dist[0, 8]),
+        ]
+
+    def test_backends_return_identical_bytes(self):
+        nets = self.networks
+        for radius in self.radii():
+            want = nets["dense"].adjacency_within(radius)
+            for name in ("sparse-small", "sparse-large"):
+                got = nets[name].adjacency_within(radius)
+                assert got[0].dtype == want[0].dtype, (name, radius)
+                assert got[1].dtype == want[1].dtype, (name, radius)
+                assert got[0].tobytes() == want[0].tobytes(), (name, radius)
+                assert got[1].tobytes() == want[1].tobytes(), (name, radius)
+        assert nets["sparse-small"]._dist is None
+        assert nets["sparse-large"]._dist is None
+
+    def test_pairs_are_the_upper_triangle(self):
+        dist = self.networks["dense"].distances
+        for radius in self.radii():
+            want = np.nonzero(np.triu(dist <= radius, k=1))
+            for name, net in self.networks.items():
+                ii, jj = net.pairs_within(radius)
+                assert np.array_equal(ii, want[0]), (name, radius)
+                assert np.array_equal(jj, want[1]), (name, radius)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_graph_edges_in_sorted_pair_order(self, backend):
+        net = Network(self.COORDS, backend=backend)
+        within = pairwise_distances(self.COORDS) <= net.params.comm_radius
+        ii, jj = np.nonzero(np.triu(within, k=1))
+        assert list(net.graph.edges()) == list(zip(ii.tolist(), jj.tolist()))
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("coords", [
+        [[0.0, 0.0]],
+        [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+        [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [3.0, 0.0]],
+        [[3.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+    ], ids=["single", "path", "isolated-last", "isolated-first"])
+    def test_is_connected_agrees_with_networkx(self, backend, coords):
+        net = Network(np.array(coords), backend=backend)
+        connected = net.is_connected
+        assert connected is nx.is_connected(net.graph)
+
+    def test_ball_memoizes_no_radius(self):
+        net = Network(self.COORDS, backend="sparse", cutoff=1.0)
+        backend = net.sparse_backend
+        memo = len(backend._adjacency)
+        dist = pairwise_distances(self.COORDS)
+        for center, radius in enumerate(np.linspace(0.0, 2.0, 50)):
+            ball = net.ball(center, float(radius))
+            assert np.array_equal(ball, np.flatnonzero(dist[center] <= radius))
+        assert len(backend._adjacency) == memo
 
 
 class TestBallRejectsInvalidQueries:

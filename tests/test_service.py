@@ -181,6 +181,31 @@ class TestProtocol:
         message = {"id": 3, "op": "sinr", "transmitters": [0, 2]}
         assert self._roundtrip(encode_frame(message)) == message
 
+    @pytest.mark.parametrize("message, header", [
+        (
+            {"id": 3, "op": "sinr", "net": "ab", "transmitters": [0, 2]},
+            {"id": 3, "op": "sinr", "net": "ab", "transmitters": [0, 2]},
+        ),
+        (
+            {
+                "id": 4, "ok": True,
+                "receptions": np.array([[1, 0], [5, 2]], dtype="<i8"),
+                "heard": np.arange(6, dtype="<i8"),
+            },
+            {
+                "id": 4, "ok": True,
+                "buffers": [
+                    ["receptions", "<i8", [2, 2]], ["heard", "<i8", [6]],
+                ],
+            },
+        ),
+    ], ids=["request", "two-buffer-reply"])
+    def test_header_bytes_are_compact_json(self, message, header):
+        frame = encode_frame(message)
+        (size,) = _PREFIX.unpack(frame[:_PREFIX.size])
+        head = frame[_PREFIX.size:_PREFIX.size + size]
+        assert head == json.dumps(header, separators=(",", ":")).encode()
+
     def test_eof_is_none(self):
         assert self._roundtrip(b"") is None
 
@@ -721,6 +746,25 @@ class TestNonFiniteCoordinatesRefused:
                 with pytest.raises(ServiceError, match="DeploymentError"):
                     await client.advance(built["net"], disp)
                 assert len(server.pool) == 1
+
+        asyncio.run(go())
+
+
+class TestNonFiniteParamsRefused:
+    """``build`` refuses NaN/inf SINR parameters from the wire.  NaN
+    fails every comparison, so a check written as ``beta < 1`` let it
+    through and admitted a network with ``power = nan`` and no edges."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "noise"])
+    def test_build_params(self, field, bad):
+        spec = {"coords": [[0, 0], [0.5, 0], [1, 0]], "params": {field: bad}}
+
+        async def go():
+            async with _serve() as (server, client):
+                with pytest.raises(ServiceError, match="ProtocolError"):
+                    await client.build(spec)
+                assert len(server.pool) == 0
 
         asyncio.run(go())
 

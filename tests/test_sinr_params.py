@@ -46,6 +46,18 @@ class TestSINRParameters:
         with pytest.raises(ProtocolError):
             SINRParameters(**base)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "noise", "power", "eps"]
+    )
+    def test_non_finite_rejected(self, field, bad):
+        # NaN fails every comparison, so a check written as "x <= 0"
+        # lets it through; inf would make gains or ranges infinite.
+        base = dict(alpha=3.0, beta=1.0, noise=1.0, power=3.0, eps=0.3)
+        base[field] = bad
+        with pytest.raises(ProtocolError):
+            SINRParameters(**base)
+
     def test_with_eps(self):
         p = SINRParameters.default(eps=0.3)
         q = p.with_eps(0.1)
@@ -127,3 +139,21 @@ class TestParameterBounds:
                 beta_min=1.0, beta_max=1.0,
                 noise_min=1.0, noise_max=1.0,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "alpha_min", "alpha_max", "beta_min", "beta_max",
+            "noise_min", "noise_max",
+        ],
+    )
+    def test_non_finite_bound_rejected(self, field, bad):
+        bounds = dict(
+            alpha_min=3.0, alpha_max=3.0,
+            beta_min=1.0, beta_max=1.0,
+            noise_min=1.0, noise_max=1.0,
+        )
+        bounds[field] = bad
+        with pytest.raises(ProtocolError):
+            ParameterBounds(**bounds)

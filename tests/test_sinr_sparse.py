@@ -32,6 +32,7 @@ from repro.sinr.sparse import (
     CellIndex,
     SparseGainBackend,
     certified_cutoff,
+    csr_upper_pairs,
     default_cutoff,
     far_field_tail_bound,
     sparse_supported,
@@ -89,7 +90,7 @@ class TestBackendConstruction:
     def test_near_field_complete_to_cutoff(self):
         coords = _spread_coords(100, 5.0)
         backend = _backend(coords, cutoff=1.2)
-        ii, jj = backend.pairs_within(1.2)
+        ii, jj = csr_upper_pairs(*backend.adjacency_within(1.2))
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=-1))
         expect = {
