@@ -11,8 +11,9 @@ which one ran.  This suite is the enforcement:
 * full protocol traces (broadcast and wake-up) across deployment
   families, channel models and both SINR backends, asserting the
   *entire execution* — every per-station round stamp — is identical,
-  and every sweep kind's full outcome digest on both backends, and
-  pinned under a moving, CSMA-arbitrated medium;
+  and every sweep kind's full outcome digest on both backends, pinned
+  on a static medium (bare and CSMA-arbitrated, both backends) and
+  under a moving, CSMA-arbitrated medium;
 * a mobility ``advance`` step, whose patched CSR state must not depend
   on the kernel that will consume it;
 * a cross-kernel cache replay: a sweep computed by the numpy path must
@@ -213,6 +214,95 @@ MOVING_ARBITRATED_DIGESTS = {
 }
 
 
+#: ``digest([rounds, success, outcomes])`` of every sweep kind but
+#: traffic on the static square, keyed ``(kind, backend, mac)``: bare
+#: and under ``CSMA(persist=0.9, seed=7)`` on both backends
+#: (``test_sweep_trace_static``), recorded with each round resolved
+#: by its own medium call.
+STATIC_DIGESTS = {
+    ("adhoc_wakeup", "dense", "bare"):
+        "3081fd686c7d6830854f6a0439917556ee3825430b022ef011cfabf40baa2ac2",
+    ("adhoc_wakeup", "dense", "csma"):
+        "3081fd686c7d6830854f6a0439917556ee3825430b022ef011cfabf40baa2ac2",
+    ("adhoc_wakeup", "sparse", "bare"):
+        "3081fd686c7d6830854f6a0439917556ee3825430b022ef011cfabf40baa2ac2",
+    ("adhoc_wakeup", "sparse", "csma"):
+        "3081fd686c7d6830854f6a0439917556ee3825430b022ef011cfabf40baa2ac2",
+    ("colored_wakeup", "dense", "bare"):
+        "8b44e10ab75a9f6c8c524a2d68fbd28640071fab4a109bbe1bdb5e484cb0cb61",
+    ("colored_wakeup", "dense", "csma"):
+        "b258111861e4f061d381beb9f3ec400fee9a9d02f4020575740a4ffb700e7835",
+    ("colored_wakeup", "sparse", "bare"):
+        "8b44e10ab75a9f6c8c524a2d68fbd28640071fab4a109bbe1bdb5e484cb0cb61",
+    ("colored_wakeup", "sparse", "csma"):
+        "b258111861e4f061d381beb9f3ec400fee9a9d02f4020575740a4ffb700e7835",
+    ("coloring", "dense", "bare"):
+        "198a98606d6de79338665a5e4ccf3add44631f5577e506a95f9f1c9f3dea9437",
+    ("coloring", "dense", "csma"):
+        "4558a8c09f892c764b95c880441be19c64463165e961c07dddb5a8ad6f20cb30",
+    ("coloring", "sparse", "bare"):
+        "198a98606d6de79338665a5e4ccf3add44631f5577e506a95f9f1c9f3dea9437",
+    ("coloring", "sparse", "csma"):
+        "4558a8c09f892c764b95c880441be19c64463165e961c07dddb5a8ad6f20cb30",
+    ("consensus", "dense", "bare"):
+        "fc651033fc1c6e92ab9fb61f539713004901deb3c968ec48c0c086d40eb71c0c",
+    ("consensus", "dense", "csma"):
+        "94034e3bbccc2ffd1eb1144344cbd0c21f775e09f9f05202a28a4843c68926ab",
+    ("consensus", "sparse", "bare"):
+        "fc651033fc1c6e92ab9fb61f539713004901deb3c968ec48c0c086d40eb71c0c",
+    ("consensus", "sparse", "csma"):
+        "94034e3bbccc2ffd1eb1144344cbd0c21f775e09f9f05202a28a4843c68926ab",
+    ("decay_broadcast", "dense", "bare"):
+        "70aaffa3471b724806b00ebbb14b8526886f2ee25ffbdc3c3eab270625ebb737",
+    ("decay_broadcast", "dense", "csma"):
+        "383f313e0532a546e652d0225b41efcb9a324bad661fc3ac8e01f96225cb5bd1",
+    ("decay_broadcast", "sparse", "bare"):
+        "70aaffa3471b724806b00ebbb14b8526886f2ee25ffbdc3c3eab270625ebb737",
+    ("decay_broadcast", "sparse", "csma"):
+        "383f313e0532a546e652d0225b41efcb9a324bad661fc3ac8e01f96225cb5bd1",
+    ("leader_election", "dense", "bare"):
+        "457ffee5de56ca80516cddc4c3861d529cda1834c52a96cb7126aa83813e099e",
+    ("leader_election", "dense", "csma"):
+        "bfe832c9454faead6b534c2e157a4eeb236327ad537009fd0f4c61e8c323079c",
+    ("leader_election", "sparse", "bare"):
+        "457ffee5de56ca80516cddc4c3861d529cda1834c52a96cb7126aa83813e099e",
+    ("leader_election", "sparse", "csma"):
+        "bfe832c9454faead6b534c2e157a4eeb236327ad537009fd0f4c61e8c323079c",
+    ("local_broadcast", "dense", "bare"):
+        "bc2124d7ea6721fa829714735b7ff867b70aa3cc4794a5c4f9e75106417f4255",
+    ("local_broadcast", "dense", "csma"):
+        "3e0beda1a4df1eea5d4c81874b393b85055a6bb8b5e1c95f7db6ce3ec5275b04",
+    ("local_broadcast", "sparse", "bare"):
+        "bc2124d7ea6721fa829714735b7ff867b70aa3cc4794a5c4f9e75106417f4255",
+    ("local_broadcast", "sparse", "csma"):
+        "3e0beda1a4df1eea5d4c81874b393b85055a6bb8b5e1c95f7db6ce3ec5275b04",
+    ("nospont_broadcast", "dense", "bare"):
+        "d1b401f49ee87431baee1c84ff6524da249f2b40ac8067576d282bd35ee6e550",
+    ("nospont_broadcast", "dense", "csma"):
+        "b303fbd9f457c9a11fee1216f19a4170b58e045c601f61f754059e64d9a8c41e",
+    ("nospont_broadcast", "sparse", "bare"):
+        "d1b401f49ee87431baee1c84ff6524da249f2b40ac8067576d282bd35ee6e550",
+    ("nospont_broadcast", "sparse", "csma"):
+        "b303fbd9f457c9a11fee1216f19a4170b58e045c601f61f754059e64d9a8c41e",
+    ("spont_broadcast", "dense", "bare"):
+        "3caf326deb098fadff2ef8ca29c7466d8ef6d0e079c1919560a55debc98bd5f1",
+    ("spont_broadcast", "dense", "csma"):
+        "15f4d02b5294054dcffa6081a3ddddf3b95a024cc19d05a1b4463a69f4c566b6",
+    ("spont_broadcast", "sparse", "bare"):
+        "3caf326deb098fadff2ef8ca29c7466d8ef6d0e079c1919560a55debc98bd5f1",
+    ("spont_broadcast", "sparse", "csma"):
+        "15f4d02b5294054dcffa6081a3ddddf3b95a024cc19d05a1b4463a69f4c566b6",
+    ("uniform_broadcast", "dense", "bare"):
+        "61b9f9c05dcdc697da8c0272c25aa433ff700aa90a375606730859c014af718e",
+    ("uniform_broadcast", "dense", "csma"):
+        "3b52f4c6b3eee73d97f4c9fc686039bce5411126b7ad8ed984cc52ea411d93bb",
+    ("uniform_broadcast", "sparse", "bare"):
+        "61b9f9c05dcdc697da8c0272c25aa433ff700aa90a375606730859c014af718e",
+    ("uniform_broadcast", "sparse", "csma"):
+        "3b52f4c6b3eee73d97f4c9fc686039bce5411126b7ad8ed984cc52ea411d93bb",
+}
+
+
 class TestProtocolTraces:
     """Whole protocol executions are kernel-independent, stamp for stamp.
 
@@ -299,6 +389,25 @@ class TestProtocolTraces:
             return digest([sweep.rounds, sweep.success, sweep.outcomes])
 
         assert _legs(run) == [MOVING_ARBITRATED_DIGESTS[kind]] * 2
+
+    @pytest.mark.parametrize("mac", ["bare", "csma"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in sweep_kinds() if kind != "traffic"]
+    )
+    def test_sweep_trace_static(self, kind, backend, mac):
+        # A static medium, bare or arbitrated, on either backend: the
+        # whole outcome is pinned, so a change in how rounds are grouped
+        # into resolver calls cannot move a bit.
+        def run():
+            net = self._network(DEPLOYMENTS["square"], None, backend)
+            kwargs = SWEEP_KWARGS.get(kind, lambda _net: {})(net)
+            if mac == "csma":
+                kwargs["mac"] = CSMA(persist=0.9, seed=7)
+            sweep = run_sweep(kind, net, 2, 5, CONSTANTS, **kwargs)
+            return digest([sweep.rounds, sweep.success, sweep.outcomes])
+
+        assert _legs(run) == [STATIC_DIGESTS[kind, backend, mac]] * 2
 
     def test_wakeup_trace(self):
         def run():
