@@ -48,8 +48,9 @@ from repro.experiments.base import (
 )
 from repro.fastsim.engine import Medium, spawn_rngs
 from repro.fastsim.grid import GridPoint
-from repro.network.network import Network
+from repro.network.network import Network, distance_rows
 from repro.sinr.params import SINRParameters
+from repro.sinr.sparse import csr_row_positions
 
 #: Stations per unit area of the square family (matches E14).
 DENSITY = 12.0
@@ -105,20 +106,31 @@ def escape_time(
     Steps a :class:`~repro.fastsim.engine.Medium` over ``net`` one
     mobility step per round (through the incremental
     :meth:`~repro.network.network.Network.advance` path) and compares
-    communication-graph edge sets
-    (:meth:`~repro.network.network.Network.pairs_within` at the
-    communication radius — no networkx graph per round) against the
-    initial graph; returns the first round at which they differ, or
-    ``cap`` if the graph survives the whole horizon.
+    the communication graph at the communication radius against the
+    initial one; returns the first round at which they differ, or
+    ``cap`` if the graph survives the whole horizon.  Until that round
+    the graph *is* the initial one, so only edges touching a station
+    that moved in this step can change: each round compares just the
+    moved stations' distance rows with their initial adjacency rows,
+    ``O(moved x n)`` instead of rebuilding every pair.
     """
     radius = net.params.comm_radius
-    base_i, base_j = net.pairs_within(radius)
+    indptr, indices = net.adjacency_within(radius)
     medium = Medium(net, mobility=model)
+    previous = net.coords
     for round_no in range(cap):
-        ii, jj = medium.step().pairs_within(radius)
-        if not (
-            np.array_equal(ii, base_i) and np.array_equal(jj, base_j)
-        ):
+        coords = medium.step().coords
+        moved = np.flatnonzero((coords != previous).any(axis=1))
+        previous = coords
+        if moved.size == 0:
+            continue
+        within = distance_rows(coords, moved) <= radius
+        within[np.arange(moved.size), moved] = False
+        initial = np.zeros_like(within)
+        pos, lengths = csr_row_positions(indptr, moved)
+        owner = np.repeat(np.arange(moved.size), lengths)
+        initial[owner, indices[pos]] = True
+        if not np.array_equal(within, initial):
             return round_no + 1
     return cap
 

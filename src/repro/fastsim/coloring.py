@@ -3,7 +3,9 @@
 Same semantics as :mod:`repro.core.coloring` — the schedule, the two
 tests, the success-counting rules and the quit logic are driven by the
 shared :class:`~repro.core.constants.ColoringSchedule` — but all stations
-advance in numpy arrays and each round costs one reception resolution.
+advance in numpy arrays, and each test (whose transmit decisions are
+fixed once its draw block exists) costs one reception call for all of
+its rounds.
 
 The implementation is *batched*: :func:`fast_coloring_batch` runs ``B``
 independent replications (one seed-spawned generator each) through the
@@ -130,7 +132,8 @@ def fast_coloring_batch(
         no randomness and come back with all-NaN colors.
     :param medium: optional :class:`~repro.fastsim.engine.Medium`
         (default: the static ``network``, no MAC) resolving each
-        executed round under its global round number.  Skipped blocks
+        executed test as one block of rounds, each under its global
+        round number.  Skipped blocks
         (every replication quit) do not step the medium, and MAC
         arbitration is round-keyed, so a replication's decisions are
         unchanged whether its batch skips a quit block or runs it for
@@ -167,29 +170,34 @@ def fast_coloring_batch(
     def run_test(
         prob: float, length: int, count_tx: bool, block_active: np.ndarray
     ) -> np.ndarray:
-        """Run one test for active replications; per-station successes."""
+        """Run one test for active replications; per-station successes.
+
+        The ladder is fixed for the test, so its ``length`` rounds of
+        transmit decisions form one block resolved by one medium call.
+        """
         nonlocal global_round
-        successes = np.zeros((B, n), dtype=int)
         draws = draw_block(rngs, block_active, length, n)
-        for r in range(length):
-            tx_mask, heard_from = medium.resolve(
-                global_round, in_ladder & (draws[:, r, :] < prob)
-            )
-            heard = heard_from != NO_SENDER
-            if count_tx:
-                successes += (heard | tx_mask)
-            else:
-                successes += heard
-            if track_informed:
-                senders = np.where(heard, heard_from, 0)
+        tx_mask, heard_from = medium.resolve(
+            global_round, in_ladder & (draws.transpose(1, 0, 2) < prob)
+        )
+        heard = heard_from != NO_SENDER
+        successes = np.count_nonzero(
+            (heard | tx_mask) if count_tx else heard, axis=0
+        )
+        if track_informed:
+            # Rounds in order: a station informed in round r relays
+            # from round r + 1 on.  Rounds where nobody heard change
+            # nothing.
+            for r in np.flatnonzero(heard.any(axis=(1, 2))):
+                senders = np.where(heard[r], heard_from[r], 0)
                 senders_informed = (
-                    informed[np.arange(B)[:, None], senders] & heard
+                    informed[np.arange(B)[:, None], senders] & heard[r]
                 )
                 newly = senders_informed & ~informed
                 if newly.any():
                     informed[newly] = True
-                    informed_round[newly] = global_round
-            global_round += 1
+                    informed_round[newly] = global_round + r
+        global_round += length
         return successes
 
     for level in range(schedule.levels):

@@ -12,10 +12,11 @@ operations.  This module holds the shared machinery:
   one call yields the identical stream to ``rounds`` successive
   ``random(n)`` calls, so draws can be batched per protocol block without
   changing any replication's sample path;
-* **the round medium** — :class:`Medium`, the one place a round's
-  transmit intents become transmissions and receptions: it moves the
+* **the round medium** — :class:`Medium`, the one place transmit
+  intents become transmissions and receptions: per round it moves the
   deployment one mobility step, lets the MAC remove intents, and
-  resolves Eq. (1) on the current network (DESIGN.md §7.2, §11);
+  resolves Eq. (1) on the current network; a static medium resolves a
+  block of rounds in one call (DESIGN.md §7.2, §11);
 * **the batched dissemination loop** — the flooding primitive under all
   broadcast-style protocols, advancing every replication's informed set
   per round and retiring replications independently as they complete.
@@ -102,7 +103,9 @@ class Medium:
 
     Every fastsim round goes through :meth:`resolve`: the deployment
     takes one mobility step, the MAC removes intents, and Eq. (1)
-    decides who hears whom on the current network.  One medium serves
+    decides who hears whom on the current network.  A kernel whose
+    transmit decisions for a block of rounds are fixed in advance (a
+    coloring test) hands the whole block to one call.  One medium serves
     every stage of a multi-stage kernel, so a run rides one trajectory
     and one MAC session; all replications of a batch share both — the
     *environment* moves and arbitrates, replications differ only in
@@ -142,25 +145,47 @@ class Medium:
         return self.network
 
     def resolve(
-        self, round_no: int, intents: np.ndarray
+        self, first_round: int, intents: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Run one round for ``(B, n)`` transmit ``intents``.
+        """Run ``R`` consecutive rounds for ``(R, B, n)`` transmit ``intents``.
 
-        :param round_no: the kernel's round number, which keys the MAC's
-            round-keyed draws (DESIGN.md §11.2).
-        :returns: ``(transmitted, heard_from)`` — the intents the MAC
-            let through (MACs only remove) and the ``(B, n)`` heard
-            sender per station (:data:`NO_SENDER` where none).
+        Round ``r`` of the block is the kernel's round ``first_round +
+        r``, which keys the MAC's round-keyed draws (DESIGN.md §11.2).
+        A static medium arbitrates each round under its own number and
+        resolves the whole block in one call — rows are independent of
+        the block they ride in (DESIGN.md §6.2); a moving medium steps
+        and resolves round by round, since each round has its own
+        network.  A ``(B, n)`` array is one round (``R = 1``).
+
+        :returns: ``(transmitted, heard_from)``, both shaped like
+            ``intents`` — the intents the MAC let through (MACs only
+            remove) and the heard sender per station
+            (:data:`NO_SENDER` where none).
         """
+        intents = np.asarray(intents, dtype=bool)
+        if intents.ndim == 2:
+            transmitted, heard_from = self.resolve(first_round, intents[None])
+            return transmitted[0], heard_from[0]
+        if self._trajectory is not None and len(intents) > 1:
+            rounds = [
+                self.resolve(first_round + r, intents[r:r + 1])
+                for r in range(len(intents))
+            ]
+            return tuple(np.concatenate(parts) for parts in zip(*rounds))
         network = self.step()
         transmitted = intents
         if self._mac is not None:
             if self._session is None:
                 self._session = self._mac.session(network)
-            transmitted = intents & np.asarray(
-                self._session.transmit_mask(round_no, intents, network),
-                dtype=bool,
-            )
+            transmitted = np.stack([
+                round_intents & np.asarray(
+                    self._session.transmit_mask(
+                        first_round + r, round_intents, network
+                    ),
+                    dtype=bool,
+                )
+                for r, round_intents in enumerate(intents)
+            ])
         params = network.params
         heard_from = resolve_reception_batch(
             network.gain_operator, transmitted, params.noise, params.beta

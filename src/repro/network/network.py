@@ -280,7 +280,7 @@ class Network:
         for start in range(0, n, step):
             stop = min(n, start + step)
             within = (
-                _distance_rows(self._coords, np.arange(start, stop))
+                distance_rows(self._coords, np.arange(start, stop))
                 if sparse else self.distances[start:stop]
             ) <= radius
             # Distance 0 puts every station within any radius of itself;
@@ -342,9 +342,14 @@ class Network:
 
     @property
     def max_degree(self) -> int:
-        """Maximum degree ``Delta`` of the communication graph (cached)."""
+        """Maximum degree ``Delta`` of the communication graph (cached).
+
+        The longest row of :meth:`adjacency_within` at the communication
+        radius; no networkx graph is built.
+        """
         if self._max_degree is None:
-            self._max_degree = graph_utils.max_degree(self.graph)
+            indptr, _ = self.adjacency_within(self.params.comm_radius)
+            self._max_degree = int(np.diff(indptr).max())
         return self._max_degree
 
     @property
@@ -507,7 +512,7 @@ class Network:
                 lo, hi = backend.indptr[center], backend.indptr[center + 1]
                 near = backend.indices[lo:hi][backend.dists[lo:hi] <= radius]
                 return np.union1d(near.astype(np.int64), center)
-            row = _distance_rows(self._coords, np.asarray([center]))[0]
+            row = distance_rows(self._coords, np.asarray([center]))[0]
         else:
             row = self.distances[center]
         return np.flatnonzero(row <= radius)
@@ -591,7 +596,7 @@ class Network:
         expressions mirror the radial channel's elementwise gain, so
         patched entries are bitwise equal to a fresh build's.
         """
-        rows = _distance_rows(new_coords, moved)
+        rows = distance_rows(new_coords, moved)
         check = rows.copy()
         check[np.arange(moved.size), moved] = np.inf
         if self.size > 1 and float(check.min()) < MIN_DISTANCE:
@@ -661,11 +666,14 @@ class Network:
         return f"Network(name={self.name!r}, n={self.size})"
 
 
-def _distance_rows(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def distance_rows(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of the Euclidean distance matrix of ``coords``.
 
     The expression of :func:`repro.geometry.metric.pairwise_distances`
-    restricted to those rows, so each row is bitwise the full matrix's.
+    restricted to those rows, so each row is bitwise the full matrix's
+    (and ``distance_rows(...) <= r`` is bitwise the rows of
+    :meth:`Network.adjacency_within` at ``r``, self aside) — without
+    building the ``(n, n)`` matrix.
     """
     diff = coords[rows][:, None, :] - coords[None, :, :]
     out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -519,20 +519,24 @@ class ServiceServer:
         return {"stations": np.asarray(members).tolist()}
 
     async def _op_graph(self, request: dict) -> dict:
-        """Communication-graph summary (edge list unless ``count_only``)."""
+        """Communication-graph summary (edge list unless ``count_only``).
+
+        Answered from the network's radius query
+        (:meth:`~repro.network.network.Network.pairs_within`, edges in
+        sorted ``(i, j)`` order), so a resident network never builds the
+        networkx graph the pool's budget does not count.
+        """
         net = self._network(request)
 
         def build() -> dict:
-            graph = net.graph
+            ii, jj = net.pairs_within(net.params.comm_radius)
             payload = {
                 "n": net.size,
-                "num_edges": graph.number_of_edges(),
+                "num_edges": int(ii.size),
                 "max_degree": net.max_degree,
             }
             if not request.get("count_only"):
-                payload["edges"] = [
-                    [int(u), int(v)] for u, v in graph.edges()
-                ]
+                payload["edges"] = np.column_stack([ii, jj]).tolist()
             return payload
 
         return await asyncio.to_thread(build)

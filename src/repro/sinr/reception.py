@@ -28,12 +28,18 @@ from repro import kernels as _kernels
 NO_SENDER: int = -1
 
 #: Element budget of one slab of :func:`resolve_reception_batch`'s
-#: numpy path: rows are resolved in slabs of ``SLAB_ELEMENTS // n**2``
-#: (at least one), so the ``(B, n, k)`` ranking gather stays within
-#: about this many elements however large ``B`` is.  The dense twin of
+#: numpy path: the ``(rows, k, n)`` ranking-position tensor a slab
+#: builds — ``rows`` whole rounds of ``B`` rows, ``k`` the widest
+#: per-round transmitter union among them — holds at most about this
+#: many elements (1 MB of ``int16`` positions, within one core's L2).
+#: A round that alone exceeds the budget is split into row slabs.  Set
+#: by measurement on the quick-scale coloring blocks (2-vCPU Xeon,
+#: 2 MB L2 per core, numpy kernels): grouping rounds up to ``2**19``
+#: elements took about half the time of per-round calls, and larger
+#: budgets gained nothing.  The dense twin of
 #: :data:`repro.sinr.sparse.SERVING_CHUNK_ELEMENTS`; slabbing is
 #: bitwise neutral per row.
-SLAB_ELEMENTS = 1 << 22
+SLAB_ELEMENTS = 1 << 19
 
 #: Guards :data:`_RANK_CACHE`.  The service coalescer drives the
 #: resolvers from multiple in-flight requests on executor threads, so
@@ -119,10 +125,12 @@ def _strongest_transmitters(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Strongest-transmitter position/gain and total power, per listener.
 
-    Work is restricted to the union of the batch's transmitters (rounds
-    are sparse under the protocols' Theta(1/mass) probabilities), and
-    each replication's arithmetic is bitwise independent of the batch it
-    rides in — the exact-equality contract of DESIGN.md §6.2:
+    ``tx_mask`` is ``(R, B, n)``: ``R`` rounds of ``B`` rows each.  Work
+    is restricted to each round's union of transmitters (rounds are
+    sparse under the protocols' Theta(1/mass) probabilities; a union
+    across rounds would approach ``n``), and each row's arithmetic is
+    bitwise independent of the batch it rides in — the exact-equality
+    contract of DESIGN.md §6.2:
 
     * the interference total is an in-order ``einsum`` contraction along
       ascending station index, for which absent transmitters are exact
@@ -132,37 +140,79 @@ def _strongest_transmitters(
       precomputed gain ranking, found as an integer ``min`` over ranking
       positions with an ``n`` sentinel at non-transmitters — integer
       ``min`` is exact, so sentinel padding is layout-neutral.
+
+    :returns: ``(strongest, strongest_gain, total)``, all ``(R, B, n)``.
     """
-    B, n = tx_mask.shape
-    cols = np.flatnonzero(tx_mask.any(axis=0))
+    R, B, n = tx_mask.shape
+    in_round = tx_mask.any(axis=1)
+    if R == 1:
+        cols = np.flatnonzero(in_round)[None]
+        tx_sub = tx_mask[:, :, cols[0]]
+    else:
+        # cols[r]: round r's transmitters in ascending index (a stable
+        # sort puts them first), padded to the widest round's union
+        # with stations silent in every row of round r — exact zeros
+        # and sentinels below.
+        k = int(np.count_nonzero(in_round, axis=1).max())
+        cols = np.argsort(~in_round, axis=1, kind="stable")[:, :k]
+        tx_sub = np.take_along_axis(tx_mask, cols[:, None, :], axis=2)
     if cols.size == 0:
-        zeros = np.zeros((B, n))
-        return np.zeros((B, n), dtype=np.intp), zeros, zeros
+        zeros = np.zeros((R, B, n))
+        return np.zeros((R, B, n), dtype=np.intp), zeros, zeros
     rank, position = _listener_ranking(gain)
-    tx_sub = tx_mask[:, cols]
     total = np.einsum(
-        "bv,vu->bu", tx_sub.astype(float), gain[cols], optimize=False
+        "rbv,rvu->rbu", tx_sub.astype(float), gain[cols], optimize=False
     )
     dtype = position.dtype
     sentinel = dtype.type(
         _SENTINEL_16 if dtype == np.int16 else _SENTINEL_32
     )
-    # masked[b, j, u]: ranking position of sender cols[j] at listener u,
-    # pushed past every real position when cols[j] is silent in b.  An
-    # OR with a high bit is monotone in the position, so the min still
-    # selects the transmitter earliest in the listener's ranking.
+    # masked[r, b, j, u]: ranking position of sender cols[r, j] at
+    # listener u, pushed past every real position when that sender is
+    # silent in row b.  An OR with a high bit is monotone in the
+    # position, so the min still selects the transmitter earliest in
+    # the listener's ranking.
     masked_pos = (
-        position[:, cols].T[None, :, :]
-        | ((~tx_sub)[:, :, None] * sentinel)
+        position[:, cols].transpose(1, 2, 0)[:, None]
+        | ((~tx_sub)[..., None] * sentinel)
     )
-    best_pos = masked_pos.min(axis=1)
+    best_pos = masked_pos.min(axis=2)
     valid = best_pos < sentinel
-    listeners = np.arange(n)[None, :]
+    listeners = np.arange(n)
     strongest = rank[
         listeners, np.where(valid, best_pos, 0)
     ].astype(np.intp)
     strongest_gain = np.where(valid, gain[strongest, listeners], 0.0)
     return strongest, strongest_gain, total
+
+
+def _slabs(tx_mask: np.ndarray) -> list:
+    """Index pairs ``(rounds, rows)`` splitting ``(R, B, n)`` into slabs.
+
+    The compiled fold never builds the position tensor, so it takes
+    the block whole.  The numpy fold takes whole rounds while their
+    ``(rows, k, n)`` tensor fits :data:`SLAB_ELEMENTS`, ``k`` the widest
+    round's transmitter union; a round over the budget alone is split
+    into row slabs, each with its own union.
+    """
+    R, B, n = tx_mask.shape
+    whole = [(slice(None), slice(None))]
+    if _kernels.COMPILED or R * B * n * n <= SLAB_ELEMENTS:
+        return whole
+    k = int(np.count_nonzero(tx_mask.any(axis=1), axis=1).max())
+    per_round = B * k * n
+    if R * per_round <= SLAB_ELEMENTS:
+        return whole
+    if per_round <= SLAB_ELEMENTS:
+        step = SLAB_ELEMENTS // per_round
+        return [
+            (slice(lo, lo + step), slice(None)) for lo in range(0, R, step)
+        ]
+    step = max(1, SLAB_ELEMENTS // (k * n))
+    return [
+        (slice(r, r + 1), slice(lo, lo + step))
+        for r in range(R) for lo in range(0, B, step)
+    ]
 
 
 def resolve_reception_batch(
@@ -171,65 +221,74 @@ def resolve_reception_batch(
     noise: float,
     beta: float,
 ) -> np.ndarray:
-    """Eq. (1) for ``B`` independent rounds given as a ``(B, n)`` mask.
+    """Eq. (1) for independent rows given as a ``(B, n)`` or ``(R, B, n)`` mask.
 
     The one dense SINR arithmetic of the repo: per listener, gains fold
     over the transmitters in ascending station index, the strongest
     transmitter is the first maximum along that order (equal gains
     break toward the lowest index), and its SINR is ``signal / ((noise
     + total) - signal)``.  :func:`resolve_reception` and
-    :func:`resolve_at` are its ``B = 1`` row.  A row's result is
-    bitwise independent of the batch (and the slab slicing bounded by
-    :data:`SLAB_ELEMENTS`) it rides in, and of which implementation
-    serves it — the contract the sweep engine builds on (DESIGN.md
-    §6.2, §2.3).
+    :func:`resolve_at` are its ``B = 1`` row.  A ``(R, B, n)`` mask is
+    ``R`` rounds of ``B`` rows (a block of consecutive rounds of one
+    run); the numpy fold works on each round's own union of
+    transmitters.  A row's result is bitwise independent of the batch,
+    the round and the slab slicing bounded by :data:`SLAB_ELEMENTS` it
+    rides in, and of which implementation serves it — the contract the
+    sweep engine builds on (DESIGN.md §6.2, §2.3).
 
     ``gain`` may be a :class:`~repro.sinr.sparse.SparseGainBackend`
     instead of a dense matrix: the per-listener CSR scan replaces the
-    ``(B, n, k)`` ranking gather, reception decisions are conservative
-    under the certified truncation band, and bitwise equal to the dense
-    path whenever the backend's cutoff covers the deployment
-    (DESIGN.md §2.2).
+    ranking gather, the rounds ride as ``R * B`` rows of one call,
+    reception decisions are conservative under the certified
+    truncation band, and bitwise equal to the dense path whenever the
+    backend's cutoff covers the deployment (DESIGN.md §2.2).
 
-    :returns: ``(B, n)`` integer array of heard senders.
+    :returns: integer array of heard senders, shaped like ``tx_mask``.
     """
     sparse = getattr(gain, "resolve_reception_batch", None)
-    if sparse is not None:
-        return sparse(tx_mask, noise, beta)
+    n = gain.shape[0] if sparse is None else gain.n
     tx_mask = np.asarray(tx_mask, dtype=bool)
-    n = gain.shape[0]
-    if tx_mask.ndim != 2 or tx_mask.shape[1] != n:
-        raise ValueError(f"tx_mask must be (B, {n}), got {tx_mask.shape}")
-    B = tx_mask.shape[0]
-    # The loop kernel never materializes the (B, n, k) position tensor,
-    # so it takes the batch whole; its rows equal the numpy slabs'.
-    slab = B if _kernels.COMPILED else max(1, SLAB_ELEMENTS // max(1, n * n))
-    if B <= slab:
-        return _resolve_slab(gain, tx_mask, noise, beta)[0]
-    heard = np.empty((B, n), dtype=np.intp)
-    for lo in range(0, B, slab):
-        heard[lo:lo + slab] = _resolve_slab(
-            gain, tx_mask[lo:lo + slab], noise, beta
-        )[0]
-    return heard
+    if tx_mask.ndim not in (2, 3) or tx_mask.shape[-1] != n:
+        raise ValueError(
+            f"tx_mask must be (B, {n}) or (R, B, {n}), got {tx_mask.shape}"
+        )
+    if sparse is not None:
+        return sparse(tx_mask.reshape(-1, n), noise, beta).reshape(
+            tx_mask.shape
+        )
+    rounds = tx_mask if tx_mask.ndim == 3 else tx_mask[None]
+    slabs = _slabs(rounds)
+    if len(slabs) == 1:
+        heard = _resolve_slab(gain, rounds, noise, beta)[0]
+    else:
+        heard = np.empty(rounds.shape, dtype=np.intp)
+        for slab in slabs:
+            heard[slab] = _resolve_slab(gain, rounds[slab], noise, beta)[0]
+    return heard if tx_mask.ndim == 3 else heard[0]
 
 
 def _resolve_slab(
     gain: np.ndarray, tx_mask: np.ndarray, noise: float, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Heard senders and strongest-transmitter SINR, both ``(B, n)``.
+    """Heard senders and strongest-transmitter SINR, both ``(R, B, n)``.
 
-    Runs :func:`repro.kernels.dense_strongest` or
-    :func:`_strongest_transmitters`, whichever the platform picks —
-    they return identical bytes (DESIGN.md §2.3).
+    Runs :func:`repro.kernels.dense_strongest` on the rows flattened
+    (its loop skips each row's silent stations, so it needs no
+    per-round union) or :func:`_strongest_transmitters`, whichever the
+    platform picks — they return identical bytes (DESIGN.md §2.3).
     """
-    fold = (
-        _kernels.dense_strongest if _kernels.COMPILED
-        else _strongest_transmitters
-    )
-    strongest, strongest_gain, total = fold(gain, tx_mask)
+    if _kernels.COMPILED:
+        n = tx_mask.shape[-1]
+        strongest, strongest_gain, total = (
+            a.reshape(tx_mask.shape)
+            for a in _kernels.dense_strongest(gain, tx_mask.reshape(-1, n))
+        )
+    else:
+        strongest, strongest_gain, total = _strongest_transmitters(
+            gain, tx_mask
+        )
     sinr = strongest_gain / (noise + total - strongest_gain)
-    heard = (sinr >= beta) & ~tx_mask & tx_mask.any(axis=1)[:, None]
+    heard = (sinr >= beta) & ~tx_mask & tx_mask.any(axis=-1, keepdims=True)
     return np.where(heard, strongest, NO_SENDER), sinr
 
 
@@ -387,6 +446,6 @@ def resolve_at(
             noise, beta,
         )
     heard, sinr = _resolve_slab(
-        gain, _round_mask(gain, transmitters), noise, beta
+        gain, _round_mask(gain, transmitters)[None], noise, beta
     )
-    return heard[0, listeners], sinr[0, listeners]
+    return heard[0, 0, listeners], sinr[0, 0, listeners]

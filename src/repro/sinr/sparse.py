@@ -96,7 +96,10 @@ FFT_SLACK_REL = 1e-9
 #: :meth:`SparseGainBackend.resolve_reception_sets`: a chunk gathers at
 #: most about this many CSR entries and far-table terms (a set larger
 #: than the budget forms a chunk alone), so its temporaries stay at a
-#: few MB however many sets a call carries.
+#: few MB however many sets a call carries.  It also bounds one row
+#: slab of :meth:`SparseGainBackend.resolve_reception_batch`: the
+#: slab's far arrays and padded FFT grids hold about this many
+#: elements per row-stacked array.
 SERVING_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -1035,9 +1038,13 @@ class SparseGainBackend:
         """Batched Eq. (1) resolution with the certified truncation fold.
 
         Mirrors :func:`repro.sinr.reception.resolve_reception_batch`:
-        returns the ``(B, n)`` heard-sender array.  The SINR denominator
-        is ``N + I_near + I_far_estimate + band``; with the far set
-        empty it degenerates to the dense expression exactly.
+        returns the ``(B, n)`` heard-sender array (a block of rounds
+        arrives as its rows).  The SINR denominator is ``N + I_near +
+        I_far_estimate + band``; with the far set empty it degenerates
+        to the dense expression exactly.  Rows are resolved in slabs of
+        ``SERVING_CHUNK_ELEMENTS // max(n, cells)`` (at least one), one
+        :meth:`far_band` call each; a row's bits do not depend on the
+        slab it rides in.
         """
         tx_mask = np.asarray(tx_mask, dtype=bool)
         if tx_mask.ndim != 2 or tx_mask.shape[1] != self.n:
@@ -1046,20 +1053,32 @@ class SparseGainBackend:
             )
         B = tx_mask.shape[0]
         heard = np.full((B, self.n), NO_SENDER, dtype=np.intp)
-        far = band = None
-        if not self.far_empty and tx_mask.any():
-            far, band = self.far_band(tx_mask)
-        for b in range(B):
-            transmitters = np.flatnonzero(tx_mask[b])
-            if transmitters.size == 0:
-                continue
-            total, best_gain, best_sender = self._near_scan(transmitters)
-            denom = noise + total - best_gain
-            if far is not None:
-                denom = denom + far[b] + band[b]
-            sinr = np.divide(best_gain, denom)
-            ok = (best_sender < self.n) & (sinr >= beta) & ~tx_mask[b]
-            heard[b, ok] = best_sender[ok]
+        far_rows = not self.far_empty and tx_mask.any()
+        if far_rows:
+            # Row slabs: one transform per slab, and the slab's far
+            # arrays and FFT grids stay within the element budget
+            # however many rows (rounds x replications) a call carries.
+            cells = int(np.prod(self._far_kernels()[2]))
+            slab = max(1, SERVING_CHUNK_ELEMENTS // max(self.n, cells))
+        else:
+            slab = B
+        for lo in range(0, B, slab):
+            rows = tx_mask[lo:lo + slab]
+            if far_rows:
+                far, band = self.far_band(rows)
+            for b in range(rows.shape[0]):
+                transmitters = np.flatnonzero(rows[b])
+                if transmitters.size == 0:
+                    continue
+                total, best_gain, best_sender = self._near_scan(
+                    transmitters
+                )
+                denom = noise + total - best_gain
+                if far_rows:
+                    denom = denom + far[b] + band[b]
+                sinr = np.divide(best_gain, denom)
+                ok = (best_sender < self.n) & (sinr >= beta) & ~rows[b]
+                heard[lo + b, ok] = best_sender[ok]
         return heard
 
     def _far_pairs(

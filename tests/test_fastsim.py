@@ -9,12 +9,15 @@ from repro.core.outcome import NEVER_INFORMED
 from repro.errors import ProtocolError
 from repro.fastsim import (
     fast_coloring,
+    fast_coloring_batch,
     fast_decay_broadcast,
     fast_local_broadcast_global,
     fast_nospont_broadcast,
     fast_spont_broadcast,
     fast_uniform_broadcast,
 )
+from repro.fastsim import engine
+from repro.fastsim.engine import spawn_rngs
 from repro.network.network import Network
 
 
@@ -91,6 +94,29 @@ class TestFastColoring:
         a = fast_coloring(small_square, constants, np.random.default_rng(4))
         b = fast_coloring(small_square, constants, np.random.default_rng(4))
         assert np.array_equal(a.quit_levels, b.quit_levels)
+
+    def test_one_resolver_call_per_test(
+        self, small_square, constants, monkeypatch
+    ):
+        # Each DensityTest and each Playoff is one block of rounds, so a
+        # static run makes levels x repeats x 2 resolver calls — while a
+        # station stays in the ladder to the end, no block is skipped.
+        calls = []
+        resolve = engine.resolve_reception_batch
+
+        def counted(gain, tx_mask, noise, beta):
+            calls.append(np.shape(tx_mask))
+            return resolve(gain, tx_mask, noise, beta)
+
+        monkeypatch.setattr(engine, "resolve_reception_batch", counted)
+        batch = fast_coloring_batch(
+            small_square, constants, spawn_rngs(3, 8)
+        )
+        assert (batch.quit_levels == FINAL_COLOR_LEVEL).any()
+        schedule = batch.schedule
+        assert len(calls) == schedule.levels * constants.repeats * 2
+        lengths = {shape[0] for shape in calls}
+        assert lengths == {schedule.density_len, schedule.playoff_len}
 
 
 class TestFastBroadcasts:

@@ -2,7 +2,9 @@
 
 Invariants that must hold for arbitrary (small) deployments and random
 participant sets: legal color assignments, conservation of the informed
-set, and agreement between the outcome record and the per-station data.
+set, agreement between the outcome record and the per-station data, and
+a round medium that resolves a block of rounds exactly as it resolves
+those rounds one by one.
 """
 
 import numpy as np
@@ -11,7 +13,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.coloring import FINAL_COLOR_LEVEL, NOT_PARTICIPATING
 from repro.core.constants import ProtocolConstants
 from repro.core.outcome import NEVER_INFORMED
+from repro.deploy import BrownianDrift
 from repro.fastsim import fast_coloring, fast_spont_broadcast, fast_uniform_broadcast
+from repro.fastsim.engine import Medium
+from repro.mac import CSMA, SlottedAloha, TdmaFromColoring
 from repro.network.network import Network
 
 CONSTANTS = ProtocolConstants.practical()
@@ -109,3 +114,62 @@ class TestBroadcastProperties:
             round_budget=budget,
         )
         assert out.total_rounds <= budget
+
+
+MACS = {
+    "none": lambda: None,
+    "aloha": lambda: SlottedAloha(0.7, seed=3),
+    "csma": lambda: CSMA(seed=5),
+    "tdma": lambda: TdmaFromColoring(seed=2),
+}
+
+
+class TestMediumBlocks:
+    @staticmethod
+    def _medium(net, mac, moving):
+        mobility = BrownianDrift(0.05, seed=4) if moving else None
+        return Medium(net, mobility=mobility, mac=MACS[mac]())
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(6, 28),
+        R=st.integers(1, 6),
+        B=st.integers(1, 4),
+        prob=st.floats(0.05, 0.6),
+        backend=st.sampled_from(["dense", "sparse"]),
+        mac=st.sampled_from(sorted(MACS)),
+        moving=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_equals_its_rounds(
+        self, seed, n, R, B, prob, backend, mac, moving
+    ):
+        # A fresh medium resolving R rounds as one (R, B, n) block
+        # answers exactly what R one-round calls on another fresh
+        # medium answer; a trajectory still steps once per round.
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0.0, 3.0, size=(n, 2))
+        net = (
+            Network(coords, backend="sparse", cutoff=1.0)
+            if backend == "sparse" else Network(coords)
+        )
+        intents = rng.random((R, B, n)) < prob
+        first = int(rng.integers(0, 64))
+        block = self._medium(net, mac, moving)
+        transmitted, heard_from = block.resolve(first, intents)
+        single = self._medium(net, mac, moving)
+        rounds = [
+            single.resolve(first + r, intents[r]) for r in range(R)
+        ]
+        assert transmitted.shape == heard_from.shape == (R, B, n)
+        assert np.array_equal(
+            transmitted, np.stack([tx for tx, _ in rounds])
+        )
+        assert np.array_equal(
+            heard_from, np.stack([heard for _, heard in rounds])
+        )
+        stepped = self._medium(net, mac, moving)
+        for _ in range(R):
+            stepped.step()
+        assert np.array_equal(block.network.coords, stepped.network.coords)
+        assert np.array_equal(block.network.coords, single.network.coords)

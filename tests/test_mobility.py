@@ -240,6 +240,47 @@ class TestE15:
 
         assert "E15" in list_experiments()
 
+    @staticmethod
+    def _escape_reference(net, model, cap):
+        """The whole pair list compared every round."""
+        radius = net.params.comm_radius
+        base = net.pairs_within(radius)
+        medium = Medium(net, mobility=model)
+        for round_no in range(cap):
+            pairs = medium.step().pairs_within(radius)
+            if not all(np.array_equal(a, b) for a, b in zip(pairs, base)):
+                return round_no + 1
+        return cap
+
+    def test_escape_time_equals_full_pair_comparison(self):
+        # E15's three quick-scale families plus a sparse square, at the
+        # experiment's rates, a first-round escape and a capped run.
+        from repro.deploy import corridor, fractal_clusters, uniform_square
+        from repro.experiments.e15_mobility import escape_time
+
+        rng = np.random.default_rng(15)
+        families = [
+            uniform_square(n=96, side=np.sqrt(96 / 12.0), rng=rng),
+            corridor(n=48, length=8.0, width=0.35, rng=rng),
+            fractal_clusters(4, 3, rng, dimension=1.5),
+            _net(n=60, side=3.0, seed=4, backend="sparse", cutoff=2.0),
+        ]
+        seen = set()
+        for fi, net in enumerate(families):
+            radius = net.params.comm_radius
+            for sigma, move_prob, cap in [
+                (0.005 * radius, 0.25, 400),
+                (0.02 * radius, 0.25, 400),
+                (0.3 * radius, 1.0, 50),
+                (1e-6 * radius, 0.25, 30),
+            ]:
+                model = BrownianDrift(sigma, move_prob=move_prob, seed=fi)
+                got = escape_time(net, model, cap)
+                assert got == self._escape_reference(net, model, cap)
+                seen.add("first" if got == 1 else "cap" if got == cap
+                         else "between")
+        assert seen == {"first", "cap", "between"}
+
     def test_quick_jobs_identity_and_cache_replay(self, tmp_path):
         """The E15 acceptance: --jobs 2 == --jobs 1, cache replay works."""
         from repro.experiments.registry import get_experiment

@@ -970,6 +970,34 @@ class TestServerOps:
         )
         assert connected == net.is_connected
 
+    @pytest.mark.parametrize("spec", [
+        SPEC, {**SPEC, "backend": "sparse", "cutoff": 1.0},
+    ])
+    def test_graph_reply_from_radius_query(self, spec):
+        # The reply is the networkx graph's (edges in its order,
+        # max_degree its degree maximum), yet the resident network
+        # never builds that graph, which no pool budget counts.
+        async def go():
+            async with _serve() as (server, client):
+                built = await client.build(spec)
+                full = await client.graph(built["net"])
+                counts = await client.graph(built["net"], count_only=True)
+                resident = server.pool.get(built["net"])
+                return full, counts, resident._graph
+
+        full, counts, resident_graph = asyncio.run(go())
+        graph = build_network(spec).graph
+        expected = {
+            "n": graph.number_of_nodes(),
+            "num_edges": graph.number_of_edges(),
+            "max_degree": max(degree for _, degree in graph.degree()),
+        }
+        assert {key: full[key] for key in expected} == expected
+        assert full["edges"] == [[u, v] for u, v in graph.edges()]
+        assert {key: counts[key] for key in expected} == expected
+        assert "edges" not in counts
+        assert resident_graph is None
+
     def test_advance_admits_successor(self):
         async def go():
             async with _serve() as (server, client):
