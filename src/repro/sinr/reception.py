@@ -146,6 +146,8 @@ def _strongest_transmitters(
     R, B, n = tx_mask.shape
     in_round = tx_mask.any(axis=1)
     if R == 1:
+        # The per-round loops' call: a flat gather costs a fifth of the
+        # sort and gather a block needs.
         cols = np.flatnonzero(in_round)[None]
         tx_sub = tx_mask[:, :, cols[0]]
     else:
@@ -221,7 +223,7 @@ def resolve_reception_batch(
     noise: float,
     beta: float,
 ) -> np.ndarray:
-    """Eq. (1) for independent rows given as a ``(B, n)`` or ``(R, B, n)`` mask.
+    """Eq. (1) for independent rows, a ``(B, n)`` or ``(R, B, n)`` mask.
 
     The one dense SINR arithmetic of the repo: per listener, gains fold
     over the transmitters in ascending station index, the strongest

@@ -304,6 +304,22 @@ class TestBatchedReception:
         )
         assert np.array_equal(whole, slabbed)
 
+    @pytest.mark.parametrize("budget", [1 << 19, 2 * 3 * 12 * 12, 12])
+    def test_block_of_rounds_matches_its_rounds(self, monkeypatch, budget):
+        # (R, B, n) rounds, with each round's own union: whole, in
+        # slabs of whole rounds, and with every round split into rows.
+        g, rows = self._random_case(9, n=12, B=18)
+        rounds = rows.reshape(6, 3, 12)
+        monkeypatch.setattr(reception, "SLAB_ELEMENTS", budget)
+        block = resolve_reception_batch(
+            g, rounds, PARAMS.noise, PARAMS.beta
+        )
+        assert block.shape == rounds.shape
+        for r in range(6):
+            assert np.array_equal(block[r], resolve_reception_batch(
+                g, rounds[r], PARAMS.noise, PARAMS.beta
+            ))
+
     def test_batch_size_is_bitwise_neutral(self):
         # Rows resolved inside a batch equal the same rows resolved alone.
         g, tx_mask = self._random_case(7)
