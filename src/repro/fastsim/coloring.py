@@ -177,9 +177,10 @@ def fast_coloring_batch(
         """
         nonlocal global_round
         draws = draw_block(rngs, block_active, length, n)
-        tx_mask, heard_from = medium.resolve(
-            global_round, in_ladder & (draws.transpose(1, 0, 2) < prob)
+        intents = np.ascontiguousarray(
+            (in_ladder[:, None] & (draws < prob)).transpose(1, 0, 2)
         )
+        tx_mask, heard_from = medium.resolve(global_round, intents)
         heard = heard_from != NO_SENDER
         successes = np.count_nonzero(
             (heard | tx_mask) if count_tx else heard, axis=0

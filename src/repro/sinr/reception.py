@@ -31,15 +31,16 @@ NO_SENDER: int = -1
 #: numpy path: the ``(rows, k, n)`` ranking-position tensor a slab
 #: builds — ``rows`` whole rounds of ``B`` rows, ``k`` the widest
 #: per-round transmitter union among them — holds at most about this
-#: many elements (1 MB of ``int16`` positions, within one core's L2).
-#: A round that alone exceeds the budget is split into row slabs.  Set
-#: by measurement on the quick-scale coloring blocks (2-vCPU Xeon,
-#: 2 MB L2 per core, numpy kernels): grouping rounds up to ``2**19``
-#: elements took about half the time of per-round calls, and larger
-#: budgets gained nothing.  The dense twin of
+#: many elements.  A round that alone exceeds the budget is split into
+#: row slabs.  Set by measurement (2-vCPU Xeon, 2 MB L2 per core,
+#: numpy kernels; fastest of 15 interleaved runs): on the quick-scale
+#: coloring blocks, budgets from ``2**17`` to ``2**19`` took 0.45x the
+#: time of per-round calls; on a 64-replication sweep, whose rounds
+#: each fill about ``2**18`` elements, grouping them cost 1.1x at
+#: ``2**18`` and 1.3x at ``2**19``.  The dense twin of
 #: :data:`repro.sinr.sparse.SERVING_CHUNK_ELEMENTS`; slabbing is
 #: bitwise neutral per row.
-SLAB_ELEMENTS = 1 << 19
+SLAB_ELEMENTS = 1 << 18
 
 #: Guards :data:`_RANK_CACHE`.  The service coalescer drives the
 #: resolvers from multiple in-flight requests on executor threads, so
@@ -149,7 +150,6 @@ def _strongest_transmitters(
         # The per-round loops' call: a flat gather costs a fifth of the
         # sort and gather a block needs.
         cols = np.flatnonzero(in_round)[None]
-        tx_sub = tx_mask[:, :, cols[0]]
     else:
         # cols[r]: round r's transmitters in ascending index (a stable
         # sort puts them first), padded to the widest round's union
@@ -157,10 +157,13 @@ def _strongest_transmitters(
         # and sentinels below.
         k = int(np.count_nonzero(in_round, axis=1).max())
         cols = np.argsort(~in_round, axis=1, kind="stable")[:, :k]
-        tx_sub = np.take_along_axis(tx_mask, cols[:, None, :], axis=2)
     if cols.size == 0:
         zeros = np.zeros((R, B, n))
         return np.zeros((R, B, n), dtype=np.intp), zeros, zeros
+    tx_sub = (
+        tx_mask[:, :, cols[0]] if R == 1
+        else np.take_along_axis(tx_mask, cols[:, None, :], axis=2)
+    )
     rank, position = _listener_ranking(gain)
     total = np.einsum(
         "rbv,rvu->rbu", tx_sub.astype(float), gain[cols], optimize=False
