@@ -257,6 +257,10 @@ def resolve_reception_batch(
         raise ValueError(
             f"tx_mask must be (B, {n}) or (R, B, {n}), got {tx_mask.shape}"
         )
+    if not tx_mask.any():
+        # Nobody transmits, nobody hears: the wake-up loops' most common
+        # round, answered without a fold.
+        return np.full(tx_mask.shape, NO_SENDER, dtype=np.intp)
     if sparse is not None:
         return sparse(tx_mask.reshape(-1, n), noise, beta).reshape(
             tx_mask.shape
