@@ -34,10 +34,10 @@ NO_SENDER: int = -1
 #: many elements.  A round that alone exceeds the budget is split into
 #: row slabs.  Set by measurement (2-vCPU Xeon, 2 MB L2 per core,
 #: numpy kernels; fastest of 15 interleaved runs): on the quick-scale
-#: coloring blocks, budgets from ``2**17`` to ``2**19`` took 0.45x the
-#: time of per-round calls; on a 64-replication sweep, whose rounds
-#: each fill about ``2**18`` elements, grouping them cost 1.1x at
-#: ``2**18`` and 1.3x at ``2**19``.  The dense twin of
+#: coloring blocks, budgets from ``2**17`` to ``2**19`` took 0.45-0.54x
+#: the time of per-round calls; on a 64-replication sweep, whose rounds
+#: each fill about ``2**18`` elements, grouping them cost 1.1-1.2x at
+#: ``2**18`` and 1.3-1.4x at ``2**19``.  The dense twin of
 #: :data:`repro.sinr.sparse.SERVING_CHUNK_ELEMENTS`; slabbing is
 #: bitwise neutral per row.
 SLAB_ELEMENTS = 1 << 18
