@@ -1,9 +1,12 @@
 """Tests for the sparse geometry-certified SINR backend (DESIGN.md §2.2)."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.deploy import uniform_square
 from repro.deploy.perturb import jitter_within_slack, same_graph_family_sparse
@@ -12,6 +15,7 @@ from repro.errors import (
     GeometryError,
     ProtocolError,
 )
+from repro.geometry.metric import MIN_DISTANCE
 from repro.network.network import Network
 from repro.sinr.channel import (
     DualSlope,
@@ -32,6 +36,7 @@ from repro.sinr.sparse import (
     CellIndex,
     SparseGainBackend,
     certified_cutoff,
+    csr_index_dtype,
     csr_upper_pairs,
     default_cutoff,
     far_field_tail_bound,
@@ -125,7 +130,7 @@ class TestBackendConstruction:
 
     def test_colocated_stations_rejected(self):
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(DeploymentError):
+        with pytest.raises(DeploymentError, match="co-located stations"):
             _backend(coords)
 
     def test_cell_budget_guard(self):
@@ -134,6 +139,121 @@ class TestBackendConstruction:
         coords = np.array([[0.0, 0.0], [1e6, 1e6]])
         with pytest.raises(ProtocolError):
             _backend(coords)
+
+
+def _csr_digest(backend) -> str:
+    """sha256 over dtype and bytes of ``(data, indices, indptr, dists)``."""
+    h = hashlib.sha256()
+    for a in (backend.data, backend.indices, backend.indptr, backend.dists):
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _lexsort_csr(coords, cutoff, channel):
+    """The near-field CSR by the recipe of the lexsort build.
+
+    Candidate pairs come from brute force over the cell vectors (every
+    ordered pair of distinct stations within Chebyshev ``reach``
+    cells), in a scrambled order; each pair's distance is
+    ``coords[listener] - coords[sender]`` squared and summed, and one
+    ``lexsort`` over (listener, sender) orders the pairs and their
+    distances.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim == 1:
+        coords = coords[:, None]
+    n = coords.shape[0]
+    cells = CellIndex(
+        coords, cutoff / CELLS_PER_CUTOFF, reach=CELLS_PER_CUTOFF
+    )
+    vec = cells.cell_vec
+    near = np.abs(vec[:, None, :] - vec[None, :, :]).max(axis=-1)
+    near = near <= cells.reach
+    np.fill_diagonal(near, False)
+    listeners, senders = np.nonzero(near)
+    scramble = np.random.default_rng(n).permutation(listeners.size)
+    listeners, senders = listeners[scramble], senders[scramble]
+    diff = coords[listeners] - coords[senders]
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    perm = np.lexsort((senders, listeners))
+    listeners, senders, dists = listeners[perm], senders[perm], dists[perm]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(listeners, minlength=n), out=indptr[1:])
+    data = channel.radial_gain(np.maximum(dists, MIN_DISTANCE), PARAMS)
+    return data, senders.astype(csr_index_dtype(n)), indptr, dists
+
+
+class TestNearFieldBuild:
+    """The near-field CSR's bytes, pinned and against the lexsort recipe."""
+
+    #: ``_csr_digest`` of each :meth:`_deployments` backend, recorded
+    #: with the lexsort build.
+    DIGESTS = {
+        "square-far-active":
+            "2c6888c4d3eeab5ed2d1e3c83019c1af573fd1118c74e14fe9040d11680f7788",
+        "square-far-empty":
+            "16cf75db83d60830be4db2233e4bf5b5fb6b3e633145fb4072a2e4e53f1c511a",
+        "cube-3d":
+            "ddf08f0b7dcaa3cd5aedacdd7f663a762a0ac2b7c38a7846d16232576ca45633",
+        "corridor-1d":
+            "ccdb745ea151d920afa2388fca3bdb611953758a10948a67cc4db3823eb001e5",
+    }
+
+    @staticmethod
+    def _deployments():
+        rng = np.random.default_rng
+        side = math.sqrt(2000 / 12.0)
+        return {
+            "square-far-active": rng(2014).uniform(0, side, (2000, 2)),
+            "square-far-empty": rng(2015).uniform(0, 1.5, (400, 2)),
+            "cube-3d": rng(2016).uniform(0, 6.0, (1500, 3)),
+            "corridor-1d": rng(2017).uniform(0, 250.0, 1000),
+        }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_csr_bytes_pinned(self, name):
+        backend = _backend(self._deployments()[name], cutoff=2.0)
+        assert backend.far_empty == (name == "square-far-empty")
+        assert _csr_digest(backend) == self.DIGESTS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 90),
+        dim=st.integers(1, 3),
+        side=st.floats(0.5, 12.0),
+        cutoff=st.sampled_from([1.0, 1.5, 2.0]),
+        dual_slope=st.booleans(),
+        colocate=st.booleans(),
+    )
+    def test_build_equals_lexsort_recipe(
+        self, seed, n, dim, side, cutoff, dual_slope, colocate
+    ):
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0, side, (n, dim))
+        channel = DualSlope(breakpoint=0.7) if dual_slope else UniformPower()
+        if colocate and n > 1:
+            coords[rng.integers(1, n)] = coords[0]
+            with pytest.raises(DeploymentError, match="co-located"):
+                _backend(coords, cutoff=cutoff, channel=channel)
+            return
+        backend = _backend(coords, cutoff=cutoff, channel=channel)
+        got = (backend.data, backend.indices, backend.indptr, backend.dists)
+        for a, b in zip(got, _lexsort_csr(coords, cutoff, channel)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_colocated_pair_anywhere_rejected(self, dim):
+        coords = np.random.default_rng(dim).uniform(0, 9.0, (300, dim))
+        coords[217] = coords[41]
+        with pytest.raises(
+            DeploymentError,
+            match="deployment contains co-located stations; the SINR "
+                  "model requires distinct positions",
+        ):
+            _backend(coords, cutoff=2.0)
 
 
 class TestResolverAgainstDense:
