@@ -362,15 +362,18 @@ class CellIndex:
         return np.where(hit, pos, -1)
 
     def adjacent_pair_chunks(self):
-        """Yield ``(i, j)`` ordered-pair chunks over Chebyshev-``reach``
+        """Yield chunks of ``i * n + j`` pair keys over Chebyshev-``reach``
         cell neighbourhoods.
 
-        Every ordered pair of distinct stations whose cells differ by at
-        most ``reach`` per axis appears exactly once across the chunks
-        (each offset contributes one direction; the opposite offset the
-        other).  Pairs at distance ``<= reach * cell_size`` are
-        guaranteed to be covered; pairs in cells beyond the reach are at
-        distance ``> (reach - 1) * cell_size`` per exceeding axis.
+        Every ordered pair ``(i, j)`` of distinct stations whose cells
+        differ by at most ``reach`` per axis appears exactly once across
+        the chunks, as the int64 key ``i * n + j`` (each offset
+        contributes one direction; the opposite offset the other).
+        Pairs at distance ``<= reach * cell_size`` are guaranteed to be
+        covered; pairs in cells beyond the reach are at distance ``>
+        (reach - 1) * cell_size`` per exceeding axis.  Chunks are in no
+        particular order; sorted, the keys list the pairs by ``i``, then
+        ``j``.
         """
         shape = np.asarray(self.shape, dtype=np.int64)
         occ_vec = np.stack(
@@ -413,7 +416,9 @@ class CellIndex:
             if all(o == 0 for o in offset):
                 keep = i != j
                 i, j = i[keep], j[keep]
-            yield i, j
+            i *= self.n
+            i += j
+            yield i
 
 
 # ----------------------------------------------------------------------
@@ -520,50 +525,65 @@ class SparseGainBackend:
         return gains
 
     def _build_csr(self) -> None:
-        coords = self.coords
-        i_parts, j_parts, d_parts = [], [], []
-        for i, j in self.cells.adjacent_pair_chunks():
-            diff = coords[i] - coords[j]
+        keys = np.concatenate([
+            np.empty(0, dtype=np.int64), *self.cells.adjacent_pair_chunks()
+        ])
+        # The keys are unique pairs, so their sort is the (listener,
+        # sender) order: CSR rows per listener with columns in ascending
+        # sender order, the fold order the exact-equality contract
+        # relies on.
+        keys.sort()
+        self.indptr = np.searchsorted(
+            keys, np.arange(self.n + 1, dtype=np.int64) * self.n
+        )
+        self.indices, self.data, self._dists = self._entries(
+            self.coords, keys
+        )
+
+    def _entries(
+        self, coords: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns, gains and distances of ``listener * n + sender`` keys.
+
+        The one per-pair arithmetic of the near field: ``diff =
+        coords[listener] - coords[sender]``, the distance ``sqrt(diff .
+        diff)`` and its radial gain, each entry computed from its own
+        pair alone, in key order.  Keys go in blocks of
+        :data:`SERVING_CHUNK_ELEMENTS`, so the temporaries stay small
+        however many entries there are.
+
+        :returns: ``(indices, data, dists)``, aligned with ``keys``.
+        :raises DeploymentError: if a pair's distance is below
+            :data:`~repro.geometry.metric.MIN_DISTANCE`.
+        """
+        indices = np.empty(keys.size, dtype=csr_index_dtype(self.n))
+        data = np.empty(keys.size)
+        dists = np.empty(keys.size)
+        for lo in range(0, keys.size, SERVING_CHUNK_ELEMENTS):
+            block = slice(lo, lo + SERVING_CHUNK_ELEMENTS)
+            listeners, senders = np.divmod(keys[block], self.n)
+            # ``take`` gathers whole rows, the same values as
+            # ``coords[listeners]`` at a fraction of its cost.
+            diff = coords.take(listeners, axis=0) - coords.take(
+                senders, axis=0
+            )
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            if dist.size and float(dist.min()) < MIN_DISTANCE:
+            if float(dist.min()) < MIN_DISTANCE:
                 raise DeploymentError(
                     "deployment contains co-located stations; the SINR "
                     "model requires distinct positions"
                 )
-            i_parts.append(i)
-            j_parts.append(j)
-            d_parts.append(dist)
-        if i_parts:
-            listeners = np.concatenate(i_parts)
-            senders = np.concatenate(j_parts)
-            dists = np.concatenate(d_parts)
-        else:
-            listeners = np.empty(0, dtype=np.int64)
-            senders = np.empty(0, dtype=np.int64)
-            dists = np.empty(0)
-        # CSR rows per listener with columns in ascending sender order:
-        # the fold order the exact-equality contract relies on.
-        perm = np.lexsort((senders, listeners))
-        listeners, senders, dists = (
-            listeners[perm], senders[perm], dists[perm]
-        )
-        counts = np.bincount(listeners, minlength=self.n)
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.indices = senders.astype(csr_index_dtype(self.n))
-        self.data = self._radial(dists)
-        self._dists = dists
+            indices[block] = senders
+            data[block] = self._radial(dist)
+            dists[block] = dist
+        return indices, data, dists
 
     @property
     def dists(self) -> np.ndarray:
         """CSR-aligned pair distances (lazy on a backend built around
         given CSR arrays, as :meth:`advanced` builds its result)."""
         if self._dists is None:
-            rows = np.repeat(
-                np.arange(self.n), np.diff(self.indptr)
-            )
-            diff = self.coords[rows] - self.coords[self.indices]
-            self._dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            self._dists = self._entries(self.coords, self._entry_keys())[2]
         return self._dists
 
     def nbytes(self) -> int:
@@ -611,15 +631,14 @@ class SparseGainBackend:
         * **drop** every old entry whose listener or sender moved (one
           vectorized membership scan over the nnz entries);
         * **recompute** the moved stations' full rows under the new
-          binning (:meth:`_rows_for` — the exact per-pair arithmetic of
-          :meth:`_build_csr`) and mirror them onto unmoved listeners
-          (cell-Chebyshev reach is symmetric, and the squared-difference
-          distance is exact under operand negation, so the mirrored
-          values are bitwise what a fresh build computes);
-        * **merge** surviving and fresh entries by the composite
-          ``row * n + sender`` key — both runs are already sorted, so
-          two ``searchsorted`` calls place every entry without a global
-          re-sort.
+          binning (:meth:`_rows_for`) and mirror them onto unmoved
+          listeners (cell-Chebyshev reach is symmetric); the fresh run's
+          ``row * n + sender`` keys are sorted and go through
+          :meth:`_entries`, the per-pair arithmetic of the build, so
+          each value is bitwise what a fresh build computes;
+        * **merge** surviving and fresh entries by that composite key —
+          both runs are sorted, so two ``searchsorted`` calls place
+          every entry without a global re-sort.
 
         Gains and distances are evaluated only on the delta — O(moved
         fraction) of the build cost; ``benchmarks/bench_mobility.py``
@@ -655,12 +674,7 @@ class SparseGainBackend:
 
         # Fresh rows of the moved stations (all their senders, moved or
         # not) under the new binning.
-        m_listeners, m_senders, m_dists = self._rows_for(new_cells, moved)
-        if m_dists.size and float(m_dists.min()) < MIN_DISTANCE:
-            raise DeploymentError(
-                "deployment contains co-located stations; the SINR "
-                "model requires distinct positions"
-            )
+        m_listeners, m_senders = self._rows_for(new_cells, moved)
         is_moved = np.zeros(self.n, dtype=bool)
         is_moved[moved] = True
 
@@ -685,11 +699,8 @@ class SparseGainBackend:
         ins_keys = ins_rows * base + np.concatenate(
             [m_senders, m_listeners[mirror]]
         )
-        ins_dists = np.concatenate([m_dists, m_dists[mirror]])
-        order = np.argsort(ins_keys)  # keys are unique pairs
-        ins_keys = ins_keys[order]
-        ins_dists = ins_dists[order]
-        ins_data = self._radial(ins_dists)
+        ins_keys.sort()
+        ins_indices, ins_data, _ = self._entries(new_coords, ins_keys)
 
         # Sorted-merge: the old CSR is globally (row, sender)-ordered and
         # so is the insert run.  Each insert's rank among the *kept*
@@ -709,9 +720,7 @@ class SparseGainBackend:
         into_kept[pos_ins] = False
         indices = np.empty(nnz, dtype=self.indices.dtype)
         data = np.empty(nnz)
-        indices[pos_ins] = (ins_keys % base).astype(
-            self.indices.dtype, copy=False
-        )
+        indices[pos_ins] = ins_indices
         indices[into_kept] = self.indices[keep]
         data[pos_ins] = ins_data
         data[into_kept] = self.data[keep]
@@ -745,22 +754,22 @@ class SparseGainBackend:
         ``searchsorted`` instead of re-sorting the whole structure.
         """
         if self._entry_keys_cache is None:
-            rows = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.indptr)
+            keys = np.repeat(
+                np.arange(0, self.n * self.n, self.n, dtype=np.int64),
+                np.diff(self.indptr),
             )
-            self._entry_keys_cache = rows * np.int64(self.n) + self.indices
+            keys += self.indices
+            self._entry_keys_cache = keys
         return self._entry_keys_cache
 
     def _rows_for(
         self, cells: CellIndex, listeners: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Near-field entries of ``listeners`` under ``cells``' binning.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Near-field pairs of ``listeners`` under ``cells``' binning.
 
-        :returns: ``(listeners, senders, dists)`` — unsorted candidate
-            pairs over the Chebyshev-reach neighbourhoods, the same pair
-            set :meth:`CellIndex.adjacent_pair_chunks` yields for those
-            rows, with distances from the exact per-pair expression of
-            :meth:`_build_csr`.
+        :returns: ``(listeners, senders)`` — unsorted candidate pairs
+            over the Chebyshev-reach neighbourhoods, the same pair set
+            :meth:`CellIndex.adjacent_pair_chunks` yields for those rows.
         """
         dim = cells.dim
         shape = np.asarray(cells.shape, dtype=np.int64)
@@ -795,14 +804,11 @@ class SparseGainBackend:
             s_parts.append(s_idx)
         if not l_parts:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0)
+            return empty, empty.copy()
         l_all = np.concatenate(l_parts)
         s_all = np.concatenate(s_parts)
         keep = l_all != s_all
-        l_all, s_all = l_all[keep], s_all[keep]
-        diff = cells.coords[l_all] - cells.coords[s_all]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return l_all, s_all, dists
+        return l_all[keep], s_all[keep]
 
     # -- far-field machinery -------------------------------------------
     @staticmethod

@@ -58,11 +58,13 @@ class TestCellIndex:
     def test_pairs_cover_every_near_pair(self):
         coords = _spread_coords(80, 5.0)
         index = CellIndex(coords, 0.5, reach=2)
-        got = set()
-        for i, j in index.adjacent_pair_chunks():
-            got.update(zip(i.tolist(), j.tolist()))
-        # every ordered pair exactly once
-        assert len(got) == len(set(got))
+        keys = np.concatenate(list(index.adjacent_pair_chunks()))
+        assert keys.dtype == np.int64
+        # every ordered pair of distinct stations exactly once
+        assert np.unique(keys).size == keys.size
+        i, j = np.divmod(keys, 80)
+        assert np.all(i != j)
+        got = set(zip(i.tolist(), j.tolist()))
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=-1))
         near = {
