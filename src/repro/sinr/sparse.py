@@ -928,7 +928,10 @@ class SparseGainBackend:
         (:meth:`_far_pairs`), at a cost that follows the query rather
         than the cell grid.  The far field is constant within a cell,
         so the transform runs on per-cell transmitter counts and each
-        station reads its cell's value.
+        station reads its cell's value.  Rows are transformed in slabs
+        of :meth:`_far_slab_rows`, so the padded grids stay within the
+        element budget however many rows a call carries; a row's bits
+        do not depend on the slab it rides in.
 
         :param tx_mask: ``(B, n)`` boolean transmitter mask.
         :returns: ``(far_estimate, band)`` — both ``(B, n)``, with
@@ -937,31 +940,48 @@ class SparseGainBackend:
         """
         tx_mask = np.atleast_2d(np.asarray(tx_mask, dtype=bool))
         B, n = tx_mask.shape
+        est = np.zeros((B, n))
+        band = np.zeros((B, n))
         if self.far_empty:
-            zeros = np.zeros((B, n))
-            return zeros, zeros.copy()
+            return est, band
         K_hat, E_hat, padded = self._far_kernels()
         # One batched transform over the trailing cell axes instead of
         # per-row FFT dispatch: this runs every round of every sweep.
         axes = tuple(range(1, len(padded) + 1))
         shape = self.cells.shape
         region = (slice(None),) + tuple(slice(0, s) for s in shape)
-        counts = np.zeros((B, self.cells.n_cells))
-        rows, stations = np.nonzero(tx_mask)
-        np.add.at(counts, (rows, self.cells.cell_of[stations]), 1.0)
-        counts = counts.reshape((B,) + shape)
-        C_hat = np.fft.rfftn(counts, s=padded, axes=axes)
-        est_cells = np.fft.irfftn(
-            C_hat * K_hat[None], s=padded, axes=axes
-        )[region]
-        err_cells = np.fft.irfftn(
-            C_hat * E_hat[None], s=padded, axes=axes
-        )[region]
         cell_of = self.cells.cell_of
-        return _with_band(
-            np.maximum(est_cells.reshape(B, -1), 0.0)[:, cell_of],
-            np.maximum(err_cells.reshape(B, -1), 0.0)[:, cell_of],
-        )
+        slab = self._far_slab_rows()
+        for lo in range(0, B, slab):
+            rows = tx_mask[lo:lo + slab]
+            m = rows.shape[0]
+            counts = np.zeros((m, self.cells.n_cells))
+            row, stations = np.nonzero(rows)
+            np.add.at(counts, (row, cell_of[stations]), 1.0)
+            C_hat = np.fft.rfftn(
+                counts.reshape((m,) + shape), s=padded, axes=axes
+            )
+            est_cells = np.fft.irfftn(
+                C_hat * K_hat[None], s=padded, axes=axes
+            )[region]
+            err_cells = np.fft.irfftn(
+                C_hat * E_hat[None], s=padded, axes=axes
+            )[region]
+            est[lo:lo + m], band[lo:lo + m] = _with_band(
+                np.maximum(est_cells.reshape(m, -1), 0.0)[:, cell_of],
+                np.maximum(err_cells.reshape(m, -1), 0.0)[:, cell_of],
+            )
+        return est, band
+
+    def _far_slab_rows(self) -> int:
+        """Rows per far-field transform: ``SERVING_CHUNK_ELEMENTS //
+        max(n, cells)`` (at least one), ``cells`` the padded grid's.
+
+        A slab's far arrays and padded FFT grids then hold about
+        :data:`SERVING_CHUNK_ELEMENTS` elements per row-stacked array.
+        """
+        cells = int(np.prod(self._far_kernels()[2]))
+        return max(1, SERVING_CHUNK_ELEMENTS // max(self.n, cells))
 
     def certified_tail_bound(
         self,
@@ -1047,8 +1067,10 @@ class SparseGainBackend:
         returns the ``(B, n)`` heard-sender array (a block of rounds
         arrives as its rows).  The SINR denominator is ``N + I_near +
         I_far_estimate + band``; with the far set empty it degenerates
-        to the dense expression exactly.  Rows are resolved in slabs of
-        ``SERVING_CHUNK_ELEMENTS // max(n, cells)`` (at least one), one
+        to the dense expression exactly, a zero denominator included
+        (the SINR reads ``+inf``: noise plus interference fell below
+        the signal's rounding, and the listener hears).  Rows are
+        resolved in slabs of :meth:`_far_slab_rows`, one
         :meth:`far_band` call each; a row's bits do not depend on the
         slab it rides in.
         """
@@ -1060,14 +1082,10 @@ class SparseGainBackend:
         B = tx_mask.shape[0]
         heard = np.full((B, self.n), NO_SENDER, dtype=np.intp)
         far_rows = not self.far_empty and tx_mask.any()
-        if far_rows:
-            # Row slabs: one transform per slab, and the slab's far
-            # arrays and FFT grids stay within the element budget
-            # however many rows (rounds x replications) a call carries.
-            cells = int(np.prod(self._far_kernels()[2]))
-            slab = max(1, SERVING_CHUNK_ELEMENTS // max(self.n, cells))
-        else:
-            slab = B
+        # Row slabs: one transform per slab, so the slab's far arrays
+        # stay within the element budget however many rows (rounds x
+        # replications) a call carries.
+        slab = self._far_slab_rows() if far_rows else B
         for lo in range(0, B, slab):
             rows = tx_mask[lo:lo + slab]
             if far_rows:

@@ -298,6 +298,26 @@ class TestResolverAgainstDense:
             assert np.all(far[b] + band[b] >= true_far - 1e-9)
             assert np.all(far[b] - band[b] <= true_far + 1e-9)
 
+    def test_far_band_slabs_equal_per_slab_calls(self):
+        # A call longer than one slab transforms its rows slab by slab;
+        # every slab's bytes equal that slab passed alone, and a row's
+        # equal the row passed alone.
+        backend = _backend(_spread_coords(300, 8.0), cutoff=1.0)
+        assert not backend.far_empty
+        slab = backend._far_slab_rows()
+        B = 2 * slab + 3
+        tx = np.random.default_rng(4).random((B, 300)) < 0.05
+        far, band = backend.far_band(tx)
+        assert far.shape == band.shape == (B, 300)
+        for lo in range(0, B, slab):
+            part = backend.far_band(tx[lo:lo + slab])
+            assert part[0].tobytes() == far[lo:lo + slab].tobytes()
+            assert part[1].tobytes() == band[lo:lo + slab].tobytes()
+        for b in (0, slab, B - 1):
+            row = backend.far_band(tx[b])
+            assert row[0].tobytes() == far[b:b + 1].tobytes()
+            assert row[1].tobytes() == band[b:b + 1].tobytes()
+
     def test_single_instance_resolution(self):
         # Covered regime: both backends resolve a round as the B = 1 row
         # of the batched fold — gains added in ascending sender order,
