@@ -285,6 +285,12 @@ def _resolve_slab(
     (its loop skips each row's silent stations, so it needs no
     per-round union) or :func:`_strongest_transmitters`, whichever the
     platform picks — they return identical bytes (DESIGN.md §2.3).
+
+    A SINR of ``+inf`` means noise plus interference fell below the
+    signal's rounding: ``noise + total`` rounded to ``signal`` itself,
+    as when one transmitter sits a hair's breadth from its listener.
+    The true SINR is then beyond any threshold in use, and the decision
+    is "heard" for every ``beta >= 1``.
     """
     if _kernels.COMPILED:
         n = tx_mask.shape[-1]
@@ -296,7 +302,8 @@ def _resolve_slab(
         strongest, strongest_gain, total = _strongest_transmitters(
             gain, tx_mask
         )
-    sinr = strongest_gain / (noise + total - strongest_gain)
+    with np.errstate(divide="ignore"):
+        sinr = strongest_gain / (noise + total - strongest_gain)
     heard = (sinr >= beta) & ~tx_mask & tx_mask.any(axis=-1, keepdims=True)
     return np.where(heard, strongest, NO_SENDER), sinr
 
@@ -428,7 +435,9 @@ def resolve_at(
 
     ``sinr`` is the SINR of each listener's strongest transmitter as the
     same ``B = 1`` fold computes it (0 where no transmitter reaches the
-    listener); ``listeners`` may be unsorted, repeat stations or name
+    listener, ``+inf`` where noise plus interference fell below the
+    signal's rounding, a "heard" for every ``beta >= 1``);
+    ``listeners`` may be unsorted, repeat stations or name
     transmitters, and a repeated transmitter index names one
     transmitter.  A listener or transmitter index outside ``[0, n)``
     raises ``ValueError`` on either backend.  A dense matrix

@@ -1100,7 +1100,8 @@ class SparseGainBackend:
                 denom = noise + total - best_gain
                 if far_rows:
                     denom = denom + far[b] + band[b]
-                sinr = np.divide(best_gain, denom)
+                with np.errstate(divide="ignore"):
+                    sinr = np.divide(best_gain, denom)
                 ok = (best_sender < self.n) & (sinr >= beta) & ~rows[b]
                 heard[lo + b, ok] = best_sender[ok]
         return heard
@@ -1194,18 +1195,20 @@ class SparseGainBackend:
         # field alone rejects stays rejected (rounding is monotone and
         # ``denom >= 0`` for ``noise >= 0``): the far gather needs to
         # cover only the pairs that pass here.
-        ok = np.flatnonzero(
-            (np.divide(best_gain, denom) >= beta) & (keys[at] != pairs)
-        )
+        with np.errstate(divide="ignore"):
+            ok = np.flatnonzero(
+                (np.divide(best_gain, denom) >= beta) & (keys[at] != pairs)
+            )
         owner, listeners = np.divmod(pairs[ok], self.n)
         best_sender = best_sender[ok]
         if not self.far_empty and ok.size:
             est, band = _with_band(
                 *self._far_pairs(owner, listeners, tx, first, size, widths)
             )
-            ok = np.flatnonzero(
-                np.divide(best_gain[ok], denom[ok] + est + band) >= beta
-            )
+            with np.errstate(divide="ignore"):
+                ok = np.flatnonzero(
+                    np.divide(best_gain[ok], denom[ok] + est + band) >= beta
+                )
             owner, listeners, best_sender = (
                 owner[ok], listeners[ok], best_sender[ok]
             )
@@ -1323,7 +1326,9 @@ class SparseGainBackend:
 
         ``sinr`` is the certified lower bound on the strongest near
         transmitter's SINR, ``signal / ((noise + total) - signal + far
-        + band)`` (0 where no near transmitter reaches the listener) —
+        + band)`` (0 where no near transmitter reaches the listener,
+        ``+inf`` where noise plus interference fell below the signal's
+        rounding, a "heard" for every ``beta >= 1``) —
         bitwise the dense :func:`repro.sinr.reception.resolve_at` value
         when the cutoff covers the deployment.  ``heard`` keeps the
         contract of :meth:`resolve_reception_sets`: it equals
@@ -1378,7 +1383,8 @@ class SparseGainBackend:
                 )
             est, band = _with_band(*far)
             denom = denom + est + band
-        sinr = np.divide(best_gain, denom)
+        with np.errstate(divide="ignore"):
+            sinr = np.divide(best_gain, denom)
         ok = (best_sender < self.n) & (sinr >= beta) & ~is_tx[listeners]
         heard[ok] = best_sender[ok]
         return heard, sinr

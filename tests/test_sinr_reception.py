@@ -648,3 +648,65 @@ class TestResolveReceptionMany:
                 mask, PARAMS.noise, PARAMS.beta
             )[0]
             assert np.array_equal(heard, alone)
+
+
+class TestExactCancellation:
+    """``noise + total`` rounds to the signal: the SINR's denominator is 0.
+
+    On a geometric chain a transmitter sits 2**-k from its neighbour,
+    so its gain dwarfs the noise and every far co-transmitter, and the
+    fold's ``(noise + total) - signal`` cancels to exactly zero.  The
+    SINR then reads ``+inf`` without a ``RuntimeWarning``, and every
+    decision matches ``signal / (noise + the other transmitters' gains
+    summed on their own)``.
+    """
+
+    ROUNDS = ([38], [37, 38], [0, 20, 39], [5, 6, 30], [12, 25, 33, 38])
+
+    def _reference(self, gains, tx, noise, beta):
+        n = gains.shape[0]
+        expected = np.full(n, NO_SENDER)
+        for u in range(n):
+            if u in tx:
+                continue
+            g = gains[tx, u]
+            best = int(np.argmax(g))  # the first maximum: lowest index
+            other = sum(float(x) for k, x in enumerate(g) if k != best)
+            if g[best] / (noise + other) >= beta:
+                expected[u] = tx[best]
+        return expected
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_chain_decisions_without_warnings(self, backend):
+        import warnings
+
+        from repro.deploy.line import geometric_chain
+        from repro.network.network import Network
+
+        chain = geometric_chain(40, ratio=0.5, first_gap=0.5)
+        net = Network(chain.coords, backend=backend, cutoff=2.0)
+        gains = Network(chain.coords, backend="dense").gains
+        noise, beta = net.params.noise, net.params.beta
+        stations = np.arange(net.size)
+        masks = np.zeros((len(self.ROUNDS), net.size), dtype=bool)
+        for b, tx in enumerate(self.ROUNDS):
+            masks[b, tx] = True
+        saw_inf = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = resolve_reception_batch(
+                net.gain_operator, masks, noise, beta
+            )
+            for b, tx in enumerate(self.ROUNDS):
+                expected = self._reference(gains, tx, noise, beta)
+                assert np.array_equal(batch[b], expected), tx
+                heard, sinr = resolve_at(
+                    net.gain_operator, tx, stations, noise, beta
+                )
+                assert np.array_equal(heard, expected), tx
+                saw_inf |= bool(np.isinf(sinr).any())
+                (many,) = resolve_reception_many(
+                    net.gain_operator, [np.asarray(tx)], noise, beta
+                )
+                assert np.array_equal(many, expected), tx
+        assert saw_inf
