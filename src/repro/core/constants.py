@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.errors import ProtocolError
 from repro.sinr.params import SINRParameters
@@ -315,38 +316,39 @@ class ColoringSchedule:
     offset (rounds since the execution started) to its position in the
     level/repeat/test structure.  Both the per-node state machines and the
     vectorized fastsim use this class, so their phase boundaries cannot
-    drift apart.
+    drift apart.  The six lengths are computed once per instance (the
+    wake-up loops ask for a position every round).
     """
 
     constants: ProtocolConstants
     n: int
 
-    @property
+    @cached_property
     def density_len(self) -> int:
         """Rounds of one density test."""
         return self.constants.density_test_rounds(self.n)
 
-    @property
+    @cached_property
     def playoff_len(self) -> int:
         """Rounds of one playoff test."""
         return self.constants.playoff_rounds(self.n)
 
-    @property
+    @cached_property
     def block_len(self) -> int:
         """One DensityTest + Playoff block."""
         return self.density_len + self.playoff_len
 
-    @property
+    @cached_property
     def level_len(self) -> int:
         """Rounds spent at one probability level (``c'`` blocks)."""
         return self.constants.repeats * self.block_len
 
-    @property
+    @cached_property
     def levels(self) -> int:
         """Number of probability levels in the ladder."""
         return self.constants.num_levels(self.n)
 
-    @property
+    @cached_property
     def total_rounds(self) -> int:
         """Length of one full coloring execution in rounds."""
         return self.levels * self.level_len

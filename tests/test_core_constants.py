@@ -253,3 +253,24 @@ class TestColoringSchedule:
             assert part in ("density", "playoff")
             seen_levels.add(level)
         assert seen_levels == set(range(s.levels))
+
+    @pytest.mark.parametrize("theoretical", [False, True])
+    def test_lengths_match_constants_formulas(self, theoretical):
+        # The lengths are computed once per schedule; each must still be
+        # the ProtocolConstants formula at every n.
+        constants = (
+            ProtocolConstants.theoretical(SINRParameters.default())
+            if theoretical else ProtocolConstants.practical(repeats=3)
+        )
+        for n in range(1, 4097):
+            s = ColoringSchedule(constants, n)
+            density = constants.density_test_rounds(n)
+            playoff = constants.playoff_rounds(n)
+            assert s.density_len == density
+            assert s.playoff_len == playoff
+            assert s.block_len == density + playoff
+            assert s.level_len == constants.repeats * (density + playoff)
+            assert s.levels == constants.num_levels(n)
+            assert s.total_rounds == constants.coloring_total_rounds(n)
+            assert s == ColoringSchedule(constants, n)
+            assert hash(s) == hash(ColoringSchedule(constants, n))
