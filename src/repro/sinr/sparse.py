@@ -1086,24 +1086,24 @@ class SparseGainBackend:
         # stay within the element budget however many rows (rounds x
         # replications) a call carries.
         slab = self._far_slab_rows() if far_rows else B
-        for lo in range(0, B, slab):
-            rows = tx_mask[lo:lo + slab]
-            if far_rows:
-                far, band = self.far_band(rows)
-            for b in range(rows.shape[0]):
-                transmitters = np.flatnonzero(rows[b])
-                if transmitters.size == 0:
-                    continue
-                total, best_gain, best_sender = self._near_scan(
-                    transmitters
-                )
-                denom = noise + total - best_gain
+        with np.errstate(divide="ignore"):
+            for lo in range(0, B, slab):
+                rows = tx_mask[lo:lo + slab]
                 if far_rows:
-                    denom = denom + far[b] + band[b]
-                with np.errstate(divide="ignore"):
+                    far, band = self.far_band(rows)
+                for b in range(rows.shape[0]):
+                    transmitters = np.flatnonzero(rows[b])
+                    if transmitters.size == 0:
+                        continue
+                    total, best_gain, best_sender = self._near_scan(
+                        transmitters
+                    )
+                    denom = noise + total - best_gain
+                    if far_rows:
+                        denom = denom + far[b] + band[b]
                     sinr = np.divide(best_gain, denom)
-                ok = (best_sender < self.n) & (sinr >= beta) & ~rows[b]
-                heard[lo + b, ok] = best_sender[ok]
+                    ok = (best_sender < self.n) & (sinr >= beta) & ~rows[b]
+                    heard[lo + b, ok] = best_sender[ok]
         return heard
 
     def _far_pairs(
