@@ -11,12 +11,16 @@ a conformance test: the compiled loops must reproduce the numpy
 reference bit for bit (DESIGN.md §2.3).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import kernels
+from repro.deploy.line import geometric_chain
 from repro.errors import SimulationError
 from repro.geometry.metric import pairwise_distances
+from repro.network.network import Network
 from repro.sinr import reception
 from repro.sinr.gain import gain_matrix
 from repro.sinr.params import SINRParameters
@@ -678,11 +682,6 @@ class TestExactCancellation:
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_chain_decisions_without_warnings(self, backend):
-        import warnings
-
-        from repro.deploy.line import geometric_chain
-        from repro.network.network import Network
-
         chain = geometric_chain(40, ratio=0.5, first_gap=0.5)
         net = Network(chain.coords, backend=backend, cutoff=2.0)
         gains = Network(chain.coords, backend="dense").gains

@@ -247,9 +247,13 @@ class TestNearFieldBuild:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_colocated_pair_anywhere_rejected(self, dim):
-        coords = np.random.default_rng(dim).uniform(0, 9.0, (300, dim))
-        coords[217] = coords[41]
+    def test_colocated_pair_in_last_block_rejected(self, dim):
+        # Entries are evaluated in blocks of SERVING_CHUNK_ELEMENTS in
+        # key order; the two last stations' pair sits in the last block.
+        n = 3000
+        side = (n / 12.0) ** (1.0 / dim)
+        coords = np.random.default_rng(dim).uniform(0, side, (n, dim))
+        coords[-1] = coords[-2]
         with pytest.raises(
             DeploymentError,
             match="deployment contains co-located stations; the SINR "
