@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.constants import ProtocolConstants
 from repro.deploy import uniform_square
-from repro.fastsim import fast_coloring
+from repro.fastsim import fast_coloring_batch
 from repro.sinr.gain import gain_matrix
 from repro.sinr.reception import resolve_reception
 
@@ -64,7 +64,9 @@ def test_fast_coloring_128(benchmark):
     constants = ProtocolConstants.practical()
 
     result = benchmark.pedantic(
-        lambda: fast_coloring(net, constants, np.random.default_rng(6)),
+        lambda: fast_coloring_batch(
+            net, constants, [np.random.default_rng(6)]
+        ),
         rounds=1, iterations=1,
     )
     assert result.rounds == constants.coloring_total_rounds(128)

@@ -2,7 +2,7 @@
 
 Three benchmarks run the same 64-seed SBroadcast sweep on the same
 deployment through the three available execution paths — the batched
-sweep engine, a Python loop of single-instance fastsim runs, and the
+sweep engine, a Python loop of one-generator kernel calls, and the
 reference per-node simulator (on a replication budget scaled down by
 ``REFERENCE_SCALE``; its per-replication time is what the JSON records).
 A fourth test asserts the acceptance criterion directly: the batched
@@ -21,7 +21,7 @@ import pytest
 from repro.core.broadcast_spont import run_spont_broadcast
 from repro.core.constants import ProtocolConstants
 from repro.deploy import uniform_square
-from repro.fastsim import fast_spont_broadcast, run_sweep, spawn_rngs
+from repro.fastsim import fast_spont_broadcast_batch, run_sweep, spawn_rngs
 
 N_STATIONS = 64
 N_REPLICATIONS = 64
@@ -50,7 +50,7 @@ def _batched(net, constants):
 
 def _looped(net, constants, n_replications=N_REPLICATIONS):
     return [
-        fast_spont_broadcast(net, 0, constants, rng)
+        fast_spont_broadcast_batch(net, 0, constants, [rng])[0]
         for rng in spawn_rngs(n_replications, SEED)
     ]
 

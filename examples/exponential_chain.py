@@ -18,7 +18,7 @@ from repro import deploy
 from repro.analysis.fitting import daum_bound, growth_exponent
 from repro.analysis.tables import render_table
 from repro.core import ProtocolConstants
-from repro.fastsim import fast_spont_broadcast
+from repro.fastsim import fast_spont_broadcast_batch
 
 
 def main() -> None:
@@ -31,14 +31,12 @@ def main() -> None:
             12, 8, span, hop=0.55, rng=np.random.default_rng(5)
         )
         rs = net.granularity
-        rounds = []
-        for seed in range(5):
-            out = fast_spont_broadcast(
-                net, 0, constants, np.random.default_rng(seed)
-            )
-            assert out.success
-            rounds.append(out.completion_round)
-        mean_rounds = float(np.mean(rounds))
+        outs = fast_spont_broadcast_batch(
+            net, 0, constants,
+            [np.random.default_rng(seed) for seed in range(5)],
+        )
+        assert all(out.success for out in outs)
+        mean_rounds = float(np.mean([out.completion_round for out in outs]))
         rs_values.append(rs)
         measured.append(mean_rounds)
         rows.append(
@@ -66,9 +64,9 @@ def main() -> None:
 
     # The literal footnote-2 chain, for flavour.
     chain = deploy.exponential_chain(24)
-    out = fast_spont_broadcast(
-        chain, 0, constants, np.random.default_rng(1)
-    )
+    out = fast_spont_broadcast_batch(
+        chain, 0, constants, [np.random.default_rng(1)]
+    )[0]
     print(
         f"\nfootnote-2 chain (n=24, Rs={chain.granularity:.1e}): "
         f"broadcast complete in {out.completion_round} rounds"

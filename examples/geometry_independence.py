@@ -14,18 +14,16 @@ from repro import deploy
 from repro.analysis.stats import aggregate_trials, relative_spread
 from repro.analysis.tables import render_table
 from repro.core import ProtocolConstants
-from repro.fastsim import fast_spont_broadcast
+from repro.fastsim import fast_spont_broadcast_batch
 
 
 def mean_rounds(net, constants, trials=6):
-    rounds = []
-    for seed in range(trials):
-        out = fast_spont_broadcast(
-            net, 0, constants, np.random.default_rng(seed)
-        )
-        assert out.success
-        rounds.append(out.completion_round)
-    return aggregate_trials(rounds)
+    outs = fast_spont_broadcast_batch(
+        net, 0, constants,
+        [np.random.default_rng(seed) for seed in range(trials)],
+    )
+    assert all(out.success for out in outs)
+    return aggregate_trials([out.completion_round for out in outs])
 
 
 def main() -> None:

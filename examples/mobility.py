@@ -23,7 +23,7 @@ from repro.analysis.tables import render_table
 from repro.core import ProtocolConstants
 from repro.deploy.mobility import BrownianDrift
 from repro.fastsim.engine import Medium
-from repro.fastsim.wakeup import fast_adhoc_wakeup
+from repro.fastsim.wakeup import fast_adhoc_wakeup_batch
 from repro.sim.wakeup import WakeupSchedule
 
 
@@ -65,10 +65,10 @@ def main() -> None:
         mobility = (
             BrownianDrift(rate, move_prob=0.2, seed=9) if rate > 0.0 else None
         )
-        outcome = fast_adhoc_wakeup(
-            net, schedule, constants, np.random.default_rng(3),
+        outcome = fast_adhoc_wakeup_batch(
+            net, schedule, constants, [np.random.default_rng(3)],
             medium=Medium(net, mobility=mobility),
-        )
+        )[0]
         rows.append(
             [
                 f"{rate:.2f}",

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.constants import ProtocolConstants, log2ceil
 from repro.errors import ProtocolError
-from repro.fastsim.coloring import fast_coloring
+from repro.fastsim.coloring import fast_coloring_batch
 from repro.network.network import Network
 from repro.sinr.reception import NO_SENDER, resolve_reception
 
@@ -79,7 +79,7 @@ def run_local_broadcast(
     if n < 1:
         raise ProtocolError("local broadcast needs at least one station")
 
-    coloring = fast_coloring(network, constants, rng)
+    coloring = fast_coloring_batch(network, constants, [rng]).replication(0)
     colors = np.where(np.isnan(coloring.colors), 0.0, coloring.colors)
     logn = log2ceil(n)
     probs = np.minimum(1.0, colors * constants.dissemination / logn)

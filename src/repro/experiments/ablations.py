@@ -27,7 +27,7 @@ from repro.core.constants import ProtocolConstants
 from repro.core.properties import lemma2_best_masses
 from repro.deploy import uniform_square
 from repro.experiments.base import ExperimentReport, check_scale, fmt
-from repro.fastsim import fast_coloring, fast_spont_broadcast
+from repro.fastsim import fast_coloring_batch, fast_spont_broadcast_batch
 from repro.fastsim.engine import spawn_rngs
 
 
@@ -52,8 +52,8 @@ def ablate_playoff_self(scale: str = "quick", seed: int = 2014) -> ExperimentRep
     metrics = {}
     for label, counts_self in (("receptions-only", False), ("paper", True)):
         constants = ProtocolConstants.practical(playoff_counts_self=counts_self)
-        rng = spawn_rngs(1, seed + 1)[0]
-        result = fast_coloring(net, constants, rng)
+        rngs = spawn_rngs(1, seed + 1)
+        result = fast_coloring_batch(net, constants, rngs).replication(0)
         masses = lemma2_best_masses(net, result, radius=0.4)
         report.rows.append(
             [
@@ -88,10 +88,10 @@ def ablate_ceps(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         constants = ProtocolConstants.practical(
             ceps=ceps, pmax=0.9 / ceps
         )
-        rng = spawn_rngs(1, seed + int(ceps))[0]
-        result = fast_coloring(net, constants, rng)
+        rngs = spawn_rngs(1, seed + int(ceps))
+        result = fast_coloring_batch(net, constants, rngs).replication(0)
         masses = lemma2_best_masses(net, result, radius=0.4)
-        out = fast_spont_broadcast(net, 0, constants, rng)
+        out = fast_spont_broadcast_batch(net, 0, constants, rngs)[0]
         report.rows.append(
             [
                 int(ceps),
@@ -123,12 +123,11 @@ def ablate_dissemination(scale: str = "quick", seed: int = 2014) -> ExperimentRe
     best = None
     for c in (1.0, 3.0, 6.0, 12.0, 24.0):
         constants = ProtocolConstants.practical(dissemination=c)
-        rounds, succ = [], []
-        for rng in spawn_rngs(trials, seed + int(c)):
-            out = fast_spont_broadcast(net, 0, constants, rng)
-            succ.append(out.success)
-            if out.success:
-                rounds.append(out.completion_round)
+        outs = fast_spont_broadcast_batch(
+            net, 0, constants, spawn_rngs(trials, seed + int(c))
+        )
+        succ = [out.success for out in outs]
+        rounds = [out.completion_round for out in outs if out.success]
         mean = aggregate_trials(rounds).mean if rounds else float("inf")
         rate = success_rate(succ)
         report.rows.append([c, fmt(mean), fmt(rate, 2)])

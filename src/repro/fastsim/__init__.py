@@ -10,12 +10,12 @@ cross-validate their outputs statistically (colorings satisfying the same
 mass bounds, broadcasts/wake-ups/consensus completing in comparable
 rounds with identical safety properties).
 
-Every protocol exists in two forms: a single-instance function
-(``fast_coloring``, ``fast_spont_broadcast``, ``fast_wakeup``,
-``fast_consensus``, ``fast_leader_election``, ...) and a batched kernel
-(``*_batch``) that runs ``B`` independent seed-spawned replications in
-one set of numpy operations.  The single-instance form is exactly the
-``B = 1`` case of the batched kernel, so batched sweeps through
+Every protocol has one entry point, a batched kernel (``*_batch``:
+``fast_coloring_batch``, ``fast_spont_broadcast_batch``,
+``fast_adhoc_wakeup_batch``, ``fast_consensus_batch``,
+``fast_leader_election_batch``, ...) that runs ``B`` independent
+seed-spawned replications in one set of numpy operations.  A single run
+is the call with a one-element generator list, so batched sweeps through
 :func:`repro.fastsim.sweep.run_sweep` reproduce a sequential replication
 loop sample for sample (DESIGN.md §6 states the contract).
 
@@ -30,34 +30,21 @@ semantics exactly.
 from repro.fastsim.coloring import (
     FastColoringBatch,
     FastColoringResult,
-    fast_coloring,
     fast_coloring_batch,
 )
 from repro.fastsim.broadcast import (
-    fast_spont_broadcast,
-    fast_spont_broadcast_batch,
-    fast_nospont_broadcast,
-    fast_nospont_broadcast_batch,
-    fast_decay_broadcast,
     fast_decay_broadcast_batch,
-    fast_uniform_broadcast,
-    fast_uniform_broadcast_batch,
-    fast_local_broadcast_global,
     fast_local_broadcast_global_batch,
+    fast_nospont_broadcast_batch,
+    fast_spont_broadcast_batch,
+    fast_uniform_broadcast_batch,
 )
 from repro.fastsim.wakeup import (
-    VectorColoringState,
-    fast_adhoc_wakeup,
     fast_adhoc_wakeup_batch,
-    fast_colored_wakeup,
     fast_colored_wakeup_batch,
-    fast_wakeup,
 )
-from repro.fastsim.consensus import fast_consensus, fast_consensus_batch
-from repro.fastsim.leader import (
-    fast_leader_election,
-    fast_leader_election_batch,
-)
+from repro.fastsim.consensus import fast_consensus_batch
+from repro.fastsim.leader import fast_leader_election_batch
 from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.sweep import SweepResult, run_sweep, sweep_kinds
 from repro.fastsim.cache import ResultCache, point_key
@@ -83,28 +70,16 @@ __all__ = [
     "GridSpec",
     "ResultCache",
     "SweepResult",
-    "VectorColoringState",
-    "fast_adhoc_wakeup",
     "fast_adhoc_wakeup_batch",
-    "fast_coloring",
     "fast_coloring_batch",
-    "fast_colored_wakeup",
     "fast_colored_wakeup_batch",
-    "fast_consensus",
     "fast_consensus_batch",
-    "fast_decay_broadcast",
     "fast_decay_broadcast_batch",
-    "fast_leader_election",
     "fast_leader_election_batch",
-    "fast_local_broadcast_global",
     "fast_local_broadcast_global_batch",
-    "fast_nospont_broadcast",
     "fast_nospont_broadcast_batch",
-    "fast_spont_broadcast",
     "fast_spont_broadcast_batch",
-    "fast_uniform_broadcast",
     "fast_uniform_broadcast_batch",
-    "fast_wakeup",
     "get_default_grid_options",
     "last_grid_stats",
     "point_key",

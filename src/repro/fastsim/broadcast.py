@@ -5,11 +5,11 @@ Mirrors :mod:`repro.core.broadcast_spont`,
 arrays.  All functions return :class:`~repro.core.outcome.BroadcastOutcome`
 so the experiment harness treats reference and fast runs uniformly.
 
-Every protocol has a batched form (``fast_*_batch``) running ``B``
+Every protocol is one batched kernel (``fast_*_batch``) running ``B``
 replications through :mod:`repro.fastsim.engine` in one set of numpy
-operations; the plain ``fast_*`` functions are the ``B = 1`` case, so a
-batched sweep and a loop of single runs over the same seed-spawned
-generators produce identical per-replication outcomes (DESIGN.md §6).
+operations.  A single run is the call with a one-element generator
+list, and a batched call equals a loop of such calls over the same
+seed-spawned generators, replication by replication (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -148,29 +148,6 @@ def fast_spont_broadcast_batch(
     )
 
 
-def fast_spont_broadcast(
-    network: Network,
-    source: int,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 16,
-    tighten_eps: bool = True,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized ``SBroadcast`` (Theorem 2)."""
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_spont_broadcast_batch(
-        network, source, constants, [rng],
-        round_budget=round_budget, budget_scale=budget_scale,
-        tighten_eps=tighten_eps, medium=medium,
-    )[0]
-
-
 def fast_nospont_broadcast_batch(
     network: Network,
     source: int,
@@ -248,27 +225,6 @@ def fast_nospont_broadcast_batch(
     )
 
 
-def fast_nospont_broadcast(
-    network: Network,
-    source: int,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    max_phases: Optional[int] = None,
-    budget_slack: int = 8,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized ``NoSBroadcast`` (Theorem 1)."""
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_nospont_broadcast_batch(
-        network, source, constants, [rng],
-        max_phases=max_phases, budget_slack=budget_slack, medium=medium,
-    )[0]
-
-
 # ----------------------------------------------------------------------
 # baselines
 # ----------------------------------------------------------------------
@@ -321,25 +277,6 @@ def fast_uniform_broadcast_batch(
     )
 
 
-def fast_uniform_broadcast(
-    network: Network,
-    source: int,
-    q: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 64,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized fixed-probability flooding (baseline)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_uniform_broadcast_batch(
-        network, source, [rng], q,
-        round_budget=round_budget, budget_scale=budget_scale, medium=medium,
-    )[0]
-
-
 def fast_decay_broadcast_batch(
     network: Network,
     source: int,
@@ -373,26 +310,6 @@ def fast_decay_broadcast_batch(
     )
 
 
-def fast_decay_broadcast(
-    network: Network,
-    source: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    ladder_len: Optional[int] = None,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 96,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized Decay sweep (the granularity-sensitive baseline)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_decay_broadcast_batch(
-        network, source, [rng],
-        ladder_len=ladder_len, round_budget=round_budget,
-        budget_scale=budget_scale, medium=medium,
-    )[0]
-
-
 def fast_local_broadcast_global_batch(
     network: Network,
     source: int,
@@ -423,23 +340,3 @@ def fast_local_broadcast_global_batch(
         lambda b: {"max_degree": delta, "phase_length": phase_len},
         medium,
     )
-
-
-def fast_local_broadcast_global(
-    network: Network,
-    source: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_slack: int = 8,
-    phase_scale: float = 2.0,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized local-broadcast composition (``Delta``-paying baseline)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_local_broadcast_global_batch(
-        network, source, [rng],
-        round_budget=round_budget, budget_slack=budget_slack,
-        phase_scale=phase_scale, medium=medium,
-    )[0]

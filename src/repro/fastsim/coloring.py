@@ -9,10 +9,12 @@ its rounds.
 
 The implementation is *batched*: :func:`fast_coloring_batch` runs ``B``
 independent replications (one seed-spawned generator each) through the
-deterministic schedule at once, and :func:`fast_coloring` is the ``B = 1``
-special case.  Per-replication state lives in ``(B, n)`` arrays and no
-operation mixes rows, so each replication's outputs are bitwise identical
-to a standalone run with the same generator (DESIGN.md §6).
+deterministic schedule at once; a single run is the call with a
+one-element generator list, read back through
+:meth:`FastColoringBatch.replication`.  Per-replication state lives in
+``(B, n)`` arrays and no operation mixes rows, so each replication's
+outputs are bitwise identical to a standalone run with the same
+generator (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -231,41 +233,3 @@ def fast_coloring_batch(
         schedule=schedule,
     )
 
-
-def fast_coloring(
-    network: Network,
-    constants: ProtocolConstants,
-    rng: np.random.Generator,
-    participants: Optional[np.ndarray] = None,
-    informed: Optional[np.ndarray] = None,
-    informed_round: Optional[np.ndarray] = None,
-    round_offset: int = 0,
-    medium: Optional[Medium] = None,
-) -> FastColoringResult:
-    """Run one ``StabilizeProbability`` execution, vectorized.
-
-    The ``B = 1`` case of :func:`fast_coloring_batch`; see there for the
-    parameter semantics (``informed``/``informed_round`` are length-``n``
-    arrays here, still updated in place).
-    """
-    n = network.size
-    if participants is not None:
-        participants = np.asarray(participants, dtype=bool)
-        if participants.shape != (n,):
-            raise ProtocolError(
-                f"participants mask must have shape ({n},)"
-            )
-        participants = participants[None, :]
-    batch = fast_coloring_batch(
-        network,
-        constants,
-        [rng],
-        participants=participants,
-        informed=None if informed is None else informed[None, :],
-        informed_round=(
-            None if informed_round is None else informed_round[None, :]
-        ),
-        round_offset=round_offset,
-        medium=medium,
-    )
-    return batch.replication(0)

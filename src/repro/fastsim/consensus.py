@@ -139,34 +139,3 @@ def fast_consensus_batch(
         )
     return results
 
-
-def fast_consensus(
-    network: Network,
-    values: Sequence[int],
-    x_max: int,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    box_budget: Optional[int] = None,
-    budget_scale: int = 16,
-    medium: Optional[Medium] = None,
-) -> ConsensusResult:
-    """Vectorized min-consensus (the ``B = 1`` batched case).
-
-    Same signature and result type as
-    :func:`repro.core.consensus.run_consensus`.
-    """
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    values = np.asarray([int(v) for v in values], dtype=np.int64)
-    if values.shape != (len(network),):
-        raise ProtocolError(
-            f"need one value per station: got {values.shape[0]} for "
-            f"n={network.size}"
-        )
-    return fast_consensus_batch(
-        network, values, x_max, constants, [rng],
-        box_budget=box_budget, budget_scale=budget_scale, medium=medium,
-    )[0]

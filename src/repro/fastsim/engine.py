@@ -24,9 +24,9 @@ operations.  This module holds the shared machinery:
 The equivalence contract (DESIGN.md §6): every replication's arithmetic
 involves only its own ``(n,)`` slice — reductions run along station axes,
 never across the batch — so outputs are bitwise independent of the batch
-size.  The single-instance ``fast_*`` functions are the ``B = 1`` special
-case of the batched kernels, which makes "batched sweep == loop of
-single runs" an identity checked by the hypothesis suite, not a tolerance.
+size.  A single run is a kernel call with a one-element generator list,
+which makes "batched sweep == loop of single runs" an identity checked
+by the hypothesis suite, not a tolerance.
 """
 
 from __future__ import annotations

@@ -69,24 +69,3 @@ def fast_leader_election_batch(
         )
     return elections
 
-
-def fast_leader_election(
-    network: Network,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    box_budget: Optional[int] = None,
-    medium: Optional[Medium] = None,
-) -> LeaderElectionResult:
-    """Vectorized leader election (the ``B = 1`` batched case).
-
-    Same signature and result type as
-    :func:`repro.core.leader_election.run_leader_election`.
-    """
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_leader_election_batch(
-        network, constants, [rng], box_budget=box_budget, medium=medium,
-    )[0]

@@ -9,8 +9,8 @@ a single set of numpy operations:
 * replication ``b`` draws from its own generator, spawned from the master
   seed by :func:`repro.fastsim.engine.spawn_rngs` as in the experiments'
   sequential trial loops, so a batched sweep is *sample-for-sample
-  identical* to a sequential loop of single-instance fast runs over the
-  same seeds (the hypothesis suite asserts exact equality, not
+  identical* to a sequential loop of one-generator kernel calls over
+  the same seeds (the hypothesis suite asserts exact equality, not
   statistical closeness);
 * the channel is resolved for all replications at once, through one
   :class:`repro.fastsim.engine.Medium` per sweep;

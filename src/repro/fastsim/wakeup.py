@@ -2,18 +2,18 @@
 
 Mirrors :mod:`repro.core.wakeup` on flat arrays:
 
-* :func:`fast_adhoc_wakeup` — ad hoc wake-up under an adversarial
+* :func:`fast_adhoc_wakeup_batch` — ad hoc wake-up under an adversarial
   schedule.  Stations hold the wake-up message once they wake
   spontaneously or hear anything; holders join the ``NoSBroadcast`` phase
   structure at the next phase boundary (coloring part + dissemination
   part), exactly like ``AdhocWakeupNode``.
-* :func:`fast_colored_wakeup` — wake-up with established coloring: an
-  auxiliary coloring ``q_v`` among the initiators, then dissemination
+* :func:`fast_colored_wakeup_batch` — wake-up with established coloring:
+  an auxiliary coloring ``q_v`` among the initiators, then dissemination
   with colors ``p_v + q_v``.  The building block of consensus and leader
   election.
 
-Both have batched forms running ``B`` seed-spawned replications at once;
-the single-instance functions are the ``B = 1`` case (DESIGN.md §6).
+Both run ``B`` seed-spawned replications at once; a single run is the
+call with a one-element generator list (DESIGN.md §6).
 Unlike the coloring/broadcast fast paths, the reference wake-up logic
 lives in per-node state machines, so the vectorized coloring here is
 driven round by round through :class:`VectorColoringState` — the ``(B, n)``
@@ -232,31 +232,6 @@ def fast_adhoc_wakeup_batch(
     return outcomes
 
 
-def fast_adhoc_wakeup(
-    network: Network,
-    schedule: WakeupSchedule,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_slack: int = 8,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized ad hoc wake-up (the ``B = 1`` batched case)."""
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_adhoc_wakeup_batch(
-        network, schedule, constants, [rng],
-        round_budget=round_budget, budget_slack=budget_slack, medium=medium,
-    )[0]
-
-
-#: Alias matching the protocol name used by the sweep engine and tests.
-fast_wakeup = fast_adhoc_wakeup
-
-
 def _initiator_masks(
     initiators, B: int, n: int
 ) -> np.ndarray:
@@ -379,26 +354,3 @@ def fast_colored_wakeup_batch(
         )
     return outcomes
 
-
-def fast_colored_wakeup(
-    network: Network,
-    initiators,
-    base_colors: np.ndarray,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 16,
-    refresh_coloring: bool = True,
-    medium: Optional[Medium] = None,
-) -> BroadcastOutcome:
-    """Vectorized wake-up with established coloring (``B = 1``)."""
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_colored_wakeup_batch(
-        network, initiators, base_colors, constants, [rng],
-        round_budget=round_budget, budget_scale=budget_scale,
-        refresh_coloring=refresh_coloring, medium=medium,
-    )[0]

@@ -390,13 +390,13 @@ class _TdmaSession(MacSession):
     def __init__(self, model: "TdmaFromColoring", network: Network):
         super().__init__(model, network)
         from repro.core.constants import ProtocolConstants
-        from repro.fastsim.coloring import fast_coloring
+        from repro.fastsim.coloring import fast_coloring_batch
 
-        backbone = fast_coloring(
+        backbone = fast_coloring_batch(
             network,
             ProtocolConstants.practical(),
-            np.random.default_rng(np.random.SeedSequence(model.seed)),
-        )
+            [np.random.default_rng(np.random.SeedSequence(model.seed))],
+        ).replication(0)
         colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
         radius = model.interference_scale * network.params.comm_radius
         ii, jj = network.pairs_within(radius)

@@ -8,13 +8,12 @@ from repro.core.constants import ProtocolConstants
 from repro.core.outcome import NEVER_INFORMED
 from repro.errors import ProtocolError
 from repro.fastsim import (
-    fast_coloring,
     fast_coloring_batch,
-    fast_decay_broadcast,
-    fast_local_broadcast_global,
-    fast_nospont_broadcast,
-    fast_spont_broadcast,
-    fast_uniform_broadcast,
+    fast_decay_broadcast_batch,
+    fast_local_broadcast_global_batch,
+    fast_nospont_broadcast_batch,
+    fast_spont_broadcast_batch,
+    fast_uniform_broadcast_batch,
 )
 from repro.fastsim import engine
 from repro.fastsim.engine import spawn_rngs
@@ -28,7 +27,9 @@ def constants():
 
 class TestFastColoring:
     def test_colors_assigned(self, small_square, constants, rng):
-        result = fast_coloring(small_square, constants, rng)
+        result = fast_coloring_batch(
+            small_square, constants, [rng]
+        ).replication(0)
         assert np.all(result.participants)
         assert not np.any(np.isnan(result.colors))
         assert result.rounds == constants.coloring_total_rounds(
@@ -36,7 +37,9 @@ class TestFastColoring:
         )
 
     def test_colors_are_ladder_values(self, small_square, constants, rng):
-        result = fast_coloring(small_square, constants, rng)
+        result = fast_coloring_batch(
+            small_square, constants, [rng]
+        ).replication(0)
         n = small_square.size
         legal = {
             constants.color_of_level(lv, n)
@@ -48,41 +51,41 @@ class TestFastColoring:
     def test_participants_mask(self, small_square, constants, rng):
         mask = np.zeros(small_square.size, dtype=bool)
         mask[:5] = True
-        result = fast_coloring(
-            small_square, constants, rng, participants=mask
-        )
+        result = fast_coloring_batch(
+            small_square, constants, [rng], participants=mask
+        ).replication(0)
         assert np.array_equal(result.participants, mask)
         assert np.all(result.quit_levels[~mask] == NOT_PARTICIPATING)
 
     def test_empty_participants_rejected(self, small_square, constants, rng):
         with pytest.raises(ProtocolError):
-            fast_coloring(
-                small_square, constants, rng,
+            fast_coloring_batch(
+                small_square, constants, [rng],
                 participants=np.zeros(small_square.size, dtype=bool),
             )
 
     def test_single_station_survives(self, constants, rng):
         net = Network(np.array([[0.0, 0.0]]))
-        result = fast_coloring(net, constants, rng)
+        result = fast_coloring_batch(net, constants, [rng]).replication(0)
         assert result.quit_levels[0] == FINAL_COLOR_LEVEL
 
     def test_informed_tracking_requires_rounds(
         self, small_square, constants, rng
     ):
-        informed = np.zeros(small_square.size, dtype=bool)
+        informed = np.zeros((1, small_square.size), dtype=bool)
         with pytest.raises(ProtocolError):
-            fast_coloring(
-                small_square, constants, rng, informed=informed
+            fast_coloring_batch(
+                small_square, constants, [rng], informed=informed
             )
 
     def test_informed_spreads_from_source(self, small_square, constants, rng):
         n = small_square.size
-        informed = np.zeros(n, dtype=bool)
-        informed[0] = True
-        informed_round = np.full(n, NEVER_INFORMED)
-        informed_round[0] = 0
-        fast_coloring(
-            small_square, constants, rng,
+        informed = np.zeros((1, n), dtype=bool)
+        informed[0, 0] = True
+        informed_round = np.full((1, n), NEVER_INFORMED)
+        informed_round[0, 0] = 0
+        fast_coloring_batch(
+            small_square, constants, [rng],
             informed=informed, informed_round=informed_round,
         )
         # The source transmits during coloring, so someone hears it.
@@ -91,8 +94,12 @@ class TestFastColoring:
         assert np.array_equal(newly, informed)
 
     def test_reproducible(self, small_square, constants):
-        a = fast_coloring(small_square, constants, np.random.default_rng(4))
-        b = fast_coloring(small_square, constants, np.random.default_rng(4))
+        a = fast_coloring_batch(
+            small_square, constants, [np.random.default_rng(4)]
+        )
+        b = fast_coloring_batch(
+            small_square, constants, [np.random.default_rng(4)]
+        )
         assert np.array_equal(a.quit_levels, b.quit_levels)
 
     def test_one_resolver_call_per_test(
@@ -121,55 +128,63 @@ class TestFastColoring:
 
 class TestFastBroadcasts:
     def test_spont_completes(self, small_square, constants, rng):
-        out = fast_spont_broadcast(small_square, 0, constants, rng)
+        out = fast_spont_broadcast_batch(small_square, 0, constants, [rng])[0]
         assert out.success
         assert out.completion_round >= 0
         assert out.informed_round[0] == 0
 
     def test_nospont_completes(self, small_square, constants, rng):
-        out = fast_nospont_broadcast(small_square, 0, constants, rng)
+        out = fast_nospont_broadcast_batch(
+            small_square, 0, constants, [rng]
+        )[0]
         assert out.success
         assert out.extras["phases_used"] >= 1
 
     def test_nospont_phase_budget(self, small_chain, constants, rng):
-        out = fast_nospont_broadcast(
-            small_chain, 0, constants, rng, max_phases=1
-        )
+        out = fast_nospont_broadcast_batch(
+            small_chain, 0, constants, [rng], max_phases=1
+        )[0]
         # One phase may or may not finish a 11-hop chain; bounded rounds.
         assert out.total_rounds <= constants.phase_rounds(small_chain.size)
 
     def test_spont_budget_failure(self, small_chain, constants, rng):
-        out = fast_spont_broadcast(
-            small_chain, 0, constants, rng, round_budget=0
-        )
+        out = fast_spont_broadcast_batch(
+            small_chain, 0, constants, [rng], round_budget=0
+        )[0]
         # With zero dissemination budget only coloring-stage spread happens.
         assert out.total_rounds <= small_chain.size * 1000
         if not out.success:
             assert out.completion_round == NEVER_INFORMED
 
     def test_uniform_completes(self, small_chain, rng):
-        out = fast_uniform_broadcast(small_chain, 0, q=0.5, rng=rng)
+        out = fast_uniform_broadcast_batch(small_chain, 0, [rng], q=0.5)[0]
         assert out.success
 
     def test_uniform_invalid_q(self, small_chain, rng):
         with pytest.raises(ProtocolError):
-            fast_uniform_broadcast(small_chain, 0, q=2.0, rng=rng)
+            fast_uniform_broadcast_batch(small_chain, 0, [rng], q=2.0)
 
     def test_decay_completes(self, small_chain, rng):
-        out = fast_decay_broadcast(small_chain, 0, rng=rng)
+        out = fast_decay_broadcast_batch(small_chain, 0, [rng])[0]
         assert out.success
 
     def test_local_completes(self, small_square, rng):
-        out = fast_local_broadcast_global(small_square, 0, rng=rng)
+        out = fast_local_broadcast_global_batch(small_square, 0, [rng])[0]
         assert out.success
 
     def test_bad_source(self, small_chain, constants, rng):
         for fn in (
-            lambda: fast_spont_broadcast(small_chain, 50, constants, rng),
-            lambda: fast_nospont_broadcast(small_chain, 50, constants, rng),
-            lambda: fast_uniform_broadcast(small_chain, 50, rng=rng),
-            lambda: fast_decay_broadcast(small_chain, 50, rng=rng),
-            lambda: fast_local_broadcast_global(small_chain, 50, rng=rng),
+            lambda: fast_spont_broadcast_batch(
+                small_chain, 50, constants, [rng]
+            ),
+            lambda: fast_nospont_broadcast_batch(
+                small_chain, 50, constants, [rng]
+            ),
+            lambda: fast_uniform_broadcast_batch(small_chain, 50, [rng]),
+            lambda: fast_decay_broadcast_batch(small_chain, 50, [rng]),
+            lambda: fast_local_broadcast_global_batch(
+                small_chain, 50, [rng]
+            ),
         ):
             with pytest.raises(ProtocolError):
                 fn()
@@ -185,9 +200,9 @@ class TestCrossValidation:
         ref = run_coloring(
             small_square, constants, np.random.default_rng(1)
         )
-        fast = fast_coloring(
-            small_square, constants, np.random.default_rng(1)
-        )
+        fast = fast_coloring_batch(
+            small_square, constants, [np.random.default_rng(1)]
+        ).replication(0)
         m_ref = lemma1_max_color_mass(small_square, ref)
         m_fast = lemma1_max_color_mass(small_square, fast)
         # Same algorithm, same bound scale (within 4x of each other).
@@ -200,9 +215,9 @@ class TestCrossValidation:
         ref = run_coloring(
             small_square, constants, np.random.default_rng(2)
         )
-        fast = fast_coloring(
-            small_square, constants, np.random.default_rng(2)
-        )
+        fast = fast_coloring_batch(
+            small_square, constants, [np.random.default_rng(2)]
+        ).replication(0)
         # Both use the same ladder; the used color sets should intersect.
         assert set(ref.distinct_colors()) & set(fast.distinct_colors())
 
@@ -214,9 +229,9 @@ class TestCrossValidation:
             ref = run_spont_broadcast(
                 small_chain, 0, constants, np.random.default_rng(seed)
             )
-            fast = fast_spont_broadcast(
-                small_chain, 0, constants, np.random.default_rng(seed)
-            )
+            fast = fast_spont_broadcast_batch(
+                small_chain, 0, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.success and fast.success
             ref_rounds.append(ref.completion_round)
             fast_rounds.append(fast.completion_round)
@@ -231,9 +246,9 @@ class TestCrossValidation:
         ref = run_nospont_broadcast(
             chain, 0, constants, np.random.default_rng(3)
         )
-        fast = fast_nospont_broadcast(
-            chain, 0, constants, np.random.default_rng(3)
-        )
+        fast = fast_nospont_broadcast_batch(
+            chain, 0, constants, [np.random.default_rng(3)]
+        )[0]
         assert ref.success and fast.success
         assert fast.completion_round < 3 * ref.completion_round + 500
         assert ref.completion_round < 3 * fast.completion_round + 500

@@ -1,9 +1,11 @@
 """Tests for the vectorized Sect. 5 applications.
 
-Unit behaviour of ``fast_wakeup`` / ``fast_colored_wakeup`` /
-``fast_consensus`` / ``fast_leader_election``, plus cross-validation
-against the ``repro.core`` reference implementations in the style of the
-coloring/broadcast checks in ``test_fastsim.py``: identical
+Unit behaviour of ``fast_adhoc_wakeup_batch`` /
+``fast_colored_wakeup_batch`` / ``fast_consensus_batch`` /
+``fast_leader_election_batch`` on single runs (one-element generator
+lists), plus cross-validation against the ``repro.core`` reference
+implementations in the style of the coloring/broadcast checks in
+``test_fastsim.py``: identical
 termination/safety properties on every trial, and round-count
 distributions on the same scale (the statistical-equivalence contract of
 DESIGN.md §6).  The heavier distribution comparisons carry the ``slow``
@@ -21,12 +23,11 @@ from repro.core.wakeup import run_adhoc_wakeup, run_colored_wakeup
 from repro.deploy import uniform_chain
 from repro.errors import ProtocolError
 from repro.fastsim import (
-    fast_adhoc_wakeup,
-    fast_colored_wakeup,
-    fast_coloring,
-    fast_consensus,
-    fast_leader_election,
-    fast_wakeup,
+    fast_adhoc_wakeup_batch,
+    fast_colored_wakeup_batch,
+    fast_coloring_batch,
+    fast_consensus_batch,
+    fast_leader_election_batch,
 )
 from repro.sim.wakeup import WakeupSchedule
 
@@ -43,24 +44,23 @@ def chain():
 
 @pytest.fixture(scope="module")
 def chain_colors(chain, constants):
-    result = fast_coloring(chain, constants, np.random.default_rng(5))
+    result = fast_coloring_batch(
+        chain, constants, [np.random.default_rng(5)]
+    ).replication(0)
     return np.where(np.isnan(result.colors), 0.0, result.colors)
 
 
 class TestFastAdhocWakeup:
-    def test_alias(self):
-        assert fast_wakeup is fast_adhoc_wakeup
-
     def test_single_waker_wakes_all(self, chain, constants, rng):
         schedule = WakeupSchedule.single(chain.size, 0)
-        out = fast_wakeup(chain, schedule, constants, rng)
+        out = fast_adhoc_wakeup_batch(chain, schedule, constants, [rng])[0]
         assert out.success
         assert out.extras["wakeup_time"] >= 0
         assert out.completion_round == int(out.informed_round.max())
 
     def test_all_at_zero_instant(self, chain, constants, rng):
         schedule = WakeupSchedule.all_at(chain.size)
-        out = fast_wakeup(chain, schedule, constants, rng)
+        out = fast_adhoc_wakeup_batch(chain, schedule, constants, [rng])[0]
         assert out.success
         assert out.extras["wakeup_time"] == 0
 
@@ -68,12 +68,12 @@ class TestFastAdhocWakeup:
         schedule = WakeupSchedule.staggered(
             chain.size, spread=50, rng=rng, fraction=0.5
         )
-        out = fast_wakeup(chain, schedule, constants, rng)
+        out = fast_adhoc_wakeup_batch(chain, schedule, constants, [rng])[0]
         assert out.success
 
     def test_wake_time_measured_from_first_wake(self, chain, constants, rng):
         schedule = WakeupSchedule.single(chain.size, 0, round_no=40)
-        out = fast_wakeup(chain, schedule, constants, rng)
+        out = fast_adhoc_wakeup_batch(chain, schedule, constants, [rng])[0]
         assert out.success
         assert out.extras["first_wake"] == 40
         assert (
@@ -82,61 +82,71 @@ class TestFastAdhocWakeup:
 
     def test_budget_failure_reported(self, chain, constants, rng):
         schedule = WakeupSchedule.single(chain.size, 0)
-        out = fast_wakeup(chain, schedule, constants, rng, round_budget=2)
+        out = fast_adhoc_wakeup_batch(
+            chain, schedule, constants, [rng], round_budget=2
+        )[0]
         assert not out.success
         assert out.completion_round == NEVER_INFORMED
         assert out.extras["wakeup_time"] == -1
 
     def test_schedule_size_mismatch(self, chain, constants, rng):
         with pytest.raises(ProtocolError):
-            fast_wakeup(
+            fast_adhoc_wakeup_batch(
                 chain, WakeupSchedule.single(chain.size + 1, 0),
-                constants, rng,
+                constants, [rng],
             )
 
     def test_reproducible(self, chain, constants):
         schedule = WakeupSchedule.single(chain.size, 0)
-        a = fast_wakeup(chain, schedule, constants, np.random.default_rng(9))
-        b = fast_wakeup(chain, schedule, constants, np.random.default_rng(9))
+        a = fast_adhoc_wakeup_batch(
+            chain, schedule, constants, [np.random.default_rng(9)]
+        )[0]
+        b = fast_adhoc_wakeup_batch(
+            chain, schedule, constants, [np.random.default_rng(9)]
+        )[0]
         assert np.array_equal(a.informed_round, b.informed_round)
 
 
 class TestFastColoredWakeup:
     def test_initiators_spread_message(self, chain, constants,
                                        chain_colors, rng):
-        out = fast_colored_wakeup(chain, [0], chain_colors, constants, rng)
+        out = fast_colored_wakeup_batch(
+            chain, [0], chain_colors, constants, [rng]
+        )[0]
         assert out.success
         assert out.informed_round[0] == out.extras["aux_coloring_rounds"]
 
     def test_no_refresh_skips_aux_stage(self, chain, constants,
                                         chain_colors, rng):
-        out = fast_colored_wakeup(
-            chain, [0], chain_colors, constants, rng, refresh_coloring=False
-        )
+        out = fast_colored_wakeup_batch(
+            chain, [0], chain_colors, constants, [rng], refresh_coloring=False
+        )[0]
         assert out.extras["aux_coloring_rounds"] == 0
 
     def test_needs_initiators(self, chain, constants, chain_colors, rng):
         with pytest.raises(ProtocolError):
-            fast_colored_wakeup(chain, [], chain_colors, constants, rng)
+            fast_colored_wakeup_batch(
+                chain, [], chain_colors, constants, [rng]
+            )
 
     def test_initiator_out_of_range(self, chain, constants,
                                     chain_colors, rng):
         with pytest.raises(ProtocolError):
-            fast_colored_wakeup(
-                chain, [chain.size], chain_colors, constants, rng
+            fast_colored_wakeup_batch(
+                chain, [chain.size], chain_colors, constants, [rng]
             )
 
     def test_bad_base_colors_shape(self, chain, constants, rng):
         with pytest.raises(ProtocolError):
-            fast_colored_wakeup(
-                chain, [0], np.zeros(chain.size + 2), constants, rng
+            fast_colored_wakeup_batch(
+                chain, [0], np.zeros(chain.size + 2), constants, [rng]
             )
 
 
 class TestFastConsensus:
     def test_agrees_on_minimum(self, chain, constants, rng):
         values = [5, 3, 7, 3, 6, 4, 5, 7]
-        result = fast_consensus(chain, values, 7, constants, rng)
+        result = fast_consensus_batch(chain, values, 7, constants, [rng])[0]
         assert result.agreed
         assert result.correct
         assert int(result.decided[0]) == 3
@@ -144,35 +154,45 @@ class TestFastConsensus:
         assert len(result.rounds_per_bit) == 3
 
     def test_all_equal_values(self, chain, constants, rng):
-        result = fast_consensus(chain, [2] * chain.size, 3, constants, rng)
+        result = fast_consensus_batch(
+            chain, [2] * chain.size, 3, constants, [rng]
+        )[0]
         assert result.agreed and result.correct
         assert int(result.decided[0]) == 2
 
     def test_zero_message_space(self, chain, constants, rng):
-        result = fast_consensus(chain, [0] * chain.size, 0, constants, rng)
+        result = fast_consensus_batch(
+            chain, [0] * chain.size, 0, constants, [rng]
+        )[0]
         assert result.agreed and result.correct
 
     def test_value_count_mismatch(self, chain, constants, rng):
         with pytest.raises(ProtocolError):
-            fast_consensus(chain, [1, 2], 3, constants, rng)
+            fast_consensus_batch(chain, [1, 2], 3, constants, [rng])
 
     def test_value_out_of_range(self, chain, constants, rng):
         with pytest.raises(ProtocolError):
-            fast_consensus(chain, [9] * chain.size, 7, constants, rng)
+            fast_consensus_batch(
+                chain, [9] * chain.size, 7, constants, [rng]
+            )
 
     def test_negative_value(self, chain, constants, rng):
         with pytest.raises(ProtocolError):
-            fast_consensus(chain, [-1] * chain.size, 7, constants, rng)
+            fast_consensus_batch(
+                chain, [-1] * chain.size, 7, constants, [rng]
+            )
 
     def test_rounds_accumulate(self, chain, constants, rng):
-        result = fast_consensus(chain, [1] * chain.size, 3, constants, rng)
+        result = fast_consensus_batch(
+            chain, [1] * chain.size, 3, constants, [rng]
+        )[0]
         backbone = constants.coloring_total_rounds(chain.size)
         assert result.total_rounds == backbone + sum(result.rounds_per_bit)
 
 
 class TestFastLeaderElection:
     def test_elects_unique_leader(self, chain, constants, rng):
-        result = fast_leader_election(chain, constants, rng)
+        result = fast_leader_election_batch(chain, constants, [rng])[0]
         assert result.success
         assert result.unique
         assert result.ids[result.leader] == result.agreed_id
@@ -182,9 +202,9 @@ class TestFastLeaderElection:
         # Fast and reference draw IDs from the same stream position, so a
         # shared seed yields identical ID vectors (makes the
         # cross-validation below apples-to-apples).
-        fast = fast_leader_election(
-            chain, constants, np.random.default_rng(31)
-        )
+        fast = fast_leader_election_batch(
+            chain, constants, [np.random.default_rng(31)]
+        )[0]
         ref = run_leader_election(
             chain, constants, np.random.default_rng(31)
         )
@@ -200,9 +220,9 @@ class TestCrossValidationSafety:
             ref = run_adhoc_wakeup(
                 chain, schedule, constants, np.random.default_rng(seed)
             )
-            fast = fast_wakeup(
-                chain, schedule, constants, np.random.default_rng(seed)
-            )
+            fast = fast_adhoc_wakeup_batch(
+                chain, schedule, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.success and fast.success
             assert np.all(fast.informed_round >= 0)
 
@@ -212,9 +232,9 @@ class TestCrossValidationSafety:
             ref = run_consensus(
                 chain, values, 7, constants, np.random.default_rng(seed)
             )
-            fast = fast_consensus(
-                chain, values, 7, constants, np.random.default_rng(seed)
-            )
+            fast = fast_consensus_batch(
+                chain, values, 7, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.agreed and fast.agreed
             assert ref.correct and fast.correct
             assert np.array_equal(ref.decided, fast.decided)
@@ -225,9 +245,9 @@ class TestCrossValidationSafety:
             ref = run_leader_election(
                 chain, constants, np.random.default_rng(seed)
             )
-            fast = fast_leader_election(
-                chain, constants, np.random.default_rng(seed)
-            )
+            fast = fast_leader_election_batch(
+                chain, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.success and fast.success
             # Same ID stream + agreement on the true minimum => same leader.
             assert ref.leader == fast.leader
@@ -247,9 +267,9 @@ class TestCrossValidationDistributions:
             ref = run_adhoc_wakeup(
                 chain, schedule, constants, np.random.default_rng(seed)
             )
-            fast = fast_wakeup(
-                chain, schedule, constants, np.random.default_rng(seed)
-            )
+            fast = fast_adhoc_wakeup_batch(
+                chain, schedule, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.success and fast.success
             ref_t.append(ref.extras["wakeup_time"])
             fast_t.append(fast.extras["wakeup_time"])
@@ -264,10 +284,10 @@ class TestCrossValidationDistributions:
                 chain, [0], chain_colors, constants,
                 np.random.default_rng(seed),
             )
-            fast = fast_colored_wakeup(
+            fast = fast_colored_wakeup_batch(
                 chain, [0], chain_colors, constants,
-                np.random.default_rng(seed),
-            )
+                [np.random.default_rng(seed)],
+            )[0]
             assert ref.success and fast.success
             ref_t.append(ref.completion_round)
             fast_t.append(fast.completion_round)
@@ -281,9 +301,9 @@ class TestCrossValidationDistributions:
             ref = run_consensus(
                 chain, values, 7, constants, np.random.default_rng(seed)
             )
-            fast = fast_consensus(
-                chain, values, 7, constants, np.random.default_rng(seed)
-            )
+            fast = fast_consensus_batch(
+                chain, values, 7, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.correct and fast.correct
             ref_t.append(ref.total_rounds)
             fast_t.append(fast.total_rounds)
@@ -296,9 +316,9 @@ class TestCrossValidationDistributions:
             ref = run_leader_election(
                 chain, constants, np.random.default_rng(seed)
             )
-            fast = fast_leader_election(
-                chain, constants, np.random.default_rng(seed)
-            )
+            fast = fast_leader_election_batch(
+                chain, constants, [np.random.default_rng(seed)]
+            )[0]
             assert ref.success and fast.success
             ref_t.append(ref.total_rounds)
             fast_t.append(fast.total_rounds)

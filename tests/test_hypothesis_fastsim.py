@@ -14,7 +14,11 @@ from repro.core.coloring import FINAL_COLOR_LEVEL, NOT_PARTICIPATING
 from repro.core.constants import ProtocolConstants
 from repro.core.outcome import NEVER_INFORMED
 from repro.deploy import BrownianDrift
-from repro.fastsim import fast_coloring, fast_spont_broadcast, fast_uniform_broadcast
+from repro.fastsim import (
+    fast_coloring_batch,
+    fast_spont_broadcast_batch,
+    fast_uniform_broadcast_batch,
+)
 from repro.fastsim.engine import Medium
 from repro.mac import CSMA, SlottedAloha, TdmaFromColoring
 from repro.network.network import Network
@@ -44,9 +48,9 @@ class TestFastColoringProperties:
         participants = mask_rng.random(net.size) < 0.7
         if not participants.any():
             participants[0] = True
-        result = fast_coloring(
-            net, CONSTANTS, rng, participants=participants
-        )
+        result = fast_coloring_batch(
+            net, CONSTANTS, [rng], participants=participants
+        ).replication(0)
         n = net.size
         legal = {
             CONSTANTS.color_of_level(lv, n)
@@ -66,7 +70,9 @@ class TestFastColoringProperties:
     @settings(max_examples=25, deadline=None)
     def test_quit_levels_within_ladder(self, data):
         net, seed = data
-        result = fast_coloring(net, CONSTANTS, np.random.default_rng(seed))
+        result = fast_coloring_batch(
+            net, CONSTANTS, [np.random.default_rng(seed)]
+        ).replication(0)
         for level in result.quit_levels:
             assert (
                 level == FINAL_COLOR_LEVEL
@@ -80,9 +86,9 @@ class TestBroadcastProperties:
     def test_informed_set_conservation(self, data, source_frac):
         net, seed = data
         source = int(source_frac * net.size)
-        out = fast_spont_broadcast(
-            net, source, CONSTANTS, np.random.default_rng(seed)
-        )
+        out = fast_spont_broadcast_batch(
+            net, source, CONSTANTS, [np.random.default_rng(seed)]
+        )[0]
         informed = out.informed_round
         # Source informed at round 0; nobody informed before round 0;
         # completion consistent with the per-station data.
@@ -98,9 +104,9 @@ class TestBroadcastProperties:
     @settings(max_examples=20, deadline=None)
     def test_uniform_flood_progress_monotone(self, data):
         net, seed = data
-        out = fast_uniform_broadcast(
-            net, 0, q=0.5, rng=np.random.default_rng(seed)
-        )
+        out = fast_uniform_broadcast_batch(
+            net, 0, [np.random.default_rng(seed)], q=0.5
+        )[0]
         curve = out.progress_curve()
         assert np.all(np.diff(curve) >= 0)
         assert curve[0] >= 1  # the source
@@ -109,10 +115,10 @@ class TestBroadcastProperties:
     @settings(max_examples=20, deadline=None)
     def test_budget_respected(self, data, budget):
         net, seed = data
-        out = fast_uniform_broadcast(
-            net, 0, q=0.5, rng=np.random.default_rng(seed),
+        out = fast_uniform_broadcast_batch(
+            net, 0, [np.random.default_rng(seed)], q=0.5,
             round_budget=budget,
-        )
+        )[0]
         assert out.total_rounds <= budget
 
 

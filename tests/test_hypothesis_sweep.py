@@ -1,33 +1,33 @@
 """Property-based tests for the batched sweep engine.
 
 The exact-equality contract (DESIGN.md §6): for *any* small network,
-batch size and master seed, the batched sweep's per-replication outputs
-equal a Python loop of single-instance fast runs over the same spawned
-generators — bitwise, not statistically.  Replication independence is
-what the property exercises: any state leaking across the batch axis
-(shared counters, wrong masking, cross-replication reductions that
-reassociate floating-point sums) breaks it immediately.
+batch size and master seed, every sweep kind's batched run equals a
+Python loop that calls the same kernel with one generator and a fresh
+medium per replication — bitwise, not statistically.  Replication
+independence is what the property exercises: any state leaking across
+the batch axis (shared counters, wrong masking, cross-replication
+reductions that reassociate floating-point sums) breaks it immediately.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constants import ProtocolConstants
-from repro.fastsim import (
-    fast_coloring,
-    fast_coloring_batch,
-    fast_colored_wakeup,
-    fast_colored_wakeup_batch,
-    fast_consensus,
-    fast_spont_broadcast,
-    fast_uniform_broadcast,
-    run_sweep,
-    spawn_rngs,
-)
+from repro.fastsim import run_sweep, spawn_rngs, sweep_kinds
+from repro.fastsim.engine import Medium
+from repro.fastsim.sweep import SWEEP_KINDS
 from repro.network.network import Network
+from repro.sim.wakeup import WakeupSchedule
 from repro.sinr.channel import DualSlope, LogNormalShadowing
 
 CONSTANTS = ProtocolConstants.practical()
+
+#: Every kind whose batch is a vectorized kernel; the traffic engine's
+#: batch is itself a loop of single runs.
+KERNEL_KINDS = [kind for kind in sweep_kinds() if kind != "traffic"]
 
 
 @st.composite
@@ -71,123 +71,61 @@ def off_ideal_network(draw):
     return Network(np.column_stack(columns), channel=channel)
 
 
+def kind_kwargs(kind, n, data):
+    """The kind's protocol arguments; ``q`` and ``x_max`` are drawn."""
+    if kind == "uniform_broadcast":
+        return {"source": 0, "q": data.draw(st.floats(0.05, 1.0))}
+    if kind == "consensus":
+        return {"x_max": data.draw(st.sampled_from([1, 3, 7]))}
+    if kind == "adhoc_wakeup":
+        wake = data.draw(
+            st.lists(st.integers(-1, 30), min_size=n, max_size=n)
+        )
+        wake[0] = max(wake[0], 0)  # someone wakes spontaneously
+        return {"schedule": WakeupSchedule(np.array(wake))}
+    if kind == "colored_wakeup":
+        return {"initiators": [0], "base_colors": np.full(n, 0.05)}
+    if kind in ("coloring", "leader_election"):
+        return {}
+    return {"source": 0}
+
+
+def assert_bitwise_equal(a, b):
+    """Field-by-field equality of two results; arrays compare by bytes."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_bitwise_equal(a[key], b[key])
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
 class TestSweepExactEquality:
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize(
+        "networks", [small_network(), off_ideal_network()],
+        ids=["ideal", "off_ideal"],
+    )
     @given(
-        net=small_network(),
         batch=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10 ** 6),
+        data=st.data(),
     )
     @settings(max_examples=15, deadline=None)
-    def test_coloring_batch_equals_loop(self, net, batch, seed):
-        rngs = spawn_rngs(batch, seed)
-        result = fast_coloring_batch(net, CONSTANTS, rngs)
-        for b, rng in enumerate(spawn_rngs(batch, seed)):
-            single = fast_coloring(net, CONSTANTS, rng)
-            assert np.array_equal(result.quit_levels[b], single.quit_levels)
-            assert np.allclose(
-                result.colors[b], single.colors, equal_nan=True
-            )
-
-    @given(
-        net=small_network(),
-        batch=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_spont_sweep_equals_loop(self, net, batch, seed):
-        sweep = run_sweep(
-            "spont_broadcast", net, batch, seed, CONSTANTS, source=0
-        )
+    def test_batch_equals_loop(self, kind, networks, batch, seed, data):
+        net = data.draw(networks)
+        kwargs = kind_kwargs(kind, net.size, data)
+        sweep = run_sweep(kind, net, batch, seed, CONSTANTS, **kwargs)
+        assert len(sweep.outcomes) == batch
         for out, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            single = fast_spont_broadcast(net, 0, CONSTANTS, rng)
-            assert np.array_equal(out.informed_round, single.informed_round)
-            assert out.total_rounds == single.total_rounds
-            assert out.success == single.success
-
-    @given(
-        net=off_ideal_network(),
-        batch=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_spont_sweep_equals_loop_off_ideal(self, net, batch, seed):
-        """Exact equality under shadowed/dual-slope channels and 3D
-        deployments — not just the default 2D uniform-power case."""
-        sweep = run_sweep(
-            "spont_broadcast", net, batch, seed, CONSTANTS, source=0
-        )
-        for out, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            single = fast_spont_broadcast(net, 0, CONSTANTS, rng)
-            assert np.array_equal(out.informed_round, single.informed_round)
-            assert out.total_rounds == single.total_rounds
-            assert out.success == single.success
-
-    @given(
-        net=off_ideal_network(),
-        batch=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_coloring_batch_equals_loop_off_ideal(self, net, batch, seed):
-        rngs = spawn_rngs(batch, seed)
-        result = fast_coloring_batch(net, CONSTANTS, rngs)
-        for b, rng in enumerate(spawn_rngs(batch, seed)):
-            single = fast_coloring(net, CONSTANTS, rng)
-            assert np.array_equal(result.quit_levels[b], single.quit_levels)
-            assert np.allclose(
-                result.colors[b], single.colors, equal_nan=True
-            )
-
-    @given(
-        net=small_network(),
-        batch=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-        q=st.floats(min_value=0.05, max_value=1.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_uniform_sweep_equals_loop(self, net, batch, seed, q):
-        sweep = run_sweep(
-            "uniform_broadcast", net, batch, seed, q=q, source=0
-        )
-        for out, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            single = fast_uniform_broadcast(net, 0, q=q, rng=rng)
-            assert np.array_equal(out.informed_round, single.informed_round)
-            assert out.total_rounds == single.total_rounds
-
-    @given(
-        net=small_network(),
-        batch=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_colored_wakeup_batch_equals_loop(self, net, batch, seed):
-        base = np.full(net.size, 0.05)
-        outs = fast_colored_wakeup_batch(
-            net, [0], base, CONSTANTS, spawn_rngs(batch, seed)
-        )
-        for out, rng in zip(outs, spawn_rngs(batch, seed)):
-            single = fast_colored_wakeup(net, [0], base, CONSTANTS, rng)
-            assert np.array_equal(out.informed_round, single.informed_round)
-            assert out.total_rounds == single.total_rounds
-
-    @given(
-        net=small_network(),
-        batch=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-        x_max=st.sampled_from([1, 3, 7]),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_consensus_sweep_equals_loop(self, net, batch, seed, x_max):
-        sweep = run_sweep(
-            "consensus", net, batch, seed, CONSTANTS, x_max=x_max
-        )
-        for res, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            values = rng.integers(0, x_max + 1, size=net.size)
-            single = fast_consensus(
-                net, values.tolist(), x_max, CONSTANTS, rng
-            )
-            assert np.array_equal(res.decided, single.decided)
-            assert res.total_rounds == single.total_rounds
-            assert res.rounds_per_bit == single.rounds_per_bit
-            assert res.agreed == single.agreed
-            assert res.correct == single.correct
+            single = SWEEP_KINDS[kind].batch(
+                net, CONSTANTS, [rng], medium=Medium(net), **kwargs
+            )[0]
+            assert_bitwise_equal(out, single)

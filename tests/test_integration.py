@@ -22,7 +22,10 @@ from repro.deploy import (
     grid,
     uniform_square,
 )
-from repro.fastsim import fast_nospont_broadcast, fast_spont_broadcast
+from repro.fastsim import (
+    fast_nospont_broadcast_batch,
+    fast_spont_broadcast_batch,
+)
 from repro.geometry.growth import growth_dimension_estimate
 from repro.sim.trace import TraceRecorder
 
@@ -115,7 +118,7 @@ class TestReferenceVsFastAgreement:
         for cols in (6, 12):
             net = grid(2, cols, spacing=0.5)
             rng = np.random.default_rng(cols)
-            fast = fast_spont_broadcast(net, 0, constants, rng)
+            fast = fast_spont_broadcast_batch(net, 0, constants, [rng])[0]
             assert fast.success
             rows.append((net.eccentricity(0), fast.completion_round))
         (d1, r1), (d2, r2) = rows
@@ -128,9 +131,9 @@ class TestReferenceVsFastAgreement:
         ref = run_nospont_broadcast(
             net, 0, constants, np.random.default_rng(1)
         )
-        fast = fast_nospont_broadcast(
-            net, 0, constants, np.random.default_rng(1)
-        )
+        fast = fast_nospont_broadcast_batch(
+            net, 0, constants, [np.random.default_rng(1)]
+        )[0]
         assert ref.success and fast.success
         assert abs(
             ref.extras["phases_used"] - fast.extras["phases_used"]
@@ -149,10 +152,10 @@ class TestWholePipeline:
         for n in sizes:
             net = uniform_square(n=n, side=2.5, rng=rng)
             trials = [
-                fast_spont_broadcast(
+                fast_spont_broadcast_batch(
                     net, 0, ProtocolConstants.practical(),
-                    np.random.default_rng(s),
-                ).completion_round
+                    [np.random.default_rng(s)],
+                )[0].completion_round
                 for s in range(3)
             ]
             rounds.append(aggregate_trials(trials).mean)

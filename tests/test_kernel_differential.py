@@ -42,7 +42,7 @@ from repro.deploy import (
 )
 from repro.fastsim.broadcast import fast_spont_broadcast_batch
 from repro.fastsim.cache import digest
-from repro.fastsim.coloring import fast_coloring
+from repro.fastsim.coloring import fast_coloring_batch
 from repro.fastsim.engine import spawn_rngs
 from repro.fastsim.grid import GridPoint, GridSpec, run_grid
 from repro.fastsim.sweep import run_sweep, sweep_kinds
@@ -179,9 +179,9 @@ SWEEP_KWARGS = {
     },
     "colored_wakeup": lambda net: {
         "initiators": [0],
-        "base_colors": fast_coloring(
-            net, CONSTANTS, np.random.default_rng(11)
-        ).colors,
+        "base_colors": fast_coloring_batch(
+            net, CONSTANTS, [np.random.default_rng(11)]
+        ).replication(0).colors,
     },
     "consensus": lambda net: {"x_max": 3},
 }

@@ -29,9 +29,9 @@ from repro.core.constants import ProtocolConstants
 from repro.deploy import BrownianDrift
 from repro.errors import GeometryError, ProtocolError
 from repro.fastsim import run_sweep, spawn_rngs
-from repro.fastsim.broadcast import fast_spont_broadcast
+from repro.fastsim.broadcast import fast_spont_broadcast_batch
 from repro.fastsim.cache import fingerprint_bytes, point_key
-from repro.fastsim.coloring import fast_coloring
+from repro.fastsim.coloring import fast_coloring_batch
 from repro.fastsim.engine import Medium
 from repro.mac import (
     CSMA,
@@ -383,9 +383,9 @@ class TestAlohaAnchor:
                    schedule=schedule)
 
     def test_colored_wakeup(self, small_chain, constants):
-        colors = fast_coloring(
-            small_chain, constants, np.random.default_rng(5)
-        ).colors
+        colors = fast_coloring_batch(
+            small_chain, constants, [np.random.default_rng(5)]
+        ).replication(0).colors
         self._pair(
             "colored_wakeup", small_chain, constants,
             initiators=[0], base_colors=np.nan_to_num(colors),
@@ -416,10 +416,10 @@ class TestBatchedEqualsSequential:
             constants, source=0, mac=model,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_spont_broadcast(
-                small_square, 0, constants, rng,
+            single = fast_spont_broadcast_batch(
+                small_square, 0, constants, [rng],
                 medium=Medium(small_square, mac=model),
-            )
+            )[0]
             assert np.array_equal(
                 out.informed_round, single.informed_round
             )

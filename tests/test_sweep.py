@@ -6,13 +6,13 @@ import pytest
 from repro.core.constants import ProtocolConstants
 from repro.errors import ProtocolError
 from repro.fastsim import (
-    fast_consensus,
-    fast_coloring,
-    fast_leader_election,
-    fast_nospont_broadcast,
-    fast_spont_broadcast,
-    fast_uniform_broadcast,
-    fast_wakeup,
+    fast_adhoc_wakeup_batch,
+    fast_coloring_batch,
+    fast_consensus_batch,
+    fast_leader_election_batch,
+    fast_nospont_broadcast_batch,
+    fast_spont_broadcast_batch,
+    fast_uniform_broadcast_batch,
     run_sweep,
     spawn_rngs,
     sweep_kinds,
@@ -98,7 +98,9 @@ class TestSweepEqualsSequentialLoop:
             constants, source=0,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_spont_broadcast(small_square, 0, constants, rng)
+            single = fast_spont_broadcast_batch(
+                small_square, 0, constants, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
             assert out.success == single.success
@@ -111,7 +113,9 @@ class TestSweepEqualsSequentialLoop:
             constants, source=0,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_nospont_broadcast(small_chain, 0, constants, rng)
+            single = fast_nospont_broadcast_batch(
+                small_chain, 0, constants, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
             assert out.extras["phases_used"] == single.extras["phases_used"]
@@ -122,14 +126,18 @@ class TestSweepEqualsSequentialLoop:
             q=0.3, source=0,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_uniform_broadcast(small_chain, 0, q=0.3, rng=rng)
+            single = fast_uniform_broadcast_batch(
+                small_chain, 0, [rng], q=0.3
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
 
     def test_coloring(self, small_square, constants):
         sweep = run_sweep("coloring", small_square, self.B, self.SEED,
                           constants)
         for res, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_coloring(small_square, constants, rng)
+            single = fast_coloring_batch(
+                small_square, constants, [rng]
+            ).replication(0)
             assert np.array_equal(res.quit_levels, single.quit_levels)
             assert np.allclose(res.colors, single.colors, equal_nan=True)
 
@@ -143,7 +151,9 @@ class TestSweepEqualsSequentialLoop:
             schedule=schedule,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_wakeup(small_chain, schedule, constants, rng)
+            single = fast_adhoc_wakeup_batch(
+                small_chain, schedule, constants, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
 
@@ -156,9 +166,9 @@ class TestSweepEqualsSequentialLoop:
         )
         for res, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
             values = rng.integers(0, x_max + 1, size=small_chain.size)
-            single = fast_consensus(
-                small_chain, values.tolist(), x_max, constants, rng
-            )
+            single = fast_consensus_batch(
+                small_chain, values.tolist(), x_max, constants, [rng]
+            )[0]
             assert np.array_equal(res.decided, single.decided)
             assert res.total_rounds == single.total_rounds
             assert res.rounds_per_bit == single.rounds_per_bit
@@ -169,7 +179,9 @@ class TestSweepEqualsSequentialLoop:
             "leader_election", small_chain, self.B, self.SEED, constants
         )
         for res, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_leader_election(small_chain, constants, rng)
+            single = fast_leader_election_batch(
+                small_chain, constants, [rng]
+            )[0]
             assert res.leader == single.leader
             assert np.array_equal(res.ids, single.ids)
             assert res.total_rounds == single.total_rounds
