@@ -55,11 +55,18 @@ def _resolve_box(
     hi = np.broadcast_to(
         np.asarray(hi, dtype=float), coords.shape[1:]
     ).astype(float)
-    if np.any(hi <= lo):
+    if not np.all(lo < hi):
         raise DeploymentError(
             f"mobility box must satisfy lo < hi per axis, got {lo}, {hi}"
         )
     return lo, hi
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; floats (NaN included) and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DeploymentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _box_identity(box) -> Optional[tuple]:
@@ -229,8 +236,10 @@ class BrownianDrift(MobilityModel):
         seed: int = 0,
         box=None,
     ):
-        if sigma < 0:
-            raise DeploymentError(f"sigma must be >= 0, got {sigma}")
+        if not 0 <= sigma < np.inf:
+            raise DeploymentError(
+                f"sigma must be finite and >= 0, got {sigma}"
+            )
         if not 0.0 <= move_prob <= 1.0:
             raise DeploymentError(
                 f"move_prob must be in [0, 1], got {move_prob}"
@@ -302,13 +311,16 @@ class RandomWaypoint(MobilityModel):
         seed: int = 0,
         box=None,
     ):
-        if speed <= 0:
-            raise DeploymentError(f"speed must be > 0, got {speed}")
+        if not 0 < speed < np.inf:
+            raise DeploymentError(
+                f"speed must be finite and > 0, got {speed}"
+            )
+        pause = _integer("pause", pause)
         if pause < 0:
             raise DeploymentError(f"pause must be >= 0, got {pause}")
         super().__init__(seed=seed, box=box)
         self.speed = float(speed)
-        self.pause = int(pause)
+        self.pause = pause
 
     def identity(self) -> tuple:
         return (
@@ -369,20 +381,24 @@ class GroupDrift(MobilityModel):
         seed: int = 0,
         box=None,
     ):
-        if sigma < 0:
-            raise DeploymentError(f"sigma must be >= 0, got {sigma}")
+        if not 0 <= sigma < np.inf:
+            raise DeploymentError(
+                f"sigma must be finite and >= 0, got {sigma}"
+            )
+        n_groups = _integer("n_groups", n_groups)
         if n_groups < 1:
             raise DeploymentError(
                 f"need at least one group, got {n_groups}"
             )
+        redraw_every = _integer("redraw_every", redraw_every)
         if redraw_every < 1:
             raise DeploymentError(
                 f"redraw_every must be >= 1, got {redraw_every}"
             )
         super().__init__(seed=seed, box=box)
         self.sigma = float(sigma)
-        self.n_groups = int(n_groups)
-        self.redraw_every = int(redraw_every)
+        self.n_groups = n_groups
+        self.redraw_every = redraw_every
 
     def identity(self) -> tuple:
         return (

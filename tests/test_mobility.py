@@ -47,6 +47,37 @@ class TestModels:
             BrownianDrift(0.1, box=([1.0, 1.0], [0.0, 0.0])).session(
                 np.zeros((2, 2))
             )
+        # Non-finite knobs, non-integer counts and NaN box bounds fail
+        # at construction (or session start, for the box), never
+        # mid-run or by silent truncation.
+        for bad in (
+            lambda: BrownianDrift(np.nan),
+            lambda: BrownianDrift(np.inf),
+            lambda: RandomWaypoint(np.nan),
+            lambda: RandomWaypoint(np.inf),
+            lambda: GroupDrift(np.nan),
+            lambda: GroupDrift(np.inf),
+            lambda: RandomWaypoint(0.1, pause=2.5),
+            lambda: RandomWaypoint(0.1, pause=np.nan),
+            lambda: RandomWaypoint(0.1, pause=True),
+            lambda: GroupDrift(0.1, n_groups=2.5),
+            lambda: GroupDrift(0.1, n_groups=np.nan),
+            lambda: GroupDrift(0.1, n_groups=True),
+            lambda: GroupDrift(0.1, redraw_every=np.nan),
+            lambda: GroupDrift(0.1, redraw_every=2.0),
+            lambda: BrownianDrift(
+                0.1, box=([np.nan, 0.0], [1.0, 1.0])
+            ).session(np.zeros((2, 2))),
+            lambda: BrownianDrift(
+                0.1, box=([0.0, 0.0], [1.0, np.nan])
+            ).session(np.zeros((2, 2))),
+        ):
+            with pytest.raises(DeploymentError):
+                bad()
+        # numpy integers are integers: same model, same identity.
+        assert GroupDrift(0.1, n_groups=np.int64(4)).identity() == (
+            GroupDrift(0.1, n_groups=4).identity()
+        )
 
     def test_identity_separates_models_and_knobs(self):
         models = [
