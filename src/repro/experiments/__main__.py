@@ -50,11 +50,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="resume an interrupted run from its per-sweep journal "
-             "(<sweep_key>.journal beside the cache entries): "
-             "journaled points replay from cache, only unjournaled "
-             "points recompute — bitwise identical to an "
-             "uninterrupted run",
+        help="count how many of the cached points an interrupted "
+             "run completed, from its per-sweep journal "
+             "(<sweep_key>.journal beside the cache entries); every "
+             "cached run, with or without --resume, replays the "
+             "points in the cache and recomputes only the rest",
     )
     args = parser.parse_args(argv)
     if args.resume and args.no_cache:

@@ -181,9 +181,11 @@ class GridOptions:
     :param request_timeout: per-request timeout in seconds for worker
         dispatch (``None`` = the client default,
         :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
-    :param resume: pick up an interrupted sweep from its journal
-        (``<sweep_key>.journal`` in the cache dir, DESIGN.md §10.1)
-        instead of starting a fresh one; the CLI's ``--resume``.
+    :param resume: load an interrupted sweep's journal
+        (``<sweep_key>.journal`` in the cache dir, DESIGN.md §10.1) and
+        count the replayed points it lists; the CLI's ``--resume``.
+        Which points replay does not depend on it: every run with a
+        cache replays every cached point.
     """
 
     jobs: int = 1
@@ -365,14 +367,19 @@ def run_grid(
     event loop, so it must not be called from inside one.
 
     **Crash safety** (DESIGN.md §10.1): with a cache configured, every
-    completed point is durably appended to a per-sweep journal
-    (``<sweep_key>.journal`` beside the cache entries) before the run
-    moves on, and the journal is removed on a clean finish.  A
-    coordinator killed mid-sweep — SIGKILL, OOM, a dropped SSH session
-    — reruns with ``resume=True`` (CLI ``--resume``): journaled points
-    replay from the cache, only unjournaled points are recomputed, and
-    the final results are bitwise identical to an uninterrupted run
-    (seeds were fixed at preparation time either way).  SIGTERM is
+    completed point is stored in the cache and then durably appended to
+    a per-sweep journal (``<sweep_key>.journal`` beside the cache
+    entries) before the run moves on, and the journal is removed on a
+    clean finish.  A coordinator killed mid-sweep — SIGKILL, OOM, a
+    dropped SSH session — is simply rerun: every run probes the cache
+    for every point, so the points that completed replay from it and
+    only the rest are recomputed, and the final results are bitwise
+    identical to an uninterrupted run (seeds were fixed at preparation
+    time either way).  ``resume`` does not change which points replay:
+    ``resume=True`` (CLI ``--resume``) loads the journal and counts the
+    replayed points it lists (``journal_replays`` in
+    :func:`last_grid_stats`), and ``resume=False`` discards a stale
+    journal.  SIGTERM is
     converted to ``KeyboardInterrupt`` for the duration of the run, so
     both interrupt signals drain gracefully: completed points are
     already journaled and worker processes are reaped on the way out.
@@ -545,8 +552,9 @@ def _interruptible_sigterm():
 #: point after a code change means the cache is masking the change — see
 #: the staleness note in :mod:`repro.fastsim.cache`) plus the crash-safety
 #: accounting: ``journaled`` (points durably recorded this run) and
-#: ``journal_replays`` (points a ``resume=True`` run skipped because the
-#: interrupted run had journaled them).
+#: ``journal_replays`` (the cache hits of a ``resume=True`` run that
+#: the interrupted run had journaled; a run without ``resume`` replays
+#: the same points but does not count them).
 _LAST_RUN_STATS: dict = {
     "name": "", "points": 0, "cached": 0,
     "journaled": 0, "journal_replays": 0,

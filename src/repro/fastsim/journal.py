@@ -20,10 +20,13 @@ and discards.  A journaled point is therefore a *hard* guarantee: its
 ``put`` into the result cache completed **and** reached disk before
 the journal record did (callers append only after a successful store).
 
-Lifecycle: created lazily on the first append, consulted by
-``run_grid(resume=True)`` to skip completed points, and deleted by
+Lifecycle: created lazily on the first append, read by
+``run_grid(resume=True)`` to count which of its cache hits the
+interrupted run completed, and deleted by
 :meth:`SweepJournal.complete` when the sweep finishes cleanly — a
-journal on disk always means an interrupted sweep.
+journal on disk always means an interrupted sweep.  The journal skips
+no work: every ``run_grid`` call with a cache, resumed or not, replays
+each point the cache holds.
 """
 
 from __future__ import annotations
