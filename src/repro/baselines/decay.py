@@ -60,7 +60,6 @@ def run_decay_broadcast(
     ladder_len: Optional[int] = None,
     payload: Any = "broadcast-message",
     round_budget: Optional[int] = None,
-    budget_scale: int = 96,
 ) -> BroadcastOutcome:
     """Broadcast from ``source`` with synchronized Decay sweeps.
 
@@ -83,9 +82,7 @@ def run_decay_broadcast(
     ]
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = max(
-            8 * ladder_len, budget_scale * (depth + 1) * ladder_len
-        )
+        round_budget = max(8 * ladder_len, 96 * (depth + 1) * ladder_len)
     return run_flooding(
         network,
         nodes,

@@ -45,10 +45,10 @@ class LocalBroadcastNode(FloodingNode):
         return self.q
 
 
-def phase_length(n: int, max_degree: int, scale: float = 2.0) -> int:
+def phase_length(n: int, max_degree: int) -> int:
     """Local-broadcast phase length ``Theta((Delta + log n) log n)``."""
     logn = log2ceil(n)
-    return max(1, int(scale * (max_degree + logn) * logn))
+    return max(1, int(2.0 * (max_degree + logn) * logn))
 
 
 def run_local_broadcast_global(
@@ -58,15 +58,13 @@ def run_local_broadcast_global(
     *,
     payload: Any = "broadcast-message",
     round_budget: Optional[int] = None,
-    budget_slack: int = 8,
-    phase_scale: float = 2.0,
 ) -> BroadcastOutcome:
     """Broadcast from ``source`` with the local-broadcast composition.
 
     The per-round behaviour is stationary (probability ``1/(2 Delta)``
     forever once informed), so phases matter only for the budget
     accounting: the default budget is
-    ``(2 ecc + slack) * phase_length`` — the ``O(D (Delta + log n) log n)``
+    ``(2 ecc + 8) * phase_length`` — the ``O(D (Delta + log n) log n)``
     shape with generous slack.
     """
     if rng is None:
@@ -75,6 +73,7 @@ def run_local_broadcast_global(
     if not 0 <= source < n:
         raise ProtocolError(f"source {source} outside station range")
     delta = max(1, network.max_degree)
+    phase_len = phase_length(n, delta)
     nodes = [
         LocalBroadcastNode(
             i, delta, source_payload=payload if i == source else None
@@ -83,14 +82,12 @@ def run_local_broadcast_global(
     ]
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = (2 * depth + budget_slack) * phase_length(
-            n, delta, phase_scale
-        )
+        round_budget = (2 * depth + 8) * phase_len
     return run_flooding(
         network,
         nodes,
         rng,
         round_budget,
         "LocalBroadcastGlobal",
-        {"max_degree": delta, "phase_length": phase_length(n, delta, phase_scale)},
+        {"max_degree": delta, "phase_length": phase_len},
     )

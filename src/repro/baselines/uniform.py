@@ -41,7 +41,6 @@ def run_uniform_broadcast(
     *,
     payload: Any = "broadcast-message",
     round_budget: Optional[int] = None,
-    budget_scale: int = 64,
 ) -> BroadcastOutcome:
     """Flood from ``source`` with per-round probability ``q``.
 
@@ -63,9 +62,7 @@ def run_uniform_broadcast(
     ]
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = max(64, budget_scale * (depth + 1) * max(
-            1, int(1.0 / q)
-        ))
+        round_budget = max(64, 64 * (depth + 1) * max(1, int(1.0 / q)))
     return run_flooding(
         network, nodes, rng, round_budget, "UniformFlood", {"q": q}
     )

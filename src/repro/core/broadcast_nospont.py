@@ -131,13 +131,12 @@ def run_nospont_broadcast(
     *,
     payload: Any = "broadcast-message",
     round_budget: Optional[int] = None,
-    budget_slack: int = 8,
     trace: Optional[TraceRecorder] = None,
 ) -> BroadcastOutcome:
     """Run ``NoSBroadcast`` from ``source`` until everyone is informed.
 
     :param round_budget: hard budget; defaults to
-        ``phase_len * (2 * ecc(source) + budget_slack)`` — generous w.r.t.
+        ``phase_len * (2 * ecc(source) + 8)`` — generous w.r.t.
         the ``O(D)``-phase guarantee.  The run stops as soon as every
         station is informed (the measurement of interest), or at the
         budget with ``success=False``.
@@ -160,7 +159,7 @@ def run_nospont_broadcast(
     ]
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = constants.phase_rounds(n) * (2 * depth + budget_slack)
+        round_budget = constants.phase_rounds(n) * (2 * depth + 8)
     sim = Simulator(network, nodes, rng, trace=trace)
 
     def everyone_informed(s: Simulator) -> bool:

@@ -103,22 +103,17 @@ def run_spont_broadcast(
     *,
     payload: Any = "broadcast-message",
     round_budget: Optional[int] = None,
-    budget_scale: int = 16,
-    tighten_eps: bool = True,
     trace: Optional[TraceRecorder] = None,
 ) -> BroadcastOutcome:
     """Run ``SBroadcast`` from ``source`` until everyone is informed.
 
     :param round_budget: hard budget; defaults to
-        ``coloring + 1 + budget_scale * (ecc * log n + log^2 n)`` matching
+        ``coloring + 1 + 16 * (ecc * log n + log^2 n)`` matching
         the ``O(D log n + log^2 n)`` bound with generous slack.
-    :param tighten_eps: apply the paper's ``eps'' = eps/3`` adjustment to
-        the coloring constants (Sect. 4.2).
     """
     if constants is None:
         constants = ProtocolConstants.practical()
-    if tighten_eps:
-        constants = constants.with_eps_prime()
+    constants = constants.with_eps_prime()
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
@@ -141,7 +136,7 @@ def run_spont_broadcast(
         round_budget = (
             schedule.total_rounds
             + 1
-            + budget_scale * (depth * logn + logn * logn)
+            + 16 * (depth * logn + logn * logn)
         )
     sim = Simulator(network, nodes, rng, trace=trace)
 

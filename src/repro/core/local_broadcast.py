@@ -62,12 +62,11 @@ def run_local_broadcast(
     rng: Optional[np.random.Generator] = None,
     *,
     round_budget: Optional[int] = None,
-    budget_scale: int = 24,
 ) -> LocalBroadcastResult:
     """Deliver every station's message to all its neighbours.
 
     :param round_budget: dissemination budget after the coloring; default
-        ``budget_scale * (Delta + log n) * log n`` — the shape the paper
+        ``24 * (Delta + log n) * log n`` — the shape the paper
         quotes for local-broadcast costs (Sect. 1.2).
     :returns: per-pair delivery matrix and completion statistics.
     """
@@ -93,7 +92,7 @@ def run_local_broadcast(
 
     if round_budget is None:
         delta = max(1, network.max_degree)
-        round_budget = budget_scale * (delta + logn) * logn
+        round_budget = 24 * (delta + logn) * logn
 
     gains = network.gains
     noise = network.params.noise

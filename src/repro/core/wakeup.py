@@ -131,7 +131,6 @@ def run_adhoc_wakeup(
     rng: Optional[np.random.Generator] = None,
     *,
     round_budget: Optional[int] = None,
-    budget_slack: int = 8,
 ) -> BroadcastOutcome:
     """Run ad hoc wake-up under an adversarial schedule.
 
@@ -166,7 +165,7 @@ def run_adhoc_wakeup(
         spread = int(np.max(schedule.wake_rounds))
         round_budget = (
             spread
-            + constants.phase_rounds(n) * (2 * depth + budget_slack)
+            + constants.phase_rounds(n) * (2 * depth + 8)
         )
     sim = Simulator(network, nodes, rng)
     result = sim.run(
@@ -248,7 +247,6 @@ def run_colored_wakeup(
     *,
     payload: Any = WAKE_PAYLOAD,
     round_budget: Optional[int] = None,
-    budget_scale: int = 16,
     refresh_coloring: bool = True,
 ) -> BroadcastOutcome:
     """Wake-up with established coloring (Sect. 5).
@@ -296,7 +294,7 @@ def run_colored_wakeup(
     if round_budget is None:
         depth = network.diameter if n > 1 else 0
         logn = log2ceil(n)
-        round_budget = budget_scale * (depth * logn + logn * logn)
+        round_budget = 16 * (depth * logn + logn * logn)
     sim = Simulator(network, nodes, rng)
     result = sim.run(
         round_budget,

@@ -87,8 +87,6 @@ def fast_spont_broadcast_batch(
     rngs: Rngs,
     *,
     round_budget: Optional[int] = None,
-    budget_scale: int = 16,
-    tighten_eps: bool = True,
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched vectorized ``SBroadcast`` (Theorem 2).
@@ -99,8 +97,7 @@ def fast_spont_broadcast_batch(
     arbitration is shared across replications (round-keyed draws), so
     the pilot round's single shared resolution is preserved.
     """
-    if tighten_eps:
-        constants = constants.with_eps_prime()
+    constants = constants.with_eps_prime()
     _check_source(network, source)
     if medium is None:
         medium = Medium(network)
@@ -133,7 +130,7 @@ def fast_spont_broadcast_batch(
         # The pilot round's network: under mobility the budget follows
         # the deployment the dissemination starts on.
         depth = medium.network.eccentricity(source) if n > 1 else 0
-        round_budget = budget_scale * (depth * logn + logn * logn)
+        round_budget = 16 * (depth * logn + logn * logn)
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, diss_probs, 0.0)
@@ -155,13 +152,12 @@ def fast_nospont_broadcast_batch(
     rngs: Rngs,
     *,
     max_phases: Optional[int] = None,
-    budget_slack: int = 8,
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched vectorized ``NoSBroadcast`` (Theorem 1).
 
     Phases run until every replication has informed every station or
-    ``max_phases`` elapse (default ``2 * ecc + slack``).  A replication
+    ``max_phases`` elapse (default ``2 * ecc + 8``).  A replication
     that completes stops participating (and stops consuming randomness)
     at the next phase boundary; per-replication round counts reflect the
     phase in which each finished.  Every phase's coloring and
@@ -180,7 +176,7 @@ def fast_nospont_broadcast_batch(
 
     if max_phases is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        max_phases = 2 * depth + budget_slack
+        max_phases = 2 * depth + 8
 
     round_no = 0
     phases_used = np.zeros(B, dtype=int)
@@ -253,7 +249,6 @@ def fast_uniform_broadcast_batch(
     q: Optional[float] = None,
     *,
     round_budget: Optional[int] = None,
-    budget_scale: int = 64,
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched fixed-probability flooding (baseline)."""
@@ -264,9 +259,7 @@ def fast_uniform_broadcast_batch(
         raise ProtocolError(f"q must be in (0, 1], got {q}")
     if round_budget is None:
         depth = network.eccentricity(source) if network.size > 1 else 0
-        round_budget = max(
-            64, budget_scale * (depth + 1) * max(1, int(1.0 / q))
-        )
+        round_budget = max(64, 64 * (depth + 1) * max(1, int(1.0 / q)))
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, q, 0.0)
@@ -284,7 +277,6 @@ def fast_decay_broadcast_batch(
     *,
     ladder_len: Optional[int] = None,
     round_budget: Optional[int] = None,
-    budget_scale: int = 96,
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched Decay sweep (the granularity-sensitive baseline)."""
@@ -296,9 +288,7 @@ def fast_decay_broadcast_batch(
         raise ProtocolError(f"ladder length must be >= 1, got {ladder_len}")
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = max(
-            8 * ladder_len, budget_scale * (depth + 1) * ladder_len
-        )
+        round_budget = max(8 * ladder_len, 96 * (depth + 1) * ladder_len)
 
     def probs(round_no: int, inf: np.ndarray) -> np.ndarray:
         rung = round_no % ladder_len
@@ -316,8 +306,6 @@ def fast_local_broadcast_global_batch(
     rngs: Rngs,
     *,
     round_budget: Optional[int] = None,
-    budget_slack: int = 8,
-    phase_scale: float = 2.0,
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched local-broadcast composition (``Delta``-paying baseline)."""
@@ -326,10 +314,10 @@ def fast_local_broadcast_global_batch(
     delta = max(1, network.max_degree)
     q = 1.0 / (2.0 * delta)
     logn = log2ceil(n)
-    phase_len = max(1, int(phase_scale * (delta + logn) * logn))
+    phase_len = max(1, int(2.0 * (delta + logn) * logn))
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = (2 * depth + budget_slack) * phase_len
+        round_budget = (2 * depth + 8) * phase_len
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, q, 0.0)

@@ -120,7 +120,6 @@ def fast_adhoc_wakeup_batch(
     rngs: Rngs,
     *,
     round_budget: Optional[int] = None,
-    budget_slack: int = 8,
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched ad hoc wake-up under one adversarial schedule.
@@ -153,7 +152,7 @@ def fast_adhoc_wakeup_batch(
     if round_budget is None:
         depth = network.diameter if n > 1 else 0
         spread = int(np.max(schedule.wake_rounds))
-        round_budget = spread + phase_len * (2 * depth + budget_slack)
+        round_budget = spread + phase_len * (2 * depth + 8)
     if medium is None:
         medium = Medium(network)
 
@@ -258,7 +257,6 @@ def fast_colored_wakeup_batch(
     rngs: Rngs,
     *,
     round_budget: Optional[int] = None,
-    budget_scale: int = 16,
     refresh_coloring: bool = True,
     enabled: Optional[np.ndarray] = None,
     medium: Optional[Medium] = None,
@@ -320,7 +318,7 @@ def fast_colored_wakeup_batch(
     if round_budget is None:
         depth = network.diameter if n > 1 else 0
         logn = log2ceil(n)
-        round_budget = budget_scale * (depth * logn + logn * logn)
+        round_budget = 16 * (depth * logn + logn * logn)
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, diss, 0.0)

@@ -191,9 +191,3 @@ class TestRunSBroadcast:
         curve = out.progress_curve()
         assert np.all(np.diff(curve) >= 0)
         assert curve[-1] == small_chain.size
-
-    def test_tighten_eps_flag(self, small_chain, constants, rng):
-        out = run_spont_broadcast(
-            small_chain, 0, constants, rng, tighten_eps=False
-        )
-        assert out.success
