@@ -6,19 +6,19 @@ them started with ``--fault-plan``, so it stalls replies past the
 request timeout, mangles reply payloads, drops connections and tears
 its cache publishes on a seeded schedule — while the coordinator is
 SIGKILLed mid-sweep (a scheduled kill carried as data in the same
-plan) and then resumed with ``run_grid(resume=True)``.
+plan) and then simply rerun against the same fleet and bus.
 
 Three assertions, none of them statistical:
 
-* **zero lost results** — every point of the resumed run is present
-  and at least the points journaled before the kill are replayed, not
+* **zero lost results** — every point of the rerun is present and at
+  least the points journaled before the kill are replayed, not
   recomputed;
 * **zero corrupt replays** — mangled replies and torn bus entries are
   rejected at their checksums and re-dispatched, never consumed: the
   final sweeps are **bitwise identical** to a fault-free ``jobs=1``
   run of the same spec;
 * **the journal dies with the finish, not the coordinator** — SIGKILL
-  leaves it on disk, the clean resume removes it.
+  leaves it on disk, the clean rerun removes it.
 
 CI uploads the pytest-benchmark JSON as ``BENCH_chaos.json``; the
 headline counters (points, kills, journal replays, quarantines) land
@@ -117,13 +117,15 @@ def _spawn_daemon(cache_dir, fault_plan=None):
     return proc, line[len("serving on "):]
 
 
-def _spawn_coordinator(bus_dir, addresses, plan_path, resume):
+def _spawn_coordinator(bus_dir, addresses, plan_path, role):
+    """One coordinator child; ``role`` is ``"victim"`` (arms the plan's
+    scheduled self-kill) or ``"rerun"``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [
             sys.executable, __file__, "coordinator", str(bus_dir),
-            ",".join(addresses), str(plan_path), str(int(resume)),
+            ",".join(addresses), str(plan_path), role,
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         env=env, text=True,
@@ -131,7 +133,7 @@ def _spawn_coordinator(bus_dir, addresses, plan_path, resume):
 
 
 def _soak(tmp_path):
-    """One full kill-and-resume soak; returns the audit record."""
+    """One full kill-and-rerun soak; returns the audit record."""
     bus = tmp_path / "bus"
     bus.mkdir(parents=True, exist_ok=True)
     plan_path = tmp_path / "chaos-plan.json"
@@ -146,7 +148,7 @@ def _soak(tmp_path):
         addresses = [addr_a, addr_b]
 
         # Run 1: the victim journals points until its scheduled kill.
-        victim = _spawn_coordinator(bus, addresses, plan_path, resume=0)
+        victim = _spawn_coordinator(bus, addresses, plan_path, "victim")
         victim.wait(300)
         assert victim.returncode == -signal.SIGKILL, (
             f"victim exited rc={victim.returncode}; expected the "
@@ -159,8 +161,8 @@ def _soak(tmp_path):
         )
         assert journaled_at_kill >= KILL_AFTER_POINTS
 
-        # Run 2: resume against the same (faulted) fleet and bus.
-        resumer = _spawn_coordinator(bus, addresses, plan_path, resume=1)
+        # Run 2: rerun against the same (faulted) fleet and bus.
+        resumer = _spawn_coordinator(bus, addresses, plan_path, "rerun")
         out, _ = resumer.communicate(timeout=300)
         assert resumer.returncode == 0, out
         line = next(
@@ -174,7 +176,7 @@ def _soak(tmp_path):
             proc.wait(10)
 
     assert not list(bus.glob("*" + JOURNAL_SUFFIX)), (
-        "clean resume must remove the journal"
+        "clean rerun must remove the journal"
     )
     audit = ResultCache(bus).verify()
     resumed["journaled_at_kill"] = journaled_at_kill
@@ -209,7 +211,7 @@ def test_chaos_soak_kill_resume_identity(benchmark, tmp_path, capsys):
         print(
             f"\nchaos soak: {stats['points']} points, 1 coordinator "
             f"SIGKILL after {resumed['journaled_at_kill']} journaled, "
-            f"{stats['journal_replays']} replayed on resume; bus audit: "
+            f"{stats['journal_replays']} replayed on rerun; bus audit: "
             f"{audit['verified']} verified, {audit['corrupt']} corrupt "
             f"left, {audit['quarantined']} quarantined"
         )
@@ -243,10 +245,9 @@ def _watch_journal_and_die(bus_dir, after_points):
         time.sleep(0.005)
 
 
-def _child_coordinator(bus_dir, addresses, plan_path, resume_flag):
-    resume = bool(int(resume_flag))
+def _child_coordinator(bus_dir, addresses, plan_path, role):
     plan = FaultPlan.load(plan_path)
-    if not resume:
+    if role == "victim":
         for kill in plan.kills:
             if kill.get("target") == "coordinator":
                 threading.Thread(
@@ -258,7 +259,7 @@ def _child_coordinator(bus_dir, addresses, plan_path, resume_flag):
         warnings.simplefilter("ignore", RuntimeWarning)
         results = run_grid(
             _spec(), workers=addresses.split(","),
-            cache_dir=bus_dir, resume=resume,
+            cache_dir=bus_dir,
             request_timeout=REQUEST_TIMEOUT,
         )
     from repro.fastsim.grid import last_grid_stats

@@ -48,20 +48,7 @@ def main(argv: list[str] | None = None) -> int:
              "until the cache directory is at most MB megabytes "
              "(tools/cache_gc.py is the standalone form)",
     )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="count how many of the cached points an interrupted "
-             "run completed, from its per-sweep journal "
-             "(<sweep_key>.journal beside the cache entries); every "
-             "cached run, with or without --resume, replays the "
-             "points in the cache and recomputes only the rest",
-    )
     args = parser.parse_args(argv)
-    if args.resume and args.no_cache:
-        parser.error(
-            "--resume needs the cache (the journal lives beside it); "
-            "drop --no-cache"
-        )
 
     from repro.fastsim.grid import (
         GridOptions,
@@ -73,7 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         GridOptions(
             jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
-            resume=args.resume,
         )
     )
 
@@ -97,10 +83,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"; {stats['cached']}/{stats['points']} grid points "
                 f"from cache, --no-cache to recompute"
             )
-        if args.resume and stats.get("journal_replays"):
+        if stats["journal_replays"]:
             timing += (
-                f"; resumed: {stats['journal_replays']} journaled "
-                f"points skipped"
+                f"; {stats['journal_replays']} of them journaled by an "
+                f"interrupted run"
             )
         print(timing + ")\n")
     if args.cache_prune is not None:

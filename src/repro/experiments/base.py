@@ -32,7 +32,7 @@ class ExperimentReport:
     :param headers: column names of the result table.
     :param rows: table rows (pre-formatted cells).
     :param metrics: machine-readable key results (asserted by tests and
-        summarized in EXPERIMENTS.md).
+        listed in the CLI's ``--markdown`` output).
     :param notes: free-form caveats / fit summaries.
     """
 
@@ -67,9 +67,8 @@ def run_grid_points(points, seed: int, name: str):
     :class:`repro.fastsim.grid.GridPoint` entries and this helper runs
     them through :func:`repro.fastsim.grid.run_grid`, inheriting the
     process-wide execution options (``--jobs``, ``--cache-dir``) the CLI
-    installed.  Per-point seeds are spawned from ``seed`` unless a point
-    pins one, so no two points ever share (or arithmetically collide
-    into) a seed.
+    installed.  Per-point seeds are spawned from ``seed``, so no two
+    points ever share (or arithmetically collide into) a seed.
 
     :returns: list of :class:`repro.fastsim.grid.GridPointResult` in
         point order.
@@ -84,10 +83,10 @@ def fmt(value: float, digits: int = 1) -> str:
     return f"{value:.{digits}f}"
 
 
-def hop_round_budget(network, budget_scale: int = 16) -> int:
+def hop_round_budget(network) -> int:
     """Broadcast round budget from a hop-count estimate.
 
-    ``budget_scale * (hops * log n + log^2 n)`` with ``hops`` the box
+    ``16 * (hops * log n + log^2 n)`` with ``hops`` the box
     diagonal over the comm radius — the Theorem 2 shape without ever
     materializing a dense structure (diameter included), so the scale
     experiments (E14, E15) can budget sparse-backend sweeps.
@@ -104,7 +103,7 @@ def hop_round_budget(network, budget_scale: int = 16) -> int:
         float(np.linalg.norm(span)) / network.params.comm_radius
     )
     logn = log2ceil(n)
-    return budget_scale * (hops * logn + logn * logn)
+    return 16 * (hops * logn + logn * logn)
 
 
 def connected_sparse_square(

@@ -118,9 +118,6 @@ class GridPoint:
         where the sweep ran (i.e. inside the worker), so per-point
         analysis parallelizes with the simulation; its dict lands in
         :attr:`GridPointResult.extras` and is cached with the sweep.
-    :param seed: pinned sweep master seed.  ``None`` (the default) means
-        the grid derives the seed by spawning — the collision-free
-        discipline; pin only where existing tests rely on exact values.
     :param share_deployment: points carrying the same non-``None`` key
         share one deployment instance (built once, with the derive
         discipline of the first such point), one fingerprint and one
@@ -135,7 +132,6 @@ class GridPoint:
     constants: Optional[ProtocolConstants] = None
     kwargs: dict = field(default_factory=dict)
     post: Optional[Callable[[Network, SweepResult], dict]] = None
-    seed: Optional[int] = None
     share_deployment: Optional[str] = None
 
 
@@ -181,18 +177,12 @@ class GridOptions:
     :param request_timeout: per-request timeout in seconds for worker
         dispatch (``None`` = the client default,
         :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
-    :param resume: load an interrupted sweep's journal
-        (``<sweep_key>.journal`` in the cache dir, DESIGN.md §10.1) and
-        count the replayed points it lists; the CLI's ``--resume``.
-        Which points replay does not depend on it: every run with a
-        cache replays every cached point.
     """
 
     jobs: int = 1
     cache_dir: Optional[str] = None
     workers: Optional[list] = None
     request_timeout: Optional[float] = None
-    resume: bool = False
 
 
 _DEFAULT_OPTIONS = GridOptions()
@@ -222,7 +212,7 @@ class _Prepared:
     network: Network
     dep_index: int
     kwargs: dict
-    seed: "int | np.random.SeedSequence"
+    seed: np.random.SeedSequence
     key: str = ""
 
 
@@ -272,14 +262,13 @@ def _prepare(spec: GridSpec) -> tuple[list[_Prepared], list[Network]]:
             k: (v.fn(net, derive_rng) if isinstance(v, Derived) else v)
             for k, v in point.kwargs.items()
         }
-        seed = point.seed if point.seed is not None else sweep_seq
         prepared.append(
             _Prepared(
                 point=point,
                 network=net,
                 dep_index=dep_index[fingerprint],
                 kwargs=kwargs,
-                seed=seed,
+                seed=sweep_seq,
             )
         )
     for prep in prepared:
@@ -345,7 +334,6 @@ def run_grid(
     cache: Optional[bool] = None,
     workers: Optional[Sequence[str]] = None,
     request_timeout: Optional[float] = None,
-    resume: Optional[bool] = None,
 ) -> list[GridPointResult]:
     """Execute a :class:`GridSpec`; results in point order.
 
@@ -375,14 +363,12 @@ def run_grid(
     for every point, so the points that completed replay from it and
     only the rest are recomputed, and the final results are bitwise
     identical to an uninterrupted run (seeds were fixed at preparation
-    time either way).  ``resume`` does not change which points replay:
-    ``resume=True`` (CLI ``--resume``) loads the journal and counts the
-    replayed points it lists (``journal_replays`` in
-    :func:`last_grid_stats`), and ``resume=False`` discards a stale
-    journal.  SIGTERM is
-    converted to ``KeyboardInterrupt`` for the duration of the run, so
-    both interrupt signals drain gracefully: completed points are
-    already journaled and worker processes are reaped on the way out.
+    time either way).  The rerun loads the interrupted run's journal and
+    counts the replayed points it lists (``journal_replays`` in
+    :func:`last_grid_stats`).  SIGTERM is converted to
+    ``KeyboardInterrupt`` for the duration of the run, so both interrupt
+    signals drain gracefully: completed points are already journaled
+    and worker processes are reaped on the way out.
     """
     options = get_default_grid_options()
     jobs = options.jobs if jobs is None else jobs
@@ -393,7 +379,6 @@ def run_grid(
         if request_timeout is None
         else request_timeout
     )
-    resume = options.resume if resume is None else resume
     use_cache = (cache_dir is not None) if cache is None else (
         cache and cache_dir is not None
     )
@@ -408,22 +393,7 @@ def run_grid(
             store.root,
             sweep_key(spec.name, spec.seed, [p.key for p in prepared]),
         )
-        if resume:
-            journaled_before = journal.load()
-        elif journal.exists():
-            # A fresh (non-resume) run of a sweep whose journal
-            # survived: stale bookkeeping from an interrupted run the
-            # caller chose not to resume.  Start over cleanly — the
-            # cache still deduplicates whatever completed.
-            journal.complete()
-    elif resume:
-        warnings.warn(
-            f"grid {spec.name!r}: resume=True without a cache "
-            "directory has nothing to resume from (the journal lives "
-            "beside the cache); running fresh",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        journaled_before = journal.load()
 
     results: list[Optional[GridPointResult]] = [None] * len(prepared)
     pending: list[int] = []
@@ -503,8 +473,8 @@ def run_grid(
                     finish(i, *_execute(prepared[i], prepared[i].network))
     if journal is not None:
         # Clean finish: the journal's job is done.  Any earlier exit
-        # (exception, interrupt, SIGKILL) leaves it on disk for
-        # resume=True to find.
+        # (exception, interrupt, SIGKILL) leaves it on disk for the
+        # rerun to count.
         journal.complete()
     _LAST_RUN_STATS.update(
         name=spec.name,
@@ -552,9 +522,8 @@ def _interruptible_sigterm():
 #: point after a code change means the cache is masking the change — see
 #: the staleness note in :mod:`repro.fastsim.cache`) plus the crash-safety
 #: accounting: ``journaled`` (points durably recorded this run) and
-#: ``journal_replays`` (the cache hits of a ``resume=True`` run that
-#: the interrupted run had journaled; a run without ``resume`` replays
-#: the same points but does not count them).
+#: ``journal_replays`` (the cache hits that an interrupted earlier run
+#: of the same sweep had journaled).
 _LAST_RUN_STATS: dict = {
     "name": "", "points": 0, "cached": 0,
     "journaled": 0, "journal_replays": 0,

@@ -1,4 +1,4 @@
-"""Crash-safe per-sweep progress journal for checkpoint/resume.
+"""Crash-safe per-sweep progress journal: what an interrupted sweep completed.
 
 A multi-hour grid sweep (DESIGN.md §10.1) must survive its coordinator
 dying — SIGKILL from the OOM killer, a lost SSH session, a preempted
@@ -8,8 +8,8 @@ replayed entry was computed rather than inherited; the journal does.
 
 One sweep gets one journal file, ``<sweep_key>.journal``, next to the
 cache it rides on.  The sweep key is content-addressed from the same
-material as the point keys (:func:`sweep_key`), so a resumed run — the
-same spec, seed and grid — finds its own journal by construction, and a
+material as the point keys (:func:`sweep_key`), so a rerun — the same
+spec, seed and grid — finds its own journal by construction, and a
 *different* sweep can never consume it.
 
 Format: one JSON record per line, appended with a single
@@ -20,13 +20,13 @@ and discards.  A journaled point is therefore a *hard* guarantee: its
 ``put`` into the result cache completed **and** reached disk before
 the journal record did (callers append only after a successful store).
 
-Lifecycle: created lazily on the first append, read by
-``run_grid(resume=True)`` to count which of its cache hits the
-interrupted run completed, and deleted by
+Lifecycle: created lazily on the first append, read by every
+``run_grid`` call with a cache to count which of its cache hits an
+interrupted earlier run completed (``journal_replays``), and deleted by
 :meth:`SweepJournal.complete` when the sweep finishes cleanly — a
 journal on disk always means an interrupted sweep.  The journal skips
-no work: every ``run_grid`` call with a cache, resumed or not, replays
-each point the cache holds.
+no work: every ``run_grid`` call with a cache replays each point the
+cache holds, journaled or not.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class SweepJournal:
         ``PIPE_BUF``), fsynced before returning — after this call the
         record survives power loss.  Callers append only *after* the
         point's result is safely in the cache, preserving the
-        journaled ⊆ cached invariant resume relies on.
+        journaled ⊆ cached invariant the replay count relies on.
 
         A torn tail (the file not ending in a newline — the previous
         writer crashed mid-append) is healed by prefixing the record
@@ -150,16 +150,11 @@ class SweepJournal:
 
         A journal on disk is the durable marker of an *interrupted*
         sweep; removing it on success keeps the cache dir free of
-        stale journals (and makes ``resume=True`` on a finished sweep
-        a fresh, fully-cached run rather than a replay of old
-        bookkeeping).  Missing file is fine — a fully-cached rerun
-        never created one.
+        stale journals (and makes a rerun of a finished sweep a
+        fully-cached run that counts no journal replays).  Missing
+        file is fine — a fully-cached rerun never created one.
         """
         try:
             self.path.unlink()
         except OSError:
             pass
-
-    def exists(self) -> bool:
-        """Whether an interrupted sweep left a journal on disk."""
-        return self.path.exists()

@@ -6,9 +6,10 @@ each provoked and pinned here with the seeded fault-injection layer
 
 * **No lost results.**  Every completed point is durably journaled
   after its cache ``put`` lands; a coordinator killed mid-sweep —
-  ``KeyboardInterrupt``, SIGTERM, SIGKILL — resumes with
-  ``run_grid(resume=True)``, recomputes only unjournaled points, and
-  produces results bitwise identical to an uninterrupted run.
+  ``KeyboardInterrupt``, SIGTERM, SIGKILL — is simply rerun: the rerun
+  replays the completed points from the cache, counts the journaled
+  ones, recomputes only the rest, and produces results bitwise
+  identical to an uninterrupted run.
 * **No corrupt replays.**  A torn or bit-rotted cache entry fails its
   checksum, is quarantined, and degrades to a miss; a mangled service
   reply fails its payload checksum and is re-dispatched — damaged
@@ -103,7 +104,7 @@ def _sleepy_post(net, sweep):
     The sleep comes from the environment, not an argument, so the
     function's identity — part of the cache key — is the same whether
     the run is slow (so a signal can land mid-sweep) or fast (the
-    resume / reference runs).
+    rerun / reference runs).
     """
     time.sleep(float(os.environ.get("REPRO_TEST_POINT_SLEEP", "0")))
     return {"deg": int(net.max_degree)}
@@ -328,10 +329,10 @@ class TestCacheFaults:
 class TestJournal:
     def test_append_load_roundtrip(self, tmp_path):
         journal = SweepJournal(tmp_path, "abc123")
-        assert journal.load() == {} and not journal.exists()
+        assert journal.load() == {} and not journal.path.exists()
         journal.append("k1")
         journal.append("k2", {"index": 7})
-        assert journal.exists()
+        assert journal.path.exists()
         assert journal.path.name == "abc123" + JOURNAL_SUFFIX
         done = journal.load()
         assert done == {"k1": {"key": "k1"},
@@ -362,7 +363,7 @@ class TestJournal:
         journal.complete()  # nothing to remove: fine
         journal.append("k1")
         journal.complete()
-        assert not journal.exists() and journal.load() == {}
+        assert not journal.path.exists() and journal.load() == {}
 
     def test_sweep_key_is_order_free_and_input_bound(self):
         base = sweep_key("grid", 2014, ["a", "b", "c"])
@@ -373,7 +374,7 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# interrupt + resume, in process
+# interrupt + rerun, in process
 # ----------------------------------------------------------------------
 class TestResume:
     def test_interrupt_then_resume_is_bitwise_identical(self, tmp_path):
@@ -394,9 +395,7 @@ class TestResume:
         assert len(journals) == 1, "interrupt must leave the journal"
         assert len(journals[0].read_text().splitlines()) == 2
 
-        resumed = run_grid(
-            spec, jobs=1, cache_dir=str(work), resume=True
-        )
+        resumed = run_grid(spec, jobs=1, cache_dir=str(work))
         stats = last_grid_stats()
         # Exactly the journaled points replayed; only the rest recomputed.
         assert stats["journal_replays"] == 2
@@ -409,7 +408,7 @@ class TestResume:
         for ra, rb in zip(reference, resumed):
             assert pickle.dumps(ra.sweep) == pickle.dumps(rb.sweep)
 
-    def test_fresh_run_discards_stale_journal(self, tmp_path):
+    def test_rerun_counts_the_interrupted_runs_journal(self, tmp_path):
         spec = _chaos_spec(post=_bomb_post)
         _arm_bomb(after=1)
         try:
@@ -418,19 +417,14 @@ class TestResume:
         finally:
             _disarm_bomb()
         assert list(tmp_path.glob("*" + JOURNAL_SUFFIX))
-        # resume=False (the default): stale bookkeeping is dropped, the
-        # run completes, and nothing counts as a journal replay.
+        # A plain rerun replays the journaled point, counts it, completes
+        # the rest and removes the journal.
         results = run_grid(spec, jobs=1, cache_dir=str(tmp_path))
         stats = last_grid_stats()
-        assert stats["journal_replays"] == 0
+        assert stats["journal_replays"] == 1
+        assert stats["cached"] == 1
         assert all(r is not None for r in results)
         assert not list(tmp_path.glob("*" + JOURNAL_SUFFIX))
-
-    def test_resume_without_cache_warns_and_runs(self):
-        spec = _chaos_spec(name="chaos-nocache")
-        with pytest.warns(RuntimeWarning, match="nothing to resume"):
-            results = run_grid(spec, jobs=1, resume=True)
-        assert all(r is not None for r in results)
 
     def test_clean_finish_leaves_no_journal(self, tmp_path):
         run_grid(_chaos_spec(), jobs=1, cache_dir=str(tmp_path))
@@ -440,9 +434,7 @@ class TestResume:
     def test_resume_of_finished_sweep_is_plain_replay(self, tmp_path):
         spec = _chaos_spec()
         first = run_grid(spec, jobs=1, cache_dir=str(tmp_path))
-        again = run_grid(
-            spec, jobs=1, cache_dir=str(tmp_path), resume=True
-        )
+        again = run_grid(spec, jobs=1, cache_dir=str(tmp_path))
         stats = last_grid_stats()
         assert stats["cached"] == len(spec.points)
         assert stats["journal_replays"] == 0  # no journal: clean finish
@@ -674,8 +666,8 @@ class TestSignalDrain:
 
 class TestKillResume:
     """The e2e acceptance row: SIGKILL the coordinator mid-sweep, then
-    ``run_grid(resume=True)`` completes bitwise identical to ``jobs=1``
-    with only the unjournaled points recomputed."""
+    a plain rerun completes bitwise identical to ``jobs=1``, replaying
+    the journaled points and recomputing only the rest."""
 
     def _parse_result(self, proc):
         line = _wait_for_line(proc, "RESULT ")
@@ -687,7 +679,7 @@ class TestKillResume:
         work.mkdir()
 
         # Phase 1: a slow run, SIGKILLed once ≥2 points are journaled.
-        victim = _spawn_child("grid", work, 0, sleep="0.5")
+        victim = _spawn_child("grid", work, sleep="0.5")
         try:
             _wait_for_line(victim, "running")
             deadline = time.time() + 60
@@ -714,8 +706,8 @@ class TestKillResume:
         )
         assert journaled_at_kill >= 2
 
-        # Phase 2: resume in a fresh process against the same cache.
-        resumer = _spawn_child("grid", work, 1, sleep="0")
+        # Phase 2: rerun in a fresh process against the same cache.
+        resumer = _spawn_child("grid", work, sleep="0")
         resumed = self._parse_result(resumer)
         stats = resumed["stats"]
         # Every point journaled before the kill was skipped, none were
@@ -731,7 +723,7 @@ class TestKillResume:
         )
 
         # Phase 3: a fresh uninterrupted run is the reference.
-        fresh = _spawn_child("grid", tmp_path / "ref", 0, sleep="0")
+        fresh = _spawn_child("grid", tmp_path / "ref", sleep="0")
         reference = self._parse_result(fresh)
         assert resumed["digests"] == reference["digests"], (
             "resumed run must be bitwise identical to an uninterrupted one"
@@ -761,12 +753,9 @@ def _child_drain(cache_dir):
     return 0
 
 
-def _child_grid(cache_dir, resume_flag):
+def _child_grid(cache_dir):
     print("running", flush=True)
-    results = run_grid(
-        _kill_spec(), jobs=1, cache_dir=cache_dir,
-        resume=bool(int(resume_flag)),
-    )
+    results = run_grid(_kill_spec(), jobs=1, cache_dir=cache_dir)
     payload = {
         "stats": last_grid_stats(),
         "digests": [

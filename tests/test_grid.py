@@ -70,10 +70,6 @@ class TestRunGridBasics:
         with pytest.raises(ProtocolError):
             run_grid(_spec([point]))
 
-    def test_pinned_seed_reaches_sweep(self):
-        results = run_grid(_spec([_uniform_point(seed=77)]), jobs=1)
-        assert results[0].sweep.seed == 77
-
     def test_spawned_seeds_differ_between_points(self):
         spec = _spec([_uniform_point(12), _uniform_point(12)])
         a, b = run_grid(spec, jobs=1)
