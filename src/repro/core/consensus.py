@@ -39,11 +39,28 @@ from repro.network.network import Network
 
 def bits_for_range(x_max: int) -> int:
     """Number of bits in the message space ``{0..x_max}``."""
+    if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)):
+        raise ProtocolError(f"x_max must be an integer, got {x_max!r}")
+    x_max = int(x_max)  # a fixed-width x_max + 1 could wrap
     if x_max < 0:
         raise ProtocolError(f"x_max must be >= 0, got {x_max}")
     if x_max == 0:
         return 1
     return max(1, math.ceil(math.log2(x_max + 1)))
+
+
+def integer_values(values) -> np.ndarray:
+    """``values`` as an int64 array; bool and non-integer dtypes raise.
+
+    Truncating ``2.7`` to ``2`` (or ``True`` to ``1``) would let a run
+    decide a value no station holds and still report it correct.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"consensus values must be integers, got dtype {values.dtype}"
+        )
+    return values.astype(np.int64, copy=False)
 
 
 def value_bits(value: int, width: int) -> str:
@@ -84,13 +101,12 @@ def run_consensus(
     rng: Optional[np.random.Generator] = None,
     *,
     box_budget: Optional[int] = None,
-    budget_scale: int = 16,
 ) -> ConsensusResult:
     """Agree on the minimum of ``values`` over the network.
 
     :param values: per-station initial values in ``{0..x_max}``.
     :param box_budget: rounds per bit time box; defaults to the wake-up
-        budget ``budget_scale * (D log n + log^2 n)`` — every box must use
+        budget ``16 * (D log n + log^2 n)`` — every box must use
         the *same* fixed length so silence is meaningful.
     """
     if constants is None:
@@ -98,7 +114,7 @@ def run_consensus(
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
-    values = [int(v) for v in values]
+    values = integer_values(values).tolist()
     if len(values) != n:
         raise ProtocolError(
             f"need one value per station: got {len(values)} for n={n}"
@@ -113,7 +129,7 @@ def run_consensus(
     if box_budget is None:
         depth = network.diameter if n > 1 else 0
         logn = log2ceil(n)
-        box_budget = budget_scale * (depth * logn + logn * logn)
+        box_budget = 16 * (depth * logn + logn * logn)
 
     prefixes = [""] * n
     rounds_per_bit: list[int] = []

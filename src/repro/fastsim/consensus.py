@@ -22,7 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.consensus import ConsensusResult, bits_for_range
+from repro.core.consensus import (
+    ConsensusResult,
+    bits_for_range,
+    integer_values,
+)
 from repro.core.constants import ProtocolConstants, log2ceil
 from repro.errors import ProtocolError
 from repro.fastsim.coloring import fast_coloring_batch
@@ -41,7 +45,6 @@ def fast_consensus_batch(
     rngs: Rngs,
     *,
     box_budget: Optional[int] = None,
-    budget_scale: int = 16,
     medium: Optional[Medium] = None,
 ) -> list[ConsensusResult]:
     """Agree on the minimum of each replication's values, batched.
@@ -49,7 +52,7 @@ def fast_consensus_batch(
     :param values: per-station initial values in ``{0..x_max}`` —
         ``(n,)`` shared across replications or ``(B, n)`` per replication.
     :param box_budget: rounds per bit time box; defaults to the wake-up
-        budget ``budget_scale * (D log n + log^2 n)`` — every box must
+        budget ``16 * (D log n + log^2 n)`` — every box must
         use the *same* fixed length so silence is meaningful.
     :param medium: optional :class:`~repro.fastsim.engine.Medium`
         (default: the static ``network``, no MAC) shared by the backbone
@@ -59,7 +62,7 @@ def fast_consensus_batch(
     """
     n = network.size
     B = len(rngs)
-    values = np.asarray(values, dtype=np.int64)
+    values = integer_values(values)
     if values.shape == (n,):
         values = np.broadcast_to(values, (B, n)).copy()
     elif values.shape != (B, n):
@@ -82,7 +85,7 @@ def fast_consensus_batch(
     if box_budget is None:
         depth = network.diameter if n > 1 else 0
         logn = log2ceil(n)
-        box_budget = budget_scale * (depth * logn + logn * logn)
+        box_budget = 16 * (depth * logn + logn * logn)
     silent_box = box_budget + constants.coloring_total_rounds(n)
 
     prefix = np.zeros((B, n), dtype=np.int64)

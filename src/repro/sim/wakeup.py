@@ -21,12 +21,18 @@ class WakeupSchedule:
     :param wake_rounds: length-``n`` integer array; ``wake_rounds[i]`` is
         the round at which station ``i`` wakes spontaneously, or a negative
         value if it never does (it can still be woken by a message).
+        Float and boolean arrays are rejected, not truncated.
     """
 
     NEVER = -1
 
     def __init__(self, wake_rounds: np.ndarray):
-        wake_rounds = np.asarray(wake_rounds, dtype=int)
+        wake_rounds = np.asarray(wake_rounds)
+        if wake_rounds.dtype.kind not in "iu":
+            raise SimulationError(
+                f"wake rounds must be integers, got dtype {wake_rounds.dtype}"
+            )
+        wake_rounds = wake_rounds.astype(int, copy=False)
         if wake_rounds.ndim != 1:
             raise SimulationError("wake schedule must be one-dimensional")
         finite = wake_rounds[wake_rounds >= 0]

@@ -122,6 +122,15 @@ class TestConsensusHelpers:
         with pytest.raises(ProtocolError):
             bits_for_range(-1)
 
+    @pytest.mark.parametrize("x", [7.5, 7.0, True, "7"])
+    def test_bits_rejects_non_integer(self, x):
+        with pytest.raises(ProtocolError, match="integer"):
+            bits_for_range(x)
+
+    def test_bits_accepts_numpy_integers(self):
+        assert bits_for_range(np.int64(7)) == 3
+        assert bits_for_range(np.uint8(255)) == 8
+
     def test_value_bits_msb_first(self):
         assert value_bits(5, 4) == "0101"
 
@@ -191,6 +200,21 @@ class TestConsensus:
         with pytest.raises(ProtocolError):
             run_consensus(chain, values, x_max=7, constants=constants,
                           rng=rng)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[2.7, 3.9, 5.5, 6, 7, 4.2, 3.1, 2.9], [True] * 8],
+    )
+    def test_non_integer_values_rejected(self, chain, constants, rng, values):
+        # Truncated, the floats decide 2 (held by no station) as correct.
+        with pytest.raises(ProtocolError, match="integers"):
+            run_consensus(chain, values, x_max=7, constants=constants,
+                          rng=rng)
+
+    def test_non_integer_x_max_rejected(self, chain, constants, rng):
+        with pytest.raises(ProtocolError, match="x_max"):
+            run_consensus(chain, [1] * chain.size, x_max=7.5,
+                          constants=constants, rng=rng)
 
 
 class TestLeaderElection:

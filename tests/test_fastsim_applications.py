@@ -182,6 +182,27 @@ class TestFastConsensus:
                 chain, [-1] * chain.size, 7, constants, [rng]
             )
 
+    @pytest.mark.parametrize(
+        "values",
+        [[2.7, 3.9, 5.5, 6, 7, 4.2, 3.1, 2.9], [True] * 8],
+    )
+    def test_non_integer_values_rejected(self, chain, constants, rng, values):
+        # Truncated, the floats decide 2 (held by no station) as correct.
+        with pytest.raises(ProtocolError, match="integers"):
+            fast_consensus_batch(chain, values, 7, constants, [rng])
+
+    def test_non_integer_x_max_rejected(self, chain, constants, rng):
+        with pytest.raises(ProtocolError, match="x_max"):
+            fast_consensus_batch(chain, [1] * chain.size, 7.5, constants,
+                                 [rng])
+
+    def test_numpy_integer_inputs_accepted(self, chain, constants, rng):
+        values = np.array([5, 3, 7, 3, 6, 4, 5, 7], dtype=np.int32)
+        result = fast_consensus_batch(
+            chain, values, np.int64(7), constants, [rng]
+        )[0]
+        assert result.correct and int(result.decided[0]) == 3
+
     def test_rounds_accumulate(self, chain, constants, rng):
         result = fast_consensus_batch(
             chain, [1] * chain.size, 3, constants, [rng]

@@ -16,6 +16,22 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             WakeupSchedule(np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize(
+        "wake_rounds",
+        [np.array([0.9, 2.5, -0.5]), np.array([0.0, 1.0]), [True, False]],
+    )
+    def test_rejects_non_integer_rounds(self, wake_rounds):
+        # Truncation would wake the -0.5 station at round 0 and turn a
+        # boolean mask into rounds 1 and 0.
+        with pytest.raises(SimulationError, match="integers"):
+            WakeupSchedule(wake_rounds)
+
+    def test_accepts_int_list_and_int32(self):
+        for wake_rounds in ([3, -1, 0], np.array([3, -1, 0], dtype=np.int32)):
+            s = WakeupSchedule(wake_rounds)
+            assert s.wake_rounds.dtype == np.dtype(int)
+            assert s.wake_rounds.tolist() == [3, -1, 0]
+
     def test_first_wake(self):
         s = WakeupSchedule(np.array([5, WakeupSchedule.NEVER, 2]))
         assert s.first_wake == 2
