@@ -17,8 +17,9 @@ Quickstart::
     outcome = run_spont_broadcast(net, source=0, rng=rng)
     print(outcome.success, outcome.completion_round)
 
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the architecture overview and docs/experiments.md for
+the experiment catalog; ``python -m repro.experiments all --markdown
+PATH`` writes the paper-vs-measured record.
 """
 
 from repro import baselines, deploy, geometry, network, sim, sinr

@@ -2,7 +2,7 @@
 
 Experiments print their rows in the same aligned ASCII format so the
 console output of ``python -m repro.experiments <id>`` reads like the
-tables in EXPERIMENTS.md.
+tables of its ``--markdown`` output.
 """
 
 from __future__ import annotations

@@ -96,8 +96,8 @@ class ProtocolConstants:
     bookkeeping (used by the calibration ablation and the theoretical
     constants, which satisfy the paper's constant inequalities).
 
-    **Calibration of the defaults** (``tools/calibrate.py``; recorded in
-    EXPERIMENTS.md).  The discriminating mechanism of ``Playoff`` is
+    **Calibration of the defaults** (``tools/calibrate.py``; DESIGN.md
+    §4.3).  The discriminating mechanism of ``Playoff`` is
     interference: scaled-up transmissions must bury receptions from
     outside the close neighbourhood while the capture effect (path loss
     ``alpha > gamma``) keeps genuinely close transmitters decodable.
@@ -185,8 +185,8 @@ class ProtocolConstants:
 
         These values are astronomically conservative (that is the point of
         the exercise: they exist, they are constants, and they are
-        enormous); they are exercised by unit tests and reported in
-        EXPERIMENTS.md but never used to drive a simulation.
+        enormous); they are exercised by unit tests but never used to
+        drive a simulation.
         """
         alpha, beta = params.alpha, params.beta
         eps = params.eps

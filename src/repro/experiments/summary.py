@@ -1,8 +1,8 @@
 """Markdown summary writer for experiment reports.
 
 Turns a list of :class:`~repro.experiments.base.ExperimentReport` objects
-into a Markdown document (tables + metrics), so the EXPERIMENTS.md record
-can be regenerated mechanically from a full run::
+into a Markdown document (tables + metrics), so the paper-vs-measured
+record can be regenerated mechanically from a full run::
 
     python -m repro.experiments all --scale full --markdown out.md
 """

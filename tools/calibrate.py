@@ -4,7 +4,8 @@ Runs the coloring (and optionally SBroadcast) over a small bank of
 canonical networks for a grid of constant settings, reporting the
 Lemma 1 / Lemma 2 masses (at the paper's eps/2 radius and at the practical
 effective radius) and broadcast completion.  Used to choose the defaults
-in ``ProtocolConstants.practical`` — results recorded in EXPERIMENTS.md.
+in ``ProtocolConstants.practical`` — the decisions are summarised in
+DESIGN.md §4.3 and the ``ProtocolConstants`` docstring.
 
 Usage: python tools/calibrate.py [--broadcast]
 """
