@@ -12,14 +12,17 @@ asserted directly:
   kernel stack in sparse mode.
 
 Resolver throughput (rounds/sec on protocol-shaped transmitter sets) is
-recorded for both backends at n = 2k and for the sparse backend at 10k
-and 50k, with the core count and the resolved kernel in ``extra_info``.
+recorded for both backends at n = 2k and for the sparse backend at 10k,
+20k and 50k, with the core count and the resolved kernel in ``extra_info``;
+so are the traced (``tracemalloc``) peak of a separate, untimed build
+and that build's bytes per near-field entry.
 CI uploads the pytest-benchmark JSON as ``BENCH_sinr.json`` alongside
 ``BENCH_grid.json``.
 """
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.sysmem import available_memory_bytes
 from repro.core.constants import ProtocolConstants
 from repro.network.network import Network
 from repro.sinr.reception import resolve_reception_batch
+from repro.sinr.sparse import SparseGainBackend
 
 SEED = 2014
 DENSITY = 12.0
@@ -75,13 +79,15 @@ def _needs_memory(bytes_needed: int):
     )
 
 
-@pytest.mark.parametrize("n", [2000, 10_000, 50_000])
+@pytest.mark.parametrize("n", [2000, 10_000, 20_000, 50_000])
 def test_sparse_backend_scale(benchmark, n, capsys):
     """Sparse build time, resident bytes and rounds/sec at each n."""
-    # The build transient (the pair-key chunks and their sorted copy on
-    # top of the final CSR + distance arrays) peaks near 8 kB/station
-    # at this density (7.6 measured at n=50k); the gate keeps a 3x
-    # margin.
+    # The build transient (the sorted pair keys beside the index
+    # array, then the CSR beside one row block of distances) peaks near
+    # 3.5 kB/station at this density (traced 172 MB at n=50k; 7.3
+    # kB/station while the build kept distances and held its keys
+    # twice); with the traced second build below, the test holds about
+    # 7 kB/station at once.
     if available_memory_bytes() < 25_000 * n:
         pytest.skip("not enough memory for the sparse build transient")
     coords = _coords(n)
@@ -97,21 +103,34 @@ def test_sparse_backend_scale(benchmark, n, capsys):
         backend, n, net.params.noise, net.params.beta
     )
     sparse_bytes = backend.nbytes()
+    nnz = int(backend.indices.size)
     ratio = _dense_bytes(n) / sparse_bytes
+    tracemalloc.start()
+    try:
+        fresh = SparseGainBackend(coords, net.params, net.channel, CUTOFF)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Per entry as built, before the rounds above add far-field tables.
+    per_entry = fresh.nbytes() / nnz
     benchmark.extra_info.update(
         n=n,
         sparse_bytes=sparse_bytes,
+        bytes_per_entry=round(per_entry, 2),
+        build_peak_bytes=build_peak,
         dense_bytes=_dense_bytes(n),
         memory_ratio=round(ratio, 1),
         rounds_per_sec=round(rps, 1),
-        nnz=int(backend.indices.size),
+        nnz=nnz,
         nproc=os.cpu_count(),
         kernel_kind=net.kernel_kind,
     )
     with capsys.disabled():
         print(
             f"\nsparse n={n}: {sparse_bytes / 1e6:.0f} MB "
-            f"(dense {_dense_bytes(n) / 1e9:.1f} GB, {ratio:.0f}x), "
+            f"({per_entry:.2f} B/entry as built, build peak "
+            f"{build_peak / 1e6:.0f} MB; "
+            f"dense {_dense_bytes(n) / 1e9:.1f} GB, {ratio:.0f}x), "
             f"{rps:.1f} rounds/s (B={BATCH})"
         )
     if n >= MEMORY_FLOOR_N:

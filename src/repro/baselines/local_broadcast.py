@@ -22,7 +22,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
-from repro.core.constants import log2ceil
+from repro.core.constants import phase_length
 from repro.core.outcome import BroadcastOutcome
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -43,12 +43,6 @@ class LocalBroadcastNode(FloodingNode):
 
     def probability_for_round(self, round_no: int) -> float:
         return self.q
-
-
-def phase_length(n: int, max_degree: int) -> int:
-    """Local-broadcast phase length ``Theta((Delta + log n) log n)``."""
-    logn = log2ceil(n)
-    return max(1, int(2.0 * (max_degree + logn) * logn))
 
 
 def run_local_broadcast_global(

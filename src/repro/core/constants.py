@@ -42,6 +42,16 @@ def log2ceil(n: int) -> int:
     return max(1, math.ceil(math.log2(n)))
 
 
+def phase_length(n: int, max_degree: int) -> int:
+    """Local-broadcast phase length ``Theta((Delta + log n) log n)``.
+
+    The one formula behind the reference local-broadcast composition
+    (:mod:`repro.baselines.local_broadcast`) and its fast kernel.
+    """
+    logn = log2ceil(n)
+    return max(1, int(2.0 * (max_degree + logn) * logn))
+
+
 def converging_zeta(exponent: float, terms: int = 100000) -> float:
     """``sum_{i >= 1} i^-exponent`` for ``exponent > 1``.
 

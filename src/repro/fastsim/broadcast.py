@@ -18,7 +18,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.constants import ColoringSchedule, ProtocolConstants, log2ceil
+from repro.core.constants import (
+    ColoringSchedule,
+    ProtocolConstants,
+    log2ceil,
+    phase_length,
+)
 from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
 from repro.errors import ProtocolError
 from repro.fastsim.coloring import fast_coloring_batch
@@ -313,8 +318,7 @@ def fast_local_broadcast_global_batch(
     n = network.size
     delta = max(1, network.max_degree)
     q = 1.0 / (2.0 * delta)
-    logn = log2ceil(n)
-    phase_len = max(1, int(2.0 * (delta + logn) * logn))
+    phase_len = phase_length(n, delta)
     if round_budget is None:
         depth = network.eccentricity(source) if n > 1 else 0
         round_budget = (2 * depth + 8) * phase_len

@@ -31,17 +31,22 @@ from repro.sinr.sparse import (
     csr_row_positions,
     csr_upper_pairs,
     default_cutoff,
+    pair_distances,
     sparse_supported,
 )
 
 #: Recognized SINR backend selectors (DESIGN.md §2.2).
 BACKENDS = ("auto", "dense", "sparse")
 
-#: Moved-station fraction above which :meth:`Network.advance` drops the
-#: incremental patch and lets the successor rebuild lazily from scratch
-#: — splicing cost approaches full-build cost well before every row is
-#: touched (DESIGN.md §7).
-MOBILITY_REBUILD_FRACTION = 0.25
+#: Moved-station fraction, per backend kind, above which
+#: :meth:`Network.advance` drops the incremental patch and lets the
+#: successor rebuild lazily from scratch — splicing cost reaches
+#: full-build cost well before every row is touched (DESIGN.md §7.1).
+#: Measured on 2 cores with the numpy kernels: a sparse advance costs
+#: 0.92x a rebuild at 1/8 movers and 1.06x at 15% (n=20k); a dense
+#: patch stays ahead of a rebuild to ~90% movers at n=96, ~50% at
+#: n=1024 and ~28% at n=3000.
+MOBILITY_REBUILD_FRACTION = {"sparse": 1 / 8, "dense": 1 / 3}
 
 
 class Network:
@@ -486,14 +491,16 @@ class Network:
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Indices of stations within ``radius`` of station ``center``.
 
-        Filters ``center``'s row of the sparse near field for radii up
-        to the cutoff, and otherwise ``center``'s row of distances
-        (computed from the coordinates on a sparse network, so the
-        ``(n, n)`` matrix is never built; the row is bitwise the dense
-        matrix's row).  Nothing is memoized per radius: the service's
-        ``ball`` op takes radii from its peers.  ``center`` must be an
-        integer station index in ``[0, n)`` and ``radius >= 0``, else
-        :class:`GeometryError`.
+        For radii up to the cutoff on a sparse network, filters
+        ``center``'s near-field CSR row by its distances, computed for
+        that row alone by :func:`~repro.sinr.sparse.pair_distances`.
+        Otherwise filters ``center``'s row of distances (computed from
+        the coordinates on a sparse network, so the ``(n, n)`` matrix is
+        never built; the row is bitwise the dense matrix's row).  Both
+        give the dense matrix's answer bit for bit.  Nothing is
+        memoized per radius: the service's ``ball`` op takes radii from
+        its peers.  ``center`` must be an integer station index in
+        ``[0, n)`` and ``radius >= 0``, else :class:`GeometryError`.
         """
         if (
             isinstance(center, (bool, np.bool_))
@@ -510,8 +517,12 @@ class Network:
             if radius <= self.cutoff:
                 backend = self.sparse_backend
                 lo, hi = backend.indptr[center], backend.indptr[center + 1]
-                near = backend.indices[lo:hi][backend.dists[lo:hi] <= radius]
-                return np.union1d(near.astype(np.int64), center)
+                senders = backend.indices[lo:hi]
+                dist = pair_distances(
+                    backend.coords, np.full(senders.size, center), senders
+                )
+                near = senders[dist <= radius].astype(np.int64)
+                return np.union1d(near, center)
             row = distance_rows(self._coords, np.asarray([center]))[0]
         else:
             row = self.distances[center]
@@ -530,17 +541,21 @@ class Network:
         carries over is the expensive gain structure, *incrementally*:
 
         * **sparse** — when this network's backend is built and at most
-          :data:`MOBILITY_REBUILD_FRACTION` of the stations moved, the
-          successor gets :meth:`repro.sinr.sparse.SparseGainBackend.advanced`'s
+          :data:`MOBILITY_REBUILD_FRACTION` ``["sparse"]`` of the
+          stations moved, the successor gets
+          :meth:`repro.sinr.sparse.SparseGainBackend.advanced`'s
           patched backend: only CSR rows whose cell neighbourhood saw a
           moved station are recomputed, the rest are copied.  The patched
           state is bitwise equal to a from-scratch build at the new
           coordinates (the equivalence suite asserts it); when the cell
           grid itself drifts (bounding-box origin/shape change) the
           patch is unsound and the successor rebuilds lazily.
-        * **dense** — the moved rows/columns of the distance matrix are
-          recomputed with the elementwise pairwise expression (bitwise
-          equal to a fresh :func:`~repro.geometry.metric.pairwise_distances`);
+        * **dense** — when the distance matrix is built and at most
+          :data:`MOBILITY_REBUILD_FRACTION` ``["dense"]`` of the
+          stations moved, the moved rows/columns of the distance matrix
+          are recomputed with the elementwise pairwise expression
+          (bitwise equal to a fresh
+          :func:`~repro.geometry.metric.pairwise_distances`);
           radial channels additionally patch the gain rows through
           :meth:`~repro.sinr.channel.ChannelModel.radial_gain`, while
           non-radial channels (shadowing, obstacles) recompute gains
@@ -574,14 +589,15 @@ class Network:
         new_coords = self._coords + disp
         successor = Network(**{**self.descriptor(), "coords": new_coords})
         successor.advance_mode = "rebuild"
-        if moved.size <= MOBILITY_REBUILD_FRACTION * self.size:
-            if self.backend_kind == "sparse" and self._backend_obj is not None:
+        kind = self.backend_kind
+        if moved.size <= MOBILITY_REBUILD_FRACTION[kind] * self.size:
+            if kind == "sparse" and self._backend_obj is not None:
                 patched = self._backend_obj.advanced(new_coords, moved)
                 if patched is not None:
                     successor._backend_kind = "sparse"
                     successor._backend_obj = patched
                     successor.advance_mode = "patched-sparse"
-            elif self.backend_kind == "dense" and self._dist is not None:
+            elif kind == "dense" and self._dist is not None:
                 self._patch_dense(successor, new_coords, moved)
                 successor.advance_mode = "patched-dense"
         return successor

@@ -66,7 +66,24 @@ class WakeupSchedule:
     # ------------------------------------------------------------------
     @classmethod
     def single(cls, n: int, station: int, round_no: int = 0) -> "WakeupSchedule":
-        """Only one station ever wakes spontaneously (broadcast-like)."""
+        """Only one station ever wakes spontaneously (broadcast-like).
+
+        ``station`` must be an integer in ``[0, n)`` and ``round_no`` an
+        integer (a negative one leaves no station to wake and is
+        refused like any such schedule); bools and floats are refused,
+        not truncated.
+        """
+        for name, value in (("station", station), ("round_no", round_no)):
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise SimulationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        if not 0 <= station < n:
+            raise SimulationError(
+                f"station must be in [0, {n}), got {station}"
+            )
         rounds = np.full(n, cls.NEVER)
         rounds[station] = round_no
         return cls(rounds)

@@ -158,6 +158,36 @@ def csr_upper_pairs(
     return rows[keep], cols[keep]
 
 
+def pair_distances(
+    coords: np.ndarray, listeners: np.ndarray, senders: np.ndarray
+) -> np.ndarray:
+    """Distances of ``(listener, sender)`` pairs, one per pair.
+
+    The near field's one per-pair arithmetic: ``diff =
+    coords[listener] - coords[sender]``, then ``sqrt(diff . diff)``,
+    each pair from its own coordinates alone, so a pair's bits do not
+    depend on what else shares the call.  The backend's gains,
+    its CSR-aligned distances, its radius queries and
+    :meth:`repro.network.network.Network.ball` all take their distances
+    from here.
+
+    :raises DeploymentError: if a pair's distance is below
+        :data:`~repro.geometry.metric.MIN_DISTANCE`.
+    """
+    # ``take`` gathers whole rows, the same values as
+    # ``coords[listeners]`` at a fraction of its cost.
+    diff = coords.take(listeners, axis=0)
+    diff -= coords.take(senders, axis=0)
+    dist = np.einsum("ij,ij->i", diff, diff)
+    np.sqrt(dist, out=dist)
+    if dist.size and float(dist.min()) < MIN_DISTANCE:
+        raise DeploymentError(
+            "deployment contains co-located stations; the SINR "
+            "model requires distinct positions"
+        )
+    return dist
+
+
 def _strongest(
     slot: np.ndarray,
     values: np.ndarray,
@@ -321,7 +351,7 @@ class CellIndex:
     every neighbourhood query is a handful of ``searchsorted`` calls.
 
     :param reach: Chebyshev radius (in cells) of the "near"
-        neighbourhood served by :meth:`adjacent_pair_chunks`; pairs at
+        neighbourhood served by :meth:`adjacent_pair_keys`; pairs at
         Euclidean distance ``<= reach * cell_size`` are guaranteed to be
         near.
     """
@@ -361,64 +391,72 @@ class CellIndex:
         hit = self.occupied[pos] == flat_ids
         return np.where(hit, pos, -1)
 
-    def adjacent_pair_chunks(self):
-        """Yield chunks of ``i * n + j`` pair keys over Chebyshev-``reach``
-        cell neighbourhoods.
+    def _offset_buckets(self):
+        """Yield ``(offset, src, dst)`` per cell offset within
+        Chebyshev ``reach``: the occupied buckets ``src`` whose
+        neighbour at that offset is occupied, and that neighbour's
+        bucket ``dst``.
+
+        A neighbour inside the grid on every axis has flat id ``cell +
+        offset . strides``, looked up in a transient cell -> bucket
+        table, so one walk costs a few gathers per offset.
+        """
+        span = range(-self.reach, self.reach + 1)
+        bucket = np.full(self.n_cells, -1, dtype=np.int64)
+        bucket[self.occupied] = np.arange(self.occupied.size)
+        strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
+        vec = np.unravel_index(self.occupied, self.shape)
+        inside = [
+            [(v + o >= 0) & (v + o < size) for o in span]
+            for v, size in zip(vec, self.shape)
+        ]
+        for offset in product(span, repeat=self.dim):
+            src = np.flatnonzero(np.logical_and.reduce([
+                axis[o + self.reach] for axis, o in zip(inside, offset)
+            ]))
+            dst = bucket[self.occupied[src] + int(np.dot(offset, strides))]
+            hit = dst >= 0
+            yield offset, src[hit], dst[hit]
+
+    def adjacent_pair_keys(self) -> np.ndarray:
+        """The ``i * n + j`` keys of the Chebyshev-``reach`` cell
+        neighbourhoods, in one int64 array.
 
         Every ordered pair ``(i, j)`` of distinct stations whose cells
-        differ by at most ``reach`` per axis appears exactly once across
-        the chunks, as the int64 key ``i * n + j`` (each offset
-        contributes one direction; the opposite offset the other).
-        Pairs at distance ``<= reach * cell_size`` are guaranteed to be
-        covered; pairs in cells beyond the reach are at distance ``>
-        (reach - 1) * cell_size`` per exceeding axis.  Chunks are in no
-        particular order; sorted, the keys list the pairs by ``i``, then
-        ``j``.
+        differ by at most ``reach`` per axis appears exactly once, as
+        the key ``i * n + j`` (each offset contributes one direction;
+        the opposite offset the other).  Pairs at distance ``<= reach *
+        cell_size`` are guaranteed to be covered; pairs in cells beyond
+        the reach are at distance ``> (reach - 1) * cell_size`` per
+        exceeding axis.  The array is sized from the per-offset bucket
+        pair counts and written one offset at a time, so no key is ever
+        held twice.  It is in no particular order; sorted, the keys
+        list the pairs by ``i``, then ``j``.
         """
-        shape = np.asarray(self.shape, dtype=np.int64)
-        occ_vec = np.stack(
-            np.unravel_index(self.occupied, self.shape), axis=1
-        )
-        span = range(-self.reach, self.reach + 1)
-        for offset in product(span, repeat=self.dim):
-            off = np.asarray(offset, dtype=np.int64)
-            nb_vec = occ_vec + off
-            valid = np.all((nb_vec >= 0) & (nb_vec < shape), axis=1)
-            if not valid.any():
-                continue
-            src = np.flatnonzero(valid)
-            nb_flat = np.ravel_multi_index(
-                tuple(nb_vec[valid].T), self.shape
-            )
-            dst = self._bucket_of(nb_flat)
-            hit = dst >= 0
-            if not hit.any():
-                continue
-            src, dst = src[hit], dst[hit]
-            ca = self.bucket_count[src]
-            cb = self.bucket_count[dst]
-            pair_counts = ca * cb
-            total = int(pair_counts.sum())
-            if total == 0:
-                continue
-            cum = np.zeros(pair_counts.size, dtype=np.int64)
-            np.cumsum(pair_counts[:-1], out=cum[1:])
-            local = np.arange(total, dtype=np.int64) - np.repeat(
-                cum, pair_counts
-            )
-            cb_rep = np.repeat(cb, pair_counts)
-            a_local = local // cb_rep
-            b_local = local - a_local * cb_rep
-            i = self.order[np.repeat(self.bucket_start[src], pair_counts)
-                           + a_local]
-            j = self.order[np.repeat(self.bucket_start[dst], pair_counts)
-                           + b_local]
-            if all(o == 0 for o in offset):
-                keep = i != j
-                i, j = i[keep], j[keep]
-            i *= self.n
-            i += j
-            yield i
+        count, start, n = self.bucket_count, self.bucket_start, self.n
+        # The zero offset pairs every station with itself once: n keys
+        # that are not pairs.
+        total = sum(
+            int(np.dot(count[src], count[dst]))
+            for _, src, dst in self._offset_buckets()
+        ) - n
+        keys = np.empty(total, dtype=np.int64)
+        at = 0
+        for offset, src, dst in self._offset_buckets():
+            # Each station of bucket src[k] pairs with all of dst[k].
+            per = count[src]
+            rows = self.order[_row_positions(start[src], per)] * n
+            run = np.repeat(count[dst], per)
+            senders = self.order[
+                _row_positions(np.repeat(start[dst], per), run)
+            ]
+            rows = np.repeat(rows, run)
+            if not any(offset):
+                keep = rows != senders * n
+                rows, senders = rows[keep], senders[keep]
+            np.add(rows, senders, out=keys[at:at + senders.size])
+            at += senders.size
+        return keys
 
 
 # ----------------------------------------------------------------------
@@ -499,11 +537,6 @@ class SparseGainBackend:
                 "would dominate memory (raise the cutoff or use the dense "
                 "backend)"
             )
-        if _csr is not None:
-            self.data, self.indices, self.indptr = _csr
-            self._dists: Optional[np.ndarray] = None
-        else:
-            self._build_csr()
         #: Far set emptiness: with at most ``reach + 1`` cells per axis
         #: every cell pair is within the near reach — the exact-equality
         #: regime (guaranteed when the per-axis extent is <= cutoff).
@@ -515,6 +548,10 @@ class SparseGainBackend:
         #: within it (:meth:`adjacency_within`); position-dependent, so
         #: :meth:`advanced` never carries it over.
         self._adjacency: dict[float, tuple] = {}
+        if _csr is not None:
+            self.data, self.indices, self.indptr = _csr
+        else:
+            self._build_csr()
 
     # -- construction --------------------------------------------------
     def _radial(self, dist: np.ndarray) -> np.ndarray:
@@ -525,9 +562,16 @@ class SparseGainBackend:
         return gains
 
     def _build_csr(self) -> None:
-        keys = np.concatenate([
-            np.empty(0, dtype=np.int64), *self.cells.adjacent_pair_chunks()
-        ])
+        """The CSR triple, plus the adjacency at the communication radius.
+
+        One key array, sorted in place, gives ``indptr`` and
+        ``indices`` and is released before any gain exists, so the
+        build never holds a second per-entry copy of anything.  Gains
+        then come in row blocks of distances (:meth:`_dist_blocks`);
+        the same blocks memoize :meth:`adjacency_within` at
+        ``params.comm_radius``, which the graph queries read.
+        """
+        keys = self.cells.adjacent_pair_keys()
         # The keys are unique pairs, so their sort is the (listener,
         # sender) order: CSR rows per listener with columns in ascending
         # sender order, the fold order the exact-equality contract
@@ -536,68 +580,80 @@ class SparseGainBackend:
         self.indptr = np.searchsorted(
             keys, np.arange(self.n + 1, dtype=np.int64) * self.n
         )
-        self.indices, self.data, self._dists = self._entries(
-            self.coords, keys
-        )
-
-    def _entries(
-        self, coords: np.ndarray, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns, gains and distances of ``listener * n + sender`` keys.
-
-        The one per-pair arithmetic of the near field: ``diff =
-        coords[listener] - coords[sender]``, the distance ``sqrt(diff .
-        diff)`` and its radial gain, each entry computed from its own
-        pair alone, in key order.  Keys go in blocks of
-        :data:`SERVING_CHUNK_ELEMENTS`, so the temporaries stay small
-        however many entries there are.
-
-        :returns: ``(indices, data, dists)``, aligned with ``keys``.
-        :raises DeploymentError: if a pair's distance is below
-            :data:`~repro.geometry.metric.MIN_DISTANCE`.
-        """
-        indices = np.empty(keys.size, dtype=csr_index_dtype(self.n))
-        data = np.empty(keys.size)
-        dists = np.empty(keys.size)
+        self.indices = np.empty(keys.size, dtype=csr_index_dtype(self.n))
         for lo in range(0, keys.size, SERVING_CHUNK_ELEMENTS):
             block = slice(lo, lo + SERVING_CHUNK_ELEMENTS)
-            listeners, senders = np.divmod(keys[block], self.n)
-            # ``take`` gathers whole rows, the same values as
-            # ``coords[listeners]`` at a fraction of its cost.
-            diff = coords.take(listeners, axis=0) - coords.take(
-                senders, axis=0
+            self.indices[block] = keys[block] % self.n
+        del keys
+        self.data = np.empty(self.indices.size)
+        comm = float(self.params.comm_radius)
+        kept = []
+        for entries, dist in self._dist_blocks():
+            self.data[entries] = self._radial(dist)
+            kept.append(np.flatnonzero(dist <= comm) + entries.start)
+        self._adjacency[comm] = self._kept_csr(kept)
+
+    def _dist_blocks(self):
+        """Yield ``(entries, dists)``: the CSR-aligned pair distances
+        by row blocks.
+
+        ``entries`` is the block's slice of the CSR storage.  A block
+        holds whole rows and at most :data:`SERVING_CHUNK_ELEMENTS`
+        entries (a longer row forms a block alone), so the temporaries
+        of :func:`pair_distances` stay small however many entries there
+        are.
+        """
+        indptr = self.indptr
+        r0 = 0
+        while r0 < self.n:
+            r1 = max(r0 + 1, int(np.searchsorted(
+                indptr, indptr[r0] + SERVING_CHUNK_ELEMENTS, side="right"
+            )) - 1)
+            entries = slice(int(indptr[r0]), int(indptr[r1]))
+            listeners = np.repeat(
+                np.arange(r0, r1), np.diff(indptr[r0:r1 + 1])
             )
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            if float(dist.min()) < MIN_DISTANCE:
-                raise DeploymentError(
-                    "deployment contains co-located stations; the SINR "
-                    "model requires distinct positions"
-                )
-            indices[block] = senders
-            data[block] = self._radial(dist)
-            dists[block] = dist
-        return indices, data, dists
+            yield entries, pair_distances(
+                self.coords, listeners, self.indices[entries]
+            )
+            r0 = r1
+
+    def _kept_csr(self, kept: list) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric CSR ``(indptr, indices)`` of the entries at the
+        ascending storage positions ``kept`` (a list of blocks)."""
+        kept = np.concatenate([np.empty(0, dtype=np.int64), *kept])
+        # Entries kept before each row start = the new row starts.
+        return np.searchsorted(kept, self.indptr), self.indices[kept]
 
     @property
     def dists(self) -> np.ndarray:
-        """CSR-aligned pair distances (lazy on a backend built around
-        given CSR arrays, as :meth:`advanced` builds its result)."""
-        if self._dists is None:
-            self._dists = self._entries(self.coords, self._entry_keys())[2]
-        return self._dists
+        """CSR-aligned pair distances, computed afresh on every access.
+
+        No protocol round reads a distance, so the backend keeps none:
+        each access runs :func:`pair_distances` over the CSR in row
+        blocks and returns a new array (8 bytes per entry), which the
+        backend does not cache.  Bitwise the distances the gains were
+        computed from.
+        """
+        dists = np.empty(self.indices.size)
+        for entries, dist in self._dist_blocks():
+            dists[entries] = dist
+        return dists
 
     def nbytes(self) -> int:
         """Resident bytes of the backend's persistent arrays.
 
-        Counts the lazily built structures too once they exist: the
-        aligned distances, the far-field transforms and the spatial
-        tables the serving path gathers from, the merge keys
-        :meth:`advanced` caches, and every memoized adjacency.
+        The CSR triple (12 bytes per entry with ``int32`` indices) and
+        the cell index, plus the lazily built structures once they
+        exist: the far-field transforms and the spatial tables the
+        serving path gathers from, the merge keys :meth:`advanced`
+        caches, and every memoized adjacency (a fresh build memoizes
+        the one at the communication radius).  Distances are not kept,
+        so they are not counted.
         """
         arrays = [
             self.data, self.indices, self.indptr,
-            self.cells.cell_of, self.cells.order,
-            self._dists, self._entry_keys_cache,
+            self.cells.cell_of, self.cells.order, self._entry_keys_cache,
         ]
         if self._kernels is not None:
             arrays += self._kernels[0:2]
@@ -614,11 +670,12 @@ class SparseGainBackend:
     ) -> Optional["SparseGainBackend"]:
         """Backend at ``new_coords`` with only the moved *entries* redone.
 
-        Returns a new backend whose CSR triple (and aligned distances)
-        is **bitwise equal** to a from-scratch build at ``new_coords``,
-        or ``None`` when patching is unsound and the caller must rebuild
-        — the contract :meth:`repro.network.network.Network.advance`
-        relies on (DESIGN.md §7).
+        Returns a new backend whose CSR triple (and so its
+        :attr:`dists`) is **bitwise equal** to a from-scratch build at
+        ``new_coords``, or ``None`` when patching is unsound and the
+        caller must rebuild — the contract
+        :meth:`repro.network.network.Network.advance` relies on
+        (DESIGN.md §7).
 
         Patching is sound exactly when a fresh :class:`CellIndex` over
         ``new_coords`` has the same origin and shape as this backend's:
@@ -633,18 +690,20 @@ class SparseGainBackend:
         * **recompute** the moved stations' full rows under the new
           binning (:meth:`_rows_for`) and mirror them onto unmoved
           listeners (cell-Chebyshev reach is symmetric); the fresh run's
-          ``row * n + sender`` keys are sorted and go through
-          :meth:`_entries`, the per-pair arithmetic of the build, so
-          each value is bitwise what a fresh build computes;
+          ``row * n + sender`` keys are sorted and their gains come
+          from :func:`pair_distances`, the per-pair arithmetic of the
+          build, so each value is bitwise what a fresh build computes;
         * **merge** surviving and fresh entries by that composite key —
           both runs are sorted, so two ``searchsorted`` calls place
           every entry without a global re-sort.
 
-        Gains and distances are evaluated only on the delta — O(moved
-        fraction) of the build cost; ``benchmarks/bench_mobility.py``
-        gates the resulting speedup.  Far-field kernels depend only on
-        the grid shape and are carried over; memoized adjacencies
-        (:meth:`adjacency_within`) depend on positions and are not.
+        Gains are evaluated only on the delta — O(moved fraction) of
+        the build cost; ``benchmarks/bench_mobility.py`` gates the
+        resulting speedup.  Far-field kernels depend only on the grid
+        shape and are carried over; memoized adjacencies
+        (:meth:`adjacency_within`), the one at the communication radius
+        included, depend on positions and are not: the patched backend
+        starts with an empty memo.
         """
         new_coords = np.asarray(new_coords, dtype=float)
         if new_coords.ndim == 1:
@@ -700,7 +759,15 @@ class SparseGainBackend:
             [m_senders, m_listeners[mirror]]
         )
         ins_keys.sort()
-        ins_indices, ins_data, _ = self._entries(new_coords, ins_keys)
+        ins_indices = np.empty(ins_keys.size, dtype=self.indices.dtype)
+        ins_data = np.empty(ins_keys.size)
+        for lo in range(0, ins_keys.size, SERVING_CHUNK_ELEMENTS):
+            block = slice(lo, lo + SERVING_CHUNK_ELEMENTS)
+            listeners, senders = np.divmod(ins_keys[block], base)
+            ins_indices[block] = senders
+            ins_data[block] = self._radial(
+                pair_distances(new_coords, listeners, senders)
+            )
 
         # Sorted-merge: the old CSR is globally (row, sender)-ordered and
         # so is the insert run.  Each insert's rank among the *kept*
@@ -737,11 +804,8 @@ class SparseGainBackend:
             new_coords, self.params, self.channel, self.cutoff,
             _csr=(data, indices, indptr), _cells=new_cells,
         )
-        # ``_dists`` stays lazy on the patched backend: protocol rounds
-        # never touch it, and the :attr:`dists` property recomputes the
-        # identical (bitwise) values on demand for the geometry queries
-        # that do.  Same grid shape and cell side => identical far-field
-        # kernels; reuse the (possibly already computed) FFT transforms.
+        # Same grid shape and cell side => identical far-field kernels;
+        # reuse the (possibly already computed) FFT transforms.
         patched._kernels = self._kernels
         patched._far_spatial = self._far_spatial
         return patched
@@ -769,7 +833,7 @@ class SparseGainBackend:
 
         :returns: ``(listeners, senders)`` — unsorted candidate pairs
             over the Chebyshev-reach neighbourhoods, the same pair set
-            :meth:`CellIndex.adjacent_pair_chunks` yields for those rows.
+            :meth:`CellIndex.adjacent_pair_keys` lists for those rows.
         """
         dim = cells.dim
         shape = np.asarray(cells.shape, dtype=np.int64)
@@ -1397,10 +1461,13 @@ class SparseGainBackend:
 
         The near-field CSR restricted to distances ``<= radius``: it is
         complete for any radius up to the cutoff, and its rows keep
-        their ascending sender order.  Built once per radius and
-        memoized on this backend, so every MAC session and graph query
-        over one deployment shares it; a backend at new positions
-        (:meth:`advanced`) starts with an empty memo.
+        their ascending sender order.  Built once per radius from one
+        pass of distance blocks (:meth:`_dist_blocks`) and memoized on
+        this backend, so every MAC session and graph query over one
+        deployment shares it.  A fresh build memoizes the
+        communication radius from the distances it computes anyway, so
+        the graph queries never pay a distance pass; a backend at new
+        positions (:meth:`advanced`) starts with an empty memo.
         """
         if radius > self.cutoff:
             raise GeometryError(
@@ -1410,10 +1477,10 @@ class SparseGainBackend:
         key = float(radius)
         adjacency = self._adjacency.get(key)
         if adjacency is None:
-            kept = np.flatnonzero(self.dists <= radius)
-            # Entries kept before each row start = the new row starts.
-            indptr = np.searchsorted(kept, self.indptr)
-            adjacency = (indptr, self.indices[kept])
+            adjacency = self._kept_csr([
+                np.flatnonzero(dist <= radius) + entries.start
+                for entries, dist in self._dist_blocks()
+            ])
             self._adjacency[key] = adjacency
         return adjacency
 

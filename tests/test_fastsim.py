@@ -172,6 +172,21 @@ class TestFastBroadcasts:
         out = fast_local_broadcast_global_batch(small_square, 0, [rng])[0]
         assert out.success
 
+    def test_local_phase_length_is_the_shared_formula(self, small_square):
+        from repro.baselines.local_broadcast import (
+            phase_length as reference_phase_length,
+        )
+        from repro.core.constants import phase_length
+
+        out = fast_local_broadcast_global_batch(
+            small_square, 0, spawn_rngs(2, 5)
+        )
+        delta = max(1, small_square.max_degree)
+        want = phase_length(small_square.size, delta)
+        assert reference_phase_length is phase_length
+        assert [o.extras["phase_length"] for o in out] == [want, want]
+        assert [o.extras["max_degree"] for o in out] == [delta, delta]
+
     def test_bad_source(self, small_chain, constants, rng):
         for fn in (
             lambda: fast_spont_broadcast_batch(

@@ -100,7 +100,7 @@ def test_sparse_advance_bitwise_equals_fresh_build(seed, n, frac, scale):
         expected = (
             "patched-sparse"
             if (disp != 0).any(axis=1).sum()
-            <= MOBILITY_REBUILD_FRACTION * n
+            <= MOBILITY_REBUILD_FRACTION["sparse"] * n
             else "rebuild"
         )
         assert advanced.advance_mode == expected
@@ -137,7 +137,7 @@ def test_dense_advance_bitwise_equals_fresh_build(seed, n, frac, scale):
         moved = (disp != 0).any(axis=1).sum()
         expected = (
             "patched-dense"
-            if moved <= MOBILITY_REBUILD_FRACTION * n
+            if moved <= MOBILITY_REBUILD_FRACTION["dense"] * n
             else "rebuild"
         )
         assert advanced.advance_mode == expected

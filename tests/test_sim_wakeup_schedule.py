@@ -50,6 +50,31 @@ class TestSingle:
         assert s.is_awake(2, 7)
         assert not any(s.is_awake(i, 100) for i in (0, 1, 3, 4))
 
+    @pytest.mark.parametrize("round_no", [-0.5, 7.5, 2.0, True, np.True_])
+    def test_rejects_non_integer_round(self, round_no):
+        # Item assignment would truncate -0.5 to a wake at round 0, 7.5
+        # to 7, and turn True into round 1.
+        with pytest.raises(SimulationError, match="round_no"):
+            WakeupSchedule.single(4, 1, round_no=round_no)
+
+    @pytest.mark.parametrize("station", [-1, 4, 7, 1.0, True])
+    def test_rejects_bad_station(self, station):
+        # -1 would wake station 3 and 7 raise a bare IndexError.
+        with pytest.raises(SimulationError, match="station"):
+            WakeupSchedule.single(4, station)
+
+    def test_negative_round_leaves_no_one_to_wake(self):
+        with pytest.raises(SimulationError, match="at least one station"):
+            WakeupSchedule.single(4, 1, round_no=-3)
+
+    @pytest.mark.parametrize(
+        "station, round_no",
+        [(3, 5), (np.int64(3), np.int16(5)), (np.int32(3), np.uint8(5))],
+    )
+    def test_accepts_python_and_numpy_integers(self, station, round_no):
+        s = WakeupSchedule.single(4, station, round_no=round_no)
+        assert s.wake_rounds.tolist() == [-1, -1, -1, 5]
+
 
 class TestAllAt:
     def test_all_at_zero(self):

@@ -33,6 +33,7 @@ from repro.sinr.reception import (
 )
 from repro.sinr.sparse import (
     CELLS_PER_CUTOFF,
+    SERVING_CHUNK_ELEMENTS,
     CellIndex,
     SparseGainBackend,
     certified_cutoff,
@@ -58,7 +59,7 @@ class TestCellIndex:
     def test_pairs_cover_every_near_pair(self):
         coords = _spread_coords(80, 5.0)
         index = CellIndex(coords, 0.5, reach=2)
-        keys = np.concatenate(list(index.adjacent_pair_chunks()))
+        keys = index.adjacent_pair_keys()
         assert keys.dtype == np.int64
         # every ordered pair of distinct stations exactly once
         assert np.unique(keys).size == keys.size
@@ -260,6 +261,63 @@ class TestNearFieldBuild:
                   "model requires distinct positions",
         ):
             _backend(coords, cutoff=2.0)
+
+
+class TestNearFieldMemory:
+    """The backend keeps 12 bytes per entry and builds without a
+    second per-entry copy of anything."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def traced_build(self):
+        import tracemalloc
+
+        side = math.sqrt(self.N / 12.0)
+        coords = np.random.default_rng(2014).uniform(0, side, (self.N, 2))
+        tracemalloc.start()
+        try:
+            backend = _backend(coords, cutoff=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return backend, peak
+
+    def test_build_transient_within_block_budget(self, traced_build):
+        # Holding the pair keys twice, or distances beside the CSR,
+        # costs ~210 blocks' worth at this size; row blocks cost ~60.
+        backend, peak = traced_build
+        assert peak - backend.nbytes() <= 100 * SERVING_CHUNK_ELEMENTS
+
+    def test_bytes_per_entry(self, traced_build):
+        # 4-byte index + 8-byte gain, plus the row pointers, the cell
+        # index and the communication-radius adjacency.
+        backend, _ = traced_build
+        assert backend.nbytes() / backend.indices.size < 13
+
+    @pytest.mark.parametrize("name", sorted(TestNearFieldBuild.DIGESTS))
+    def test_comm_radius_adjacency_memoized_by_build(self, name):
+        coords = TestNearFieldBuild._deployments()[name]
+        backend = _backend(coords, cutoff=2.0)
+        comm = PARAMS.comm_radius
+        memo = backend._adjacency[float(comm)]
+        assert backend.adjacency_within(comm) is memo
+        kept = np.flatnonzero(backend.dists <= comm)
+        want = (np.searchsorted(kept, backend.indptr), backend.indices[kept])
+        for got, expect in zip(memo, want):
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
+
+    def test_dists_are_recomputed_not_kept(self):
+        backend = _backend(_spread_coords(300, 8.0), cutoff=2.0)
+        first = backend.dists
+        assert backend.dists is not first
+        assert backend.dists.tobytes() == first.tobytes()
+        moved = np.array([5])
+        coords = backend.coords.copy()
+        coords[5] += 0.01
+        patched = backend.advanced(coords, moved)
+        assert patched._adjacency == {}
 
 
 class TestResolverAgainstDense:
