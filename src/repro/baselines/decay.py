@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
 from repro.core.constants import log2ceil
-from repro.core.outcome import BroadcastOutcome
+from repro.core.outcome import BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
 
@@ -70,8 +70,7 @@ def run_decay_broadcast(
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
-    if not 0 <= source < n:
-        raise ProtocolError(f"source {source} outside station range")
+    check_source(n, source)
     if ladder_len is None:
         ladder_len = log2ceil(n) + 1
     nodes = [

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
 from repro.core.constants import phase_length
-from repro.core.outcome import BroadcastOutcome
+from repro.core.outcome import BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
 
@@ -64,8 +64,7 @@ def run_local_broadcast_global(
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
-    if not 0 <= source < n:
-        raise ProtocolError(f"source {source} outside station range")
+    check_source(n, source)
     delta = max(1, network.max_degree)
     phase_len = phase_length(n, delta)
     nodes = [

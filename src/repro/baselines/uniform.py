@@ -15,7 +15,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
-from repro.core.outcome import BroadcastOutcome
+from repro.core.outcome import BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
 
@@ -50,8 +50,7 @@ def run_uniform_broadcast(
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
-    if not 0 <= source < n:
-        raise ProtocolError(f"source {source} outside station range")
+    check_source(n, source)
     if q is None:
         q = 1.0 / max(1, network.max_degree)
     nodes = [

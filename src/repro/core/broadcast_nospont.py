@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.coloring import ColoringCore
 from repro.core.constants import ColoringSchedule, ProtocolConstants
-from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
+from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
 from repro.sim.engine import Simulator
@@ -146,8 +146,7 @@ def run_nospont_broadcast(
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
-    if not 0 <= source < n:
-        raise ProtocolError(f"source {source} outside station range")
+    check_source(n, source)
     if payload is None:
         raise ProtocolError("payload must be non-None (it marks the source)")
     schedule = ColoringSchedule(constants=constants, n=n)

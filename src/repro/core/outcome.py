@@ -1,8 +1,9 @@
-"""Shared result record for dissemination protocols.
+"""Shared result record and source check for dissemination protocols.
 
 Every broadcast-style run (the paper's two algorithms, the baselines, and
 the wake-up variants) reports the same measurements, collected here so the
-experiment harness can compare algorithms uniformly.
+experiment harness can compare algorithms uniformly; every broadcast
+runner, reference and fast, refuses a bad source with the same check.
 """
 
 from __future__ import annotations
@@ -11,9 +12,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ProtocolError
+
 
 #: Marker in ``informed_round`` for stations never informed.
 NEVER_INFORMED: int = -1
+
+
+def check_source(n: int, source) -> None:
+    """Refuse a broadcast ``source`` that is not a station of ``n``.
+
+    The source must be an integer (Python or numpy) in ``[0, n)``.  A
+    bool passes ``0 <= source < n`` but indexes as a mask, not a
+    station (``informed[:, True]`` marks every station), and a float is
+    no index at all, so both are refused with the out-of-range ones.
+
+    :raises ProtocolError: for any other ``source``.
+    """
+    if (
+        isinstance(source, (bool, np.bool_))
+        or not isinstance(source, (int, np.integer))
+        or not 0 <= source < n
+    ):
+        raise ProtocolError(
+            f"source must be an integer station index in [0, {n}), "
+            f"got {source!r}"
+        )
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.core.constants import (
     log2ceil,
     phase_length,
 )
-from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
+from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.fastsim.coloring import fast_coloring_batch
 from repro.fastsim.engine import Medium, dissemination_loop_batch
@@ -32,11 +32,6 @@ from repro.network.network import Network
 from repro.sinr.reception import NO_SENDER
 
 Rngs = Sequence[np.random.Generator]
-
-
-def _check_source(network: Network, source: int) -> None:
-    if not 0 <= source < network.size:
-        raise ProtocolError(f"source {source} outside station range")
 
 
 def _source_state(
@@ -103,7 +98,7 @@ def fast_spont_broadcast_batch(
     the pilot round's single shared resolution is preserved.
     """
     constants = constants.with_eps_prime()
-    _check_source(network, source)
+    check_source(network.size, source)
     if medium is None:
         medium = Medium(network)
     n = network.size
@@ -169,7 +164,7 @@ def fast_nospont_broadcast_batch(
     dissemination resolve through one ``medium`` (default: the static
     ``network``, no MAC).
     """
-    _check_source(network, source)
+    check_source(network.size, source)
     if medium is None:
         medium = Medium(network)
     n = network.size
@@ -257,7 +252,7 @@ def fast_uniform_broadcast_batch(
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched fixed-probability flooding (baseline)."""
-    _check_source(network, source)
+    check_source(network.size, source)
     if q is None:
         q = 1.0 / max(1, network.max_degree)
     if not 0 < q <= 1:
@@ -285,7 +280,7 @@ def fast_decay_broadcast_batch(
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched Decay sweep (the granularity-sensitive baseline)."""
-    _check_source(network, source)
+    check_source(network.size, source)
     n = network.size
     if ladder_len is None:
         ladder_len = log2ceil(n) + 1
@@ -314,7 +309,7 @@ def fast_local_broadcast_global_batch(
     medium: Optional[Medium] = None,
 ) -> list[BroadcastOutcome]:
     """Batched local-broadcast composition (``Delta``-paying baseline)."""
-    _check_source(network, source)
+    check_source(network.size, source)
     n = network.size
     delta = max(1, network.max_degree)
     q = 1.0 / (2.0 * delta)

@@ -309,18 +309,25 @@ def _resolve_slab(
 
 
 def _checked_stations(n: int, stations, role: str) -> np.ndarray:
-    """Station indices as an array, each in ``[0, n)``.
+    """Station indices as an ``intp`` array, each an integer in ``[0, n)``.
 
-    Unchecked, a negative index would name a station counted from the
-    end: ``[NO_SENDER]`` would make station ``n - 1`` transmit, or
-    report station ``n - 1``'s reception under another name.  ``role``
-    (``"transmitter"`` or ``"listener"``) names the indices in the
-    ``ValueError``.
+    Every station-index input of the resolvers passes here.  Unchecked,
+    a negative index would name a station counted from the end:
+    ``[NO_SENDER]`` would make station ``n - 1`` transmit, or report
+    station ``n - 1``'s reception under another name.  A boolean array
+    is a mask, not indices (``[True, False, True]`` would name stations
+    1, 0, 1), and a fractional index would be truncated to another
+    station, so both are refused too; an empty input names no station
+    whatever its dtype.  ``role`` (``"transmitter"`` or ``"listener"``)
+    names the indices in the ``ValueError``.
     """
-    stations = np.asarray(stations, dtype=np.intp)
-    if stations.size and not 0 <= stations.min() <= stations.max() < n:
-        raise ValueError(f"{role} indices must be in [0, {n})")
-    return stations
+    stations = np.asarray(stations)
+    if stations.size and not (
+        stations.dtype.kind in "iu"  # signed or unsigned integers
+        and 0 <= stations.min() <= stations.max() < n
+    ):
+        raise ValueError(f"{role} indices must be integers in [0, {n})")
+    return stations.astype(np.intp, copy=False)
 
 
 def _station_count(gain) -> int:
@@ -363,7 +370,8 @@ def resolve_reception_many(
     :param gain: ``(n, n)`` gain matrix or a
         :class:`~repro.sinr.sparse.SparseGainBackend`.
     :param transmitter_sets: sequence of transmitter index arrays, one
-        per query; an index outside ``[0, n)`` raises ``ValueError``.
+        per query; anything but integers in ``[0, n)`` (a boolean mask
+        or a fractional index included) raises ``ValueError``.
     :param noise: ambient noise ``N``.
     :param beta: SINR threshold.
     :param compact: return each row as a ``(receivers, senders)``
@@ -375,19 +383,19 @@ def resolve_reception_many(
         order (or one ``(receivers, senders)`` pair per set if
         ``compact``).
     """
-    sets = [np.asarray(t, dtype=np.intp) for t in transmitter_sets]
-    if not sets:
-        return []
     restricted = getattr(gain, "resolve_reception_sets", None)
     if restricted is not None:
         # Sparse backend: resolve only at listeners reachable from each
         # set — far cheaper for the small heterogeneous sets a query
         # service serves (see that method for its equivalence contract).
-        return restricted(sets, noise, beta, compact=compact)
+        return restricted(transmitter_sets, noise, beta, compact=compact)
     n = gain.shape[0]
+    sets = [_checked_stations(n, t, "transmitter") for t in transmitter_sets]
+    if not sets:
+        return []
     tx_mask = np.zeros((len(sets), n), dtype=bool)
     for b, transmitters in enumerate(sets):
-        tx_mask[b, _checked_stations(n, transmitters, "transmitter")] = True
+        tx_mask[b, transmitters] = True
     heard = resolve_reception_batch(gain, tx_mask, noise, beta)
     if compact:
         out = []
@@ -413,7 +421,8 @@ def resolve_reception(
     :func:`resolve_reception_batch` — the same arithmetic, on a dense
     matrix or a :class:`~repro.sinr.sparse.SparseGainBackend`.
     ``transmitters`` is a set of station indices, so a repeated index
-    names one transmitter; an index outside ``[0, n)`` raises
+    names one transmitter; anything but integers in ``[0, n)`` (a
+    boolean mask or a fractional index included) raises
     ``ValueError``.
 
     :returns: length-``n`` integer array: the sender index heard by each
@@ -439,8 +448,9 @@ def resolve_at(
     signal's rounding, a "heard" for every ``beta >= 1``);
     ``listeners`` may be unsorted, repeat stations or name
     transmitters, and a repeated transmitter index names one
-    transmitter.  A listener or transmitter index outside ``[0, n)``
-    raises ``ValueError`` on either backend.  A dense matrix
+    transmitter.  A listener or transmitter index that is not an
+    integer in ``[0, n)`` (a boolean mask included) raises
+    ``ValueError`` on either backend.  A dense matrix
     resolves the whole round with the one batched fold
     (:func:`resolve_reception_batch`) and gathers, so ``heard`` is
     ``resolve_reception(...)[listeners]`` bit for bit.  The traffic

@@ -62,10 +62,7 @@ from repro.errors import DeploymentError, GeometryError, ProtocolError
 from repro.geometry.growth import growth_dimension_estimate
 from repro.geometry.metric import MIN_DISTANCE, pairwise_distances
 from repro.sinr.params import SINRParameters
-
-#: Sentinel mirrored from the reception module (imported there lazily to
-#: avoid a cycle: reception dispatches *to* this module's backend).
-NO_SENDER: int = -1
+from repro.sinr.reception import NO_SENDER, _checked_stations
 
 #: Default cutoff radius as a multiple of the broadcast range ``r``.
 DEFAULT_CUTOFF_SCALE = 2.0
@@ -113,6 +110,12 @@ def _with_band(
 def default_cutoff(params: SINRParameters) -> float:
     """The deterministic default cutoff: ``2 r`` (fingerprint-stable)."""
     return DEFAULT_CUTOFF_SCALE * params.broadcast_range
+
+
+def _points(coords) -> np.ndarray:
+    """``coords`` as a float ``(n, d)`` array (1-D input is ``(n, 1)``)."""
+    coords = np.asarray(coords, dtype=float)
+    return coords[:, None] if coords.ndim == 1 else coords
 
 
 # ----------------------------------------------------------------------
@@ -257,38 +260,22 @@ def far_field_tail_bound(
     return params.power * active_per_ball * cutoff ** (-params.alpha) * total
 
 
-def _ball_occupancy_bound(coords: np.ndarray, radius: float) -> int:
-    """Upper bound on ``max_x |B(x, radius)|`` over the deployment.
+def _measured_gamma(coords: np.ndarray) -> float:
+    """Growth dimension of the deployment, floored at 1.
 
-    Any radius-``radius`` ball is contained in the Chebyshev-1 cell
-    neighbourhood (cell side ``radius``) of the cell holding its center,
-    so the max neighbourhood occupancy bounds every ball's population.
+    :func:`repro.geometry.growth.growth_dimension_estimate` on a
+    deterministic subsample of at most 512 stations (every
+    ``n // 512``-th).
     """
-    n, dim = coords.shape
-    if n == 0:
-        return 0
-    origin = coords.min(axis=0)
-    idx = np.floor((coords - origin) / radius).astype(np.int64)
-    shape = idx.max(axis=0) + 1
-    flat = np.ravel_multi_index(tuple(idx.T), tuple(shape))
-    counts = np.bincount(flat, minlength=int(np.prod(shape)))
-    grid = counts.reshape(tuple(shape))
-    best = np.zeros_like(grid)
-    for offset in product((-1, 0, 1), repeat=dim):
-        shifted = grid
-        for axis, off in enumerate(offset):
-            shifted = np.roll(shifted, off, axis=axis)
-            # Zero the wrapped slab so rolls never alias opposite edges.
-            sl = [slice(None)] * dim
-            if off == 1:
-                sl[axis] = slice(0, 1)
-            elif off == -1:
-                sl[axis] = slice(-1, None)
-            if off != 0:
-                shifted = shifted.copy()
-                shifted[tuple(sl)] = 0
-        best = best + shifted
-    return int(best.max())
+    sub = coords[::max(1, coords.shape[0] // 512)][:512]
+    return max(growth_dimension_estimate(pairwise_distances(sub)), 1.0)
+
+
+def _ring_count(coords: np.ndarray, cutoff: float) -> int:
+    """Rings of width ``cutoff`` that span the deployment (at least 1):
+    ``ceil(extent / cutoff)``, ``extent`` its bounding-box diagonal."""
+    extent = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
+    return max(1, math.ceil(extent / cutoff))
 
 
 def certified_cutoff(
@@ -313,9 +300,7 @@ def certified_cutoff(
     Falls back to the largest candidate when none certifies — a larger
     cutoff only ever tightens the truncation.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
+    coords = _points(coords)
     r = params.broadcast_range
     if candidates is None:
         candidates = [r, 1.25 * r, 1.5 * r, 2.0 * r, 3.0 * r]
@@ -323,16 +308,12 @@ def certified_cutoff(
     if not candidates:
         raise GeometryError("every cutoff candidate is below the range r")
     if gamma is None:
-        step = max(1, coords.shape[0] // 512)
-        sub = coords[::step][:512]
-        gamma = growth_dimension_estimate(pairwise_distances(sub))
-        gamma = max(gamma, 1.0)
-    extent = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
+        gamma = _measured_gamma(coords)
     budget = budget_fraction * params.min_gap_for_range(params.comm_radius)
     for cutoff in candidates:
-        k_max = max(1, math.ceil(extent / cutoff))
         bound = far_field_tail_bound(
-            params, cutoff, gamma, active_per_ball, k_max
+            params, cutoff, gamma, active_per_ball,
+            _ring_count(coords, cutoff),
         )
         if bound <= budget:
             return float(cutoff)
@@ -342,13 +323,28 @@ def certified_cutoff(
 # ----------------------------------------------------------------------
 # the uniform cell index
 # ----------------------------------------------------------------------
+def _grid(coords: np.ndarray, h: float) -> tuple[np.ndarray, tuple]:
+    """``(origin, shape)`` of the cell grid of side ``h`` over ``coords``.
+
+    The origin is the per-axis minimum and the grid has ``floor((max -
+    min) / h) + 1`` cells per axis: the one rule by which
+    :class:`CellIndex` bins stations, the support check counts cells
+    against the budget and :meth:`SparseGainBackend.advanced` decides
+    whether a fresh build would bin alike.
+    """
+    origin = coords.min(axis=0)
+    shape = np.floor((coords.max(axis=0) - origin) / h).astype(np.int64) + 1
+    return origin, tuple(int(s) for s in shape)
+
+
 class CellIndex:
     """Uniform spatial hash over station coordinates.
 
-    Cells are axis-aligned boxes of side ``cell_size``; station ``i``
-    lives in cell ``floor((coords[i] - origin) / cell_size)`` per axis.
-    Buckets are realized as one index array sorted by flat cell id, so
-    every neighbourhood query is a handful of ``searchsorted`` calls.
+    Cells are axis-aligned boxes of side ``cell_size`` on the grid of
+    :func:`_grid`; station ``i`` lives in cell ``floor((coords[i] -
+    origin) / cell_size)`` per axis.  Buckets are realized as one index
+    array sorted by flat cell id, and a neighbourhood walk costs a few
+    gathers per cell offset (:meth:`adjacent_pair_keys`).
 
     :param reach: Chebyshev radius (in cells) of the "near"
         neighbourhood served by :meth:`adjacent_pair_keys`; pairs at
@@ -368,13 +364,10 @@ class CellIndex:
         self.h = float(cell_size)
         self.reach = int(reach)
         self.n, self.dim = coords.shape
-        self.origin = coords.min(axis=0)
-        span = coords.max(axis=0) - self.origin
-        shape = np.floor(span / self.h).astype(np.int64) + 1
-        self.shape = tuple(int(s) for s in shape)
-        self.n_cells = int(np.prod(shape))
+        self.origin, self.shape = _grid(coords, self.h)
+        self.n_cells = math.prod(self.shape)
         idx = np.floor((coords - self.origin) / self.h).astype(np.int64)
-        np.clip(idx, 0, shape - 1, out=idx)
+        np.clip(idx, 0, np.subtract(self.shape, 1), out=idx)
         self.cell_vec = idx
         self.cell_of = np.ravel_multi_index(tuple(idx.T), self.shape)
         # Bucket layout: stations sorted (stably) by flat cell id.
@@ -384,18 +377,11 @@ class CellIndex:
             sorted_cells, return_index=True, return_counts=True
         )
 
-    def _bucket_of(self, flat_ids: np.ndarray) -> np.ndarray:
-        """Bucket index of each flat cell id (-1 where unoccupied)."""
-        pos = np.searchsorted(self.occupied, flat_ids)
-        pos = np.minimum(pos, self.occupied.size - 1)
-        hit = self.occupied[pos] == flat_ids
-        return np.where(hit, pos, -1)
-
-    def _offset_buckets(self):
+    def _offset_buckets(self, cells: np.ndarray):
         """Yield ``(offset, src, dst)`` per cell offset within
-        Chebyshev ``reach``: the occupied buckets ``src`` whose
-        neighbour at that offset is occupied, and that neighbour's
-        bucket ``dst``.
+        Chebyshev ``reach``: the positions ``src`` in ``cells`` (flat
+        ids of occupied cells) whose neighbour at that offset is
+        occupied, and that neighbour's bucket ``dst``.
 
         A neighbour inside the grid on every axis has flat id ``cell +
         offset . strides``, looked up in a transient cell -> bucket
@@ -405,47 +391,65 @@ class CellIndex:
         bucket = np.full(self.n_cells, -1, dtype=np.int64)
         bucket[self.occupied] = np.arange(self.occupied.size)
         strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
-        vec = np.unravel_index(self.occupied, self.shape)
         inside = [
             [(v + o >= 0) & (v + o < size) for o in span]
-            for v, size in zip(vec, self.shape)
+            for v, size in zip(np.unravel_index(cells, self.shape), self.shape)
         ]
         for offset in product(span, repeat=self.dim):
             src = np.flatnonzero(np.logical_and.reduce([
                 axis[o + self.reach] for axis, o in zip(inside, offset)
             ]))
-            dst = bucket[self.occupied[src] + int(np.dot(offset, strides))]
+            dst = bucket[cells[src] + int(np.dot(offset, strides))]
             hit = dst >= 0
             yield offset, src[hit], dst[hit]
 
-    def adjacent_pair_keys(self) -> np.ndarray:
-        """The ``i * n + j`` keys of the Chebyshev-``reach`` cell
-        neighbourhoods, in one int64 array.
+    def adjacent_pair_keys(
+        self, listeners: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The ``i * n + j`` keys of the listeners' Chebyshev-``reach``
+        cell neighbourhoods, in one int64 array.
 
         Every ordered pair ``(i, j)`` of distinct stations whose cells
-        differ by at most ``reach`` per axis appears exactly once, as
-        the key ``i * n + j`` (each offset contributes one direction;
+        differ by at most ``reach`` per axis and whose listener ``i`` is
+        in ``listeners`` (default: every station) appears exactly once,
+        as the key ``i * n + j`` (each offset contributes one direction;
         the opposite offset the other).  Pairs at distance ``<= reach *
         cell_size`` are guaranteed to be covered; pairs in cells beyond
         the reach are at distance ``> (reach - 1) * cell_size`` per
-        exceeding axis.  The array is sized from the per-offset bucket
-        pair counts and written one offset at a time, so no key is ever
-        held twice.  It is in no particular order; sorted, the keys
-        list the pairs by ``i``, then ``j``.
+        exceeding axis.  The listeners are taken in the index's own
+        bucket layout, so the full call sorts nothing and a listener
+        subset (the moved stations of
+        :meth:`SparseGainBackend.advanced`) lists exactly the full
+        call's keys of those rows.  The array is sized from the
+        per-offset bucket pair counts and written one offset at a time,
+        so no key is ever held twice.  It is in no particular order;
+        sorted, the keys list the pairs by ``i``, then ``j``.
         """
         count, start, n = self.bucket_count, self.bucket_start, self.n
-        # The zero offset pairs every station with itself once: n keys
+        # The listeners grouped by cell: ``members`` in bucket order,
+        # and per occupied cell its first member and member count.
+        if listeners is None:
+            members, cells = self.order, self.occupied
+            m_start, m_count = start, count
+        else:
+            picked = np.zeros(n, dtype=bool)
+            picked[listeners] = True
+            members = self.order[picked[self.order]]
+            cells, m_start, m_count = np.unique(
+                self.cell_of[members], return_index=True, return_counts=True
+            )
+        # The zero offset pairs every listener with itself once: keys
         # that are not pairs.
         total = sum(
-            int(np.dot(count[src], count[dst]))
-            for _, src, dst in self._offset_buckets()
-        ) - n
+            int(np.dot(m_count[src], count[dst]))
+            for _, src, dst in self._offset_buckets(cells)
+        ) - members.size
         keys = np.empty(total, dtype=np.int64)
         at = 0
-        for offset, src, dst in self._offset_buckets():
-            # Each station of bucket src[k] pairs with all of dst[k].
-            per = count[src]
-            rows = self.order[_row_positions(start[src], per)] * n
+        for offset, src, dst in self._offset_buckets(cells):
+            # Each listener of cell src[k] pairs with all of bucket dst[k].
+            per = m_count[src]
+            rows = members[_row_positions(m_start[src], per)] * n
             run = np.repeat(count[dst], per)
             senders = self.order[
                 _row_positions(np.repeat(start[dst], per), run)
@@ -495,9 +499,7 @@ class SparseGainBackend:
         _csr: Optional[tuple] = None,
         _cells: Optional["CellIndex"] = None,
     ):
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim == 1:
-            coords = coords[:, None]
+        coords = _points(coords)
         if channel is None:
             from repro.sinr.channel import default_channel
 
@@ -508,19 +510,9 @@ class SparseGainBackend:
         self.cutoff = float(
             cutoff if cutoff is not None else default_cutoff(params)
         )
-        if not self.cutoff >= params.broadcast_range:  # NaN fails too
-            raise ProtocolError(
-                f"sparse cutoff {self.cutoff} is below the broadcast range "
-                f"{params.broadcast_range}; far transmitters could then be "
-                "receivable and truncation would not be certifiable"
-            )
-        probe = channel.radial_gain(np.asarray([1.0]), params)
-        if probe is None:
-            raise ProtocolError(
-                f"channel {channel.identity()[0]!r} is not radial; the "
-                "sparse backend needs gains that depend on distance only "
-                "(use backend='dense' for this channel)"
-            )
+        reason = _unsupported(coords, params, channel, self.cutoff)
+        if reason is not None:
+            raise ProtocolError(reason)
         self.n = coords.shape[0]
         reach = CELLS_PER_CUTOFF
         # _cells: the incremental update already built the (identical)
@@ -529,14 +521,6 @@ class SparseGainBackend:
             _cells if _cells is not None
             else CellIndex(coords, self.cutoff / reach, reach=reach)
         )
-        budget = max(MIN_CELL_BUDGET, MAX_CELLS_PER_STATION * self.n)
-        if self.cells.n_cells > budget:
-            raise ProtocolError(
-                f"deployment spans {self.cells.n_cells} cells for "
-                f"{self.n} stations at cutoff {self.cutoff}; the cell grid "
-                "would dominate memory (raise the cutoff or use the dense "
-                "backend)"
-            )
         #: Far set emptiness: with at most ``reach + 1`` cells per axis
         #: every cell pair is within the near reach — the exact-equality
         #: regime (guaranteed when the per-axis extent is <= cutoff).
@@ -677,18 +661,20 @@ class SparseGainBackend:
         :meth:`repro.network.network.Network.advance` relies on
         (DESIGN.md §7).
 
-        Patching is sound exactly when a fresh :class:`CellIndex` over
-        ``new_coords`` has the same origin and shape as this backend's:
-        the CSR *structure* — which pairs are near — is a function of
-        the cell binning, so a drifted grid changes rows that contain no
-        moved station.  Given an identical grid, an entry ``(u, v)``
+        Patching is sound exactly when the grid of ``new_coords``
+        (:func:`_grid`) has this backend's origin and shape, bit for
+        bit: the CSR *structure* — which pairs are near — is a function
+        of the cell binning, so a drifted grid changes rows that contain
+        no moved station.  Given an identical grid, an entry ``(u, v)``
         changes only when ``u`` or ``v`` moved.  The update is therefore
         a three-way delta merge:
 
         * **drop** every old entry whose listener or sender moved (one
           vectorized membership scan over the nnz entries);
         * **recompute** the moved stations' full rows under the new
-          binning (:meth:`_rows_for`) and mirror them onto unmoved
+          binning — the fresh index's
+          :meth:`CellIndex.adjacent_pair_keys` for the moved listeners,
+          the build's own bucket walk — and mirror them onto unmoved
           listeners (cell-Chebyshev reach is symmetric); the fresh run's
           ``row * n + sender`` keys are sorted and their gains come
           from :func:`pair_distances`, the per-pair arithmetic of the
@@ -705,9 +691,7 @@ class SparseGainBackend:
         included, depend on positions and are not: the patched backend
         starts with an empty memo.
         """
-        new_coords = np.asarray(new_coords, dtype=float)
-        if new_coords.ndim == 1:
-            new_coords = new_coords[:, None]
+        new_coords = _points(new_coords)
         if new_coords.shape != self.coords.shape:
             raise GeometryError(
                 f"advanced() coordinates must keep shape "
@@ -717,23 +701,17 @@ class SparseGainBackend:
         if moved.size == 0:
             return self
         cells = self.cells
-        # A fresh build derives origin = min(coords) and the grid shape
-        # from the span; both must match bit for bit or the fresh CSR
-        # structure differs from anything patchable.
-        origin = new_coords.min(axis=0)
-        if not np.array_equal(origin, cells.origin):
-            return None
-        span = new_coords.max(axis=0) - origin
-        shape = tuple(
-            int(s) for s in np.floor(span / cells.h).astype(np.int64) + 1
-        )
-        if shape != cells.shape:
+        origin, shape = _grid(new_coords, cells.h)
+        if shape != cells.shape or not np.array_equal(origin, cells.origin):
             return None
         new_cells = CellIndex(new_coords, cells.h, reach=cells.reach)
 
         # Fresh rows of the moved stations (all their senders, moved or
         # not) under the new binning.
-        m_listeners, m_senders = self._rows_for(new_cells, moved)
+        base = np.int64(self.n)
+        m_listeners, m_senders = np.divmod(
+            new_cells.adjacent_pair_keys(moved), base
+        )
         is_moved = np.zeros(self.n, dtype=bool)
         is_moved[moved] = True
 
@@ -754,7 +732,6 @@ class SparseGainBackend:
         # the moved rows already).
         mirror = ~is_moved[m_senders]
         ins_rows = np.concatenate([m_listeners, m_senders[mirror]])
-        base = np.int64(self.n)
         ins_keys = ins_rows * base + np.concatenate(
             [m_senders, m_listeners[mirror]]
         )
@@ -825,54 +802,6 @@ class SparseGainBackend:
             keys += self.indices
             self._entry_keys_cache = keys
         return self._entry_keys_cache
-
-    def _rows_for(
-        self, cells: CellIndex, listeners: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Near-field pairs of ``listeners`` under ``cells``' binning.
-
-        :returns: ``(listeners, senders)`` — unsorted candidate pairs
-            over the Chebyshev-reach neighbourhoods, the same pair set
-            :meth:`CellIndex.adjacent_pair_keys` lists for those rows.
-        """
-        dim = cells.dim
-        shape = np.asarray(cells.shape, dtype=np.int64)
-        lcells = cells.cell_vec[listeners]
-        span = range(-cells.reach, cells.reach + 1)
-        l_parts, s_parts = [], []
-        for offset in product(span, repeat=dim):
-            nb = lcells + np.asarray(offset, dtype=np.int64)
-            valid = np.all((nb >= 0) & (nb < shape), axis=1)
-            if not valid.any():
-                continue
-            src = np.flatnonzero(valid)
-            nb_flat = np.ravel_multi_index(tuple(nb[valid].T), cells.shape)
-            dst = cells._bucket_of(nb_flat)
-            hit = dst >= 0
-            if not hit.any():
-                continue
-            src, dst = src[hit], dst[hit]
-            counts = cells.bucket_count[dst]
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            cum = np.zeros(counts.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=cum[1:])
-            local = np.arange(total, dtype=np.int64) - np.repeat(
-                cum, counts
-            )
-            s_idx = cells.order[
-                np.repeat(cells.bucket_start[dst], counts) + local
-            ]
-            l_parts.append(listeners[np.repeat(src, counts)])
-            s_parts.append(s_idx)
-        if not l_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        l_all = np.concatenate(l_parts)
-        s_all = np.concatenate(s_parts)
-        keep = l_all != s_all
-        return l_all[keep], s_all[keep]
 
     # -- far-field machinery -------------------------------------------
     @staticmethod
@@ -1060,21 +989,31 @@ class SparseGainBackend:
         unconditional (every-station-transmits) version.
         """
         if gamma is None:
-            step = max(1, self.n // 512)
-            sub = self.coords[::step][:512]
-            gamma = max(
-                growth_dimension_estimate(pairwise_distances(sub)), 1.0
-            )
-        span = self.coords.max(axis=0) - self.coords.min(axis=0)
-        extent = float(np.linalg.norm(span))
-        k_max = max(1, math.ceil(extent / self.cutoff))
+            gamma = _measured_gamma(self.coords)
         return far_field_tail_bound(
-            self.params, self.cutoff, gamma, active_per_ball, k_max
+            self.params, self.cutoff, gamma, active_per_ball,
+            _ring_count(self.coords, self.cutoff),
         )
 
     def max_ball_occupancy(self) -> int:
-        """Max population of a radius-``R/2`` ball in this deployment."""
-        return _ball_occupancy_bound(self.coords, self.cutoff / 2.0)
+        """Upper bound on the population of any radius-``R/2`` ball.
+
+        A ball of radius ``R/2`` lies in the Chebyshev-1 neighbourhood
+        of the cell holding its center on a :class:`CellIndex` of side
+        ``R/2``, so the largest neighbourhood count over every cell of
+        that grid — empty ones included, and those on the border cover
+        centers outside it — bounds every ball's population.  Each
+        count sums the ``3^d`` slices of the zero-padded count grid.
+        """
+        cells = CellIndex(self.coords, self.cutoff / 2.0)
+        counts = np.pad(np.bincount(
+            cells.cell_of, minlength=cells.n_cells
+        ).reshape(cells.shape), 1)
+        total = sum(
+            counts[tuple(slice(o, o + s) for o, s in zip(at, cells.shape))]
+            for at in product(range(3), repeat=cells.dim)
+        )
+        return int(total.max())
 
     # -- near-field scan ------------------------------------------------
     def _gather_rows(
@@ -1325,7 +1264,8 @@ class SparseGainBackend:
         """
         n = self.n
         arrays = [
-            np.asarray(t, dtype=np.int64).ravel() for t in transmitter_sets
+            _checked_stations(n, t, "transmitter").ravel()
+            for t in transmitter_sets
         ]
         B = len(arrays)
         empty = np.empty(0, dtype=np.intp)
@@ -1338,12 +1278,9 @@ class SparseGainBackend:
             return out
         if not noise >= 0:
             raise ValueError(f"noise must be >= 0, got {noise}")
-        stations = np.concatenate(arrays)
-        if stations.size and not 0 <= stations.min() <= stations.max() < n:
-            raise ValueError(f"transmitter indices must be in [0, {n})")
         keys = np.repeat(
             np.arange(0, B * n, n, dtype=np.int64), [a.size for a in arrays]
-        ) + stations
+        ) + np.concatenate(arrays)
         keys.sort()
         keys = keys[_run_starts(keys)]
         owner, tx = np.divmod(keys, n)
@@ -1506,6 +1443,38 @@ class SparseGainBackend:
         )
 
 
+def _unsupported(
+    coords: np.ndarray, params: SINRParameters, channel, cutoff: float
+) -> Optional[str]:
+    """Why the sparse backend cannot serve this deployment, or ``None``.
+
+    It cannot when the cutoff is below the broadcast range (NaN
+    included), when the channel is not radial, or when the cell grid
+    at ``cutoff`` spans more cells than the per-station budget.
+    """
+    if not cutoff >= params.broadcast_range:  # NaN fails too
+        return (
+            f"sparse cutoff {cutoff} is below the broadcast range "
+            f"{params.broadcast_range}; far transmitters could then be "
+            "receivable and truncation would not be certifiable"
+        )
+    if channel.radial_gain(np.asarray([1.0]), params) is None:
+        return (
+            f"channel {channel.identity()[0]!r} is not radial; the "
+            "sparse backend needs gains that depend on distance only "
+            "(use backend='dense' for this channel)"
+        )
+    n = coords.shape[0]
+    n_cells = math.prod(_grid(coords, cutoff / CELLS_PER_CUTOFF)[1])
+    if n_cells > max(MIN_CELL_BUDGET, MAX_CELLS_PER_STATION * n):
+        return (
+            f"deployment spans {n_cells} cells for {n} stations at "
+            f"cutoff {cutoff}; the cell grid would dominate memory "
+            "(raise the cutoff or use the dense backend)"
+        )
+    return None
+
+
 def sparse_supported(
     coords: np.ndarray,
     params: SINRParameters,
@@ -1515,27 +1484,17 @@ def sparse_supported(
 ) -> bool:
     """Whether the sparse backend can serve this deployment.
 
-    Requires coordinate geometry (Euclidean metric), a radial channel,
-    a cutoff at least the broadcast range, and a cell grid that stays
-    within the per-station cell budget — all evaluated at the *same*
-    cutoff the backend would actually be built with, so ``"auto"``
-    never selects a backend that then fails to construct.
+    Requires coordinate geometry (Euclidean metric) and no reason from
+    the check :class:`SparseGainBackend` itself raises on — a radial
+    channel, a cutoff at least the broadcast range and a cell grid
+    within the per-station cell budget — evaluated at the *same* cutoff
+    the backend would be built with, so ``"auto"`` never selects a
+    backend that then fails to construct.
     """
     from repro.geometry.metric import EuclideanMetric
 
-    if not isinstance(metric, EuclideanMetric):
-        return False
-    if channel.radial_gain(np.asarray([1.0]), params) is None:
-        return False
     if cutoff is None:
         cutoff = default_cutoff(params)
-    if not cutoff >= params.broadcast_range:  # NaN fails too
-        return False
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    h = cutoff / CELLS_PER_CUTOFF
-    span = coords.max(axis=0) - coords.min(axis=0)
-    n_cells = int(np.prod(np.floor(span / h).astype(np.int64) + 1))
-    budget = max(MIN_CELL_BUDGET, MAX_CELLS_PER_STATION * coords.shape[0])
-    return n_cells <= budget
+    return isinstance(metric, EuclideanMetric) and _unsupported(
+        _points(coords), params, channel, float(cutoff)
+    ) is None

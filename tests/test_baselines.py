@@ -103,13 +103,14 @@ class TestRunBaselines:
         assert out.success
 
     def test_bad_source_rejected(self, small_chain, rng):
-        for runner in (
-            run_uniform_broadcast,
-            run_decay_broadcast,
-            run_local_broadcast_global,
-        ):
-            with pytest.raises(ProtocolError):
-                runner(small_chain, 99, rng=rng)
+        for source in (99, True, 1.0, -1):
+            for runner in (
+                run_uniform_broadcast,
+                run_decay_broadcast,
+                run_local_broadcast_global,
+            ):
+                with pytest.raises(ProtocolError):
+                    runner(small_chain, source, rng=rng)
 
     def test_tiny_budget_fails_gracefully(self, small_chain, rng):
         out = run_uniform_broadcast(

@@ -99,8 +99,9 @@ class TestRunNoSBroadcast:
         assert out.num_informed >= 1
 
     def test_invalid_source(self, small_chain, constants, rng):
-        with pytest.raises(ProtocolError):
-            run_nospont_broadcast(small_chain, 99, constants, rng)
+        for source in (99, True, 1.0, -1):
+            with pytest.raises(ProtocolError):
+                run_nospont_broadcast(small_chain, source, constants, rng)
 
     def test_none_payload_rejected(self, small_chain, constants, rng):
         with pytest.raises(ProtocolError):
@@ -183,8 +184,9 @@ class TestRunSBroadcast:
         assert not out.success
 
     def test_invalid_source(self, small_chain, constants, rng):
-        with pytest.raises(ProtocolError):
-            run_spont_broadcast(small_chain, -1, constants, rng)
+        for source in (-1, True, 1.0):
+            with pytest.raises(ProtocolError):
+                run_spont_broadcast(small_chain, source, constants, rng)
 
     def test_progress_curve_monotone(self, small_chain, constants, rng):
         out = run_spont_broadcast(small_chain, 0, constants, rng)

@@ -188,21 +188,28 @@ class TestFastBroadcasts:
         assert [o.extras["max_degree"] for o in out] == [delta, delta]
 
     def test_bad_source(self, small_chain, constants, rng):
-        for fn in (
-            lambda: fast_spont_broadcast_batch(
-                small_chain, 50, constants, [rng]
-            ),
-            lambda: fast_nospont_broadcast_batch(
-                small_chain, 50, constants, [rng]
-            ),
-            lambda: fast_uniform_broadcast_batch(small_chain, 50, [rng]),
-            lambda: fast_decay_broadcast_batch(small_chain, 50, [rng]),
-            lambda: fast_local_broadcast_global_batch(
-                small_chain, 50, [rng]
-            ),
-        ):
-            with pytest.raises(ProtocolError):
-                fn()
+        # A bool source would index every column: all stations informed
+        # at round 0.
+        for source in (50, True, np.True_, 1.0, -1):
+            for fn in (
+                lambda: fast_spont_broadcast_batch(
+                    small_chain, source, constants, [rng]
+                ),
+                lambda: fast_nospont_broadcast_batch(
+                    small_chain, source, constants, [rng]
+                ),
+                lambda: fast_uniform_broadcast_batch(
+                    small_chain, source, [rng]
+                ),
+                lambda: fast_decay_broadcast_batch(
+                    small_chain, source, [rng]
+                ),
+                lambda: fast_local_broadcast_global_batch(
+                    small_chain, source, [rng]
+                ),
+            ):
+                with pytest.raises(ProtocolError):
+                    fn()
 
 
 class TestCrossValidation:

@@ -189,7 +189,9 @@ class TestResolveReception:
         )
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "n"])
+    @pytest.mark.parametrize(
+        "bad", [-1, 4, 1.9], ids=["negative", "n", "fractional"]
+    )
     @pytest.mark.parametrize(
         "resolve",
         [
@@ -209,31 +211,75 @@ class TestResolveReception:
         self, backend, bad, resolve
     ):
         # A negative index must not wrap around: ``[-1]`` would name
-        # station 3, which station 2 would then "hear".
+        # station 3, which station 2 would then "hear"; ``[1.9]`` must
+        # not be truncated to station 1.
         coords = np.array([[0.0, 0.0], [0.8, 0.0], [2.2, 0.0], [3.0, 0.0]])
         gain = (
             _gains(coords) if backend == "dense"
             else SparseGainBackend(coords, PARAMS)
         )
         with pytest.raises(
-            ValueError, match=r"transmitter indices must be in \[0, 4\)"
+            ValueError,
+            match=r"transmitter indices must be integers in \[0, 4\)",
         ):
             resolve(gain, [bad])
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "n"])
+    @pytest.mark.parametrize(
+        "bad", [-1, 4, 1.9], ids=["negative", "n", "fractional"]
+    )
     def test_out_of_range_listener_index_rejected(self, backend, bad):
         # ``[-1]`` must not report station 3's reception under the name
-        # -1, nor ``[4]`` surface as an error from the backend's arrays.
+        # -1, nor ``[4]`` surface as an error from the backend's arrays,
+        # nor ``[1.9]`` answer for listener 1.
         coords = np.array([[0.0, 0.0], [0.8, 0.0], [2.2, 0.0], [3.0, 0.0]])
         gain = (
             _gains(coords) if backend == "dense"
             else SparseGainBackend(coords, PARAMS)
         )
         with pytest.raises(
-            ValueError, match=r"listener indices must be in \[0, 4\)"
+            ValueError,
+            match=r"listener indices must be integers in \[0, 4\)",
         ):
             resolve_at(gain, [2], [bad], PARAMS.noise, PARAMS.beta)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "resolve",
+        [
+            lambda g, mask: resolve_reception(
+                g, mask, PARAMS.noise, PARAMS.beta
+            ),
+            lambda g, mask: resolve_at(
+                g, mask, np.arange(4), PARAMS.noise, PARAMS.beta
+            ),
+            lambda g, mask: resolve_at(
+                g, [0], mask, PARAMS.noise, PARAMS.beta
+            ),
+            lambda g, mask: resolve_reception_many(
+                g, [[0], mask], PARAMS.noise, PARAMS.beta
+            ),
+        ],
+        ids=[
+            "resolve_reception", "resolve_at-transmitters",
+            "resolve_at-listeners", "resolve_reception_many",
+        ],
+    )
+    def test_boolean_mask_rejected_as_indices(self, backend, resolve):
+        # Read as indices, the mask below names stations 1, 0, 1, 0:
+        # the round of transmitters {0, 1}, not {0, 2}.
+        coords = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]])
+        gain = (
+            _gains(coords) if backend == "dense"
+            else SparseGainBackend(coords, PARAMS)
+        )
+        with pytest.raises(ValueError, match=r"must be integers in"):
+            resolve(gain, np.array([True, False, True, False]))
+        # An empty list (float64 to numpy) still names no station.
+        assert np.all(
+            resolve_reception(gain, [], PARAMS.noise, PARAMS.beta)
+            == NO_SENDER
+        )
 
 
 class TestBatchedReception:

@@ -15,7 +15,7 @@ from repro.errors import (
     GeometryError,
     ProtocolError,
 )
-from repro.geometry.metric import MIN_DISTANCE
+from repro.geometry.metric import MIN_DISTANCE, EuclideanMetric
 from repro.network.network import Network
 from repro.sinr.channel import (
     DualSlope,
@@ -75,6 +75,32 @@ class TestCellIndex:
             if i != j and dist[i, j] <= 2 * 0.5
         }
         assert near <= got
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 90),
+        dim=st.integers(1, 3),
+        side=st.floats(0.5, 12.0),
+        reach=st.integers(1, 3),
+        which=st.sampled_from(["empty", "one", "subset", "all"]),
+    )
+    def test_listener_keys_are_the_full_keys_of_those_rows(
+        self, seed, n, dim, side, reach, which
+    ):
+        rng = np.random.default_rng(seed)
+        index = CellIndex(rng.uniform(0, side, (n, dim)), 0.5, reach=reach)
+        listeners = {
+            "empty": np.empty(0, dtype=np.int64),
+            "one": rng.integers(0, n, 1),
+            "subset": np.flatnonzero(rng.random(n) < 0.3),
+            "all": np.arange(n),
+        }[which]
+        full = np.sort(index.adjacent_pair_keys())
+        want = full[np.isin(full // n, listeners)]
+        got = index.adjacent_pair_keys(listeners)
+        assert got.dtype == np.int64
+        assert np.array_equal(np.sort(got), want)
 
     def test_rejects_bad_arguments(self):
         coords = _spread_coords(10)
@@ -142,6 +168,14 @@ class TestBackendConstruction:
         coords = np.array([[0.0, 0.0], [1e6, 1e6]])
         with pytest.raises(ProtocolError):
             _backend(coords)
+        # 1.5e7 cells per axis in 3-D: the count overflows int64, and
+        # must still be refused, not read as a small grid.
+        coords = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        with pytest.raises(ProtocolError, match="cell grid"):
+            _backend(coords, cutoff=2.0)
+        assert not sparse_supported(
+            coords, PARAMS, EuclideanMetric(3), UniformPower(), cutoff=2.0
+        )
 
 
 def _csr_digest(backend) -> str:
@@ -572,6 +606,52 @@ class TestGrowthCertificates:
             gamma=2.0, active_per_ball=backend.max_ball_occupancy()
         )
         assert worst >= bound
+
+    #: Recorded before the occupancy grid and the growth helpers were
+    #: shared: ``max_ball_occupancy()``, ``certified_tail_bound()`` and
+    #: ``certified_cutoff(coords, PARAMS)`` (gamma measured) at cutoff 2
+    #: on :meth:`TestNearFieldBuild._deployments`, plus the cutoffs at
+    #: budget fractions 1 and 20.
+    PINS = {
+        "corridor-1d": (25, 0.7097477849129006, 3.0, 1.5, 1.0),
+        "square-far-active": (137, 1.831263620917334, 3.0, 2.0, 1.0),
+        "cube-3d": (205, 5.212810478366026, 3.0, 3.0, 1.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_occupancy_and_measured_gamma_pinned(self, name):
+        coords = TestNearFieldBuild._deployments()[name]
+        backend = _backend(coords, cutoff=2.0)
+        occupancy, tail, *cutoffs = self.PINS[name]
+        assert backend.max_ball_occupancy() == occupancy
+        assert backend.certified_tail_bound() == tail
+        assert [
+            certified_cutoff(coords, PARAMS, budget_fraction=fraction)
+            for fraction in (0.25, 1.0, 20.0)
+        ] == cutoffs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 120),
+        dim=st.integers(1, 3),
+        side=st.floats(0.5, 8.0),
+        cutoff=st.sampled_from([1.0, 1.5, 2.0]),
+        flat=st.booleans(),
+    )
+    def test_occupancy_covers_every_station_ball(
+        self, seed, n, dim, side, cutoff, flat
+    ):
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0, side, (n, dim))
+        if flat:  # every station on one axis value
+            coords[:, 0] = coords[0, 0]
+        coords = np.unique(coords, axis=0)
+        backend = _backend(coords, cutoff=cutoff)
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=-1))
+        largest = int((dist <= cutoff / 2.0).sum(axis=1).max())
+        assert backend.max_ball_occupancy() >= largest
 
     def test_default_cutoff_is_twice_range(self):
         assert default_cutoff(PARAMS) == pytest.approx(
