@@ -66,20 +66,10 @@ def run_flooding(
     """Drive a flooding baseline until complete or out of budget."""
     if round_budget < 1:
         raise ProtocolError(f"round budget must be >= 1, got {round_budget}")
-    sim = Simulator(network, nodes, rng)
-    result = sim.run(
-        round_budget,
-        stop=lambda s: all(node.finished for node in s.nodes),
-        check_every=4,
+    result = Simulator(network, nodes, rng).run(
+        round_budget, stop=Simulator.all_finished, check_every=4
     )
-    informed = np.array([node.informed_round for node in nodes])
-    success = bool(np.all(informed != NEVER_INFORMED))
-    completion = int(informed.max()) if success else NEVER_INFORMED
-    return BroadcastOutcome(
-        success=success,
-        completion_round=completion,
-        total_rounds=result.rounds,
-        informed_round=informed,
-        algorithm=algorithm,
-        extras=extras or {},
+    return BroadcastOutcome.of(
+        np.array([node.informed_round for node in nodes]), result.rounds,
+        algorithm, extras,
     )

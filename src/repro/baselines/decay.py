@@ -24,7 +24,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
-from repro.core.constants import log2ceil
+from repro.core.constants import decay_budget, decay_ladder_len
 from repro.core.outcome import BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -72,7 +72,7 @@ def run_decay_broadcast(
     n = network.size
     check_source(n, source)
     if ladder_len is None:
-        ladder_len = log2ceil(n) + 1
+        ladder_len = decay_ladder_len(n)
     nodes = [
         DecayNode(
             i, ladder_len, source_payload=payload if i == source else None
@@ -80,8 +80,7 @@ def run_decay_broadcast(
         for i in range(n)
     ]
     if round_budget is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = max(8 * ladder_len, 96 * (depth + 1) * ladder_len)
+        round_budget = decay_budget(network.eccentricity(source), ladder_len)
     return run_flooding(
         network,
         nodes,

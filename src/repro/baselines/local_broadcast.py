@@ -22,7 +22,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
-from repro.core.constants import phase_length
+from repro.core.constants import local_broadcast_q, phase_budget, phase_length
 from repro.core.outcome import BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -39,7 +39,7 @@ class LocalBroadcastNode(FloodingNode):
             raise ProtocolError(
                 f"max degree must be >= 1, got {max_degree}"
             )
-        self.q = 1.0 / (2.0 * max_degree)
+        self.q = local_broadcast_q(max_degree)
 
     def probability_for_round(self, round_no: int) -> float:
         return self.q
@@ -58,8 +58,9 @@ def run_local_broadcast_global(
     The per-round behaviour is stationary (probability ``1/(2 Delta)``
     forever once informed), so phases matter only for the budget
     accounting: the default budget is
-    ``(2 ecc + 8) * phase_length`` — the ``O(D (Delta + log n) log n)``
-    shape with generous slack.
+    :func:`~repro.core.constants.phase_budget` phases of
+    :func:`~repro.core.constants.phase_length` — the
+    ``O(D (Delta + log n) log n)`` shape with generous slack.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -74,8 +75,7 @@ def run_local_broadcast_global(
         for i in range(n)
     ]
     if round_budget is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = (2 * depth + 8) * phase_len
+        round_budget = phase_budget(network.eccentricity(source)) * phase_len
     return run_flooding(
         network,
         nodes,

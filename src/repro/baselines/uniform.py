@@ -15,6 +15,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.baselines.base import FloodingNode, run_flooding
+from repro.core.constants import uniform_flood_budget, uniform_flood_q
 from repro.core.outcome import BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -52,7 +53,7 @@ def run_uniform_broadcast(
     n = network.size
     check_source(n, source)
     if q is None:
-        q = 1.0 / max(1, network.max_degree)
+        q = uniform_flood_q(network.max_degree)
     nodes = [
         UniformFloodNode(
             i, q, source_payload=payload if i == source else None
@@ -60,8 +61,7 @@ def run_uniform_broadcast(
         for i in range(n)
     ]
     if round_budget is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = max(64, 64 * (depth + 1) * max(1, int(1.0 / q)))
+        round_budget = uniform_flood_budget(network.eccentricity(source), q)
     return run_flooding(
         network, nodes, rng, round_budget, "UniformFlood", {"q": q}
     )

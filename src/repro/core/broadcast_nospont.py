@@ -26,7 +26,11 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.coloring import ColoringCore
-from repro.core.constants import ColoringSchedule, ProtocolConstants
+from repro.core.constants import (
+    ColoringSchedule,
+    ProtocolConstants,
+    phase_budget,
+)
 from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -53,9 +57,7 @@ class NoSBroadcastNode(NodeAlgorithm):
     ):
         super().__init__(index)
         self.schedule = schedule
-        self.constants = schedule.constants
-        self.n = schedule.n
-        self.phase_len = self.constants.phase_rounds(self.n)
+        self.phase_len = schedule.constants.phase_rounds(schedule.n)
         self.coloring_len = schedule.total_rounds
         self.is_source = source_payload is not None
         self.payload = source_payload
@@ -96,8 +98,7 @@ class NoSBroadcastNode(NodeAlgorithm):
         if offset < self.coloring_len:
             prob = self.core.transmission_probability(offset)
         else:
-            color = self.core.finished_color()
-            prob = self.constants.dissemination_prob(color, self.n)
+            prob = self.core.dissemination_probability()
         return prob, self.payload
 
     def end_round(self, reception: Reception) -> None:
@@ -136,8 +137,9 @@ def run_nospont_broadcast(
     """Run ``NoSBroadcast`` from ``source`` until everyone is informed.
 
     :param round_budget: hard budget; defaults to
-        ``phase_len * (2 * ecc(source) + 8)`` — generous w.r.t.
-        the ``O(D)``-phase guarantee.  The run stops as soon as every
+        :func:`~repro.core.constants.phase_budget` phases for the
+        source's eccentricity — generous w.r.t. the ``O(D)``-phase
+        guarantee.  The run stops as soon as every
         station is informed (the measurement of interest), or at the
         budget with ``success=False``.
     """
@@ -157,24 +159,16 @@ def run_nospont_broadcast(
         for i in range(n)
     ]
     if round_budget is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = constants.phase_rounds(n) * (2 * depth + 8)
-    sim = Simulator(network, nodes, rng, trace=trace)
-
-    def everyone_informed(s: Simulator) -> bool:
-        return all(node.finished for node in s.nodes)
-
-    result = sim.run(round_budget, stop=everyone_informed, check_every=4)
-    informed = np.array([node.informed_round for node in nodes])
-    success = bool(np.all(informed != NEVER_INFORMED))
-    completion = int(informed.max()) if success else NEVER_INFORMED
-    return BroadcastOutcome(
-        success=success,
-        completion_round=completion,
-        total_rounds=result.rounds,
-        informed_round=informed,
-        algorithm="NoSBroadcast",
-        extras={
+        round_budget = constants.phase_rounds(n) * phase_budget(
+            network.eccentricity(source)
+        )
+    result = Simulator(network, nodes, rng, trace=trace).run(
+        round_budget, stop=Simulator.all_finished, check_every=4
+    )
+    return BroadcastOutcome.of(
+        np.array([node.informed_round for node in nodes]), result.rounds,
+        "NoSBroadcast",
+        {
             "phase_rounds": constants.phase_rounds(n),
             "coloring_rounds": schedule.total_rounds,
             "phases_used": -(-result.rounds // constants.phase_rounds(n)),

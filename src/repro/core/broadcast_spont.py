@@ -25,7 +25,11 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.coloring import ColoringCore
-from repro.core.constants import ColoringSchedule, ProtocolConstants
+from repro.core.constants import (
+    ColoringSchedule,
+    ProtocolConstants,
+    dissemination_budget,
+)
 from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_source
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -46,8 +50,6 @@ class SBroadcastNode(NodeAlgorithm):
     ):
         super().__init__(index)
         self.schedule = schedule
-        self.constants = schedule.constants
-        self.n = schedule.n
         self.coloring_len = schedule.total_rounds
         self.is_source = source_payload is not None
         self.payload = source_payload
@@ -71,11 +73,7 @@ class SBroadcastNode(NodeAlgorithm):
         # Stage 3: informed stations gossip with color-scaled probability.
         if not self.informed:
             return 0.0, None
-        color = self.core.finished_color()
-        return (
-            self.constants.dissemination_prob(color, self.n),
-            self.payload,
-        )
+        return self.core.dissemination_probability(), self.payload
 
     def end_round(self, reception: Reception) -> None:
         if reception.round_no < self.coloring_len:
@@ -107,9 +105,10 @@ def run_spont_broadcast(
 ) -> BroadcastOutcome:
     """Run ``SBroadcast`` from ``source`` until everyone is informed.
 
-    :param round_budget: hard budget; defaults to
-        ``coloring + 1 + 16 * (ecc * log n + log^2 n)`` matching
-        the ``O(D log n + log^2 n)`` bound with generous slack.
+    :param round_budget: hard budget; defaults to the coloring, the
+        pilot round and :func:`~repro.core.constants.dissemination_budget`
+        of the source's eccentricity, matching the
+        ``O(D log n + log^2 n)`` bound with generous slack.
     """
     if constants is None:
         constants = ProtocolConstants.practical()
@@ -128,32 +127,17 @@ def run_spont_broadcast(
         for i in range(n)
     ]
     if round_budget is None:
-        from repro.core.constants import log2ceil
-
-        depth = network.eccentricity(source) if n > 1 else 0
-        logn = log2ceil(n)
-        round_budget = (
-            schedule.total_rounds
-            + 1
-            + 16 * (depth * logn + logn * logn)
+        round_budget = schedule.total_rounds + 1 + dissemination_budget(
+            n, network.eccentricity(source)
         )
-    sim = Simulator(network, nodes, rng, trace=trace)
-
-    def everyone_informed(s: Simulator) -> bool:
-        return all(node.finished for node in s.nodes)
-
-    result = sim.run(round_budget, stop=everyone_informed, check_every=4)
-    informed = np.array([node.informed_round for node in nodes])
-    success = bool(np.all(informed != NEVER_INFORMED))
-    completion = int(informed.max()) if success else NEVER_INFORMED
+    result = Simulator(network, nodes, rng, trace=trace).run(
+        round_budget, stop=Simulator.all_finished, check_every=4
+    )
     colors = np.array([node.core.finished_color() for node in nodes])
-    return BroadcastOutcome(
-        success=success,
-        completion_round=completion,
-        total_rounds=result.rounds,
-        informed_round=informed,
-        algorithm="SBroadcast",
-        extras={
+    return BroadcastOutcome.of(
+        np.array([node.informed_round for node in nodes]), result.rounds,
+        "SBroadcast",
+        {
             "coloring_rounds": schedule.total_rounds,
             "colors": colors,
             "dissemination_rounds": max(

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.core.constants import ColoringSchedule, ProtocolConstants
+from repro.core.outcome import check_stations
 from repro.network.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.messages import Reception
@@ -65,6 +66,7 @@ class ColoringCore:
         self.quit_level: Optional[int] = None
         self._density_successes = 0
         self._playoff_successes = 0
+        self._dissemination: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -83,16 +85,25 @@ class ColoringCore:
             return constants.color_of_level(self.quit_level, self.schedule.n)
         return constants.survivor_color
 
+    def dissemination_probability(self) -> float:
+        """Part-2 probability of the finished color, after the execution.
+
+        The color is final once the execution ends, so the probability
+        is computed on the first call and kept until :meth:`reset`.
+        """
+        if self._dissemination is None:
+            self._dissemination = self.schedule.constants.dissemination_prob(
+                self.finished_color(), self.schedule.n
+            )
+        return self._dissemination
+
     # ------------------------------------------------------------------
     def transmission_probability(self, offset: int) -> float:
         """Probability for the round at ``offset`` (0 once quit)."""
         if self.has_quit:
             return 0.0
         level, _block, part, _r = self.schedule.position(offset)
-        p_v = self.schedule.level_probability(level)
-        if part == "density":
-            return p_v
-        return min(1.0, p_v * self.schedule.constants.ceps)
+        return self.schedule.test_probability(level, part)
 
     def observe(self, offset: int, heard: bool, transmitted: bool) -> None:
         """Account one round's outcome; evaluate tests at block ends.
@@ -232,11 +243,12 @@ def run_coloring(
     """
     n = network.size
     schedule = ColoringSchedule(constants=constants, n=n)
-    active = set(range(n)) if participants is None else set(participants)
+    active = set(
+        range(n) if participants is None
+        else check_stations(n, participants, "participants")
+    )
     if not active:
         raise ProtocolError("coloring needs at least one participant")
-    if not active.issubset(range(n)):
-        raise ProtocolError("participants outside station range")
     nodes = [
         ColoringNode(
             i, schedule, participating=(i in active), payload=("color", i)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.coloring import run_coloring
-from repro.core.constants import ProtocolConstants, log2ceil
+from repro.core.constants import ProtocolConstants, dissemination_budget
 from repro.core.wakeup import run_colored_wakeup
 from repro.errors import ProtocolError
 from repro.network.network import Network
@@ -92,6 +92,41 @@ class ConsensusResult:
     rounds_per_bit: list[int]
     bits: int
 
+    @classmethod
+    def of(
+        cls, decided: np.ndarray, values, total_rounds: int, rounds_per_bit,
+        bits: int,
+    ) -> "ConsensusResult":
+        """The record of a run from its decisions and initial ``values``.
+
+        The one agreement rule of the reference and the fast runs:
+        ``agreed`` when every station decided alike, ``correct`` when
+        that common decision is the minimum of ``values``.
+        """
+        agreed = bool(np.all(decided == decided[0]))
+        correct = agreed and int(decided[0]) == int(np.min(values))
+        return cls(
+            decided, agreed, correct, int(total_rounds),
+            [int(r) for r in rounds_per_bit], bits,
+        )
+
+
+def bit_box_rounds(
+    network: Network, constants: ProtocolConstants, box_budget=None
+) -> tuple[int, int]:
+    """One bit box's dissemination budget and a silent box's length.
+
+    :returns: ``(box_budget, silent_box)``.  ``box_budget`` defaults to
+        :func:`~repro.core.constants.dissemination_budget` of the
+        diameter; a box nobody initiates lasts the auxiliary coloring
+        plus that whole budget, as long as any box may, so silence is
+        meaningful.
+    """
+    n = network.size
+    if box_budget is None:
+        box_budget = dissemination_budget(n, network.diameter)
+    return box_budget, box_budget + constants.coloring_total_rounds(n)
+
 
 def run_consensus(
     network: Network,
@@ -106,8 +141,8 @@ def run_consensus(
 
     :param values: per-station initial values in ``{0..x_max}``.
     :param box_budget: rounds per bit time box; defaults to the wake-up
-        budget ``16 * (D log n + log^2 n)`` — every box must use
-        the *same* fixed length so silence is meaningful.
+        budget (:func:`bit_box_rounds`) — every box must use the *same*
+        fixed length so silence is meaningful.
     """
     if constants is None:
         constants = ProtocolConstants.practical()
@@ -125,11 +160,7 @@ def run_consensus(
     backbone = run_coloring(network, constants, rng)
     base_colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
     total_rounds = backbone.rounds
-
-    if box_budget is None:
-        depth = network.diameter if n > 1 else 0
-        logn = log2ceil(n)
-        box_budget = 16 * (depth * logn + logn * logn)
+    box_budget, silent_box = bit_box_rounds(network, constants, box_budget)
 
     prefixes = [""] * n
     rounds_per_bit: list[int] = []
@@ -155,20 +186,13 @@ def run_consensus(
         else:
             # Nobody transmits: the box is silent for its full length.
             heard = np.zeros(n, dtype=bool)
-            box_rounds = box_budget + constants.coloring_total_rounds(n)
+            box_rounds = silent_box
         rounds_per_bit.append(box_rounds)
         total_rounds += box_rounds
         for v in range(n):
             prefixes[v] += "0" if heard[v] else "1"
 
-    decided = np.array([int(p, 2) for p in prefixes])
-    agreed = bool(np.all(decided == decided[0]))
-    correct = agreed and int(decided[0]) == min(values)
-    return ConsensusResult(
-        decided=decided,
-        agreed=agreed,
-        correct=correct,
-        total_rounds=total_rounds,
-        rounds_per_bit=rounds_per_bit,
-        bits=width,
+    return ConsensusResult.of(
+        np.array([int(p, 2) for p in prefixes]), values, total_rounds,
+        rounds_per_bit, width,
     )

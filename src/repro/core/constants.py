@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from repro.errors import ProtocolError
 from repro.sinr.params import SINRParameters
 
@@ -50,6 +52,57 @@ def phase_length(n: int, max_degree: int) -> int:
     """
     logn = log2ceil(n)
     return max(1, int(2.0 * (max_degree + logn) * logn))
+
+
+def dissemination_budget(n: int, depth: int) -> int:
+    """Default dissemination budget ``16 (depth log n + log^2 n)``.
+
+    The ``O(D log n + log^2 n)`` shape of Theorem 2 with generous slack,
+    for a message ``depth`` hops from its farthest station: the budget
+    of ``SBroadcast``'s dissemination stage, of a colored wake-up, of
+    one consensus bit box and (with a hop estimate for ``depth``) of
+    the scale experiments' sweeps.
+    """
+    logn = log2ceil(n)
+    return 16 * (depth * logn + logn * logn)
+
+
+def phase_budget(depth: int) -> int:
+    """Default phase cap ``2 depth + 8``.
+
+    One phase advances the message at least one hop whp (Lemma 8), so
+    ``O(D)`` phases suffice: the cap of ``NoSBroadcast``, of ad hoc
+    wake-up and of the local-broadcast composition.
+    """
+    return 2 * depth + 8
+
+
+def uniform_flood_q(max_degree: int) -> float:
+    """Uniform flooding's default probability ``1 / Delta``."""
+    return 1.0 / max(1, max_degree)
+
+
+def uniform_flood_budget(depth: int, q: float) -> int:
+    """Uniform flooding's default budget, ``64 (depth + 1) floor(1/q)``.
+
+    At least 64 rounds.
+    """
+    return max(64, 64 * (depth + 1) * max(1, int(1.0 / q)))
+
+
+def decay_ladder_len(n: int) -> int:
+    """Decay sweep's default ladder: ``log n + 1`` rungs."""
+    return log2ceil(n) + 1
+
+
+def decay_budget(depth: int, ladder_len: int) -> int:
+    """Decay sweep's default budget: ``96 (depth + 1)`` sweeps, at least 8."""
+    return max(8 * ladder_len, 96 * (depth + 1) * ladder_len)
+
+
+def local_broadcast_q(max_degree: int) -> float:
+    """Local-broadcast transmit probability ``1 / (2 Delta)``."""
+    return 1.0 / (2.0 * max_degree)
 
 
 def converging_zeta(exponent: float, terms: int = 100000) -> float:
@@ -293,11 +346,15 @@ class ProtocolConstants:
         block = self.density_test_rounds(n) + self.playoff_rounds(n)
         return self.num_levels(n) * self.repeats * block
 
-    def dissemination_prob(self, color: float, n: int) -> float:
-        """Part-2 transmission probability ``p_v * c / log n``."""
-        if color < 0:
+    def dissemination_prob(self, color, n: int):
+        """Part-2 transmission probability ``min(1, p_v * c / log n)``.
+
+        ``color`` is one station's color or an array of them (the fast
+        kernels pass their ``(B, n)`` colors); the result has its shape.
+        """
+        if np.less(color, 0).any():
             raise ProtocolError(f"color must be >= 0, got {color}")
-        return min(1.0, color * self.dissemination / log2ceil(n))
+        return np.minimum(1.0, color * self.dissemination / log2ceil(n))
 
     def part2_rounds(self, n: int) -> int:
         """Length of a dissemination part: ``a log^2 n`` rounds."""
@@ -384,6 +441,18 @@ class ColoringSchedule:
     def level_probability(self, level: int) -> float:
         """The shared ``p_v`` of all active stations at ``level``."""
         return self.constants.color_of_level(level, self.n)
+
+    def test_probability(self, level: int, part: str) -> float:
+        """Transmit probability of a station still in the ladder.
+
+        ``p_v`` in a DensityTest round and ``min(1, p_v c_eps)`` in a
+        Playoff round of ``level`` (``part`` as :meth:`position`
+        reports it).
+        """
+        p_v = self.level_probability(level)
+        if part == "density":
+            return p_v
+        return min(1.0, p_v * self.constants.ceps)
 
     def is_block_end(self, offset: int) -> bool:
         """Whether the round at ``offset`` closes a DensityTest+Playoff block."""

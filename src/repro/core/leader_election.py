@@ -42,6 +42,30 @@ class LeaderElectionResult:
         """Whether a unique leader was elected."""
         return self.leader >= 0 and self.unique
 
+    @classmethod
+    def of(cls, ids: np.ndarray, consensus) -> "LeaderElectionResult":
+        """The election a consensus on ``ids`` decided.
+
+        The leader is the one station holding the agreed ID; with no
+        agreement, or an ID held by none or by several, there is none
+        (``-1``).
+        """
+        agreed = int(consensus.decided[0]) if consensus.agreed else -1
+        holders = np.flatnonzero(ids == agreed) if agreed >= 0 else []
+        unique = len(holders) == 1
+        leader = int(holders[0]) if unique else -1
+        return cls(leader, ids, agreed, unique, consensus.total_rounds)
+
+
+def id_space(n: int) -> int:
+    """Size of the ID space ``{1..n^3}`` (at least 2) of ``n`` stations.
+
+    :raises ProtocolError: if ``n < 1``.
+    """
+    if n < 1:
+        raise ProtocolError("leader election needs at least one station")
+    return max(2, n ** 3)
+
 
 def run_leader_election(
     network: Network,
@@ -58,26 +82,13 @@ def run_leader_election(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    n = network.size
-    if n < 1:
-        raise ProtocolError("leader election needs at least one station")
-    id_space = max(2, n ** 3)
-    ids = rng.integers(1, id_space + 1, size=n)
-    result = run_consensus(
+    space = id_space(network.size)
+    ids = rng.integers(1, space + 1, size=network.size)
+    return LeaderElectionResult.of(ids, run_consensus(
         network,
         ids.tolist(),
-        x_max=id_space,
+        x_max=space,
         constants=constants,
         rng=rng,
         box_budget=box_budget,
-    )
-    agreed = int(result.decided[0]) if result.agreed else -1
-    holders = np.flatnonzero(ids == agreed) if agreed >= 0 else np.array([])
-    leader = int(holders[0]) if holders.size == 1 else -1
-    return LeaderElectionResult(
-        leader=leader,
-        ids=ids,
-        agreed_id=agreed,
-        unique=holders.size == 1,
-        total_rounds=result.total_rounds,
-    )
+    ))

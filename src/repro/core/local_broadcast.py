@@ -80,8 +80,7 @@ def run_local_broadcast(
 
     coloring = fast_coloring_batch(network, constants, [rng]).replication(0)
     colors = np.where(np.isnan(coloring.colors), 0.0, coloring.colors)
-    logn = log2ceil(n)
-    probs = np.minimum(1.0, colors * constants.dissemination / logn)
+    probs = constants.dissemination_prob(colors, n)
 
     # Deliveries required: adjacency of the communication graph.
     adjacency = network.distances <= network.params.comm_radius
@@ -92,6 +91,7 @@ def run_local_broadcast(
 
     if round_budget is None:
         delta = max(1, network.max_degree)
+        logn = log2ceil(n)
         round_budget = 24 * (delta + logn) * logn
 
     gains = network.gains

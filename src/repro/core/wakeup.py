@@ -29,8 +29,13 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.core.coloring import ColoringCore, run_coloring
-from repro.core.constants import ColoringSchedule, ProtocolConstants, log2ceil
-from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
+from repro.core.constants import (
+    ColoringSchedule,
+    ProtocolConstants,
+    dissemination_budget,
+    phase_budget,
+)
+from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_stations
 from repro.errors import ProtocolError
 from repro.network.network import Network
 from repro.sim.engine import Simulator
@@ -58,9 +63,7 @@ class AdhocWakeupNode(NodeAlgorithm):
     ):
         super().__init__(index)
         self.schedule = schedule
-        self.constants = schedule.constants
-        self.n = schedule.n
-        self.phase_len = self.constants.phase_rounds(self.n)
+        self.phase_len = schedule.constants.phase_rounds(schedule.n)
         self.coloring_len = schedule.total_rounds
         self.wake_round = wake_round
         self.awake_round = NEVER_INFORMED
@@ -103,8 +106,7 @@ class AdhocWakeupNode(NodeAlgorithm):
         if offset < self.coloring_len:
             prob = self.core.transmission_probability(offset)
         else:
-            color = self.core.finished_color()
-            prob = self.constants.dissemination_prob(color, self.n)
+            prob = self.core.dissemination_probability()
         return prob, WAKE_PAYLOAD
 
     def end_round(self, reception: Reception) -> None:
@@ -161,34 +163,34 @@ def run_adhoc_wakeup(
         for i in range(n)
     ]
     if round_budget is None:
-        depth = network.diameter if n > 1 else 0
         spread = int(np.max(schedule.wake_rounds))
-        round_budget = (
-            spread
-            + constants.phase_rounds(n) * (2 * depth + 8)
+        round_budget = spread + constants.phase_rounds(n) * phase_budget(
+            network.diameter
         )
-    sim = Simulator(network, nodes, rng)
-    result = sim.run(
-        round_budget,
-        stop=lambda s: all(node.finished for node in s.nodes),
-        check_every=4,
+    result = Simulator(network, nodes, rng).run(
+        round_budget, stop=Simulator.all_finished, check_every=4
     )
-    awake = np.array([node.awake_round for node in nodes])
-    success = bool(np.all(awake != NEVER_INFORMED))
-    completion = int(awake.max()) if success else NEVER_INFORMED
-    return BroadcastOutcome(
-        success=success,
-        completion_round=completion,
-        total_rounds=result.rounds,
-        informed_round=awake,
-        algorithm="AdhocWakeup",
-        extras={
-            "first_wake": schedule.first_wake,
-            "wakeup_time": (
-                completion - schedule.first_wake if success else -1
-            ),
-        },
+    return adhoc_wakeup_outcome(
+        np.array([node.awake_round for node in nodes]), result.rounds,
+        "AdhocWakeup", schedule,
     )
+
+
+def adhoc_wakeup_outcome(
+    awake_round: np.ndarray, total_rounds: int, algorithm: str,
+    schedule: WakeupSchedule,
+) -> BroadcastOutcome:
+    """An ad hoc wake-up's record from its per-station wake rounds.
+
+    ``extras`` holds the schedule's ``first_wake`` and the paper's
+    running time ``wakeup_time``, from the first spontaneous wake to the
+    last station's (``-1`` if some station never woke).
+    """
+    outcome = BroadcastOutcome.of(awake_round, total_rounds, algorithm)
+    first = schedule.first_wake
+    wakeup_time = outcome.completion_round - first if outcome.success else -1
+    outcome.extras = {"first_wake": first, "wakeup_time": wakeup_time}
+    return outcome
 
 
 class ColoredDisseminationNode(NodeAlgorithm):
@@ -209,9 +211,7 @@ class ColoredDisseminationNode(NodeAlgorithm):
         payload: Any = WAKE_PAYLOAD,
     ):
         super().__init__(index)
-        self.constants = constants
-        self.n = n
-        self.color = color
+        self.prob = constants.dissemination_prob(color, n)
         self.payload = payload if is_initiator else None
         self.informed_round = 0 if is_initiator else NEVER_INFORMED
 
@@ -223,10 +223,7 @@ class ColoredDisseminationNode(NodeAlgorithm):
     def transmission(self, round_no: int) -> tuple[float, Any]:
         if not self.informed:
             return 0.0, None
-        return (
-            self.constants.dissemination_prob(self.color, self.n),
-            self.payload,
-        )
+        return self.prob, self.payload
 
     def end_round(self, reception: Reception) -> None:
         if reception.heard and not self.informed:
@@ -265,11 +262,9 @@ def run_colored_wakeup(
     if rng is None:
         rng = np.random.default_rng(0)
     n = network.size
-    initiators = sorted(set(int(i) for i in initiators))
+    initiators = check_stations(n, initiators, "initiators")
     if not initiators:
         raise ProtocolError("colored wake-up needs at least one initiator")
-    if not all(0 <= i < n for i in initiators):
-        raise ProtocolError("initiator index outside station range")
     base_colors = np.asarray(base_colors, dtype=float)
     if base_colors.shape != (n,):
         raise ProtocolError(
@@ -292,27 +287,28 @@ def run_colored_wakeup(
         for i in range(n)
     ]
     if round_budget is None:
-        depth = network.diameter if n > 1 else 0
-        logn = log2ceil(n)
-        round_budget = 16 * (depth * logn + logn * logn)
-    sim = Simulator(network, nodes, rng)
-    result = sim.run(
-        round_budget,
-        stop=lambda s: all(node.finished for node in s.nodes),
-        check_every=4,
+        round_budget = dissemination_budget(n, network.diameter)
+    result = Simulator(network, nodes, rng).run(
+        round_budget, stop=Simulator.all_finished, check_every=4
     )
-    informed = np.array([node.informed_round for node in nodes])
-    # Shift by the auxiliary-coloring stage so reported rounds are end-to-end.
-    reported = np.where(
-        informed >= 0, informed + aux_rounds, NEVER_INFORMED
+    return colored_wakeup_outcome(
+        np.array([node.informed_round for node in nodes]), result.rounds,
+        aux_rounds, "ColoredWakeup",
     )
-    success = bool(np.all(reported != NEVER_INFORMED))
-    completion = int(reported.max()) if success else NEVER_INFORMED
-    return BroadcastOutcome(
-        success=success,
-        completion_round=completion,
-        total_rounds=result.rounds + aux_rounds,
-        informed_round=reported,
-        algorithm="ColoredWakeup",
-        extras={"aux_coloring_rounds": aux_rounds},
+
+
+def colored_wakeup_outcome(
+    informed_round: np.ndarray, rounds: int, aux_rounds: int, algorithm: str
+) -> BroadcastOutcome:
+    """A colored wake-up's record from its dissemination stage.
+
+    Round stamps and the round count are shifted by the auxiliary
+    coloring's ``aux_rounds`` so reported rounds are end to end.
+    """
+    shifted = np.where(
+        informed_round >= 0, informed_round + aux_rounds, NEVER_INFORMED
+    )
+    return BroadcastOutcome.of(
+        shifted, rounds + aux_rounds, algorithm,
+        {"aux_coloring_rounds": aux_rounds},
     )

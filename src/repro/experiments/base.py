@@ -86,24 +86,21 @@ def fmt(value: float, digits: int = 1) -> str:
 def hop_round_budget(network) -> int:
     """Broadcast round budget from a hop-count estimate.
 
-    ``16 * (hops * log n + log^2 n)`` with ``hops`` the box
-    diagonal over the comm radius — the Theorem 2 shape without ever
-    materializing a dense structure (diameter included), so the scale
-    experiments (E14, E15) can budget sparse-backend sweeps.
+    :func:`~repro.core.constants.dissemination_budget` with ``hops``,
+    the box diagonal over the comm radius, for the depth — the
+    Theorem 2 shape without ever materializing a dense structure
+    (diameter included), so the scale experiments (E14, E15) can
+    budget sparse-backend sweeps.
     """
     import math
 
-    import numpy as np
+    from repro.core.constants import dissemination_budget
 
-    from repro.core.constants import log2ceil
-
-    n = network.size
     span = network.coords.max(axis=0) - network.coords.min(axis=0)
     hops = math.ceil(
         float(np.linalg.norm(span)) / network.params.comm_radius
     )
-    logn = log2ceil(n)
-    return 16 * (hops * logn + logn * logn)
+    return dissemination_budget(network.size, hops)
 
 
 def connected_sparse_square(

@@ -21,8 +21,14 @@ import numpy as np
 from repro.core.constants import (
     ColoringSchedule,
     ProtocolConstants,
-    log2ceil,
+    decay_budget,
+    decay_ladder_len,
+    dissemination_budget,
+    local_broadcast_q,
+    phase_budget,
     phase_length,
+    uniform_flood_budget,
+    uniform_flood_q,
 )
 from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_source
 from repro.errors import ProtocolError
@@ -48,33 +54,15 @@ def _outcomes(
     algorithm: str,
     informed_round: np.ndarray,
     total_rounds: np.ndarray,
-    extras: Optional[Callable[[int], dict]] = None,
+    extras: Callable[[int], dict],
 ) -> list[BroadcastOutcome]:
     """Per-replication outcome records from batched state."""
-    results = []
-    for b in range(informed_round.shape[0]):
-        success = bool(np.all(informed_round[b] != NEVER_INFORMED))
-        completion = (
-            int(informed_round[b].max()) if success else NEVER_INFORMED
+    return [
+        BroadcastOutcome.of(
+            informed_round[b].copy(), total_rounds[b], algorithm, extras(b)
         )
-        results.append(
-            BroadcastOutcome(
-                success=success,
-                completion_round=completion,
-                total_rounds=int(total_rounds[b]),
-                informed_round=informed_round[b].copy(),
-                algorithm=algorithm,
-                extras=extras(b) if extras else {},
-            )
-        )
-    return results
-
-
-def dissemination_probs(
-    colors: np.ndarray, constants: ProtocolConstants, n: int
-) -> np.ndarray:
-    """Vectorized part-2 probability ``min(1, p_v * c / log n)``."""
-    return np.minimum(1.0, colors * constants.dissemination / log2ceil(n))
+        for b in range(informed_round.shape[0])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +98,7 @@ def fast_spont_broadcast_batch(
         informed=informed, informed_round=informed_round, medium=medium,
     )
     colors = np.where(np.isnan(coloring.colors), 0.0, coloring.colors)
-    diss_probs = dissemination_probs(colors, constants, n)
+    diss_probs = constants.dissemination_prob(colors, n)
 
     # Pilot round: the source transmits alone (deterministic — resolved
     # once and shared across replications, which only differ in their
@@ -126,11 +114,11 @@ def fast_spont_broadcast_batch(
     informed_round[newly] = pilot_round
 
     if round_budget is None:
-        logn = log2ceil(n)
         # The pilot round's network: under mobility the budget follows
         # the deployment the dissemination starts on.
-        depth = medium.network.eccentricity(source) if n > 1 else 0
-        round_budget = 16 * (depth * logn + logn * logn)
+        round_budget = dissemination_budget(
+            n, medium.network.eccentricity(source)
+        )
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, diss_probs, 0.0)
@@ -157,10 +145,12 @@ def fast_nospont_broadcast_batch(
     """Batched vectorized ``NoSBroadcast`` (Theorem 1).
 
     Phases run until every replication has informed every station or
-    ``max_phases`` elapse (default ``2 * ecc + 8``).  A replication
-    that completes stops participating (and stops consuming randomness)
-    at the next phase boundary; per-replication round counts reflect the
-    phase in which each finished.  Every phase's coloring and
+    ``max_phases`` elapse (default
+    :func:`~repro.core.constants.phase_budget` of the source's
+    eccentricity).  A replication that completes stops participating
+    (and stops consuming randomness) at the next phase boundary;
+    per-replication round counts reflect the phase in which each
+    finished.  Every phase's coloring and
     dissemination resolve through one ``medium`` (default: the static
     ``network``, no MAC).
     """
@@ -175,8 +165,7 @@ def fast_nospont_broadcast_batch(
     informed, informed_round = _source_state(B, n, source)
 
     if max_phases is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        max_phases = 2 * depth + 8
+        max_phases = phase_budget(network.eccentricity(source))
 
     round_no = 0
     phases_used = np.zeros(B, dtype=int)
@@ -197,8 +186,7 @@ def fast_nospont_broadcast_batch(
         )
         round_no += coloring.rounds
         colors = np.where(np.isnan(coloring.colors), 0.0, coloring.colors)
-        diss = dissemination_probs(colors, constants, n)
-        diss = np.where(active, diss, 0.0)
+        diss = np.where(active, constants.dissemination_prob(colors, n), 0.0)
 
         def probs(_round_no: int, _inf: np.ndarray) -> np.ndarray:
             # Only the stations active at the phase start disseminate.
@@ -254,12 +242,11 @@ def fast_uniform_broadcast_batch(
     """Batched fixed-probability flooding (baseline)."""
     check_source(network.size, source)
     if q is None:
-        q = 1.0 / max(1, network.max_degree)
+        q = uniform_flood_q(network.max_degree)
     if not 0 < q <= 1:
         raise ProtocolError(f"q must be in (0, 1], got {q}")
     if round_budget is None:
-        depth = network.eccentricity(source) if network.size > 1 else 0
-        round_budget = max(64, 64 * (depth + 1) * max(1, int(1.0 / q)))
+        round_budget = uniform_flood_budget(network.eccentricity(source), q)
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, q, 0.0)
@@ -283,12 +270,11 @@ def fast_decay_broadcast_batch(
     check_source(network.size, source)
     n = network.size
     if ladder_len is None:
-        ladder_len = log2ceil(n) + 1
+        ladder_len = decay_ladder_len(n)
     if ladder_len < 1:
         raise ProtocolError(f"ladder length must be >= 1, got {ladder_len}")
     if round_budget is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = max(8 * ladder_len, 96 * (depth + 1) * ladder_len)
+        round_budget = decay_budget(network.eccentricity(source), ladder_len)
 
     def probs(round_no: int, inf: np.ndarray) -> np.ndarray:
         rung = round_no % ladder_len
@@ -312,11 +298,10 @@ def fast_local_broadcast_global_batch(
     check_source(network.size, source)
     n = network.size
     delta = max(1, network.max_degree)
-    q = 1.0 / (2.0 * delta)
+    q = local_broadcast_q(delta)
     phase_len = phase_length(n, delta)
     if round_budget is None:
-        depth = network.eccentricity(source) if n > 1 else 0
-        round_budget = (2 * depth + 8) * phase_len
+        round_budget = phase_budget(network.eccentricity(source)) * phase_len
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, q, 0.0)

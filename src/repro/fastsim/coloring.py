@@ -205,7 +205,7 @@ def fast_coloring_batch(
 
     for level in range(schedule.levels):
         p_v = schedule.level_probability(level)
-        p_playoff = min(1.0, p_v * constants.ceps)
+        p_playoff = schedule.test_probability(level, "playoff")
         for _rep in range(constants.repeats):
             block_active = enabled & in_ladder.any(axis=1)
             if not block_active.any():

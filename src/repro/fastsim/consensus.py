@@ -24,10 +24,11 @@ import numpy as np
 
 from repro.core.consensus import (
     ConsensusResult,
+    bit_box_rounds,
     bits_for_range,
     integer_values,
 )
-from repro.core.constants import ProtocolConstants, log2ceil
+from repro.core.constants import ProtocolConstants
 from repro.errors import ProtocolError
 from repro.fastsim.coloring import fast_coloring_batch
 from repro.fastsim.engine import Medium
@@ -52,8 +53,8 @@ def fast_consensus_batch(
     :param values: per-station initial values in ``{0..x_max}`` —
         ``(n,)`` shared across replications or ``(B, n)`` per replication.
     :param box_budget: rounds per bit time box; defaults to the wake-up
-        budget ``16 * (D log n + log^2 n)`` — every box must
-        use the *same* fixed length so silence is meaningful.
+        budget (:func:`~repro.core.consensus.bit_box_rounds`) — every
+        box must use the *same* fixed length so silence is meaningful.
     :param medium: optional :class:`~repro.fastsim.engine.Medium`
         (default: the static ``network``, no MAC) shared by the backbone
         coloring and every bit box, so all stages ride one trajectory
@@ -81,12 +82,7 @@ def fast_consensus_batch(
     backbone = fast_coloring_batch(network, constants, rngs, medium=medium)
     base_colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
     total_rounds = np.full(B, backbone.rounds, dtype=int)
-
-    if box_budget is None:
-        depth = network.diameter if n > 1 else 0
-        logn = log2ceil(n)
-        box_budget = 16 * (depth * logn + logn * logn)
-    silent_box = box_budget + constants.coloring_total_rounds(n)
+    box_budget, silent_box = bit_box_rounds(network, constants, box_budget)
 
     prefix = np.zeros((B, n), dtype=np.int64)
     # Whether each station's own value still extends its learned prefix.
@@ -125,20 +121,11 @@ def fast_consensus_batch(
         prefix = prefix * 2 + decided_bit
         matches &= bits == decided_bit
 
-    results = []
-    for b in range(B):
-        decided = prefix[b]
-        agreed = bool(np.all(decided == decided[0]))
-        correct = agreed and int(decided[0]) == int(values[b].min())
-        results.append(
-            ConsensusResult(
-                decided=decided.copy(),
-                agreed=agreed,
-                correct=correct,
-                total_rounds=int(total_rounds[b]),
-                rounds_per_bit=[int(r) for r in rounds_per_bit[b]],
-                bits=width,
-            )
+    return [
+        ConsensusResult.of(
+            prefix[b].copy(), values[b], total_rounds[b], rounds_per_bit[b],
+            width,
         )
-    return results
+        for b in range(B)
+    ]
 

@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.constants import ProtocolConstants
-from repro.core.leader_election import LeaderElectionResult
-from repro.errors import ProtocolError
+from repro.core.leader_election import LeaderElectionResult, id_space
 from repro.fastsim.consensus import fast_consensus_batch
 from repro.fastsim.engine import Medium
 from repro.network.network import Network
@@ -40,32 +39,16 @@ def fast_leader_election_batch(
     election rides one moving and/or MAC-arbitrated channel
     (DESIGN.md §7.2, §11).
     """
-    n = network.size
-    if n < 1:
-        raise ProtocolError("leader election needs at least one station")
-    id_space = max(2, n ** 3)
+    space = id_space(network.size)
     ids = np.stack(
-        [rng.integers(1, id_space + 1, size=n) for rng in rngs]
+        [rng.integers(1, space + 1, size=network.size) for rng in rngs]
     )
     results = fast_consensus_batch(
-        network, ids, id_space, constants, rngs, box_budget=box_budget,
+        network, ids, space, constants, rngs, box_budget=box_budget,
         medium=medium,
     )
-    elections = []
-    for b, result in enumerate(results):
-        agreed = int(result.decided[0]) if result.agreed else -1
-        holders = (
-            np.flatnonzero(ids[b] == agreed) if agreed >= 0 else np.array([])
-        )
-        leader = int(holders[0]) if holders.size == 1 else -1
-        elections.append(
-            LeaderElectionResult(
-                leader=leader,
-                ids=ids[b],
-                agreed_id=agreed,
-                unique=holders.size == 1,
-                total_rounds=result.total_rounds,
-            )
-        )
-    return elections
+    return [
+        LeaderElectionResult.of(ids[b], result)
+        for b, result in enumerate(results)
+    ]
 

@@ -27,10 +27,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.constants import ColoringSchedule, ProtocolConstants, log2ceil
-from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
+from repro.core.constants import (
+    ColoringSchedule,
+    ProtocolConstants,
+    dissemination_budget,
+    phase_budget,
+)
+from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome, check_stations
+from repro.core.wakeup import adhoc_wakeup_outcome, colored_wakeup_outcome
 from repro.errors import ProtocolError
-from repro.fastsim.broadcast import dissemination_probs
 from repro.fastsim.coloring import fast_coloring_batch
 from repro.fastsim.engine import Medium, dissemination_loop_batch, draw_block
 from repro.network.network import Network
@@ -65,10 +70,8 @@ class VectorColoringState:
     ) -> np.ndarray:
         """Per-station probability for the round at ``offset``."""
         level, _block, part, _r = self.schedule.position(offset)
-        p_v = self.schedule.level_probability(level)
-        if part != "density":
-            p_v = min(1.0, p_v * self.constants.ceps)
-        return np.where(active & ~self.has_quit, p_v, 0.0)
+        p = self.schedule.test_probability(level, part)
+        return np.where(active & ~self.has_quit, p, 0.0)
 
     def observe(
         self,
@@ -150,9 +153,8 @@ def fast_adhoc_wakeup_batch(
     phase_len = constants.phase_rounds(n)
     coloring_len = coloring_schedule.total_rounds
     if round_budget is None:
-        depth = network.diameter if n > 1 else 0
         spread = int(np.max(schedule.wake_rounds))
-        round_budget = spread + phase_len * (2 * depth + 8)
+        round_budget = spread + phase_len * phase_budget(network.diameter)
     if medium is None:
         medium = Medium(network)
 
@@ -193,8 +195,8 @@ def fast_adhoc_wakeup_batch(
                 # Colors are frozen once the coloring part ends (observe
                 # only runs during it), so compute the phase's
                 # dissemination probabilities once.
-                phase_diss = dissemination_probs(
-                    state.finished_colors(), constants, n
+                phase_diss = constants.dissemination_prob(
+                    state.finished_colors(), n
                 )
             probs = np.where(active, phase_diss, 0.0)
         draws = draw_block(rngs, running, 1, n)[:, 0, :]
@@ -208,42 +210,30 @@ def fast_adhoc_wakeup_batch(
             total_rounds[just_done] = round_no + 1
             running &= ~just_done
 
-    outcomes = []
-    first_wake = schedule.first_wake
-    for b in range(B):
-        success = bool(np.all(awake_round[b] != NEVER_INFORMED))
-        completion = int(awake_round[b].max()) if success else NEVER_INFORMED
-        outcomes.append(
-            BroadcastOutcome(
-                success=success,
-                completion_round=completion,
-                total_rounds=int(total_rounds[b]),
-                informed_round=awake_round[b].copy(),
-                algorithm="AdhocWakeup(fast)",
-                extras={
-                    "first_wake": first_wake,
-                    "wakeup_time": (
-                        completion - first_wake if success else -1
-                    ),
-                },
-            )
+    return [
+        adhoc_wakeup_outcome(
+            awake_round[b].copy(), total_rounds[b], "AdhocWakeup(fast)",
+            schedule,
         )
-    return outcomes
+        for b in range(B)
+    ]
 
 
 def _initiator_masks(
     initiators, B: int, n: int
 ) -> np.ndarray:
-    """Normalize initiators to a ``(B, n)`` boolean mask."""
+    """Normalize initiators to a ``(B, n)`` boolean mask.
+
+    An ``(n,)`` or ``(B, n)`` boolean array is a mask; anything else is
+    a set of station indices (:func:`~repro.core.outcome.check_stations`).
+    """
     arr = np.asarray(initiators)
     if arr.dtype == bool and arr.shape == (n,):
         masks = np.broadcast_to(arr, (B, n)).copy()
     elif arr.dtype == bool and arr.shape == (B, n):
         masks = arr.copy()
     else:
-        idx = sorted(set(int(i) for i in np.atleast_1d(arr).ravel()))
-        if not all(0 <= i < n for i in idx):
-            raise ProtocolError("initiator index outside station range")
+        idx = check_stations(n, np.atleast_1d(arr).ravel(), "initiators")
         masks = np.zeros((B, n), dtype=bool)
         masks[:, idx] = True
     return masks
@@ -310,15 +300,12 @@ def fast_colored_wakeup_batch(
         aux_rounds = aux.rounds
         q_colors = np.where(np.isnan(aux.colors), 0.0, aux.colors)
 
-    combined = base_colors + q_colors
-    diss = dissemination_probs(combined, constants, n)
+    diss = constants.dissemination_prob(base_colors + q_colors, n)
     informed = masks.copy()
     informed_round = np.where(masks, 0, NEVER_INFORMED)
 
     if round_budget is None:
-        depth = network.diameter if n > 1 else 0
-        logn = log2ceil(n)
-        round_budget = 16 * (depth * logn + logn * logn)
+        round_budget = dissemination_budget(n, network.diameter)
 
     def probs(_round_no: int, inf: np.ndarray) -> np.ndarray:
         return np.where(inf, diss, 0.0)
@@ -328,27 +315,12 @@ def fast_colored_wakeup_batch(
         0, round_budget, enabled=enabled,
     )
 
-    outcomes = []
-    for b in range(B):
-        # Shift by the auxiliary stage so reported rounds are end-to-end.
-        reported = np.where(
-            informed_round[b] >= 0,
-            informed_round[b] + aux_rounds,
-            NEVER_INFORMED,
+    # A disabled replication informs nobody, so its record fails.
+    return [
+        colored_wakeup_outcome(
+            informed_round[b], int(last[b]), aux_rounds,
+            "ColoredWakeup(fast)",
         )
-        success = bool(enabled[b]) and bool(
-            np.all(reported != NEVER_INFORMED)
-        )
-        completion = int(reported.max()) if success else NEVER_INFORMED
-        outcomes.append(
-            BroadcastOutcome(
-                success=success,
-                completion_round=completion,
-                total_rounds=int(last[b]) + aux_rounds,
-                informed_round=reported,
-                algorithm="ColoredWakeup(fast)",
-                extras={"aux_coloring_rounds": aux_rounds},
-            )
-        )
-    return outcomes
+        for b in range(B)
+    ]
 

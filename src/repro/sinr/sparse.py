@@ -1263,10 +1263,15 @@ class SparseGainBackend:
             one ``(receivers, senders)`` pair per set if ``compact``.
         """
         n = self.n
-        arrays = [
-            _checked_stations(n, t, "transmitter").ravel()
-            for t in transmitter_sets
-        ]
+        arrays = []
+        for t in transmitter_sets:
+            # Each set's dtype on its own (concatenated, a boolean or
+            # fractional set would take its neighbours' dtype); the
+            # range check runs once, over all sets, below.
+            t = np.asarray(t).ravel()
+            if t.dtype.kind not in "iu":
+                _checked_stations(n, t, "transmitter")  # unless empty
+            arrays.append(t.astype(np.intp, copy=False))
         B = len(arrays)
         empty = np.empty(0, dtype=np.intp)
         if compact:
@@ -1276,11 +1281,14 @@ class SparseGainBackend:
             out = list(block)
         if B == 0:
             return out
+        transmitters = _checked_stations(
+            n, np.concatenate(arrays), "transmitter"
+        )
         if not noise >= 0:
             raise ValueError(f"noise must be >= 0, got {noise}")
         keys = np.repeat(
             np.arange(0, B * n, n, dtype=np.int64), [a.size for a in arrays]
-        ) + np.concatenate(arrays)
+        ) + transmitters
         keys.sort()
         keys = keys[_run_starts(keys)]
         owner, tx = np.divmod(keys, n)

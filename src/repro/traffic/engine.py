@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.outcome import check_stations
 from repro.errors import ProtocolError
 from repro.mac import MacModel, RateTable, SlottedAloha
 from repro.network.network import Network
@@ -124,18 +125,22 @@ def _is_count(value) -> bool:
 
 
 def _flow_paths(network: Network, flows: Sequence[Flow]) -> list:
-    """Shortest ``Network.graph`` path per flow (ProtocolError if none)."""
+    """Shortest ``Network.graph`` path per flow (ProtocolError if none).
+
+    Every endpoint is checked (:func:`~repro.core.outcome.check_stations`)
+    before the graph is searched: a float endpoint would name a graph
+    node by equality and a bool one would index the MAC's intents as a
+    mask.
+    """
     import networkx as nx
 
+    for k, flow in enumerate(flows):
+        check_stations(
+            network.size, [flow.src, flow.dst], f"flow {k} endpoints"
+        )
     graph = network.graph
     paths = []
     for k, flow in enumerate(flows):
-        n = network.size
-        if not (0 <= flow.src < n and 0 <= flow.dst < n):
-            raise ProtocolError(
-                f"flow {k} endpoints ({flow.src}, {flow.dst}) outside "
-                f"station range 0..{n - 1}"
-            )
         if flow.src == flow.dst:
             raise ProtocolError(f"flow {k} has src == dst == {flow.src}")
         try:

@@ -230,3 +230,29 @@ class TestOutcome:
             algorithm="test",
         )
         assert out.num_informed == 1
+
+    def test_of_applies_the_success_rule(self):
+        from repro.core.outcome import NEVER_INFORMED, BroadcastOutcome
+
+        done = BroadcastOutcome.of(np.array([0, 4, 2]), np.int64(6), "t")
+        assert (done.success, done.completion_round) == (True, 4)
+        assert type(done.total_rounds) is int and done.extras == {}
+        partial = BroadcastOutcome.of(
+            np.array([0, NEVER_INFORMED]), 9, "t", {"k": 1}
+        )
+        assert (partial.success, partial.completion_round) == (
+            False, NEVER_INFORMED
+        )
+        assert partial.extras == {"k": 1}
+
+    def test_check_stations(self):
+        from repro.core.outcome import check_stations
+        from repro.errors import ProtocolError
+
+        # Sorted, without repeats, from any iterable of integers.
+        assert check_stations(5, (v for v in [3, 1, 3])) == [1, 3]
+        assert check_stations(5, np.array([4, 0], dtype=np.uint8)) == [0, 4]
+        assert check_stations(5, []) == []
+        for bad in ([5], [-1], [True], [np.bool_(False)], [1.0], [0.5]):
+            with pytest.raises(ProtocolError, match="station index"):
+                check_stations(5, bad, "initiators")

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.consensus import (
+    ConsensusResult,
     bits_for_range,
     run_consensus,
     value_bits,
 )
 from repro.core.constants import ProtocolConstants
 from repro.core.coloring import run_coloring
-from repro.core.leader_election import run_leader_election
+from repro.core.leader_election import (
+    LeaderElectionResult,
+    id_space,
+    run_leader_election,
+)
 from repro.core.wakeup import run_adhoc_wakeup, run_colored_wakeup
 from repro.deploy import uniform_chain
 from repro.errors import ProtocolError
@@ -109,6 +114,34 @@ class TestColoredWakeup:
             run_colored_wakeup(
                 chain, [chain.size], chain_colors, constants, rng
             )
+
+    @pytest.mark.parametrize(
+        "initiators",
+        [np.arange(8) == 7, [True, False], [1.9], [np.float64(3.0)], [-1]],
+        ids=["mask", "bools", "fraction", "float", "negative"],
+    )
+    def test_initiators_must_be_station_indices(
+        self, chain, constants, chain_colors, rng, initiators
+    ):
+        # Read as indices, the mask of station 7 would name stations
+        # {0, 1} and 1.9 would truncate to station 1.
+        with pytest.raises(ProtocolError, match="station index"):
+            run_colored_wakeup(
+                chain, initiators, chain_colors, constants, rng
+            )
+
+    def test_numpy_integer_initiators(self, chain, constants, chain_colors):
+        a = run_colored_wakeup(
+            chain, np.array([5, 2, 5]), chain_colors, constants,
+            np.random.default_rng(3),
+        )
+        b = run_colored_wakeup(
+            chain, [2, 5], chain_colors, constants, np.random.default_rng(3)
+        )
+        assert np.array_equal(a.informed_round, b.informed_round)
+        assert a.informed_round[2] == a.informed_round[5] == a.extras[
+            "aux_coloring_rounds"
+        ]
 
 
 class TestConsensusHelpers:
@@ -215,6 +248,42 @@ class TestConsensus:
         with pytest.raises(ProtocolError, match="x_max"):
             run_consensus(chain, [1] * chain.size, x_max=7.5,
                           constants=constants, rng=rng)
+
+
+class TestRecords:
+    """The agreement and election rules both engines build records with."""
+
+    def test_consensus_record(self):
+        ok = ConsensusResult.of(
+            np.array([3, 3, 3]), [5, 3, 7], 40, [20, 20], 2
+        )
+        assert (ok.agreed, ok.correct, ok.total_rounds) == (True, True, 40)
+        wrong = ConsensusResult.of(np.array([3, 3, 3]), [2, 3, 7], 40, [], 2)
+        assert (wrong.agreed, wrong.correct) == (True, False)
+        split = ConsensusResult.of(np.array([3, 5, 3]), [3, 5, 7], 40, [], 2)
+        assert (split.agreed, split.correct) == (False, False)
+
+    @pytest.mark.parametrize(
+        "ids,decided,leader,unique",
+        [
+            ([5, 3, 7], [3, 3, 3], 1, True),     # one holder
+            ([3, 3, 7], [3, 3, 3], -1, False),   # two holders
+            ([5, 3, 7], [4, 4, 4], -1, False),   # nobody holds it
+            ([5, 3, 7], [3, 5, 3], -1, False),   # no agreement
+        ],
+    )
+    def test_election_record(self, ids, decided, leader, unique):
+        ids = np.array(ids)
+        consensus = ConsensusResult.of(np.array(decided), ids, 40, [], 3)
+        result = LeaderElectionResult.of(ids, consensus)
+        assert (result.leader, result.unique) == (leader, unique)
+        assert result.success == (leader >= 0)
+        assert result.agreed_id == (decided[0] if consensus.agreed else -1)
+
+    def test_id_space(self):
+        assert [id_space(n) for n in (1, 2, 10)] == [2, 8, 1000]
+        with pytest.raises(ProtocolError):
+            id_space(0)
 
 
 class TestLeaderElection:

@@ -59,6 +59,20 @@ class TestColoringCore:
         assert core.quit_level == 0
         assert core.finished_color() == schedule.constants.pstart(16)
 
+    def test_dissemination_probability_until_reset(self, schedule):
+        constants = schedule.constants
+        core = ColoringCore(schedule)
+        assert core.dissemination_probability() == (
+            constants.dissemination_prob(constants.survivor_color, 16)
+        )
+        # A fresh execution that quits at level 0 gets its own color's.
+        core.reset()
+        for offset in range(schedule.block_len):
+            core.observe(offset, heard=True, transmitted=False)
+        assert core.dissemination_probability() == (
+            constants.dissemination_prob(constants.pstart(16), 16)
+        )
+
     def test_no_quit_when_playoff_fails(self, schedule):
         core = ColoringCore(schedule)
         for offset in range(schedule.block_len):
@@ -166,6 +180,20 @@ class TestRunColoring:
     ):
         with pytest.raises(ProtocolError):
             run_coloring(small_square, constants, rng, participants=[99])
+
+    @pytest.mark.parametrize(
+        "participants",
+        [np.arange(32) == 7, [True, False], [1.5]],
+        ids=["mask", "bools", "fraction"],
+    )
+    def test_participants_must_be_station_indices(
+        self, small_square, constants, rng, participants
+    ):
+        # Read as indices, both boolean inputs would color stations {0, 1}.
+        with pytest.raises(ProtocolError, match="station index"):
+            run_coloring(
+                small_square, constants, rng, participants=participants
+            )
 
     def test_single_station(self, constants, rng):
         net = Network(np.array([[0.0, 0.0]]))

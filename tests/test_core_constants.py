@@ -4,11 +4,15 @@ import math
 
 import pytest
 
+import numpy as np
+
 from repro.core.constants import (
     ColoringSchedule,
     ProtocolConstants,
     converging_zeta,
+    dissemination_budget,
     log2ceil,
+    phase_budget,
 )
 from repro.errors import ProtocolError
 from repro.sinr.params import SINRParameters
@@ -163,6 +167,33 @@ class TestDissemination:
         with pytest.raises(ProtocolError):
             ProtocolConstants.practical().dissemination_prob(-0.1, 8)
 
+    def test_array_colors_equal_scalar_calls(self):
+        # The fast kernels pass (B, n) colors; each entry is the scalar
+        # rule's value bit for bit.
+        c = ProtocolConstants.practical()
+        colors = np.array([[0.0, 0.01, 0.05], [0.3, 2 * c.pmax, 100.0]])
+        probs = c.dissemination_prob(colors, 64)
+        assert probs.shape == colors.shape
+        assert [float(p) for p in probs.ravel()] == [
+            float(c.dissemination_prob(float(x), 64)) for x in colors.ravel()
+        ]
+        with pytest.raises(ProtocolError):
+            c.dissemination_prob(np.array([0.1, -0.1]), 64)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "n,depth,expected", [(1, 0, 16), (8, 0, 144), (8, 5, 384),
+                             (1000, 12, 3520)]
+    )
+    def test_dissemination_budget(self, n, depth, expected):
+        # 16 (depth log n + log^2 n), log n = log2ceil(n).
+        assert dissemination_budget(n, depth) == expected
+
+    @pytest.mark.parametrize("depth,expected", [(0, 8), (1, 10), (7, 22)])
+    def test_phase_budget(self, depth, expected):
+        assert phase_budget(depth) == expected
+
     def test_eps_prime_keeps_product_legal(self):
         c = ProtocolConstants.practical()
         c2 = c.with_eps_prime()
@@ -233,6 +264,15 @@ class TestColoringSchedule:
             s.position(s.total_rounds)
         with pytest.raises(ProtocolError):
             s.position(-1)
+
+    def test_test_probability(self):
+        s = self._schedule()
+        for level in range(s.levels):
+            p_v = s.level_probability(level)
+            assert s.test_probability(level, "density") == p_v
+            assert s.test_probability(level, "playoff") == min(
+                1.0, p_v * s.constants.ceps
+            )
 
     def test_block_end_detection(self):
         s = self._schedule()

@@ -142,6 +142,34 @@ class TestFastColoredWakeup:
                 chain, [0], np.zeros(chain.size + 2), constants, [rng]
             )
 
+    @pytest.mark.parametrize(
+        "initiators", [[1.9], [True, False, True], [np.float64(2.0)]],
+        ids=["fraction", "short-mask", "float"],
+    )
+    def test_initiators_must_be_station_indices(
+        self, chain, constants, chain_colors, rng, initiators
+    ):
+        # 1.9 would truncate to station 1, and a boolean list that is
+        # no (n,) mask would read as stations {0, 1}.
+        with pytest.raises(ProtocolError, match="station index"):
+            fast_colored_wakeup_batch(
+                chain, initiators, chain_colors, constants, [rng]
+            )
+
+    def test_masks_stay_masks(self, chain, constants, chain_colors):
+        # (n,) and (B, n) boolean arrays name the stations they mark.
+        mask = np.arange(chain.size) == 7
+        runs = [
+            fast_colored_wakeup_batch(
+                chain, initiators, chain_colors, constants,
+                [np.random.default_rng(3)], refresh_coloring=False,
+            )[0]
+            for initiators in (mask, mask[None, :], [7])
+        ]
+        assert np.flatnonzero(runs[0].informed_round == 0).tolist() == [7]
+        for out in runs[1:]:
+            assert np.array_equal(out.informed_round, runs[0].informed_round)
+
 
 class TestFastConsensus:
     def test_agrees_on_minimum(self, chain, constants, rng):

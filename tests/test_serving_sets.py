@@ -158,6 +158,24 @@ def _same(a, b):
     assert a[1].tobytes() == b[1].tobytes()
 
 
+def test_sets_checked_across_the_call():
+    # Each set's dtype is checked on its own and the range once over
+    # all sets: an empty set of any dtype names no station, integer
+    # sets of any width resolve as int64 ones, and one bad set fails
+    # the whole call.
+    net = _small("near")
+    n = net.size
+    reference = _resolve(net, [np.array([1, 4], dtype=np.int64), [], [0]])
+    mixed = _resolve(
+        net, [np.array([4, 1], dtype=np.uint32), np.array([]), [0]]
+    )
+    for a, b in zip(reference, mixed):
+        assert np.array_equal(a, b)
+    for bad in ([True, False], [0.5], [n], [-1]):
+        with pytest.raises(ValueError, match="must be integers in"):
+            _resolve(net, [[0], [], bad])
+
+
 def test_small_networks_cover_both_regimes():
     assert not _small("far").sparse_backend.far_empty
     assert not _small("wide").sparse_backend.far_empty

@@ -159,6 +159,20 @@ class TestRunTrafficValidation:
         )
         assert result.rounds == 10
 
+    @pytest.mark.parametrize(
+        "src,dst", [(1.5, 3), (True, 3), (0, 3.0), (-1, 3)],
+        ids=["fractional", "bool", "float", "negative"],
+    )
+    def test_endpoints_must_be_station_indices(self, src, dst):
+        # Unchecked, 1.5 would reach networkx as an unknown node, True
+        # would index the MAC intents as a mask mid-run, and 3.0 would
+        # name station 3 by equality.
+        with pytest.raises(ProtocolError, match="station index"):
+            run_traffic(
+                _chain(), [Flow(0, 3, CBR(0.5)), Flow(src, dst, CBR(0.5))],
+                10, np.random.default_rng(0),
+            )
+
     def test_no_path_raises(self):
         net = Network(np.array([[0.0, 0.0], [5.0, 0.0]]))
         with pytest.raises(ProtocolError):
