@@ -34,8 +34,6 @@ def cluster_network(
         raise DeploymentError("need at least one cluster and one station")
     if cluster_radius < 0 or center_spacing <= 0:
         raise DeploymentError("radii and spacing must be positive")
-    if params is None:
-        params = SINRParameters.default()
     if n_clusters == 1:
         centers = np.zeros((1, 2))
     else:
@@ -77,8 +75,6 @@ def dumbbell(
     """
     if per_side < 1 or bridge_hops < 1:
         raise DeploymentError("need at least one station per side and hop")
-    if params is None:
-        params = SINRParameters.default()
 
     def blob(center_x: float, rim_sign: float) -> np.ndarray:
         """Random blob plus a deterministic anchor at the bridge-side rim.

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import DeploymentError, DisconnectedNetworkError
+from repro.deploy.uniform import connected_draw
+from repro.errors import DeploymentError
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -50,19 +51,15 @@ def corridor(
         raise DeploymentError(
             f"corridor width {width} exceeds length {length}; swap them"
         )
-    if params is None:
-        params = SINRParameters.default()
-    for _ in range(max_attempts):
-        coords = np.column_stack(
+    return connected_draw(
+        lambda: np.column_stack(
             [
                 rng.uniform(0.0, length, size=n),
                 rng.uniform(0.0, width, size=n),
             ]
-        )
-        net = Network(coords, params=params, name=name, channel=channel)
-        if net.is_connected:
-            return net
-    raise DisconnectedNetworkError(
+        ),
+        max_attempts,
         f"corridor deployment (n={n}, {length} x {width}) stayed "
-        f"disconnected after {max_attempts} attempts; increase density"
+        f"disconnected after {max_attempts} attempts; increase density",
+        params=params, name=name, channel=channel,
     )

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import DeploymentError, DisconnectedNetworkError
+from repro.deploy.uniform import connected_draw
+from repro.errors import DeploymentError
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -78,9 +79,8 @@ def fractal_clusters(
     if span <= 0:
         raise DeploymentError(f"span must be positive, got {span}")
     ratio = branching ** (-1.0 / dimension)
-    if params is None:
-        params = SINRParameters.default()
-    for _ in range(max_attempts):
+
+    def draw() -> np.ndarray:
         centers = np.zeros((1, 2))
         for level in range(levels):
             radius = 0.5 * span * ratio ** level
@@ -94,12 +94,14 @@ def fractal_clusters(
                 [r * np.cos(theta), r * np.sin(theta)]
             )
             centers = np.repeat(centers, branching, axis=0) + offsets
-        net = Network(centers, params=params, name=name, channel=channel)
-        if net.is_connected:
-            return net
-    raise DisconnectedNetworkError(
+        return centers
+
+    return connected_draw(
+        draw,
+        max_attempts,
         f"fractal cluster deployment (levels={levels}, "
         f"branching={branching}, dimension={dimension}) stayed "
         f"disconnected after {max_attempts} attempts; increase span "
-        f"density or reduce levels"
+        f"density or reduce levels",
+        params=params, name=name, channel=channel,
     )

@@ -33,8 +33,6 @@ def grid(
         raise DeploymentError(f"grid must be at least 1x1, got {rows}x{cols}")
     if spacing <= 0:
         raise DeploymentError(f"grid spacing must be positive, got {spacing}")
-    if params is None:
-        params = SINRParameters.default()
     ys, xs = np.mgrid[0:rows, 0:cols]
     coords = np.column_stack([xs.ravel() * spacing, ys.ravel() * spacing])
     return Network(coords, params=params, name=name)

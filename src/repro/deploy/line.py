@@ -29,8 +29,6 @@ def _chain_from_gaps(
         raise DeploymentError("all chain gaps must be positive")
     positions = np.concatenate([[0.0], np.cumsum(gaps)])
     coords = np.column_stack([positions, np.zeros_like(positions)])
-    if params is None:
-        params = SINRParameters.default()
     return Network(coords, params=params, name=name)
 
 
@@ -124,6 +122,4 @@ def clustered_chain(
         offsets += np.arange(per_cluster) * (10 * MIN_DISTANCE)
         positions.extend(start + offsets)
     coords = np.column_stack([positions, np.zeros(len(positions))])
-    if params is None:
-        params = SINRParameters.default()
     return Network(coords, params=params, name="clustered-chain")

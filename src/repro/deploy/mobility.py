@@ -3,13 +3,11 @@
 Every experiment through E14 probes *frozen* deployments, yet the
 paper's claims are about geometry, and real ad hoc networks move.  This
 module supplies the temporal axis (DESIGN.md §7): a
-:class:`MobilityModel` is a seeded, hashable description of how a
-deployment drifts, mirroring the :class:`~repro.sinr.channel.ChannelModel`
-idiom — construction takes every physical knob plus ``seed``,
-:meth:`MobilityModel.identity` returns the primitive tuple that pins the
-trajectory, and :meth:`MobilityModel.fingerprint` digests it so the grid
-result cache keys dynamic runs on the mobility identity (static and
-dynamic results can never collide, :mod:`repro.fastsim.cache`).
+:class:`MobilityModel` is a seeded :class:`~repro.identity.Identified`
+value describing how a deployment drifts — construction takes every
+physical knob plus ``seed``, and its ``identity()`` tuple pins the
+trajectory, so the grid result cache keys dynamic runs on it (static
+and dynamic results can never collide, :mod:`repro.fastsim.cache`).
 
 The run-time half is the :class:`MobilitySession`: per-run mutable state
 (waypoints, group velocities, the step counter) created by
@@ -28,13 +26,13 @@ differ only in protocol randomness).
 
 from __future__ import annotations
 
-import hashlib
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import DeploymentError
+from repro.identity import Identified, checked_seed
 
 
 def _resolve_box(
@@ -144,59 +142,29 @@ class MobilitySession:
         return disp
 
 
-class MobilityModel(ABC):
+class MobilityModel(Identified):
     """Seeded strategy describing how a deployment moves per round.
 
-    Mirrors :class:`~repro.sinr.channel.ChannelModel`: all knobs —
-    including the seed — are fixed at construction, :meth:`identity`
-    pins the trajectory, and one model instance always produces one
-    trajectory (fresh :class:`MobilitySession` per run).
+    An :class:`~repro.identity.Identified` value: :meth:`identity`
+    pins the displacement stream (box and seed included), so a dynamic
+    sweep never replays a static one, or a different mobility's; one
+    model instance always produces one trajectory (fresh
+    :class:`MobilitySession` per run).
 
-    :param seed: trajectory seed; part of :meth:`identity`.
+    :param seed: trajectory seed, a non-negative integer; part of
+        :meth:`identity`.
     :param box: optional per-axis ``(lo, hi)`` reflection bounds;
         ``None`` (default) bounds trajectories to the deployment's
         initial bounding box.
     """
 
     def __init__(self, *, seed: int = 0, box=None):
-        self.seed = int(seed)
+        self.seed = checked_seed(seed, DeploymentError)
         self.box = box
-
-    @abstractmethod
-    def identity(self) -> tuple:
-        """Hashable tuple of primitives pinning this model's trajectory.
-
-        Everything that can change a session's displacement stream —
-        model type, physical knobs, box, seed — must appear here; the
-        grid result cache hashes it through :meth:`fingerprint`, so a
-        dynamic sweep never replays a static one (or a different
-        mobility's) result.
-        """
 
     @abstractmethod
     def session(self, coords: np.ndarray) -> MobilitySession:
         """Fresh per-run trajectory state over the initial ``coords``."""
-
-    def fingerprint(self) -> str:
-        """Content hash of :meth:`identity` (cache-key hook).
-
-        :func:`repro.fastsim.cache.fingerprint_bytes` calls this, so a
-        ``mobility=`` kwarg contributes exactly the identity tuple to
-        every grid point key.
-        """
-        return hashlib.sha256(repr(self.identity()).encode()).hexdigest()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self.identity()!r}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MobilityModel)
-            and self.identity() == other.identity()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.identity())
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -15,6 +15,28 @@ from repro.sinr.params import SINRParameters
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DeploymentError(message)
+
+
+def connected_draw(
+    draw: Callable[[], np.ndarray], max_attempts: int, failure: str,
+    **network,
+) -> Network:
+    """``Network(draw(), **network)``, redrawn until it is connected.
+
+    Redrawing until the communication graph is connected is the
+    standard way to sample connected random geometric graphs; every
+    randomized family of :mod:`repro.deploy` (and the scale
+    experiments' sparse base) draws through this one loop, each
+    ``draw()`` returning fresh coordinates from the caller's generator.
+
+    :raises DisconnectedNetworkError: with message ``failure`` if none
+        of ``max_attempts`` draws connects.
+    """
+    for _ in range(max_attempts):
+        net = Network(draw(), **network)
+        if net.is_connected:
+            return net
+    raise DisconnectedNetworkError(failure)
 
 
 def uniform_square(
@@ -37,20 +59,13 @@ def uniform_square(
     """
     _require(n >= 1, f"need at least one station, got n={n}")
     _require(side > 0, f"square side must be positive, got {side}")
-    if params is None:
-        params = SINRParameters.default()
-    last_error = None
-    for _ in range(max_attempts):
-        coords = rng.uniform(0.0, side, size=(n, 2))
-        net = Network(coords, params=params, name=name)
-        if net.is_connected:
-            return net
-        last_error = DisconnectedNetworkError(
-            f"uniform square deployment (n={n}, side={side}) stayed "
-            f"disconnected after {max_attempts} attempts; increase density"
-        )
-    assert last_error is not None
-    raise last_error
+    return connected_draw(
+        lambda: rng.uniform(0.0, side, size=(n, 2)),
+        max_attempts,
+        f"uniform square deployment (n={n}, side={side}) stayed "
+        f"disconnected after {max_attempts} attempts; increase density",
+        params=params, name=name,
+    )
 
 
 def uniform_cube(
@@ -77,16 +92,12 @@ def uniform_cube(
     """
     _require(n >= 1, f"need at least one station, got n={n}")
     _require(side > 0, f"cube side must be positive, got {side}")
-    if params is None:
-        params = SINRParameters.default()
-    for _ in range(max_attempts):
-        coords = rng.uniform(0.0, side, size=(n, 3))
-        net = Network(coords, params=params, name=name, channel=channel)
-        if net.is_connected:
-            return net
-    raise DisconnectedNetworkError(
+    return connected_draw(
+        lambda: rng.uniform(0.0, side, size=(n, 3)),
+        max_attempts,
         f"uniform cube deployment (n={n}, side={side}) stayed "
-        f"disconnected after {max_attempts} attempts; increase density"
+        f"disconnected after {max_attempts} attempts; increase density",
+        params=params, name=name, channel=channel,
     )
 
 
@@ -102,16 +113,16 @@ def uniform_disk(
     """``n`` stations uniform in a disk (area-uniform, via sqrt sampling)."""
     _require(n >= 1, f"need at least one station, got n={n}")
     _require(radius > 0, f"disk radius must be positive, got {radius}")
-    if params is None:
-        params = SINRParameters.default()
-    for _ in range(max_attempts):
+
+    def draw() -> np.ndarray:
         r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        coords = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        net = Network(coords, params=params, name=name)
-        if net.is_connected:
-            return net
-    raise DisconnectedNetworkError(
+        return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+    return connected_draw(
+        draw,
+        max_attempts,
         f"uniform disk deployment (n={n}, radius={radius}) stayed "
-        f"disconnected after {max_attempts} attempts; increase density"
+        f"disconnected after {max_attempts} attempts; increase density",
+        params=params, name=name,
     )

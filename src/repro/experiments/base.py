@@ -122,19 +122,13 @@ def connected_sparse_square(
     """
     import math
 
-    from repro.errors import DisconnectedNetworkError
-    from repro.network.network import Network
+    from repro.deploy.uniform import connected_draw
 
     side = math.sqrt(n / density)
-    for _ in range(max_attempts):
-        coords = rng.uniform(0.0, side, size=(n, 2))
-        net = Network(
-            coords, params=params, name=f"{name}-n{n}",
-            backend="sparse", cutoff=cutoff,
-        )
-        if net.is_connected:
-            return net
-    raise DisconnectedNetworkError(
+    return connected_draw(
+        lambda: rng.uniform(0.0, side, size=(n, 2)),
+        max_attempts,
         f"{name} base (n={n}, side={side:.1f}) stayed disconnected "
-        f"after {max_attempts} draws; raise the density"
+        f"after {max_attempts} draws; raise the density",
+        params=params, name=f"{name}-n{n}", backend="sparse", cutoff=cutoff,
     )

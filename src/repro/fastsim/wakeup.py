@@ -225,15 +225,23 @@ def _initiator_masks(
     """Normalize initiators to a ``(B, n)`` boolean mask.
 
     An ``(n,)`` or ``(B, n)`` boolean array is a mask; anything else is
-    a set of station indices (:func:`~repro.core.outcome.check_stations`).
+    one set of station indices shared by every replication
+    (:func:`~repro.core.outcome.check_stations`), so index input of more
+    than one dimension is refused rather than flattened into one set.
     """
     arr = np.asarray(initiators)
     if arr.dtype == bool and arr.shape == (n,):
         masks = np.broadcast_to(arr, (B, n)).copy()
     elif arr.dtype == bool and arr.shape == (B, n):
         masks = arr.copy()
+    elif arr.ndim > 1:
+        raise ProtocolError(
+            f"initiators: an index array must be one-dimensional, got "
+            f"shape {arr.shape}; pass per-replication initiators as a "
+            f"({B}, {n}) boolean mask"
+        )
     else:
-        idx = check_stations(n, np.atleast_1d(arr).ravel(), "initiators")
+        idx = check_stations(n, np.atleast_1d(arr), "initiators")
         masks = np.zeros((B, n), dtype=bool)
         masks[:, idx] = True
     return masks

@@ -69,6 +69,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.identity import checked_seed
+
 #: Environment variable naming a JSON plan file to install at import
 #: time — the cross-process wiring for daemons, fork workers and
 #: coordinator subprocesses spawned by the chaos tests/benchmarks.
@@ -133,7 +135,8 @@ class FaultPlan:
     event-loop callbacks concurrently.
 
     :param rules: the per-site schedules (at most one rule per site).
-    :param seed: entropy for the per-rule decision streams.
+    :param seed: entropy for the per-rule decision streams, a
+        non-negative integer.
     :param kills: scheduled process kills — JSON records
         (``{"delay_s": float, "target": int | str}``) the chaos harness
         applies to real subprocesses; opaque to :meth:`fires`.
@@ -148,7 +151,7 @@ class FaultPlan:
         self.rules = {rule.site: rule for rule in rules}
         if len(self.rules) != len(tuple(rules)):
             raise ValueError("at most one FaultRule per site")
-        self.seed = int(seed)
+        self.seed = checked_seed(seed, ValueError)
         self.kills = list(kills or [])
         streams = np.random.SeedSequence(self.seed).spawn(
             max(1, len(self.rules))

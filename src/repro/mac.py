@@ -3,9 +3,9 @@
 Every protocol in the repository is slotted-ALOHA-style: a station that
 decides to transmit this round simply transmits, and the SINR resolver
 arbitrates.  This module adds the missing medium-access layer
-(DESIGN.md §11) as a seeded, hashable strategy family mirroring
-:class:`~repro.sinr.channel.ChannelModel` /
-:class:`~repro.deploy.mobility.MobilityModel`:
+(DESIGN.md §11) as a seeded strategy family of
+:class:`~repro.identity.Identified` values, like the channel and
+mobility models:
 
 * :class:`SlottedAloha` — the regression anchor.  With the default
   ``p = 1.0`` it is the identity filter, so every kernel run under it is
@@ -40,13 +40,13 @@ under every MAC (DESIGN.md §11.2).
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.identity import Identified, checked_seed
 from repro.network.network import Network
 from repro.sinr.sparse import csr_row_positions, csr_upper_pairs
 
@@ -153,56 +153,24 @@ class MacSession(ABC):
         """
 
 
-class MacModel(ABC):
+class MacModel(Identified):
     """Seeded strategy deciding who may transmit in each slot.
 
-    Mirrors :class:`~repro.sinr.channel.ChannelModel` and
-    :class:`~repro.deploy.mobility.MobilityModel`: every knob —
-    including the seed — is fixed at construction, :meth:`identity`
-    pins the arbitration behaviour, and :meth:`fingerprint` digests it
-    so grid cache keys cover the MAC (a ``mac=`` sweep can never replay
-    a bare sweep's results, or another MAC's — DESIGN.md §11.4).
+    An :class:`~repro.identity.Identified` value: :meth:`identity`
+    pins the arbitration behaviour for a fixed network and intent
+    stream, so a ``mac=`` sweep can never replay a bare sweep's
+    results, or another MAC's (DESIGN.md §11.4).
 
-    :param seed: arbitration seed; part of :meth:`identity`.
+    :param seed: arbitration seed, a non-negative integer; part of
+        :meth:`identity`.
     """
 
     def __init__(self, *, seed: int = 0):
-        self.seed = int(seed)
-
-    @abstractmethod
-    def identity(self) -> tuple:
-        """Hashable tuple of primitives pinning this MAC's arbitration.
-
-        Everything that can change a session's transmit decisions for a
-        fixed network and intent stream — model type, physical knobs,
-        seed — must appear here; the grid result cache hashes it through
-        :meth:`fingerprint`.
-        """
+        self.seed = checked_seed(seed, ProtocolError)
 
     @abstractmethod
     def session(self, network: Network) -> MacSession:
         """Fresh per-run arbitration state over ``network``."""
-
-    def fingerprint(self) -> str:
-        """Content hash of :meth:`identity` (cache-key hook).
-
-        :func:`repro.fastsim.cache.fingerprint_bytes` calls this, so a
-        ``mac=`` kwarg contributes exactly the identity tuple to every
-        grid point key.
-        """
-        return hashlib.sha256(repr(self.identity()).encode()).hexdigest()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self.identity()!r}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MacModel)
-            and self.identity() == other.identity()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.identity())
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +439,7 @@ class TdmaFromColoring(MacModel):
 # ----------------------------------------------------------------------
 # adaptive rates
 # ----------------------------------------------------------------------
-class RateTable:
+class RateTable(Identified):
     """SINR-thresholded adaptive rates (DESIGN.md §11.5).
 
     Maps the achieved SINR at a receiver to a per-slot rate multiplier:
@@ -521,19 +489,3 @@ class RateTable:
     def identity(self) -> tuple:
         """Hashable tuple pinning the table (cache-key coverage)."""
         return ("rate-table", self.thresholds, self.rates)
-
-    def fingerprint(self) -> str:
-        """Content hash of :meth:`identity` (cache-key hook)."""
-        return hashlib.sha256(repr(self.identity()).encode()).hexdigest()
-
-    def __repr__(self) -> str:
-        return f"RateTable{self.identity()!r}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RateTable)
-            and self.identity() == other.identity()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.identity())

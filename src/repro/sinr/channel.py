@@ -21,11 +21,13 @@ The contract (DESIGN.md §2.1):
   workers rebuild them from ``Network.descriptor()``; a channel whose
   output drifted between calls would silently break the contract that
   remote results equal local ones.
-* :meth:`ChannelModel.identity` returns a tuple of primitives that,
-  together with ``(dist, coords, params)``, uniquely determines the
-  model's output.  ``Network.fingerprint()`` hashes it, so two networks
-  differing only in channel never share a gain structure in the grid
-  layer or collide in the on-disk result cache (DESIGN.md §6.3).
+* **Identity.**  Channels are :class:`~repro.identity.Identified`
+  values: ``identity()`` returns a tuple of primitives that, together
+  with ``(dist, coords, params)``, uniquely determines the model's
+  output, and ``repr``, equality and hashing derive from it.
+  ``Network.fingerprint()`` hashes it, so two networks differing only
+  in channel never share a gain structure in the grid layer or collide
+  in the on-disk result cache (DESIGN.md §6.3).
 
 The *communication graph* stays distance-based (``(1 - eps) r``): the
 paper's claims are statements about that graph, and E13 asks precisely
@@ -35,19 +37,23 @@ whether they hold when reception no longer matches its idealization.
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import GeometryError, SimulationError
 from repro.geometry.metric import MIN_DISTANCE
+from repro.identity import Identified, checked_seed
 from repro.sinr.gain import gain_matrix
 from repro.sinr.params import SINRParameters
 
 
-class ChannelModel(ABC):
-    """Strategy mapping a deployment to its received-power matrix."""
+class ChannelModel(Identified):
+    """Strategy mapping a deployment to its received-power matrix.
+
+    :meth:`identity` must name everything that can change :meth:`gain`
+    for fixed ``(dist, coords, params)`` — obstacle geometry included.
+    """
 
     def gain(
         self,
@@ -71,16 +77,6 @@ class ChannelModel(ABC):
         np.fill_diagonal(gain, 0.0)
         return gain
 
-    @abstractmethod
-    def identity(self) -> tuple:
-        """Hashable tuple of primitives pinning this model's output.
-
-        Everything that can change :meth:`gain`'s result for fixed
-        ``(dist, coords, params)`` — model type, physical knobs, seed,
-        obstacle geometry — must appear here; ``Network.fingerprint()``
-        and hence every cache key hashes it.
-        """
-
     def radial_gain(
         self, dist: np.ndarray, params: SINRParameters
     ) -> Optional[np.ndarray]:
@@ -98,18 +94,6 @@ class ChannelModel(ABC):
         default, override :meth:`gain` and stay on the dense backend.
         """
         return None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self.identity()!r}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ChannelModel)
-            and self.identity() == other.identity()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.identity())
 
 
 class UniformPower(ChannelModel):
@@ -149,7 +133,7 @@ class LogNormalShadowing(ChannelModel):
                 f"shadowing sigma_db must be >= 0, got {sigma_db}"
             )
         self.sigma_db = float(sigma_db)
-        self.seed = int(seed)
+        self.seed = checked_seed(seed, SimulationError)
 
     def gain(self, dist, coords, params) -> np.ndarray:
         base = gain_matrix(dist, params.power, params.alpha)

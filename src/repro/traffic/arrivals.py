@@ -1,10 +1,9 @@
 """Seeded arrival processes for the traffic engine.
 
 Each process maps ``(rng, rounds)`` to a per-round packet count vector.
-Processes follow the repo's strategy-object pattern (primitive
-:meth:`~ArrivalProcess.identity`, content-hash
-:meth:`~ArrivalProcess.fingerprint`) so flows carrying them contribute
-their full identity to grid cache keys, and every process consumes a
+Processes are :class:`~repro.identity.Identified` values, so flows
+carrying them contribute their full identity to grid cache keys, and
+every process consumes a
 *fixed* amount of randomness given ``rounds`` — independent of the
 counts it produces — so arrival streams replay bit-for-bit across
 ``jobs=1`` / ``jobs=N`` and the service path (DESIGN.md §11.6).
@@ -12,13 +11,13 @@ counts it produces — so arrival streams replay bit-for-bit across
 
 from __future__ import annotations
 
-import hashlib
 import math
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.identity import Identified
 
 
 def _checked_rate(rate: float) -> float:
@@ -28,12 +27,8 @@ def _checked_rate(rate: float) -> float:
     return float(rate)
 
 
-class ArrivalProcess(ABC):
+class ArrivalProcess(Identified):
     """Strategy mapping ``(rng, rounds)`` to per-round packet counts."""
-
-    @abstractmethod
-    def identity(self) -> tuple:
-        """Hashable tuple of primitives pinning the arrival law."""
 
     @abstractmethod
     def draw(self, rng: np.random.Generator, rounds: int) -> np.ndarray:
@@ -44,22 +39,6 @@ class ArrivalProcess(ABC):
         values), so multi-flow draws stay aligned whatever each flow
         produces.
         """
-
-    def fingerprint(self) -> str:
-        """Content hash of :meth:`identity` (cache-key hook)."""
-        return hashlib.sha256(repr(self.identity()).encode()).hexdigest()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self.identity()!r}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ArrivalProcess)
-            and self.identity() == other.identity()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.identity())
 
 
 class Poisson(ArrivalProcess):

@@ -15,7 +15,6 @@ arbitration is round-keyed — so a workload replays bit-for-bit across
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ import numpy as np
 
 from repro.core.outcome import check_stations
 from repro.errors import ProtocolError
+from repro.identity import Identified
 from repro.mac import MacModel, RateTable, SlottedAloha
 from repro.network.network import Network
 from repro.sinr.reception import resolve_at
@@ -32,13 +32,15 @@ from repro.traffic.metrics import jain_index
 
 
 @dataclass(frozen=True)
-class Flow:
+class Flow(Identified):
     """One unidirectional traffic demand: ``src`` to ``dst``.
 
     Packets follow the shortest path in ``Network.graph`` (ties broken
     by networkx's BFS order, deterministic for a fixed network); the
     arrival process decides how many packets enter ``src``'s queue each
-    round.
+    round.  The dataclass's own ``repr``, equality and hashing take
+    precedence over :class:`~repro.identity.Identified`'s; the base
+    adds :meth:`fingerprint`.
     """
 
     src: int
@@ -48,10 +50,6 @@ class Flow:
     def identity(self) -> tuple:
         """Hashable tuple of primitives pinning the flow."""
         return ("flow", self.src, self.dst, self.arrivals.identity())
-
-    def fingerprint(self) -> str:
-        """Content hash of :meth:`identity` (cache-key hook)."""
-        return hashlib.sha256(repr(self.identity()).encode()).hexdigest()
 
 
 @dataclass

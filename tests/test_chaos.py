@@ -199,6 +199,12 @@ class TestFaultPlan:
         assert pattern(7) == pattern(7)
         assert pattern(7) != pattern(8)
 
+    @pytest.mark.parametrize("seed", [1.9, True, "7", -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # int() would run 1.9 and True as seed 1 and "7" as seed 7.
+        with pytest.raises(ValueError, match="non-negative integer"):
+            FaultPlan([FaultRule("s", p=0.5)], seed=seed)
+
     def test_after_and_max_fires(self):
         plan = FaultPlan([FaultRule("s", after=2, max_fires=1)])
         assert plan.fires("s") is None

@@ -156,6 +156,19 @@ class TestFastColoredWakeup:
                 chain, initiators, chain_colors, constants, [rng]
             )
 
+    def test_per_replication_index_lists_refused(
+        self, chain, constants, chain_colors
+    ):
+        # A (B, k) index array used to flatten into one set shared by
+        # every replication: [[0], [7]] started both from {0, 7}.
+        with pytest.raises(ProtocolError, match=r"\(2, 8\) boolean mask"):
+            fast_colored_wakeup_batch(
+                chain, np.array([[0], [chain.size - 1]]), chain_colors,
+                constants,
+                [np.random.default_rng(1), np.random.default_rng(2)],
+                refresh_coloring=False, round_budget=1,
+            )
+
     def test_masks_stay_masks(self, chain, constants, chain_colors):
         # (n,) and (B, n) boolean arrays name the stations they mark.
         mask = np.arange(chain.size) == 7
