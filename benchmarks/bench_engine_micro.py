@@ -12,7 +12,7 @@ import pytest
 from repro.core.constants import ProtocolConstants
 from repro.deploy import uniform_square
 from repro.fastsim import fast_coloring_batch
-from repro.sinr.gain import gain_matrix
+from repro.sinr.channel import UniformPower
 from repro.sinr.reception import resolve_reception
 
 
@@ -22,9 +22,9 @@ def medium_net():
 
 
 def test_gain_matrix_256(benchmark, medium_net):
-    dist = medium_net.distances
     result = benchmark(
-        gain_matrix, dist, medium_net.params.power, medium_net.params.alpha
+        UniformPower().gain,
+        medium_net.distances, medium_net.coords, medium_net.params,
     )
     assert result.shape == (256, 256)
 

@@ -7,10 +7,13 @@ below a constant ``C1``.
 Lemma 2 (lower density): for every participant ``v`` there is a color
 whose mass inside ``B(v, eps/2)`` is at least a constant ``C2``.
 
-Over a finite station set we evaluate station-centered balls (see
-:func:`repro.geometry.balls.max_ball_mass` for the convention); the
-experiments report the resulting extremal masses so the "constant,
-independent of n" claims become measurable numbers.
+Over a finite station set we evaluate station-centered balls
+(:meth:`~repro.network.network.Network.ball`): the extremal mass of
+radius-``r`` station-centered balls lower-bounds the lemmas' maximum over
+all unit balls, and radius ``2r`` upper-bounds it (any ball containing a
+station lies inside a station-centered double ball).  The experiments
+report the resulting extremal masses so the "constant, independent of n"
+claims become measurable numbers.
 """
 
 from __future__ import annotations
@@ -46,19 +49,14 @@ def lemma1_max_color_mass(
         independent of ``n`` and of the geometry.
     """
     _check(network, result)
-    dist = network.distances
+    # Centering at every station covers all extremal station-centered
+    # balls.
+    balls = [network.ball(v, radius) for v in range(network.size)]
     worst = 0.0
     for color in result.distinct_colors():
         mask = result.color_mask(color)
-        members = np.flatnonzero(mask)
-        if members.size == 0:
-            continue
-        weights = np.where(mask, result.colors, 0.0)
-        # Mass of a ball only changes at member stations; centering at
-        # every station covers all extremal station-centered balls.
-        for v in range(network.size):
-            in_ball = dist[v] <= radius
-            mass = float(np.sum(weights[in_ball & mask]))
+        for ball in balls:
+            mass = float(np.sum(result.colors[ball[mask[ball]]]))
             worst = max(worst, mass)
     return worst
 
@@ -77,17 +75,13 @@ def lemma2_best_masses(
     _check(network, result)
     if radius is None:
         radius = network.params.eps / 2.0
-    dist = network.distances
-    colors = result.colors
-    participants = np.flatnonzero(result.participants)
-    distinct = result.distinct_colors()
+    masks = [result.color_mask(color) for color in result.distinct_colors()]
     best_masses = []
-    for v in participants:
-        in_ball = dist[v] <= radius
+    for v in np.flatnonzero(result.participants):
+        ball = network.ball(v, radius)
         best = 0.0
-        for color in distinct:
-            mask = result.color_mask(color) & in_ball
-            best = max(best, float(np.sum(colors[mask])))
+        for mask in masks:
+            best = max(best, float(np.sum(result.colors[ball[mask[ball]]])))
         best_masses.append(best)
     return np.asarray(best_masses)
 
@@ -124,13 +118,12 @@ def coloring_report(
 ) -> ColoringReport:
     """Compute the full property report for one coloring."""
     _check(network, result)
-    dist = network.distances
     participants = result.participants
-    weights = np.where(participants, result.colors, 0.0)
     all_mass = 0.0
     for v in range(network.size):
-        in_ball = dist[v] <= 1.0
-        all_mass = max(all_mass, float(np.sum(weights[in_ball & participants])))
+        ball = network.ball(v, 1.0)
+        mass = float(np.sum(result.colors[ball[participants[ball]]]))
+        all_mass = max(all_mass, mass)
     return ColoringReport(
         n=network.size,
         num_participants=int(participants.sum()),

@@ -20,8 +20,13 @@ from repro.geometry.metric import MIN_DISTANCE
 from repro.network.network import Network
 
 
-def _edge_set(net: Network) -> frozenset:
-    return frozenset(frozenset(e) for e in net.graph.edges)
+def _same_graph(before: tuple, after: tuple) -> bool:
+    """Whether two communication-graph CSRs hold the same edges.
+
+    Symmetric CSRs with ascending rows are equal exactly when their edge
+    sets are.
+    """
+    return all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def _sample_in_ball(
@@ -57,15 +62,12 @@ def perturb_within_balls(
     coords = np.array(net.coords, dtype=float)
     n, dim = coords.shape
     comm_r = net.params.comm_radius
-    original_adjacency = net.distances <= comm_r
-    np.fill_diagonal(original_adjacency, False)
+    original = net.adjacency_within(comm_r)
+    indptr, indices = original
 
-    moved = 0
     if scale > 0 and n > 1:
-        order = rng.permutation(n)
-        others_mask = ~np.eye(n, dtype=bool)
-        for i in order:
-            target_row = original_adjacency[i]
+        for i in rng.permutation(n):
+            target = indices[indptr[i]:indptr[i + 1]]
             for _attempt in range(attempts_per_station):
                 candidate = coords[i] + _sample_in_ball(rng, dim, scale)
                 delta = coords - candidate
@@ -73,18 +75,15 @@ def perturb_within_balls(
                 dist_row[i] = np.inf
                 if dist_row.min() < 10 * MIN_DISTANCE:
                     continue
-                new_row = dist_row <= comm_r
-                if np.array_equal(new_row[others_mask[i]],
-                                  target_row[others_mask[i]]):
+                if np.array_equal(np.flatnonzero(dist_row <= comm_r), target):
                     coords[i] = candidate
-                    moved += 1
                     break
 
     perturbed = Network(
         coords, params=net.params, metric=net.metric,
         name=f"{net.name}-perturbed", channel=net.channel,
     )
-    if _edge_set(perturbed) != _edge_set(net):
+    if not _same_graph(perturbed.adjacency_within(comm_r), original):
         raise DeploymentError(
             "internal error: perturbation changed the communication graph"
         )
@@ -188,12 +187,8 @@ def jitter_within_slack(
             if jittered.backend_kind == "sparse"
             else SparseGainBackend(moved, net.params, UniformPower())
         )
-        # Equal symmetric CSRs with sorted rows <=> equal edge sets.
-        before = backend.adjacency_within(comm_r)
-        after = check.adjacency_within(comm_r)
-        if not (
-            np.array_equal(before[0], after[0])
-            and np.array_equal(before[1], after[1])
+        if not _same_graph(
+            backend.adjacency_within(comm_r), check.adjacency_within(comm_r)
         ):
             raise DeploymentError(
                 "internal error: slack-bounded jitter changed the "

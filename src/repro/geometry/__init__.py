@@ -6,6 +6,9 @@ provides the concrete metrics used by the simulator (Euclidean spaces of any
 dimension and explicit distance matrices), together with the covering-number
 machinery (``chi(a, b)``) that the paper's analysis relies on, and
 estimators that verify the bounded-growth property of a point set.
+Ball membership ``B(v, r)`` — the set Lemmas 1 and 2 sum masses over —
+is a network question, answered by
+:meth:`repro.network.network.Network.ball`.
 """
 
 from repro.geometry.metric import (
@@ -20,12 +23,6 @@ from repro.geometry.growth import (
     greedy_cover,
     growth_dimension_estimate,
 )
-from repro.geometry.balls import (
-    annulus_indices,
-    ball_indices,
-    ball_mass,
-    max_ball_mass,
-)
 
 __all__ = [
     "Metric",
@@ -36,8 +33,4 @@ __all__ = [
     "covering_number",
     "greedy_cover",
     "growth_dimension_estimate",
-    "ball_indices",
-    "annulus_indices",
-    "ball_mass",
-    "max_ball_mass",
 ]

@@ -367,11 +367,7 @@ class _TdmaSession(MacSession):
         ).replication(0)
         colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
         radius = model.interference_scale * network.params.comm_radius
-        ii, jj = network.pairs_within(radius)
-        adjacency: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+        indptr, indices = network.adjacency_within(radius)
         # Backbone-informed greedy proper coloring of the interference
         # graph: stations with high p_v (sparse neighbourhoods, early
         # quitters of StabilizeProbability) claim early slots, so the
@@ -379,13 +375,14 @@ class _TdmaSession(MacSession):
         order = sorted(range(self.n), key=lambda v: (-colors[v], v))
         slots = np.full(self.n, -1, dtype=np.int64)
         for v in order:
-            taken = {int(slots[u]) for u in adjacency[v] if slots[u] >= 0}
+            # Unslotted neighbours contribute -1, which no slot equals.
+            taken = set(slots[indices[indptr[v]:indptr[v + 1]]].tolist())
             slot = 0
             while slot in taken:
                 slot += 1
             slots[v] = slot
         self.backbone_colors = colors
-        self.interference_pairs = (ii, jj)
+        self.interference_pairs = csr_upper_pairs(indptr, indices)
         self.slots = slots
         self.frame = int(slots.max()) + 1 if self.n else 1
 
@@ -401,7 +398,7 @@ class TdmaFromColoring(MacModel):
     the initial network (the paper's backbone coloring, Fact 7), then
     greedily proper-colors the **interference graph** — stations within
     ``interference_scale`` communication radii
-    (:meth:`~repro.network.network.Network.pairs_within`) — visiting
+    (:meth:`~repro.network.network.Network.adjacency_within`) — visiting
     stations in descending backbone-color order.  The result is a slot
     schedule in which no two stations that can interfere at a common
     receiver share a slot; each station transmits only when

@@ -15,13 +15,17 @@ import networkx as nx
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.errors import DeploymentError, GeometryError, ProtocolError
+from repro.errors import (
+    DeploymentError,
+    DisconnectedNetworkError,
+    GeometryError,
+    ProtocolError,
+)
 from repro.geometry.metric import (
     EuclideanMetric,
     Metric,
     MIN_DISTANCE,
 )
-from repro.network import graph as graph_utils
 from repro.sinr.channel import ChannelModel, default_channel
 from repro.sinr.params import SINRParameters
 from repro.sinr.sparse import (
@@ -114,6 +118,7 @@ class Network:
         self._backend_obj: Optional[SparseGainBackend] = None
         self._dist: Optional[np.ndarray] = None
         self._gain: Optional[np.ndarray] = None
+        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._graph: Optional[nx.Graph] = None
         self._diameter: Optional[int] = None
         self._max_degree: Optional[int] = None
@@ -260,9 +265,11 @@ class Network:
         Row ``v`` lists every other station at distance ``<= radius``
         from ``v`` in ascending order.  Every "who is within ``r``"
         question reads this one answer: :meth:`pairs_within`,
-        :attr:`graph`, :attr:`is_connected`, CSMA's sense adjacency,
-        TDMA's interference graph (:meth:`ball`, one station's
-        question, filters one row instead).  A sparse network with
+        :attr:`graph`, :meth:`neighbors`, the one BFS behind
+        :attr:`is_connected`, :attr:`diameter`, :meth:`eccentricity` and
+        :meth:`bfs_layers`, CSMA's sense adjacency, TDMA's interference
+        graph (:meth:`ball`, one station's question, filters one row
+        instead).  A sparse network with
         ``radius`` up to the cutoff returns its backend's memoized
         near-field CSR
         (:meth:`~repro.sinr.sparse.SparseGainBackend.adjacency_within`);
@@ -304,45 +311,103 @@ class Network:
         """
         return csr_upper_pairs(*self.adjacency_within(radius))
 
+    def _graph_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The communication graph ``G``: :meth:`adjacency_within` at the
+        communication radius, computed once per network.
+
+        Every communication-graph question reads this CSR; on a sparse
+        network it is the backend's own memo.
+        """
+        if self._csr is None:
+            self._csr = self.adjacency_within(self.params.comm_radius)
+        return self._csr
+
     @property
     def graph(self) -> nx.Graph:
-        """The communication graph (edges at distance ``<= (1-eps) r``).
+        """A networkx view of the communication graph (cached).
 
-        Built from :meth:`pairs_within` at the communication radius on
-        either backend, edges inserted in sorted ``(i, j)`` order.
+        Edges at distance ``<= (1-eps) r``, the upper triangle of the
+        radius query's CSR on either backend, inserted in sorted
+        ``(i, j)`` order.  It is there for routing (:mod:`repro.traffic`)
+        and for users; no ``Network`` question reads it — they all walk
+        the CSR.
         """
         if self._graph is None:
-            ii, jj = self.pairs_within(self.params.comm_radius)
+            ii, jj = csr_upper_pairs(*self._graph_csr())
             graph = nx.Graph()
             graph.add_nodes_from(range(self.size))
             graph.add_edges_from(zip(ii.tolist(), jj.tolist()))
             self._graph = graph
         return self._graph
 
+    def _hops(self, sources) -> np.ndarray:
+        """Hop counts ``(len(sources), n)`` from each source, ``-1`` if none.
+
+        The one BFS behind every communication-graph question: a level
+        at a time over :meth:`_graph_csr`, all of one pass's sources
+        together, each ``(source, station)`` pair a flat index into the
+        result.  A pass takes as many sources as keep its expansion
+        (sources times CSR entries) within ``2**20`` pairs, so the result
+        is the only ``(n, n)``-sized array an all-sources call holds.
+        """
+        indptr, indices = self._graph_csr()
+        n = self.size
+        sources = np.asarray(sources, dtype=np.int64)
+        hops = np.full((sources.size, n), -1, dtype=np.int32)
+        per_pass = max(1, (1 << 20) // max(1, indices.size))
+        for lo in range(0, sources.size, per_pass):
+            flat = hops[lo:lo + per_pass].reshape(-1)
+            rows = np.arange(flat.size // n)
+            frontier = rows * n + sources[lo:lo + per_pass]
+            flat[frontier] = 0
+            level = 0
+            while frontier.size:
+                level += 1
+                stations = frontier % n
+                pos, lengths = csr_row_positions(indptr, stations)
+                keys = np.repeat(frontier - stations, lengths) + indices[pos]
+                frontier = np.unique(keys[flat[keys] < 0])
+                flat[frontier] = level
+        return hops
+
+    def _station(self, v, role: str) -> int:
+        """``v`` as a station index; :class:`GeometryError` unless one.
+
+        A bool, a non-integer or an index outside ``[0, n)`` names no
+        station (``-1`` would silently mean station ``n - 1``).
+        """
+        if (
+            isinstance(v, (bool, np.bool_))
+            or not isinstance(v, (int, np.integer))
+            or not 0 <= v < self.size
+        ):
+            raise GeometryError(
+                f"{role} must be a station index in [0, {self.size}),"
+                f" got {v!r}"
+            )
+        return int(v)
+
     @property
     def is_connected(self) -> bool:
-        """Whether the communication graph is connected.
-
-        A frontier BFS over :meth:`adjacency_within` at the
-        communication radius; no networkx graph is built for the check.
-        """
-        indptr, indices = self.adjacency_within(self.params.comm_radius)
-        seen = np.zeros(self.size, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            pos, _ = csr_row_positions(indptr, frontier)
-            nxt = np.unique(indices[pos])
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            frontier = nxt
-        return bool(seen.all())
+        """Whether every station is reachable from station 0 in ``G``."""
+        return bool(self._hops([0]).min() >= 0)
 
     @property
     def diameter(self) -> int:
-        """Diameter ``D`` of the communication graph (cached)."""
+        """Diameter ``D`` of the communication graph (cached).
+
+        The largest hop count of one all-sources BFS.
+
+        :raises DisconnectedNetworkError: broadcast (and hence ``D``) is
+            only defined for connected communication graphs.
+        """
         if self._diameter is None:
-            self._diameter = graph_utils.diameter(self.graph)
+            hops = self._hops(np.arange(self.size))
+            if hops.min() < 0:
+                raise DisconnectedNetworkError(
+                    "communication graph is disconnected; broadcast undefined"
+                )
+            self._diameter = int(hops.max())
         return self._diameter
 
     @property
@@ -353,26 +418,63 @@ class Network:
         radius; no networkx graph is built.
         """
         if self._max_degree is None:
-            indptr, _ = self.adjacency_within(self.params.comm_radius)
+            indptr, _ = self._graph_csr()
             self._max_degree = int(np.diff(indptr).max())
         return self._max_degree
 
     @property
     def granularity(self) -> float:
-        """Granularity ``Rs`` (max/min communication-edge length)."""
-        return graph_utils.granularity(self.distances, self.graph)
+        """Granularity ``Rs``: max/min distance over communication edges.
+
+        The parameter the Daum et al. bound ``O(D log n log^{alpha+1}
+        Rs)`` depends on, and which the paper's footnote-2 instance
+        drives exponentially high; 1.0 without edges.
+        """
+        ii, jj = csr_upper_pairs(*self._graph_csr())
+        if not ii.size:
+            return 1.0
+        lengths = self.distances[ii, jj]
+        return float(lengths.max()) / float(lengths.min())
 
     def eccentricity(self, source: int) -> int:
-        """Broadcast depth from ``source``."""
-        return graph_utils.eccentricity(self.graph, source)
+        """Largest hop count from ``source`` — its broadcast depth.
+
+        Broadcast from ``source`` needs exactly this many hops, up to 2x
+        fewer than ``D``; experiments report both.
+
+        :raises GeometryError: unless ``source`` is a station index.
+        :raises DisconnectedNetworkError: on a disconnected graph.
+        """
+        hops = self._hops([self._station(source, "source")])
+        if hops.min() < 0:
+            raise DisconnectedNetworkError(
+                "communication graph is disconnected; eccentricity undefined"
+            )
+        return int(hops.max())
 
     def bfs_layers(self, source: int) -> list[list[int]]:
-        """Stations grouped by hop distance from ``source``."""
-        return graph_utils.bfs_layers(self.graph, source)
+        """Stations grouped by hop count from ``source``, each layer sorted.
+
+        Layer ``i`` holds exactly the stations a perfect broadcast
+        informs in its ``i``-th hop; stations ``source`` cannot reach
+        are in no layer.
+
+        :raises GeometryError: unless ``source`` is a station index.
+        """
+        hops = self._hops([self._station(source, "source")])[0]
+        reached = np.flatnonzero(hops >= 0)
+        order = reached[np.argsort(hops[reached], kind="stable")]
+        ends = np.cumsum(np.bincount(hops[reached]))[:-1]
+        return [layer.tolist() for layer in np.split(order, ends)]
 
     def neighbors(self, v: int) -> list[int]:
-        """Communication-graph neighbours of station ``v``."""
-        return sorted(self.graph.neighbors(v))
+        """Communication-graph neighbours of station ``v``, ascending.
+
+        :raises GeometryError: unless ``v`` is a station index.
+        """
+        v = self._station(v, "station")
+        indptr, indices = self._graph_csr()
+        return indices[indptr[v]:indptr[v + 1]].tolist()
 
     def resident_bytes(self) -> int:
         """Estimated resident memory of this network's gain structure.
@@ -502,15 +604,7 @@ class Network:
         its peers.  ``center`` must be an integer station index in
         ``[0, n)`` and ``radius >= 0``, else :class:`GeometryError`.
         """
-        if (
-            isinstance(center, (bool, np.bool_))
-            or not isinstance(center, (int, np.integer))
-            or not 0 <= center < self.size
-        ):
-            raise GeometryError(
-                f"ball center must be a station index in [0, {self.size}),"
-                f" got {center!r}"
-            )
+        center = self._station(center, "ball center")
         if not radius >= 0:
             raise GeometryError(f"ball radius must be >= 0, got {radius!r}")
         if self.backend_kind == "sparse":

@@ -17,7 +17,6 @@ obstacle variants alongside it.
 """
 
 from repro.sinr.params import SINRParameters, ParameterBounds
-from repro.sinr.gain import gain_matrix
 from repro.sinr.channel import (
     ChannelModel,
     DualSlope,
@@ -47,7 +46,6 @@ __all__ = [
     "far_field_tail_bound",
     "SINRParameters",
     "ParameterBounds",
-    "gain_matrix",
     "ChannelModel",
     "UniformPower",
     "LogNormalShadowing",

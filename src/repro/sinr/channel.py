@@ -1,7 +1,7 @@
 """Pluggable channel models — the gain matrix as a strategy object.
 
 The seed reproduction hard-wired one channel: uniform-power path loss,
-``g[v, u] = P * d(v, u)^-alpha`` (:func:`repro.sinr.gain.gain_matrix`).
+``g[v, u] = P * d(v, u)^-alpha`` (:class:`UniformPower`).
 That is the paper's Eq. (1) channel, but the geometry claims (E12, E08)
 are only interesting if they survive channels that deviate from the
 idealization — shadowing, breakpoint path loss, obstacles.  This module
@@ -44,7 +44,6 @@ import numpy as np
 from repro.errors import GeometryError, SimulationError
 from repro.geometry.metric import MIN_DISTANCE
 from repro.identity import Identified, checked_seed
-from repro.sinr.gain import gain_matrix
 from repro.sinr.params import SINRParameters
 
 
@@ -99,9 +98,10 @@ class ChannelModel(Identified):
 class UniformPower(ChannelModel):
     """The seed channel: ``g = P * d^-alpha`` (paper Eq. (1)).
 
-    Bit-identical to :func:`repro.sinr.gain.gain_matrix` — the default of
-    every :class:`~repro.network.network.Network`, so pre-channel-model
-    behaviour (and every pinned seed expectation) is unchanged.
+    The one copy of the power law (distances floored at
+    ``MIN_DISTANCE``, zero diagonal): the default channel of every
+    :class:`~repro.network.network.Network` and the base that
+    :class:`LogNormalShadowing` scales.
     """
 
     def radial_gain(self, dist, params) -> np.ndarray:
@@ -136,7 +136,7 @@ class LogNormalShadowing(ChannelModel):
         self.seed = checked_seed(seed, SimulationError)
 
     def gain(self, dist, coords, params) -> np.ndarray:
-        base = gain_matrix(dist, params.power, params.alpha)
+        base = UniformPower().gain(dist, coords, params)
         if self.sigma_db == 0.0:
             return base
         n = dist.shape[0]

@@ -297,8 +297,10 @@ def certified_cutoff(
     growth dimension (:func:`repro.geometry.growth.growth_dimension_estimate`
     on a deterministic subsample), floored at 1.
 
-    Falls back to the largest candidate when none certifies — a larger
-    cutoff only ever tightens the truncation.
+    :raises GeometryError: when no candidate certifies, naming the
+        smallest bound and the budget — a larger cutoff, a looser
+        budget or a smaller ``gamma`` is the caller's choice, not this
+        function's.
     """
     coords = _points(coords)
     r = params.broadcast_range
@@ -310,6 +312,7 @@ def certified_cutoff(
     if gamma is None:
         gamma = _measured_gamma(coords)
     budget = budget_fraction * params.min_gap_for_range(params.comm_radius)
+    bounds = []
     for cutoff in candidates:
         bound = far_field_tail_bound(
             params, cutoff, gamma, active_per_ball,
@@ -317,7 +320,12 @@ def certified_cutoff(
         )
         if bound <= budget:
             return float(cutoff)
-    return float(candidates[-1])
+        bounds.append((bound, cutoff))
+    bound, cutoff = min(bounds)
+    raise GeometryError(
+        f"no cutoff candidate certifies: the smallest tail bound, "
+        f"{bound:.3g} at cutoff {cutoff:g}, exceeds the budget {budget:.3g}"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.sinr.channel import (
     default_channel,
     rectangle,
 )
-from repro.sinr.gain import gain_matrix
 from repro.sinr.params import SINRParameters
 
 PARAMS = SINRParameters.default()
@@ -108,19 +107,11 @@ class TestIdentitySeparation:
 
 
 class TestUniformPower:
-    def test_bit_identical_to_gain_matrix(self, deployment):
-        coords, dist = deployment
-        assert np.array_equal(
-            UniformPower().gain(dist, coords, PARAMS),
-            gain_matrix(dist, PARAMS.power, PARAMS.alpha),
-        )
-
     def test_is_the_default_channel(self, deployment):
         coords, dist = deployment
         assert default_channel() == UniformPower()
         assert np.array_equal(
-            Network(coords).gains,
-            gain_matrix(dist, PARAMS.power, PARAMS.alpha),
+            Network(coords).gains, UniformPower().gain(dist, coords, PARAMS)
         )
 
 

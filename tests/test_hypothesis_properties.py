@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.fitting import fit_single, growth_exponent
 from repro.core.constants import ColoringSchedule, ProtocolConstants, log2ceil
-from repro.geometry.balls import annulus_indices, ball_indices
 from repro.geometry.metric import pairwise_distances
-from repro.sinr.gain import gain_matrix
+from repro.network.network import Network
+from repro.sinr.channel import UniformPower
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import NO_SENDER, resolve_reception
 
@@ -51,9 +51,7 @@ class TestReceptionInvariants:
         if coords is None:
             return
         n = coords.shape[0]
-        gains = gain_matrix(
-            pairwise_distances(coords), PARAMS.power, PARAMS.alpha
-        )
+        gains = UniformPower().gain(pairwise_distances(coords), coords, PARAMS)
         tx = data.draw(
             st.lists(
                 st.integers(min_value=0, max_value=n - 1),
@@ -83,7 +81,7 @@ class TestReceptionInvariants:
         if coords is None:
             return
         dist = pairwise_distances(coords)
-        gains = gain_matrix(dist, PARAMS.power, PARAMS.alpha)
+        gains = UniformPower().gain(dist, coords, PARAMS)
         heard = resolve_reception(
             gains, np.array([0]), PARAMS.noise, PARAMS.beta
         )
@@ -113,24 +111,13 @@ class TestMetricInvariants:
     )
     @settings(max_examples=40, deadline=None)
     def test_ball_membership_definition(self, coords, radius):
-        coords = np.array(coords, dtype=float)
+        coords = _to_distinct_coords(coords)
+        if coords is None:
+            return
         d = pairwise_distances(coords)
-        members = set(ball_indices(d, 0, radius).tolist())
+        members = set(Network(coords).ball(0, radius).tolist())
         for v in range(coords.shape[0]):
             assert (v in members) == (d[0, v] <= radius)
-
-    @given(
-        coords=coords_strategy,
-        inner=st.floats(min_value=0.0, max_value=3.0),
-        width=st.floats(min_value=0.0, max_value=3.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_annulus_disjoint_from_inner_ball(self, coords, inner, width):
-        coords = np.array(coords, dtype=float)
-        d = pairwise_distances(coords)
-        ring = set(annulus_indices(d, 0, inner, inner + width).tolist())
-        ball = set(ball_indices(d, 0, inner).tolist())
-        assert not (ring & ball)
 
 
 class TestScheduleInvariants:

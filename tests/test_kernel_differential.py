@@ -51,8 +51,7 @@ from repro.geometry.metric import pairwise_distances
 from repro.mac import CSMA
 from repro.network.network import Network
 from repro.sim.wakeup import WakeupSchedule
-from repro.sinr.channel import DualSlope
-from repro.sinr.gain import gain_matrix
+from repro.sinr.channel import DualSlope, UniformPower
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import (
     resolve_at,
@@ -83,7 +82,7 @@ def _legs(fn):
 
 def _gains(seed: int, n: int, side: float = 2.2) -> np.ndarray:
     coords = np.random.default_rng(seed).uniform(0, side, size=(n, 2))
-    return gain_matrix(pairwise_distances(coords), PARAMS.power, PARAMS.alpha)
+    return UniformPower().gain(pairwise_distances(coords), coords, PARAMS)
 
 
 def _bitwise(results):

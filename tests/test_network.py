@@ -1,4 +1,4 @@
-"""Tests for the Network aggregate and communication-graph utilities."""
+"""Tests for the Network aggregate and its communication-graph questions."""
 
 import functools
 import pickle
@@ -6,7 +6,7 @@ import pickle
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
@@ -16,13 +16,6 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.geometry.metric import pairwise_distances
-from repro.network.graph import (
-    bfs_layers,
-    diameter,
-    eccentricity,
-    granularity,
-    max_degree,
-)
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -69,7 +62,7 @@ class TestDiameterAndEccentricity:
 
     def test_eccentricity_unknown_source(self, three_station_line):
         with pytest.raises(GeometryError):
-            eccentricity(three_station_line.graph, 99)
+            three_station_line.eccentricity(99)
 
     def test_diameter_at_most_twice_eccentricity(self, small_square):
         d = small_square.diameter
@@ -93,7 +86,7 @@ class TestBfsLayers:
 
     def test_unknown_source_raises(self, three_station_line):
         with pytest.raises(GeometryError):
-            bfs_layers(three_station_line.graph, 10)
+            three_station_line.bfs_layers(10)
 
 
 class TestDegreeAndGranularity:
@@ -101,9 +94,7 @@ class TestDegreeAndGranularity:
         assert three_station_line.max_degree == 2
 
     def test_max_degree_empty(self):
-        import networkx as nx
-
-        assert max_degree(nx.Graph()) == 0
+        assert Network(np.array([[0.0, 0.0]])).max_degree == 0
 
     def test_granularity_uniform_chain(self, small_chain):
         # Edges: length 0.5 (hops) and 1.0 (two-hop shortcuts? 1.0 > 0.7 no)
@@ -504,6 +495,102 @@ class TestBallRejectsInvalidQueries:
         net = Network(self.COORDS, backend=backend)
         assert net.ball(np.int64(1), 1.0).tolist() == [0, 1]
         assert net.ball(1, 0.0).tolist() == [1]
+
+
+class TestGraphQuestionsRejectNonStations:
+    """Graph questions name stations by the rule ``ball`` applies.
+
+    Unchecked, ``bfs_layers(True)`` answered ``[[True], [0, 2], [3]]``,
+    ``eccentricity(True)`` and ``eccentricity(1.0)`` answered for
+    station 1 and ``neighbors(-1)`` raised networkx's own error.
+    """
+
+    LINE = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [1.8, 0.0]])
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "question", ["eccentricity", "bfs_layers", "neighbors"]
+    )
+    @pytest.mark.parametrize(
+        "v", [-1, 4, True, np.bool_(True), 1.0],
+        ids=["negative", "n", "bool", "numpy-bool", "float"],
+    )
+    def test_non_station_rejected(self, backend, question, v):
+        net = Network(self.LINE, backend=backend)
+        with pytest.raises(GeometryError, match="station index"):
+            getattr(net, question)(v)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_integer_stations_answer(self, backend):
+        net = Network(self.LINE, backend=backend)
+        assert net.eccentricity(np.int64(1)) == 2
+        assert net.bfs_layers(np.int32(1)) == [[1], [0, 2], [3]]
+        assert net.neighbors(np.int64(3)) == [2]
+
+
+def _answer(question):
+    """A graph question's answer, or ``"disconnected"`` if it raises so."""
+    try:
+        return question()
+    except DisconnectedNetworkError:
+        return "disconnected"
+
+
+class TestGraphQuestionsMatchNetworkx:
+    """Every CSR-walked graph question equals networkx's on ``net.graph``.
+
+    The questions are asked first, on a fresh network: none of them may
+    build the networkx view.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 3),
+        side=st.floats(0.3, 6.0),
+        backend=st.sampled_from(["dense", "sparse"]),
+    )
+    @example(seed=3, n=30, dim=2, side=1.5, backend="sparse")
+    @example(seed=3, n=12, dim=2, side=6.0, backend="dense")
+    def test_answers_equal_networkx(self, seed, n, dim, side, backend):
+        coords = np.random.default_rng(seed).uniform(0, side, (n, dim))
+        assume(n == 1 or pairwise_distances(coords)[
+            ~np.eye(n, dtype=bool)
+        ].min() > 1e-6)
+        net = Network(coords, backend=backend)
+        stations = range(n)
+        got = {
+            "connected": net.is_connected,
+            "diameter": _answer(lambda: net.diameter),
+            "eccentricity": [
+                _answer(lambda v=v: net.eccentricity(v)) for v in stations
+            ],
+            "layers": [net.bfs_layers(v) for v in stations],
+            "neighbors": [net.neighbors(v) for v in stations],
+            "granularity": net.granularity,
+        }
+        assert net._graph is None
+
+        graph = net.graph
+        connected = nx.is_connected(graph)
+        lengths = [net.distances[i, j] for i, j in graph.edges]
+        assert got == {
+            "connected": connected,
+            "diameter": nx.diameter(graph) if connected else "disconnected",
+            "eccentricity": [
+                nx.eccentricity(graph, v=v) if connected else "disconnected"
+                for v in stations
+            ],
+            "layers": [
+                [sorted(layer) for layer in nx.bfs_layers(graph, v)]
+                for v in stations
+            ],
+            "neighbors": [sorted(graph.neighbors(v)) for v in stations],
+            "granularity": (
+                max(lengths) / min(lengths) if lengths else 1.0
+            ),
+        }
 
 
 class TestNonFiniteInputs:

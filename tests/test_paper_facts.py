@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.metric import pairwise_distances
-from repro.sinr.gain import gain_matrix
+from repro.sinr.channel import UniformPower
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import NO_SENDER, resolve_reception
 
@@ -19,11 +19,8 @@ PARAMS = SINRParameters.default()  # alpha=3, beta=1, N=1, P=1, r=1, eps=0.3
 
 
 def _gains(coords):
-    return gain_matrix(
-        pairwise_distances(np.asarray(coords, dtype=float)),
-        PARAMS.power,
-        PARAMS.alpha,
-    )
+    coords = np.asarray(coords, dtype=float)
+    return UniformPower().gain(pairwise_distances(coords), coords, PARAMS)
 
 
 class TestFact1:
@@ -166,7 +163,7 @@ class TestFact6:
         coords[0] = [2.0, 2.0]          # listener v
         coords[1] = [2.4, 2.0]          # sender w at distance 0.4 < 2/3
         dist = pairwise_distances(coords)
-        gains = gain_matrix(dist, PARAMS.power, PARAMS.alpha)
+        gains = UniformPower().gain(dist, coords, PARAMS)
         ball_sizes = (dist <= 1.0).sum(axis=1)
         probs = np.full(n, 0.3) / ball_sizes.max()
         probs[0] = 0.0                  # v listens

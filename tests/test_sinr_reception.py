@@ -18,11 +18,10 @@ import pytest
 
 from repro import kernels
 from repro.deploy.line import geometric_chain
-from repro.errors import SimulationError
 from repro.geometry.metric import pairwise_distances
 from repro.network.network import Network
 from repro.sinr import reception
-from repro.sinr.gain import gain_matrix
+from repro.sinr.channel import UniformPower
 from repro.sinr.params import SINRParameters
 from repro.sinr.reception import (
     NO_SENDER,
@@ -56,8 +55,7 @@ def kernel(request, monkeypatch):
 
 def _gains(positions):
     coords = np.asarray(positions, dtype=float)
-    dist = pairwise_distances(coords)
-    return gain_matrix(dist, PARAMS.power, PARAMS.alpha)
+    return UniformPower().gain(pairwise_distances(coords), coords, PARAMS)
 
 
 class TestGainMatrix:
@@ -72,13 +70,6 @@ class TestGainMatrix:
     def test_symmetric_for_uniform_power(self):
         g = _gains(np.random.default_rng(0).uniform(size=(6, 2)))
         assert np.allclose(g, g.T)
-
-    def test_rejects_bad_params(self):
-        dist = pairwise_distances(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(SimulationError):
-            gain_matrix(dist, 0.0, 3.0)
-        with pytest.raises(SimulationError):
-            gain_matrix(dist, 1.0, -1.0)
 
 
 class TestResolveReception:

@@ -589,14 +589,24 @@ class TestGrowthCertificates:
             far_field_tail_bound(PARAMS, 0.0, 2.0, 1.0, 10)
 
     def test_certified_cutoff_picks_smallest_certifiable(self):
+        # Tail bounds 28.4, 13.9, 7.85, 3.20 and 0.847 at cutoffs r, 1.25r,
+        # 1.5r, 2r and 3r; budget fractions 20, 1 and 0.01 give budgets
+        # 38.3, 1.92 and 0.0192.
         coords = _spread_coords(400, 6.0, seed=11)
-        cutoff = certified_cutoff(coords, PARAMS, gamma=2.0)
-        assert cutoff >= PARAMS.broadcast_range
+        cutoff = certified_cutoff(
+            coords, PARAMS, gamma=2.0, budget_fraction=20.0
+        )
+        assert cutoff == PARAMS.broadcast_range
         # tighter budget -> never smaller cutoff
         tighter = certified_cutoff(
-            coords, PARAMS, gamma=2.0, budget_fraction=0.01
+            coords, PARAMS, gamma=2.0, budget_fraction=1.0
         )
         assert tighter >= cutoff
+        assert tighter == 3.0 * PARAMS.broadcast_range
+        with pytest.raises(
+            GeometryError, match=r"bound, 0\.847 at cutoff 3, .* 0\.0192"
+        ):
+            certified_cutoff(coords, PARAMS, gamma=2.0, budget_fraction=0.01)
 
     def test_backend_tail_bound_finite(self):
         backend = _backend(_spread_coords(200, 8.0), cutoff=1.0)
@@ -611,11 +621,13 @@ class TestGrowthCertificates:
     #: shared: ``max_ball_occupancy()``, ``certified_tail_bound()`` and
     #: ``certified_cutoff(coords, PARAMS)`` (gamma measured) at cutoff 2
     #: on :meth:`TestNearFieldBuild._deployments`, plus the cutoffs at
-    #: budget fractions 1 and 20.
+    #: budget fractions 1 and 20.  ``None``: no candidate certifies at
+    #: that budget (the 3r bounds 0.524 and 1.39 exceed 0.479), and the
+    #: call raises.
     PINS = {
         "corridor-1d": (25, 0.7097477849129006, 3.0, 1.5, 1.0),
-        "square-far-active": (137, 1.831263620917334, 3.0, 2.0, 1.0),
-        "cube-3d": (205, 5.212810478366026, 3.0, 3.0, 1.25),
+        "square-far-active": (137, 1.831263620917334, None, 2.0, 1.0),
+        "cube-3d": (205, 5.212810478366026, None, 3.0, 1.25),
     }
 
     @pytest.mark.parametrize("name", sorted(PINS))
@@ -625,10 +637,14 @@ class TestGrowthCertificates:
         occupancy, tail, *cutoffs = self.PINS[name]
         assert backend.max_ball_occupancy() == occupancy
         assert backend.certified_tail_bound() == tail
-        assert [
-            certified_cutoff(coords, PARAMS, budget_fraction=fraction)
-            for fraction in (0.25, 1.0, 20.0)
-        ] == cutoffs
+        for fraction, cutoff in zip((0.25, 1.0, 20.0), cutoffs):
+            if cutoff is None:
+                with pytest.raises(GeometryError, match="budget 0.479"):
+                    certified_cutoff(coords, PARAMS, budget_fraction=fraction)
+            else:
+                assert certified_cutoff(
+                    coords, PARAMS, budget_fraction=fraction
+                ) == cutoff
 
     @settings(max_examples=40, deadline=None)
     @given(
